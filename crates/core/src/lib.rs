@@ -111,12 +111,13 @@ pub use dbring_relations::{
     Value,
 };
 pub use dbring_runtime::fault;
+pub use dbring_runtime::storage::MIN_DELTAS_PER_SHARD;
 pub use dbring_runtime::{
     boxed_engine, boxed_engine_by_name, interpreted_ivm, recursive_ivm, strategy_by_name,
-    try_boxed_engine, ClassicalIvm, EngineRegistry, ExecStats, Executor, FaultOp, FaultPlan,
-    FaultStorage, HashViewStorage, InterpretedExecutor, MaintenanceStrategy, NaiveReeval,
-    OrderedViewStorage, ParallelConfig, RuntimeError, SnapshotStore, StagedBatch, StorageBackend,
-    StorageFootprint, ViewEngine, ViewSnapshot, ViewStorage,
+    try_boxed_engine, ChangeSet, ClassicalIvm, EngineRegistry, ExecStats, Executor, FaultOp,
+    FaultPlan, FaultStorage, HashViewStorage, InterpretedExecutor, MaintenanceStrategy,
+    NaiveReeval, OrderedViewStorage, ParallelConfig, PublishStats, RuntimeError, SnapshotStore,
+    StagedBatch, StorageBackend, StorageFootprint, ViewEngine, ViewSnapshot, ViewStorage,
 };
 
 mod ring;

@@ -38,8 +38,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use dbring_agca::ast::Query;
@@ -49,9 +49,9 @@ use dbring_algebra::Number;
 use dbring_compiler::{compile, generate_nc0c, Diagnostic, TriggerProgram};
 use dbring_relations::{BatchNormalizer, Database, DeltaBatch, Interner, Snapshot, Update, Value};
 use dbring_runtime::{
-    boxed_engine, EngineRegistry, ExecStats, Executor, ParallelConfig, RuntimeError,
-    SnapshotAccess, SnapshotStore, StorageBackend, StorageFootprint, ViewEngine, ViewSnapshot,
-    ViewStorage,
+    boxed_engine, ChangeSet, EngineRegistry, ExecStats, Executor, ParallelConfig, PublishStats,
+    RuntimeError, SnapshotAccess, SnapshotStore, StorageBackend, StorageFootprint, ViewEngine,
+    ViewSnapshot, ViewStorage,
 };
 
 use crate::{Catalog, Error};
@@ -208,9 +208,17 @@ impl RingBuilder {
             normalizer: BatchNormalizer::new(),
             snapshots: Arc::new(SnapshotStore::new()),
             serving: AtomicBool::new(false),
-            publish_ns: AtomicU64::new(0),
+            publish: Mutex::default(),
         }
     }
+}
+
+/// Cumulative publication cost: wall-clock nanoseconds and the [`PublishStats`]
+/// counts. Kept behind a mutex because publication runs behind `&self`.
+#[derive(Debug, Default)]
+struct PublishTotals {
+    ns: u64,
+    stats: PublishStats,
 }
 
 /// Per-view metadata the ring keeps next to the hosted engine.
@@ -290,9 +298,9 @@ pub struct Ring {
     /// read-side request — [`Ring::reader`] / [`Ring::snapshot`] — so rings that are
     /// never read through snapshots pay a single untaken branch per commit.
     serving: AtomicBool,
-    /// Cumulative wall-clock nanoseconds spent publishing snapshots (the write-side
-    /// cost of the read path; see [`Ring::snapshot_publish_ns`]).
-    publish_ns: AtomicU64,
+    /// Cumulative cost of publishing snapshots (the write-side cost of the read
+    /// path; see [`Ring::snapshot_publish_ns`], [`Ring::snapshot_publish_stats`]).
+    publish: Mutex<PublishTotals>,
 }
 
 impl Clone for Ring {
@@ -314,20 +322,20 @@ impl Clone for Ring {
             normalizer: self.normalizer.clone(),
             snapshots: Arc::new(SnapshotStore::new()),
             serving: AtomicBool::new(false),
-            publish_ns: AtomicU64::new(0),
+            publish: Mutex::default(),
         };
         // Mirror the slot layout (tombstones included) so ids stay aligned.
-        for slot in 0..clone.infos.len() {
-            match &clone.infos[slot] {
-                Some(info) => {
-                    clone.snapshots.register(ViewSnapshot::new(
-                        Arc::from(info.name.as_str()),
-                        0,
+        for slot in 0..clone.infos.len() as u32 {
+            match clone.registry.engine(slot) {
+                Some(engine) => {
+                    let name = self.snapshots.name(slot).expect("slots stay in sync");
+                    clone.snapshots.register(ViewSnapshot::empty(
+                        name,
+                        output_arity(engine),
                         clone.ingested,
-                        Vec::new(),
                     ));
-                    if clone.registry.is_poisoned(slot as u32) {
-                        clone.snapshots.poison(slot as u32);
+                    if clone.registry.is_poisoned(slot) {
+                        clone.snapshots.poison(slot);
                     }
                 }
                 None => clone.snapshots.register_dropped(),
@@ -492,6 +500,11 @@ impl Ring {
                 .expect("every ingested update was validated against the catalog");
             engine.initialize_from(&base)?;
         }
+        let placeholder = ViewSnapshot::empty(
+            Arc::from(name.as_str()),
+            output_arity(&*engine),
+            self.ingested,
+        );
         let slot = self.registry.register(engine);
         debug_assert_eq!(slot as usize, self.infos.len());
         self.infos.push(Some(ViewInfo {
@@ -500,16 +513,11 @@ impl Ring {
             factory,
         }));
         let id = ViewId(slot);
-        let registered = self.snapshots.register(ViewSnapshot::new(
-            Arc::from(name.as_str()),
-            0,
-            self.ingested,
-            Vec::new(),
-        ));
+        let registered = self.snapshots.register(placeholder);
         debug_assert_eq!(registered, slot);
         if self.serving() {
             // Serve the backfilled table immediately, not at the next commit.
-            self.publish_slots(&[slot]);
+            self.publish_slots(vec![(slot, None)]);
         }
         self.names.insert(name, id);
         Ok(id)
@@ -664,7 +672,7 @@ impl Ring {
         if self.serving() {
             // Republication clears the store-side quarantine flag along with the
             // registry-side one: the repaired view serves again immediately.
-            self.publish_slots(&[id.0]);
+            self.publish_slots(vec![(id.0, None)]);
         }
         // A rebuild replays from the snapshot through a fresh engine; the ring-level
         // interner is untouched, so previously returned ids stay valid.
@@ -728,19 +736,13 @@ impl Ring {
     /// the first call publishes every live view and is O(total output size).
     pub fn snapshot(&self, id: ViewId) -> Result<ViewSnapshot, Error> {
         self.enable_serving();
-        acquire_snapshot(&self.snapshots, id.0, || id.to_string())
+        snapshot_access(self.snapshots.acquire(id.0), || id.to_string())
     }
 
     /// [`Ring::snapshot`] addressed by view name.
     pub fn snapshot_named(&self, name: &str) -> Result<ViewSnapshot, Error> {
         self.enable_serving();
-        let slot = self
-            .snapshots
-            .find(name)
-            .ok_or_else(|| Error::UnknownView {
-                view: name.to_string(),
-            })?;
-        acquire_snapshot(&self.snapshots, slot, || name.to_string())
+        snapshot_access(self.snapshots.acquire_named(name), || name.to_string())
     }
 
     /// Whether the ring is publishing snapshots at commit points (flipped on by the
@@ -753,12 +755,29 @@ impl Ring {
     /// snapshots — the *writer-side* cost of the read path (zero until serving
     /// starts). `exp_serve` reports this per batch as the snapshot-publish cost.
     pub fn snapshot_publish_ns(&self) -> u64 {
-        self.publish_ns.load(AtomicOrdering::Relaxed)
+        self.publish_totals().ns
+    }
+
+    /// Cumulative publication work in machine-independent counts: publication
+    /// rounds, blocks rebuilt, blocks shared with the predecessor snapshot, rows
+    /// copied. After the first publication a commit copies only the blocks its
+    /// changed keys fall in, so `entries_copied` per commit follows the batch, not
+    /// the size of the view.
+    pub fn snapshot_publish_stats(&self) -> PublishStats {
+        self.publish_totals().stats
+    }
+
+    fn publish_totals(&self) -> MutexGuard<'_, PublishTotals> {
+        // Plain counters, valid after every single update: a panic while they were
+        // held leaves nothing to repair.
+        self.publish.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Total groups currently held across all published snapshots — the publication
     /// store's memory proxy, analogous to [`StorageFootprint`] for the engine side.
-    /// Dropping a view releases its contribution promptly.
+    /// Dropping a view releases its contribution promptly. (Successive snapshots of
+    /// a view share their unchanged blocks, so a reader holding older epochs keeps
+    /// alive only the blocks later commits replaced.)
     pub fn snapshot_footprint(&self) -> usize {
         self.snapshots.published_entries()
     }
@@ -769,40 +788,70 @@ impl Ring {
         if self.serving.swap(true, AtomicOrdering::Relaxed) {
             return;
         }
-        let slots: Vec<u32> = (0..self.infos.len() as u32).collect();
-        self.publish_slots(&slots);
+        self.publish_slots(
+            (0..self.infos.len() as u32)
+                .map(|slot| (slot, None))
+                .collect(),
+        );
         self.sync_quarantine();
     }
 
     /// Publishes fresh snapshots for the given slots (skipping dropped and
-    /// quarantined ones) under one publication epoch, accumulating the spent time
-    /// into [`Ring::snapshot_publish_ns`]. The per-slot cost is one output-table
-    /// export — O(view output size) — paid by the *writer* at the commit boundary;
-    /// readers never copy.
-    fn publish_slots(&self, slots: &[u32]) {
-        if slots.is_empty() {
+    /// quarantined ones) under one publication epoch, accumulating the cost into
+    /// [`Ring::snapshot_publish_ns`] and [`Ring::snapshot_publish_stats`]. A slot
+    /// that comes with the [`ChangeSet`] of the commit just made is published as
+    /// the successor of its current snapshot — O(changed blocks), paid by the
+    /// *writer* at the commit boundary; a slot without one is exported whole.
+    /// Readers never copy.
+    fn publish_slots(&self, slots: Vec<(u32, Option<ChangeSet>)>) {
+        let mut live = slots
+            .into_iter()
+            .filter(|(slot, _)| !self.registry.is_poisoned(*slot))
+            .filter_map(|(slot, changed)| Some((slot, self.registry.engine(slot)?, changed)))
+            .peekable();
+        if live.peek().is_none() {
             return;
         }
         let started = Instant::now();
         let epoch = self.snapshots.next_epoch();
-        for &slot in slots {
-            if self.registry.is_poisoned(slot) {
-                continue;
-            }
-            let Some(engine) = self.registry.engine(slot) else {
-                continue;
+        let mut totals = self.publish_totals();
+        let stats = &mut totals.stats;
+        stats.commits += 1;
+        for (slot, engine, changed) in live {
+            let predecessor = changed.and_then(|changed| match self.snapshots.acquire(slot) {
+                SnapshotAccess::Published(snapshot) => Some((snapshot, changed)),
+                _ => None,
+            });
+            let snapshot = match predecessor {
+                Some((previous, mut changed)) => previous.successor(
+                    epoch,
+                    self.ingested,
+                    &mut changed,
+                    |key| engine.output_value(key),
+                    stats,
+                ),
+                None => ViewSnapshot::from_export(
+                    self.snapshots.name(slot).expect("slots stay in sync"),
+                    epoch,
+                    self.ingested,
+                    output_arity(engine),
+                    |visit| engine.for_each_output(visit),
+                    stats,
+                ),
             };
-            let Some(info) = self.infos[slot as usize].as_ref() else {
-                continue;
-            };
-            let entries: Vec<(Vec<Value>, Number)> = engine.output_table().into_iter().collect();
-            self.snapshots.publish(
-                slot,
-                ViewSnapshot::new(Arc::from(info.name.as_str()), epoch, self.ingested, entries),
-            );
+            self.snapshots.publish(slot, snapshot);
         }
-        self.publish_ns
-            .fetch_add(started.elapsed().as_nanos() as u64, AtomicOrdering::Relaxed);
+        totals.ns += started.elapsed().as_nanos() as u64;
+    }
+
+    /// Publishes the views a commit touched, each as the successor of its current
+    /// snapshot when the registry recorded what the commit changed in it.
+    fn publish_commit(&mut self, touched: &[u32]) {
+        let slots = touched
+            .iter()
+            .map(|&slot| (slot, self.registry.take_changes(slot)))
+            .collect();
+        self.publish_slots(slots);
     }
 
     /// Mirrors the registry's quarantine flags into the publication store, so
@@ -849,6 +898,7 @@ impl Ring {
     /// counter only on full success. When serving, a successful single-tuple apply
     /// is a quiescent point: the touched views republish before this returns.
     fn apply_validated(&mut self, update: &Update) -> Result<(), RuntimeError> {
+        self.registry.set_change_tracking(self.serving());
         if let Err(error) = self.registry.apply(update) {
             self.sync_quarantine();
             return Err(error);
@@ -859,7 +909,7 @@ impl Ring {
         self.ingested += update.multiplicity.unsigned_abs();
         if self.serving() {
             let touched = self.registry.readers_of(&update.relation).to_vec();
-            self.publish_slots(&touched);
+            self.publish_commit(&touched);
         }
         Ok(())
     }
@@ -985,6 +1035,7 @@ impl Ring {
         }
         // Engines first, snapshot only on full success: a rejected batch must never
         // enter the backfill source (see `Ring::apply`).
+        self.registry.set_change_tracking(self.serving());
         if let Err(error) = self.registry.apply_batch(batch) {
             self.sync_quarantine();
             return Err(error.into());
@@ -1003,7 +1054,7 @@ impl Ring {
             }
             touched.sort_unstable();
             touched.dedup();
-            self.publish_slots(&touched);
+            self.publish_commit(&touched);
         }
         Ok(())
     }
@@ -1043,7 +1094,7 @@ impl Ring {
         })?;
         engine.initialize_from(db)?;
         if self.serving() {
-            self.publish_slots(&[id.0]);
+            self.publish_slots(vec![(id.0, None)]);
         }
         Ok(())
     }
@@ -1195,13 +1246,18 @@ impl fmt::Debug for ViewMut<'_> {
     }
 }
 
+/// The number of values in one of the engine's output group keys.
+fn output_arity(engine: &dyn ViewEngine) -> usize {
+    let program = engine.program();
+    program.maps[program.output].key_vars.len()
+}
+
 /// Maps a publication-store acquisition to the ring's error vocabulary.
-fn acquire_snapshot(
-    store: &SnapshotStore,
-    slot: u32,
+fn snapshot_access(
+    access: SnapshotAccess,
     who: impl FnOnce() -> String,
 ) -> Result<ViewSnapshot, Error> {
-    match store.acquire(slot) {
+    match access {
         SnapshotAccess::Published(snapshot) => Ok(snapshot),
         SnapshotAccess::Poisoned(name) => Err(Error::ViewPoisoned {
             view: name.to_string(),
@@ -1261,15 +1317,13 @@ impl RingHandle {
     /// Acquires the current published snapshot of one view — O(1): an `Arc` clone
     /// under a pointer-sized critical section, never a table copy.
     pub fn snapshot(&self, id: ViewId) -> Result<ViewSnapshot, Error> {
-        acquire_snapshot(&self.store, id.0, || id.to_string())
+        snapshot_access(self.store.acquire(id.0), || id.to_string())
     }
 
-    /// [`RingHandle::snapshot`] addressed by view name.
+    /// [`RingHandle::snapshot`] addressed by view name: one pass over the slot
+    /// names under one shared lock, then the matching slot's `Arc` clone.
     pub fn snapshot_named(&self, name: &str) -> Result<ViewSnapshot, Error> {
-        let slot = self.store.find(name).ok_or_else(|| Error::UnknownView {
-            view: name.to_string(),
-        })?;
-        acquire_snapshot(&self.store, slot, || name.to_string())
+        snapshot_access(self.store.acquire_named(name), || name.to_string())
     }
 
     /// The id of the live (published or quarantined) view with the given name, as
@@ -1732,6 +1786,42 @@ mod tests {
             ring.view(victim).unwrap().table(),
             replay.view(replay_victim).unwrap().table()
         );
+    }
+
+    /// A commit none of whose touched views can be published (the only reader of
+    /// the relation is quarantined) draws no epoch and books no publication cost.
+    #[test]
+    fn a_commit_with_nothing_to_publish_draws_no_epoch() {
+        use dbring_runtime::fault::{with_fault, FaultOp, FaultPlan, FaultStorage};
+        use dbring_runtime::HashViewStorage;
+
+        let mut ring = RingBuilder::new(sales_catalog()).build();
+        ring.create_view_with::<FaultStorage<HashViewStorage>>(
+            "victim",
+            ViewDef::Agca("q[c] := Sum(Sales(c, p, n) * p * n)"),
+        )
+        .unwrap();
+        let returns = ring
+            .create_view("returns", ViewDef::Agca("q[c] := Sum(Returns(c, p) * p)"))
+            .unwrap();
+        let ret = |c: i64| Update::insert("Returns", vec![Value::int(c), Value::int(1)]);
+        let reader = ring.reader();
+        ring.apply_batch(&[ret(1)]).unwrap();
+        with_fault(FaultPlan::new(FaultOp::ApplySorted, 0), || {
+            ring.apply_batch(&[sale(1, 5, 1)]).unwrap_err()
+        });
+
+        let epoch = reader.snapshot(returns).unwrap().epoch();
+        let (ns, stats) = (ring.snapshot_publish_ns(), ring.snapshot_publish_stats());
+        // Only the quarantined view reads Sales: these commits publish nothing.
+        ring.apply_batch(&[sale(2, 5, 1)]).unwrap();
+        ring.apply(&sale(3, 5, 1)).unwrap();
+        assert_eq!(ring.updates_ingested(), 3);
+        assert_eq!(ring.snapshot_publish_ns(), ns);
+        assert_eq!(ring.snapshot_publish_stats(), stats);
+        ring.apply_batch(&[ret(2)]).unwrap();
+        assert_eq!(reader.snapshot(returns).unwrap().epoch(), epoch + 1);
+        assert_eq!(ring.snapshot_publish_stats().commits, stats.commits + 1);
     }
 
     #[test]

@@ -38,6 +38,7 @@ use dbring_relations::{Database, DeltaBatch, Update, Value};
 
 use crate::executor::{ExecStats, Executor, RuntimeError, StagedBatch};
 use crate::interp::InterpretedExecutor;
+use crate::snapshot::ChangeSet;
 use crate::storage::{
     HashViewStorage, OrderedViewStorage, StorageBackend, StorageFootprint, ViewStorage,
 };
@@ -96,6 +97,17 @@ pub trait ViewEngine: std::fmt::Debug + Send {
     /// Makes a staged batch permanent by releasing its undo log. Cannot fail.
     fn commit_staged(&mut self, staged: StagedBatch);
 
+    /// [`commit_staged`](ViewEngine::commit_staged) for a host that publishes
+    /// snapshots: also reports into `changed` every output key the staged writes
+    /// touched (any order, repeats allowed) and returns `true`. An engine that
+    /// cannot enumerate them — the default — commits, reports nothing and returns
+    /// `false`; the host must then treat the whole output table as changed.
+    fn commit_staged_reporting(&mut self, staged: StagedBatch, changed: &mut ChangeSet) -> bool {
+        let _ = changed;
+        self.commit_staged(staged);
+        false
+    }
+
     /// Rolls a staged batch back: tables and stats return bit-exactly to the
     /// pre-stage state.
     fn abort_staged(&mut self, staged: StagedBatch);
@@ -115,6 +127,17 @@ pub trait ViewEngine: std::fmt::Debug + Send {
 
     /// The full output table, sorted by group key.
     fn output_table(&self) -> BTreeMap<Vec<Value>, Number>;
+
+    /// Visits every `(key, value)` group of the output table once, in any order —
+    /// the export a snapshot is built from
+    /// ([`ViewSnapshot::from_export`](crate::ViewSnapshot::from_export)). The default
+    /// walks [`output_table`](ViewEngine::output_table); engines override it to visit
+    /// their storage directly, with no intermediate table.
+    fn for_each_output(&self, visit: &mut dyn FnMut(&[Value], Number)) {
+        for (key, value) in self.output_table() {
+            visit(&key, value);
+        }
+    }
 
     /// Work counters accumulated so far.
     fn stats(&self) -> ExecStats;
@@ -194,6 +217,16 @@ macro_rules! impl_view_engine {
                 self.commit_staged(staged)
             }
 
+            fn commit_staged_reporting(
+                &mut self,
+                staged: StagedBatch,
+                changed: &mut ChangeSet,
+            ) -> bool {
+                staged.undo.report_keys_of(self.program().output, changed);
+                self.commit_staged(staged);
+                true
+            }
+
             fn abort_staged(&mut self, staged: StagedBatch) {
                 self.abort_staged(staged)
             }
@@ -212,6 +245,10 @@ macro_rules! impl_view_engine {
 
             fn output_table(&self) -> BTreeMap<Vec<Value>, Number> {
                 self.output_table()
+            }
+
+            fn for_each_output(&self, visit: &mut dyn FnMut(&[Value], Number)) {
+                self.output().for_each(|key, value| visit(key, value))
             }
 
             fn stats(&self) -> ExecStats {

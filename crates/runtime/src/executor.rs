@@ -45,6 +45,7 @@ use dbring_delta::Sign;
 
 use std::collections::HashMap;
 
+use crate::snapshot::ChangeSet;
 use crate::storage::{HashViewStorage, StorageFootprint, ViewStorage};
 
 /// Counters describing the work performed by the executor.
@@ -298,6 +299,21 @@ impl UndoLog {
     /// Number of logged pre-images.
     pub(crate) fn len(&self) -> usize {
         self.ops.len()
+    }
+
+    /// Reports every key logged for `map` into `changed`. The log holds a pre-image
+    /// for each `(map, key)` the batch wrote — on the per-statement and the
+    /// consolidated-flush path alike — so for the output map these are exactly the
+    /// output keys a commit may have changed.
+    pub(crate) fn report_keys_of(&self, map: usize, changed: &mut ChangeSet) {
+        let mut start = 0;
+        for op in &self.ops {
+            let end = start + op.key_len as usize;
+            if op.map as usize == map {
+                changed.push(&self.keys[start..end]);
+            }
+            start = end;
+        }
     }
 
     /// Empties the log, keeping the allocations (arena, ops, seen-set buckets) for

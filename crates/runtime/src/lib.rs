@@ -77,7 +77,7 @@ pub use executor::{ExecStats, Executor, RuntimeError, StagedBatch};
 pub use fault::{FaultOp, FaultPlan, FaultStorage};
 pub use interp::InterpretedExecutor;
 pub use registry::{EngineRegistry, ParallelConfig};
-pub use snapshot::{SnapshotAccess, SnapshotStore, ViewSnapshot};
+pub use snapshot::{ChangeSet, PublishStats, SnapshotAccess, SnapshotStore, ViewSnapshot};
 pub use storage::{
     HashViewStorage, MapStorage, OrderedViewStorage, StorageBackend, StorageFootprint, ViewStorage,
 };

@@ -21,9 +21,11 @@
 //! * **Parallel dispatch** ([`ParallelConfig`]): with a thread budget above one, the
 //!   shared-batch fan-out runs the touched engines concurrently on a scoped thread
 //!   pool — the engines are independent (each owns its maps and counters), so the
-//!   borrowed batch is the only thing shared. `threads = 1` takes the sequential code
-//!   path exactly. The same budget is propagated to each hosted engine as its
-//!   within-view shard budget for batched flushes.
+//!   borrowed batch is the only thing shared. The pool is spawned and joined per
+//!   batch, so a batch with fewer than [`MIN_DELTAS_PER_SHARD`] deltas per configured
+//!   thread — and every batch at `threads = 1` — takes the sequential code path
+//!   exactly. The same budget is propagated to each hosted engine as its within-view
+//!   shard budget for batched flushes.
 //! * **Failure atomicity** (stage → commit): dispatch stages the batch on every
 //!   touched engine — each engine applies it while logging pre-images — and commits
 //!   only if *all* stages succeed. Any failure aborts every stage, so a failed
@@ -34,6 +36,10 @@
 //!   host is expected to rebuild it ([`EngineRegistry::replace`]) from a base
 //!   snapshot. [`EngineRegistry::set_staging`] can disable the protocol, restoring
 //!   the pre-staging dispatch byte-for-byte (the `exp_faults` measurement baseline).
+//! * **Change reporting** ([`EngineRegistry::set_change_tracking`]): a commit's undo
+//!   log already names every output key the batch wrote; a host that publishes
+//!   snapshots has each commit hand those keys out
+//!   ([`EngineRegistry::take_changes`]) instead of re-exporting whole tables.
 //!
 //! Slots are tombstoned on removal and never reused, so a stale slot id can only miss
 //! (yield `None`), never silently address a different engine.
@@ -47,6 +53,8 @@ use dbring_relations::{DeltaBatch, Update};
 
 use crate::engine::ViewEngine;
 use crate::executor::{RuntimeError, StagedBatch};
+use crate::snapshot::ChangeSet;
+use crate::storage::MIN_DELTAS_PER_SHARD;
 
 /// The thread budget for batch ingest: how many worker threads the registry may use
 /// to fan a shared batch out across views, and — propagated to every hosted engine —
@@ -112,6 +120,9 @@ pub struct EngineRegistry {
     /// When true, dispatch skips the stage/commit protocol and applies batches
     /// directly (the pre-staging byte-for-byte path; not atomic across engines).
     direct: bool,
+    /// When true, every commit records per engine the output keys it wrote (see
+    /// [`EngineRegistry::take_changes`]).
+    track_changes: bool,
 }
 
 #[derive(Clone, Debug)]
@@ -124,6 +135,9 @@ struct RegisteredEngine {
     /// trusted. Ingest skips poisoned slots; [`EngineRegistry::replace`] clears the
     /// flag with a rebuilt engine.
     poisoned: bool,
+    /// The output keys the engine's last commit wrote, while change tracking is on
+    /// and until the host takes them.
+    changed: Option<ChangeSet>,
 }
 
 impl EngineRegistry {
@@ -186,6 +200,7 @@ impl EngineRegistry {
             engine,
             relations,
             poisoned: false,
+            changed: None,
         }));
         self.live += 1;
         slot
@@ -204,6 +219,22 @@ impl EngineRegistry {
     /// throughput over the all-or-nothing guarantee.
     pub fn set_staging(&mut self, staged: bool) {
         self.direct = !staged;
+    }
+
+    /// Turns change tracking on or off (off by default). While on, every staged
+    /// commit also records, per engine, the output keys it wrote — the undo log's
+    /// entries for the output map, so nothing is tracked twice — for a host that
+    /// publishes snapshots to pick up with [`EngineRegistry::take_changes`].
+    pub fn set_change_tracking(&mut self, on: bool) {
+        self.track_changes = on;
+    }
+
+    /// Takes the output keys the last commit wrote in `slot`. `None` means the
+    /// engine did not say — tracking was off, the dispatch was direct
+    /// ([`EngineRegistry::set_staging`]), or the engine cannot report — and the host
+    /// must treat the slot's whole output table as changed.
+    pub fn take_changes(&mut self, slot: u32) -> Option<ChangeSet> {
+        self.slots.get_mut(slot as usize)?.as_mut()?.changed.take()
     }
 
     /// Whether the engine in `slot` is quarantined (it panicked during dispatch and
@@ -242,6 +273,7 @@ impl EngineRegistry {
         engine.set_parallelism(self.parallel.threads);
         let old = std::mem::replace(&mut registered.engine, engine);
         registered.poisoned = false;
+        registered.changed = None;
         Some(old)
     }
 
@@ -350,23 +382,37 @@ impl EngineRegistry {
                 }
             }
         }
-        match failure {
-            None => {
-                let fired = staged.len() as u32;
-                for (slot, token) in staged {
-                    self.slots[slot as usize]
-                        .as_mut()
-                        .expect("routing only lists live slots")
-                        .engine
-                        .commit_staged(token);
-                }
-                Ok(fired)
-            }
-            Some(err) => {
-                self.abort_staged_tokens(staged);
-                Err(err)
+        self.settle(staged, failure)
+    }
+
+    /// Ends a stage → commit dispatch: commits every staged token if nothing failed
+    /// (returning how many engines fired), aborts them all otherwise. While change
+    /// tracking is on, each commit records the output keys the engine wrote.
+    fn settle(
+        &mut self,
+        staged: Vec<(u32, StagedBatch)>,
+        failure: Option<RuntimeError>,
+    ) -> Result<u32, RuntimeError> {
+        if let Some(err) = failure {
+            self.abort_staged_tokens(staged);
+            return Err(err);
+        }
+        let fired = staged.len() as u32;
+        for (slot, token) in staged {
+            let registered = self.slots[slot as usize]
+                .as_mut()
+                .expect("routing only lists live slots");
+            if self.track_changes {
+                let mut changed = ChangeSet::new();
+                let reported = registered
+                    .engine
+                    .commit_staged_reporting(token, &mut changed);
+                registered.changed = reported.then_some(changed);
+            } else {
+                registered.engine.commit_staged(token);
             }
         }
+        Ok(fired)
     }
 
     /// Aborts staged tokens in reverse stage order, restoring each engine to its
@@ -400,10 +446,12 @@ impl EngineRegistry {
     /// quarantines that slot (its mid-flight state cannot be rolled back); sibling
     /// slots are still aborted cleanly, so the batch lands nowhere.
     ///
-    /// With a thread budget above one the touched engines stage concurrently on a
-    /// scoped pool; commit/abort runs on the dispatching thread afterwards. With
-    /// staging disabled ([`EngineRegistry::set_staging`]) this is the pre-staging
-    /// direct dispatch, byte-for-byte, and a failure can leave sibling slots applied.
+    /// With a thread budget above one, and a batch of at least
+    /// [`MIN_DELTAS_PER_SHARD`] deltas per thread, the touched engines stage
+    /// concurrently on a scoped pool; commit/abort runs on the dispatching thread
+    /// afterwards. With staging disabled ([`EngineRegistry::set_staging`]) this is the
+    /// pre-staging direct dispatch, byte-for-byte, and a failure can leave sibling
+    /// slots applied.
     pub fn apply_batch(&mut self, batch: &DeltaBatch<'_>) -> Result<u32, RuntimeError> {
         // Union of readers over the touched relations. Batches have at most two groups
         // per relation, so a sort/dedup over the concatenated reader lists stays tiny.
@@ -419,8 +467,14 @@ impl EngineRegistry {
                 .expect("routing only lists live slots")
                 .poisoned
         });
+        // Fanning out spawns and joins a scoped pool per batch, which only pays when
+        // every thread gets a real share of the batch: a small commit (a 64-update
+        // serving batch, a one-update write) runs the sequential loop.
+        let threads = self.parallel.threads;
+        let fan_out =
+            threads > 1 && touched.len() > 1 && batch.len() >= threads * MIN_DELTAS_PER_SHARD;
         if self.direct {
-            if self.parallel.threads <= 1 || touched.len() <= 1 {
+            if !fan_out {
                 // The direct sequential path, exactly: byte-for-byte the pre-staging
                 // registry when staging is off and `threads = 1`.
                 for &slot in &touched {
@@ -434,11 +488,10 @@ impl EngineRegistry {
             self.apply_batch_direct_parallel(batch, &touched)?;
             return Ok(touched.len() as u32);
         }
-        if self.parallel.threads <= 1 || touched.len() <= 1 {
+        if !fan_out {
             return self.apply_batch_staged_sequential(batch, &touched);
         }
-        self.apply_batch_staged_parallel(batch, &touched)?;
-        Ok(touched.len() as u32)
+        self.apply_batch_staged_parallel(batch, &touched)
     }
 
     /// Sequential stage → commit dispatch: stage each touched engine in slot order,
@@ -468,44 +521,27 @@ impl EngineRegistry {
                 }
             }
         }
-        match failure {
-            None => {
-                for (slot, token) in staged {
-                    self.slots[slot as usize]
-                        .as_mut()
-                        .expect("routing only lists live slots")
-                        .engine
-                        .commit_staged(token);
-                }
-                Ok(touched.len() as u32)
-            }
-            Some(err) => {
-                self.abort_staged_tokens(staged);
-                Err(err)
-            }
-        }
+        self.settle(staged, failure)
     }
 
     /// Parallel stage → commit dispatch: the touched engines are handed out to a
     /// scoped worker pool via an atomic task counter. Each worker stages its engine
-    /// under `catch_unwind` and hands the engine back with the outcome; after the
-    /// pool joins, the dispatching thread commits everything (all staged) or aborts
-    /// everything (any failure), so the registry-level protocol is identical to the
-    /// sequential one.
+    /// under `catch_unwind` and records the outcome; after the pool joins, the
+    /// dispatching thread commits everything (all staged) or aborts everything (any
+    /// failure), exactly as the sequential path does.
     #[allow(clippy::type_complexity)]
     fn apply_batch_staged_parallel(
         &mut self,
         batch: &DeltaBatch<'_>,
         touched: &[u32],
-    ) -> Result<(), RuntimeError> {
+    ) -> Result<u32, RuntimeError> {
         enum StageOutcome {
             Staged(StagedBatch),
             Failed(RuntimeError),
             Panicked,
         }
         // Disjoint `&mut` borrows of the touched engines, in ascending slot order,
-        // each behind a mutex so any worker may claim any task. Workers put the
-        // engine back after staging so commit/abort can reach it post-join.
+        // each behind a mutex so any worker may claim any task.
         let tasks: Vec<Mutex<Option<(u32, &mut Box<dyn ViewEngine>)>>> = self
             .slots
             .iter_mut()
@@ -519,7 +555,7 @@ impl EngineRegistry {
                 Some(Mutex::new(Some((slot, &mut registered.engine))))
             })
             .collect();
-        let outcomes: Vec<Mutex<Option<StageOutcome>>> =
+        let outcomes: Vec<Mutex<Option<(u32, StageOutcome)>>> =
             tasks.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
         let workers = self.parallel.threads.min(tasks.len());
@@ -541,64 +577,37 @@ impl EngineRegistry {
                         Ok(Err(err)) => StageOutcome::Failed(err),
                         Err(_) => StageOutcome::Panicked,
                     };
-                    *task.lock().expect("task mutex is never poisoned") = Some((slot, engine));
                     *outcomes[claimed]
                         .lock()
-                        .expect("outcome mutex is never poisoned") = Some(outcome);
+                        .expect("outcome mutex is never poisoned") = Some((slot, outcome));
                 });
             }
         });
-        let results: Vec<(u32, &mut Box<dyn ViewEngine>, StageOutcome)> = tasks
-            .into_iter()
-            .zip(outcomes)
-            .map(|(task, outcome)| {
-                let (slot, engine) = task
-                    .into_inner()
-                    .expect("task mutex is never poisoned")
-                    .expect("workers hand every engine back");
-                let outcome = outcome
-                    .into_inner()
-                    .expect("outcome mutex is never poisoned")
-                    .expect("every claimed task records an outcome");
-                (slot, engine, outcome)
-            })
-            .collect();
-        let any_failed = results
-            .iter()
-            .any(|(_, _, o)| !matches!(o, StageOutcome::Staged(_)));
-        if !any_failed {
-            for (_, engine, outcome) in results {
-                if let StageOutcome::Staged(token) = outcome {
-                    engine.commit_staged(token);
-                }
-            }
-            return Ok(());
-        }
-        // Abort in reverse slot order; walking in reverse also means the last error
-        // recorded is the lowest slot's — the deterministic error contract.
-        let mut error: Option<RuntimeError> = None;
-        let mut poisons: Vec<u32> = Vec::new();
-        for (slot, engine, outcome) in results.into_iter().rev() {
+        drop(tasks);
+        // Outcomes are in ascending slot order, so the first failure met is the
+        // lowest slot's — the deterministic error contract.
+        let mut staged: Vec<(u32, StagedBatch)> = Vec::with_capacity(touched.len());
+        let mut failure: Option<RuntimeError> = None;
+        for outcome in outcomes {
+            let (slot, outcome) = outcome
+                .into_inner()
+                .expect("outcome mutex is never poisoned")
+                .expect("every claimed task records an outcome");
             match outcome {
-                StageOutcome::Staged(token) => {
-                    if catch_unwind(AssertUnwindSafe(|| engine.abort_staged(token))).is_err() {
-                        poisons.push(slot);
-                    }
+                StageOutcome::Staged(token) => staged.push((slot, token)),
+                StageOutcome::Failed(err) => {
+                    failure.get_or_insert(err);
                 }
-                StageOutcome::Failed(err) => error = Some(err),
                 StageOutcome::Panicked => {
-                    poisons.push(slot);
-                    error = Some(RuntimeError::EnginePanicked { slot });
+                    self.slots[slot as usize]
+                        .as_mut()
+                        .expect("routing only lists live slots")
+                        .poisoned = true;
+                    failure.get_or_insert(RuntimeError::EnginePanicked { slot });
                 }
             }
         }
-        for slot in poisons {
-            self.slots[slot as usize]
-                .as_mut()
-                .expect("routing only lists live slots")
-                .poisoned = true;
-        }
-        Err(error.expect("a failing slot exists"))
+        self.settle(staged, failure)
     }
 
     /// Parallel direct dispatch (staging disabled): the pre-staging fan-out,
@@ -680,6 +689,14 @@ mod tests {
     fn engine_for(text: &str) -> Box<dyn ViewEngine> {
         let program = compile(&catalog(), &parse_query(text).unwrap()).unwrap();
         boxed_engine(program, StorageBackend::Hash)
+    }
+
+    /// Distinct `R` inserts, enough of them that a registry with `threads` workers
+    /// fans the batch out instead of taking the small-commit sequential loop.
+    fn wide_batch(threads: usize) -> Vec<Update> {
+        (1..=(threads * MIN_DELTAS_PER_SHARD) as i64)
+            .map(|x| Update::insert("R", vec![Value::int(x)]))
+            .collect()
     }
 
     #[test]
@@ -778,13 +795,12 @@ mod tests {
         };
         let mut sequential = build(ParallelConfig::sequential());
         let mut parallel = build(ParallelConfig::with_threads(4));
-        let updates = [
-            Update::insert("R", vec![Value::int(1)]),
-            Update::insert("R", vec![Value::int(2)]),
+        let mut updates = wide_batch(4);
+        updates.extend([
             Update::insert("S", vec![Value::int(1)]),
             Update::delete("R", vec![Value::int(2)]),
             Update::insert("S", vec![Value::int(3)]),
-        ];
+        ]);
         let batch = DeltaBatch::from_updates(&updates);
         assert_eq!(sequential.apply_batch(&batch).unwrap(), 4);
         assert_eq!(parallel.apply_batch(&batch).unwrap(), 4);
@@ -810,13 +826,13 @@ mod tests {
         let ok = registry.register(engine("ok := Sum(R(x))"));
         registry.register(engine("fails_s := Sum(S(y))"));
         registry.register(engine("fails_t := Sum(T(z))"));
-        // One healthy R delta plus bad-arity S and T deltas: slots 1 and 2 both fail
-        // on the same batch, with distinguishable errors.
-        let updates = [
-            Update::insert("R", vec![Value::int(1)]),
+        // Healthy R deltas (enough to fan out) plus bad-arity S and T deltas: slots 1
+        // and 2 both fail on the same batch, with distinguishable errors.
+        let mut updates = wide_batch(4);
+        updates.extend([
             Update::insert("S", vec![Value::int(1), Value::int(2)]),
             Update::insert("T", vec![Value::int(1), Value::int(2)]),
-        ];
+        ]);
         let batch = DeltaBatch::from_updates(&updates);
         // Several rounds for scheduler variety: the T engine finishing first must
         // never let its error shadow the S engine's.
@@ -902,10 +918,9 @@ mod tests {
                     "victim := Sum(R(x) * x)",
                 )),
             ));
-            let updates = [
-                Update::insert("R", vec![Value::int(2)]),
-                Update::insert("R", vec![Value::int(3)]),
-            ];
+            // Wide enough that the four-thread registry really fans out.
+            let updates = wide_batch(4);
+            let (count, sum) = (updates.len() as i64, (1..=updates.len() as i64).sum());
             let batch = DeltaBatch::from_updates(&updates);
             // Warm both engines with a clean batch first.
             assert_eq!(registry.apply_batch(&batch).unwrap(), 2);
@@ -934,7 +949,7 @@ mod tests {
             assert_eq!(registry.apply_batch(&batch).unwrap(), 1);
             assert_eq!(
                 registry.engine(healthy).unwrap().output_value(&[]),
-                Number::Int(4)
+                Number::Int(2 * count)
             );
 
             // Repair: replace the slot with a rebuilt engine; quarantine clears.
@@ -946,9 +961,76 @@ mod tests {
             assert_eq!(registry.apply_batch(&batch).unwrap(), 2);
             assert_eq!(
                 registry.engine(victim).unwrap().output_value(&[]),
-                Number::Int(5)
+                Number::Int(sum)
             );
         }
+    }
+
+    /// Change tracking hands out the output keys of exactly the last commit: none
+    /// while it is off or the dispatch is direct, none from a failed dispatch, and
+    /// never a second time.
+    #[test]
+    fn commits_report_their_output_keys_while_tracking_is_on() {
+        // The distinct keys of a change set, ascending.
+        let keys_of = |changed: ChangeSet| -> Vec<Vec<Value>> {
+            let mut keys: Vec<Vec<Value>> = changed.iter().map(<[Value]>::to_vec).collect();
+            keys.sort();
+            keys.dedup();
+            keys
+        };
+        let inserts = |xs: &[i64]| -> Vec<Update> {
+            xs.iter()
+                .map(|&x| Update::insert("R", vec![Value::int(x)]))
+                .collect()
+        };
+        let mut registry = EngineRegistry::with_parallelism(ParallelConfig::sequential());
+        let by_x = registry.register(engine_for("by_x[x] := Sum(R(x))"));
+        let s_sum = registry.register(engine_for("s_sum := Sum(S(y))"));
+
+        let updates = inserts(&[3, 1, 3]);
+        registry
+            .apply_batch(&DeltaBatch::from_updates(&updates))
+            .unwrap();
+        assert!(registry.take_changes(by_x).is_none(), "tracking is off");
+
+        registry.set_change_tracking(true);
+        let updates = inserts(&[5, 4, 5]);
+        registry
+            .apply_batch(&DeltaBatch::from_updates(&updates))
+            .unwrap();
+        let changed = registry.take_changes(by_x).expect("a tracked commit");
+        assert_eq!(
+            keys_of(changed),
+            vec![vec![Value::int(4)], vec![Value::int(5)]]
+        );
+        assert!(registry.take_changes(by_x).is_none(), "taken once");
+        assert!(registry.take_changes(s_sum).is_none(), "not touched");
+
+        // The per-update path reports through the same commit.
+        registry.apply(&inserts(&[9])[0]).unwrap();
+        assert_eq!(
+            keys_of(registry.take_changes(by_x).unwrap()),
+            vec![vec![Value::int(9)]]
+        );
+
+        // A failed dispatch commits nothing, so it reports nothing.
+        let bad = [
+            Update::insert("R", vec![Value::int(7)]),
+            Update::insert("S", vec![Value::int(1), Value::int(2)]),
+        ];
+        registry
+            .apply_batch(&DeltaBatch::from_updates(&bad))
+            .unwrap_err();
+        assert!(registry.take_changes(by_x).is_none());
+        assert!(registry.take_changes(s_sum).is_none());
+
+        // Direct dispatch keeps no undo log, hence has nothing to report.
+        registry.set_staging(false);
+        let updates = inserts(&[8]);
+        registry
+            .apply_batch(&DeltaBatch::from_updates(&updates))
+            .unwrap();
+        assert!(registry.take_changes(by_x).is_none());
     }
 
     #[test]

@@ -47,7 +47,9 @@ pub type MapStorage = HashViewStorage;
 /// [`ViewStorage::apply_sorted_sharded`] to actually split a run: below
 /// `shards * MIN_DELTAS_PER_SHARD` deltas the in-tree backends fall back to the
 /// sequential [`ViewStorage::apply_sorted`] pass, because thread spawn plus the
-/// repartition/merge of the primary structure dwarfs such a batch.
+/// repartition/merge of the primary structure dwarfs such a batch. The registry's
+/// across-view fan-out applies the same floor to a whole batch (deltas per
+/// configured thread), for the same reason.
 pub const MIN_DELTAS_PER_SHARD: usize = 64;
 
 /// The storage contract a materialized view must satisfy for the executors to run

@@ -4,6 +4,9 @@
 //! 1. **Parallel dispatch == sequential dispatch**: a ring built with `ingest_threads(k)`
 //!    for k in {2, 4, 8} must reach exactly the tables *and* `ExecStats` of the same
 //!    ring built with `ingest_threads(1)`, over random chunked streams.
+//!    The registry fans a batch out only when it carries at least
+//!    `MIN_DELTAS_PER_SHARD` deltas per configured thread; a deterministic case
+//!    straddles that threshold so both sides of it stay covered.
 //! 2. **Sharded flush == sequential flush**: `ViewStorage::apply_sorted_sharded` must
 //!    leave any pre-seeded map in exactly the state `apply_sorted` would, for any shard
 //!    count — including runs small enough to take the sequential fallback.
@@ -12,7 +15,7 @@ use std::collections::BTreeMap;
 
 use dbring::{
     Catalog, HashViewStorage, Number, OrderedViewStorage, RingBuilder, StorageBackend, Update,
-    Value, ViewDef, ViewId, ViewStorage,
+    Value, ViewDef, ViewId, ViewStorage, MIN_DELTAS_PER_SHARD,
 };
 use proptest::prelude::*;
 
@@ -183,5 +186,61 @@ proptest! {
     ) {
         check_shard_parity::<HashViewStorage>(n, shards, salt);
         check_shard_parity::<OrderedViewStorage>(n, shards, salt);
+    }
+}
+
+/// Batches of exactly one delta fewer than, as many as, and one more than the
+/// fan-out threshold (`threads * MIN_DELTAS_PER_SHARD` distinct deltas): the last
+/// sequential batch and the first fanned-out one must leave tables and work
+/// counters identical to a sequential ring's.
+#[test]
+fn dispatch_agrees_on_both_sides_of_the_fan_out_threshold() {
+    for backend in backends() {
+        for threads in [2usize, 4] {
+            let threshold = threads * MIN_DELTAS_PER_SHARD;
+            for deltas in [threshold - 1, threshold, threshold + 1] {
+                // `deltas` distinct tuples over both relations, then a second batch
+                // of the same size deleting most of them again.
+                let inserts: Vec<Update> = (0..deltas as i64)
+                    .map(|i| match i % 8 {
+                        0 => Update::insert("S", vec![Value::int(i)]),
+                        _ => Update::insert("R", vec![Value::int(i), Value::int(i % 3)]),
+                    })
+                    .collect();
+                let mut deletes: Vec<Update> = inserts
+                    .iter()
+                    .skip(5)
+                    .map(|u| Update::delete(u.relation.as_str(), u.values.clone()))
+                    .collect();
+                deletes.extend((0..5).map(|i| Update::insert("S", vec![Value::int(-1 - i)])));
+                let run = |threads: usize| {
+                    let mut ring = RingBuilder::new(catalog())
+                        .backend(backend)
+                        .ingest_threads(threads)
+                        .build();
+                    for (name, text) in VIEWS {
+                        ring.create_view(*name, ViewDef::Agca(text)).unwrap();
+                    }
+                    ring.apply_batch(&inserts).unwrap();
+                    ring.apply_batch(&deletes).unwrap();
+                    ring
+                };
+                let (sequential, parallel) = (run(1), run(threads));
+                for (name, _) in VIEWS {
+                    let seq = sequential.view_named(name).unwrap();
+                    let par = parallel.view_named(name).unwrap();
+                    assert_eq!(
+                        seq.table(),
+                        par.table(),
+                        "{name} on {backend}, {threads} threads, {deltas} deltas"
+                    );
+                    assert_eq!(
+                        seq.stats(),
+                        par.stats(),
+                        "{name} on {backend}, {threads} threads, {deltas} deltas"
+                    );
+                }
+            }
+        }
     }
 }

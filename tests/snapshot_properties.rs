@@ -15,6 +15,17 @@
 //!    snapshot-acquire time, and repairs republish readable snapshots.
 //! 5. **Release on drop** (footprint regression): `drop_view` evicts the published
 //!    snapshot promptly; only handles already acquired keep the data alive.
+//! 6. **Incremental == from scratch**: publication after a commit rebuilds only the
+//!    blocks the commit's keys fall in, yet after *every* commit each snapshot equals
+//!    a from-scratch export of the same ring (rows, `len`, `ingested`) — with staged
+//!    ingest through the incremental builder, with direct ingest through the export
+//!    builder — while a view grows from empty to 5 000 groups and shrinks back.
+//! 7. **Cost follows the batch** (`Ring::snapshot_publish_stats`): a three-key batch
+//!    rebuilds at most three blocks of a 10 000-group view and shares the rest, and
+//!    copies the same number of rows at 10 240 groups as at 40 960.
+//! 8. **Failed batches publish nothing**: a rejected or panicked batch leaves epoch,
+//!    snapshots and publication counters untouched and leaks no change into the next
+//!    commit; `repair_view` republishes the repaired view from scratch.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -121,14 +132,34 @@ fn check_prefix_equivalence(
     // (snapshot, the prefix table it must keep answering with)
     let mut held: Vec<(ViewSnapshot, BTreeMap<Vec<Value>, Number>)> = Vec::new();
     let mut last_epoch: HashMap<String, u64> = HashMap::new();
+    let mut previous = reference_tables(&reference);
 
     for chunk in updates.chunks(batch_size) {
         live.apply_batch(chunk).unwrap();
         reference.apply_batch(chunk).unwrap();
 
+        // Property 6: a clone republishes every view from scratch (a fresh store
+        // filled by the export builder), at the same `ingested`.
+        let scratch = live.clone();
         let expected = reference_tables(&reference);
         for (name, snapshot) in snapshot_tables(&live) {
             let want = &expected.iter().find(|(n, _)| *n == name).unwrap().1;
+            let exported = scratch.snapshot_named(&name).unwrap();
+            prop_assert!(
+                snapshot.iter().eq(exported.iter()),
+                "published {} != from-scratch export (backend {:?}, threads {}, staged {})",
+                name,
+                backend,
+                threads,
+                staged
+            );
+            prop_assert_eq!(snapshot.len(), exported.len());
+            prop_assert_eq!(snapshot.len(), want.len());
+            let before = &previous.iter().find(|(n, _)| *n == name).unwrap().1;
+            if before != want {
+                // The commit changed this view, so it was republished at this commit.
+                prop_assert_eq!(snapshot.ingested(), exported.ingested());
+            }
             prop_assert_eq!(
                 &snapshot.table(),
                 want,
@@ -151,6 +182,7 @@ fn check_prefix_equivalence(
             *seen = snapshot.epoch();
             held.push((snapshot, want.clone()));
         }
+        previous = expected;
     }
 
     // Property 2: every snapshot acquired above is frozen at its prefix.
@@ -369,4 +401,217 @@ fn drop_view_releases_published_snapshots() {
     ring.apply_batch(&batch).unwrap();
     assert!(ring.snapshot_footprint() > 0);
     assert!(handle.snapshot_named("r_by_a").is_ok());
+}
+
+/// `count` inserts (or deletes) of `R(a, 1)` for `a` in `range`, so `r_by_a` gains
+/// (or loses) one group per update.
+fn groups(range: std::ops::Range<i64>, insert: bool) -> Vec<Update> {
+    range
+        .map(|a| {
+            let values = vec![Value::int(a), Value::int(1)];
+            if insert {
+                Update::insert("R", values)
+            } else {
+                Update::delete("R", values)
+            }
+        })
+        .collect()
+}
+
+/// Property 6 at size: one view grows from empty to 5 000 groups and shrinks back
+/// to empty through the incremental builder only — a from-scratch export shares no
+/// block, and every commit into the grown view shares some — while the snapshot keeps
+/// equalling the engine's table: `len` and the batch's own keys (point lookups and
+/// prefix scans) after every commit, every row after every tenth (5 000 groups span
+/// dozens of blocks, so scans and the batches' scattered keys cross block borders).
+#[test]
+fn a_view_grows_and_shrinks_through_incremental_publication_only() {
+    const GROUPS: i64 = 5_000;
+    const BATCH: i64 = 10;
+    // Spread each batch's keys over the whole key range.
+    let scattered = |i: i64| (i * 7919) % GROUPS;
+    for backend in [StorageBackend::Hash, StorageBackend::Ordered] {
+        let mut ring = RingBuilder::new(catalog()).backend(backend).build();
+        let id = ring
+            .create_view("r_by_a", ViewDef::Agca(VIEWS[0].1))
+            .unwrap();
+        let handle = ring.reader();
+        let mut held = Vec::new();
+        for grow in [true, false] {
+            for batch in 0..GROUPS / BATCH {
+                let updates: Vec<Update> = (batch * BATCH..(batch + 1) * BATCH)
+                    .flat_map(|i| groups(scattered(i)..scattered(i) + 1, grow))
+                    .collect();
+                let before = ring.snapshot_publish_stats();
+                ring.apply_batch(&updates).unwrap();
+                let snapshot = handle.snapshot(id).unwrap();
+                let view = ring.view(id).unwrap();
+                // (`r_by_a` compiles to its output map alone.)
+                assert_eq!(snapshot.len(), view.total_entries());
+                for update in &updates {
+                    let key = &update.values[..1];
+                    assert_eq!(snapshot.value(key), view.value(key));
+                    assert_eq!(snapshot.prefix_scan(key).count(), grow as usize);
+                }
+                if snapshot.len() >= GROUPS as usize / 2 {
+                    let shared = ring.snapshot_publish_stats().blocks_shared;
+                    assert!(shared > before.blocks_shared, "commit {batch} re-exported");
+                }
+                if batch % 10 == 0 {
+                    let table = view.table();
+                    assert!(snapshot
+                        .iter()
+                        .map(|(k, v)| (k.to_vec(), v))
+                        .eq(table.clone()));
+                    held.push((snapshot, table));
+                }
+            }
+            let expected = if grow { GROUPS as usize } else { 0 };
+            assert_eq!(handle.snapshot(id).unwrap().len(), expected);
+            assert_eq!(handle.snapshot(id).unwrap().iter().count(), expected);
+        }
+        // Snapshots held across the whole run never moved.
+        for (snapshot, table) in &held {
+            assert_eq!(&snapshot.table(), table);
+        }
+    }
+}
+
+/// Property 7: publication cost in counts. Into one view of `groups` groups, a batch
+/// changing three far-apart groups rebuilds at most three blocks and shares all the
+/// others — and copies exactly as many rows into a 40 960-group view as into a
+/// 10 240-group one (multiples of the block size, so both are cut into equal blocks).
+#[test]
+fn publication_cost_follows_the_batch_not_the_view() {
+    let mut copied = Vec::new();
+    for total in [10_240i64, 40_960] {
+        let mut ring = RingBuilder::new(catalog()).build();
+        ring.create_view("r_by_a", ViewDef::Agca(VIEWS[0].1))
+            .unwrap();
+        for chunk in groups(0..total, true).chunks(512) {
+            ring.apply_batch(chunk).unwrap();
+        }
+        let handle = ring.reader();
+        let loaded = ring.snapshot_publish_stats();
+        assert_eq!(
+            loaded.commits, 1,
+            "the first publication exports everything"
+        );
+        assert_eq!(loaded.entries_copied, total as u64);
+        assert_eq!(loaded.blocks_shared, 0);
+
+        let batch: Vec<Update> = [17, total / 2, total - 3]
+            .into_iter()
+            .flat_map(|a| groups(a..a + 1, true))
+            .collect();
+        ring.apply_batch(&batch).unwrap();
+        let stats = ring.snapshot_publish_stats();
+        assert_eq!(stats.commits, 2);
+        let rebuilt = stats.blocks_rebuilt - loaded.blocks_rebuilt;
+        assert!((1..=3).contains(&rebuilt), "{rebuilt} blocks rebuilt");
+        assert_eq!(
+            stats.blocks_shared + rebuilt,
+            loaded.blocks_rebuilt,
+            "every block the batch did not touch is shared"
+        );
+        assert_eq!(
+            handle
+                .snapshot_named("r_by_a")
+                .unwrap()
+                .value(&[Value::int(17)]),
+            Number::Int(2)
+        );
+        copied.push(stats.entries_copied - loaded.entries_copied);
+    }
+    assert!(copied[0] > 0);
+    assert_eq!(
+        copied[0], copied[1],
+        "rows copied per commit must not depend on the size of the view"
+    );
+}
+
+/// Property 8: a batch that fails — rejected by a trigger, or panicking inside a
+/// view's storage — publishes nothing (same epochs, same counters), and the next
+/// good commit publishes exactly the committed state: no key of the failed batch
+/// leaks into it. Repairing the quarantined view republishes it from scratch.
+#[test]
+fn failed_batches_publish_nothing_and_leak_no_changes() {
+    let mut ring = RingBuilder::new(catalog()).build();
+    let victim = ring
+        .create_view_with::<FaultStorage<HashViewStorage>>("r_by_a", ViewDef::Agca(VIEWS[0].1))
+        .unwrap();
+    ring.create_view("rs_join", ViewDef::Agca(VIEWS[3].1))
+        .unwrap();
+    let handle = ring.reader();
+    ring.apply_batch(&groups(0..300, true)).unwrap();
+
+    let published = |ring: &Ring| {
+        let epochs: Vec<u64> = ["r_by_a", "rs_join"]
+            .iter()
+            .map(|name| handle.snapshot_named(name).unwrap().epoch())
+            .collect();
+        (epochs, ring.snapshot_publish_stats())
+    };
+    let before = published(&ring);
+    let tables = reference_tables(&ring);
+
+    // Rejected: a string reaches `R.B`, which both views multiply. The good
+    // updates ahead of it in the batch were staged and rolled back.
+    let mut rejected = groups(300..310, true);
+    rejected.push(Update::insert("R", vec![Value::int(5), Value::str("x")]));
+    assert!(ring.apply_batch(&rejected).is_err());
+    assert!(ring.apply(rejected.last().unwrap()).is_err());
+    assert_eq!(published(&ring), before);
+    assert_eq!(reference_tables(&ring), tables);
+
+    // The next commit publishes its own keys only.
+    ring.apply_batch(&groups(400..403, true)).unwrap();
+    for (name, table) in reference_tables(&ring) {
+        let snapshot = handle.snapshot_named(&name).unwrap();
+        assert_eq!(snapshot.table(), table, "{name} after a rejected batch");
+        assert_eq!(snapshot.get(&[Value::int(305)]), None);
+    }
+
+    // Panicked: `r_by_a`'s storage fails at its flush. The sibling rolls back, the
+    // victim is quarantined, nothing is published.
+    let before = published(&ring);
+    let sibling = handle.snapshot_named("rs_join").unwrap().table();
+    let outcome = with_fault(FaultPlan::new(FaultOp::ApplySorted, 0), || {
+        ring.apply_batch(&groups(500..510, true))
+    });
+    assert!(outcome.is_err());
+    assert!(matches!(
+        handle.snapshot_named("r_by_a"),
+        Err(Error::ViewPoisoned { .. })
+    ));
+    assert_eq!(handle.snapshot_named("rs_join").unwrap().table(), sibling);
+    assert_eq!(ring.snapshot_publish_stats(), before.1);
+
+    // Commits keep publishing the healthy view, incrementally.
+    ring.apply_batch(&groups(600..603, true)).unwrap();
+    ring.apply(&Update::insert("S", vec![Value::int(1)]))
+        .unwrap();
+    let healthy = ring.view_named("rs_join").unwrap().table();
+    assert_eq!(handle.snapshot_named("rs_join").unwrap().table(), healthy);
+
+    // Repair rebuilds the victim from the base snapshot and publishes it whole: a
+    // from-scratch export shares no block with anything.
+    let before = ring.snapshot_publish_stats();
+    ring.repair_view(victim).unwrap();
+    let after = ring.snapshot_publish_stats();
+    let repaired = handle.snapshot_named("r_by_a").unwrap();
+    assert_eq!(repaired.table(), ring.view(victim).unwrap().table());
+    assert_eq!(repaired.get(&[Value::int(505)]), None);
+    assert_eq!(repaired.value(&[Value::int(601)]), Number::Int(1));
+    assert_eq!(after.commits, before.commits + 1);
+    assert_eq!(after.blocks_shared, before.blocks_shared);
+    assert_eq!(
+        after.entries_copied - before.entries_copied,
+        repaired.len() as u64
+    );
+    // ... and from then on it publishes incrementally again.
+    ring.apply_batch(&groups(700..701, true)).unwrap();
+    let next = handle.snapshot_named("r_by_a").unwrap();
+    assert_eq!(next.table(), ring.view(victim).unwrap().table());
+    assert!(ring.snapshot_publish_stats().blocks_shared > after.blocks_shared);
 }
