@@ -107,8 +107,8 @@ pub use dbring_compiler::{
 };
 pub use dbring_delta::{delta, Sign, UpdateEvent};
 pub use dbring_relations::{
-    BatchNormalizer, Database, DeltaBatch, DeltaGroup, Gmr, IVal, Interner, KeyPool, Tuple, Update,
-    Value,
+    BaseFootprint, BatchNormalizer, Database, DeltaBatch, DeltaGroup, Gmr, IVal, Interner, KeyPool,
+    Tuple, Update, Value,
 };
 pub use dbring_runtime::fault;
 pub use dbring_runtime::storage::MIN_DELTAS_PER_SHARD;

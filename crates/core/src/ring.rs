@@ -47,7 +47,9 @@ use dbring_agca::parser::parse_query;
 use dbring_agca::sql::parse_sql;
 use dbring_algebra::Number;
 use dbring_compiler::{compile, generate_nc0c, Diagnostic, TriggerProgram};
-use dbring_relations::{BatchNormalizer, Database, DeltaBatch, Interner, Snapshot, Update, Value};
+use dbring_relations::{
+    BaseFootprint, BatchNormalizer, Database, DeltaBatch, Interner, Snapshot, Update, Value,
+};
 use dbring_runtime::{
     boxed_engine, ChangeSet, EngineRegistry, ExecStats, Executor, ParallelConfig, PublishStats,
     RuntimeError, SnapshotAccess, SnapshotStore, StorageBackend, StorageFootprint, ViewEngine,
@@ -274,8 +276,9 @@ pub struct Ring {
     catalog: Database,
     /// The write-optimized positional mirror of the base relations — while
     /// [`Ring::snapshot_current`] holds, this is what late-registered views are
-    /// backfilled from. Maintaining it costs one hash-map update per tuple; the
-    /// schema-carrying [`Database`] form is materialized only per backfill.
+    /// backfilled from. Maintaining it costs one probe of a flat interned row table
+    /// per tuple; the schema-carrying [`Database`] form is materialized only per
+    /// backfill.
     snapshot: Snapshot,
     backend: StorageBackend,
     track_base: bool,
@@ -780,6 +783,15 @@ impl Ring {
     /// alive only the blocks later commits replaced.)
     pub fn snapshot_footprint(&self) -> usize {
         self.snapshots.published_entries()
+    }
+
+    /// What the base mirror holds and costs — live tuples, allocated row capacity,
+    /// slot-array length, heap bytes ([`BaseFootprint`]) — the ingest-side
+    /// counterpart of [`Ring::snapshot_footprint`]. `None` when the ring was built
+    /// [`without_base_tracking`](RingBuilder::without_base_tracking): no mirror is
+    /// kept. A rejected update or batch leaves it unchanged.
+    pub fn base_footprint(&self) -> Option<BaseFootprint> {
+        self.track_base.then(|| self.snapshot.footprint())
     }
 
     /// Switches on snapshot publication (idempotent): publishes every live view at
@@ -1606,6 +1618,33 @@ mod tests {
         assert!(ring
             .create_view("orders", ViewDef::Agca("q[c] := Sum(Sales(c, p, n))"))
             .is_ok());
+    }
+
+    #[test]
+    fn rejected_batches_leave_the_base_footprint_untouched() {
+        let mut ring = RingBuilder::new(sales_catalog()).build();
+        ring.create_view(
+            "revenue",
+            ViewDef::Agca("q[c] := Sum(Sales(c, p, n) * p * n)"),
+        )
+        .unwrap();
+        ring.apply_batch(&[sale(1, 10, 1), sale(2, 5, 1)]).unwrap();
+        let before = ring.base_footprint().expect("tracking is on by default");
+        assert_eq!(before.tuples, 2);
+        assert!(before.row_capacity >= 2 && before.slots >= 4 && before.bytes > 0);
+        // Catalog-valid, rejected by the trigger at runtime (a string in an
+        // arithmetic position) — per update and as part of a batch.
+        let poison = Update::insert(
+            "Sales",
+            vec![Value::int(1), Value::str("x"), Value::str("y")],
+        );
+        assert!(ring.apply(&poison).is_err());
+        assert!(ring.apply_batch(&[sale(3, 2, 2), poison]).is_err());
+        assert_eq!(ring.base_footprint(), Some(before));
+        let untracked = RingBuilder::new(sales_catalog())
+            .without_base_tracking()
+            .build();
+        assert_eq!(untracked.base_footprint(), None);
     }
 
     #[test]

@@ -254,6 +254,33 @@ impl Database {
         Ok(())
     }
 
+    /// Crate-internal bulk load for [`Snapshot::to_database`](crate::Snapshot::to_database):
+    /// adds positional rows of one `arity` to one relation, resolving and validating
+    /// the relation once rather than per row.
+    pub(crate) fn add_rows<R: Iterator<Item = Value>>(
+        &mut self,
+        relation: &str,
+        arity: usize,
+        rows: impl Iterator<Item = (R, i64)>,
+    ) -> Result<(), DatabaseError> {
+        let rel = self
+            .relations
+            .get_mut(relation)
+            .ok_or_else(|| DatabaseError::UnknownRelation(relation.to_string()))?;
+        if rel.columns.len() != arity {
+            return Err(DatabaseError::ArityMismatch {
+                relation: relation.to_string(),
+                expected: rel.columns.len(),
+                got: arity,
+            });
+        }
+        for (values, multiplicity) in rows {
+            let tuple = Tuple::from_pairs(rel.columns.iter().cloned().zip(values));
+            rel.data.add_entry(tuple, multiplicity);
+        }
+        Ok(())
+    }
+
     /// The schema with none of the contents: every declared relation, every column
     /// list, all data dropped. This is the "catalog" reading of a loaded database —
     /// use it where only declarations should travel (compiling a query, seeding an

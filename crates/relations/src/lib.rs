@@ -30,9 +30,9 @@
 //!   allocation, and [`BatchNormalizer`] is the
 //!   scratch-reusing, interned equivalent of `DeltaBatch::from_updates`;
 //! * [`snapshot`] — [`Snapshot`]: a write-optimized positional
-//!   mirror of the base relations, maintained per update and materialized into a
-//!   [`Database`] only when a late-registered view needs a
-//!   backfill source.
+//!   mirror of the base relations (one flat table of interned rows per relation),
+//!   maintained per update and materialized into a [`Database`] only when a
+//!   late-registered view needs a backfill source.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,6 +51,6 @@ pub use database::{Database, Update};
 pub use gmr::{Gmr, GmrExt};
 pub use intern::{BatchNormalizer, IVal, Interner, KeyPool};
 pub use pgmr::Pgmr;
-pub use snapshot::Snapshot;
+pub use snapshot::{BaseFootprint, Snapshot};
 pub use tuple::Tuple;
 pub use value::Value;

@@ -9,32 +9,105 @@
 //! update means building a `BTreeMap<String, Value>` with cloned column names — fine
 //! for evaluation, wasteful as a mirror.
 //!
-//! [`Snapshot`] keeps the same information positionally: per relation, a hash map from
-//! the tuple's value vector to its net multiplicity. Maintaining it costs one hash map
-//! update per tuple (no column names, no tree), zero-sum entries are pruned, and
-//! [`Snapshot::to_database`] rebuilds the schema-carrying form — paying the tuple
-//! construction cost once per *distinct live tuple*, exactly when a backfill asks
-//! for it.
+//! [`Snapshot`] keeps the same information as **one flat, interned row table per
+//! relation**. A tuple's values are encoded with the snapshot's own [`Interner`] into
+//! fixed-width [`IVal`] words (strings become dense ids) and stored at stride = arity
+//! in fixed-size chunks that are never reallocated; the net multiplicity sits beside
+//! the row; a power-of-two slot array of `(row id, 32-bit hash)` at load ≤ ½ finds a
+//! row by linear probing and compares raw words — a base trace needs equality, not
+//! `Value` order. Recording an update is therefore one multiply-rotate hash over a
+//! few words, one probe and one word compare on flat memory: no `Vec<Value>` key, no
+//! allocation per inserted row, no free per deleted one. Rows whose net reaches zero
+//! are removed by backward-shift deletion and their ids reused, so a churn stream
+//! that nets to zero settles into a state that allocates nothing. Relation names
+//! resolve to a dense table id once per [`DeltaGroup`](crate::batch::DeltaGroup), and
+//! through a last-relation memo on the per-update path.
+//!
+//! The price is paid where it is rare: [`Snapshot::to_database`] decodes every live
+//! row back into [`Value`]s (strings share the interner's `Arc`s) and rebuilds the
+//! schema-carrying form once per *distinct live tuple*, exactly when a backfill asks
+//! for it. Like every [`Interner`], the snapshot's never forgets a string it has seen.
+//!
+//! The row hash is seeded per snapshot from [`RandomState`], because the mirror sits
+//! behind a serving boundary: with a fixed hash a client could precompute rows that
+//! share one probe chain. Results do not depend on the seed — materialization lands in
+//! `BTreeMap`-keyed GMRs.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 
 use crate::batch::DeltaBatch;
 use crate::database::{Database, DatabaseError, Update};
+use crate::intern::{IVal, Interner, RowTable};
 use crate::value::Value;
+
+/// What a [`Snapshot`] holds, in numbers an operator can read (see
+/// [`Snapshot::footprint`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct BaseFootprint {
+    /// Distinct live tuples across all relations ([`Snapshot::total_support`]).
+    pub tuples: usize,
+    /// Rows the allocated row chunks can hold before another chunk is allocated.
+    pub row_capacity: usize,
+    /// Total length of the open-addressing slot arrays (kept at load ≤ ½).
+    pub slots: usize,
+    /// Heap bytes owned by the row tables: row chunks at full capacity,
+    /// multiplicities, slot arrays and free lists. Interned string bytes are not
+    /// counted (they are shared with the values that were ingested).
+    pub bytes: usize,
+}
+
+/// The rows recorded under one relation name at one arity.
+#[derive(Clone, Debug)]
+struct Relation {
+    name: String,
+    rows: RowTable,
+}
 
 /// Positional relation contents mirrored from an update stream; see the
 /// [module docs](self). Maintenance performs **no validation** — feed it only updates
 /// the owning catalog has already vetted (unknown relations simply accumulate under
-/// their name; arity is the caller's contract).
-#[derive(Clone, Debug, Default)]
+/// their name; rows of different arities under one name are kept apart and surface
+/// as an error at [`Snapshot::to_database`]).
+#[derive(Clone, Debug)]
 pub struct Snapshot {
-    relations: HashMap<String, HashMap<Vec<Value>, i64>>,
+    interner: Interner,
+    /// Initial state of every table's row hash; a clone keeps it.
+    seed: u64,
+    relations: Vec<Relation>,
+    /// Relation name → indices into `relations`, one per arity seen (one, on
+    /// catalog-vetted streams).
+    ids: HashMap<String, Vec<usize>>,
+    /// The table the previous row went to: runs of one relation skip the name lookup.
+    last: usize,
+    /// The row being recorded, encoded.
+    row: Vec<IVal>,
+}
+
+impl Default for Snapshot {
+    fn default() -> Self {
+        Snapshot::new()
+    }
 }
 
 impl Snapshot {
-    /// An empty snapshot.
+    /// An empty snapshot, its row hash seeded from [`RandomState`].
     pub fn new() -> Self {
-        Snapshot::default()
+        Snapshot::with_seed(RandomState::new().build_hasher().finish())
+    }
+
+    /// An empty snapshot with a chosen hash seed, so a test can construct rows that
+    /// collide.
+    pub(crate) fn with_seed(seed: u64) -> Self {
+        Snapshot {
+            interner: Interner::new(),
+            seed,
+            relations: Vec::new(),
+            ids: HashMap::new(),
+            last: 0,
+            row: Vec::new(),
+        }
     }
 
     /// Mirrors the contents of a loaded database (used when an engine starts from
@@ -44,78 +117,107 @@ impl Snapshot {
         let mut snapshot = Snapshot::new();
         for relation in db.relation_names() {
             let columns = db.columns(relation).expect("declared relation has columns");
-            let rows = snapshot.rows_mut(relation);
+            let table = snapshot.table(relation, columns.len());
             for (tuple, multiplicity) in db.relation(relation).expect("declared").iter() {
-                let values: Vec<Value> = columns
-                    .iter()
-                    .map(|c| {
-                        tuple
-                            .get(c)
-                            .expect("database tuples carry their declared columns")
-                            .clone()
-                    })
-                    .collect();
-                *rows.entry(values).or_insert(0) += *multiplicity;
+                let values = columns.iter().map(|c| {
+                    tuple
+                        .get(c)
+                        .expect("database tuples carry their declared columns")
+                });
+                snapshot.bump(table, values, *multiplicity);
             }
-            rows.retain(|_, m| *m != 0);
         }
         snapshot
     }
 
-    fn rows_mut(&mut self, relation: &str) -> &mut HashMap<Vec<Value>, i64> {
-        // `entry` would demand an owned key even on hits; updates are overwhelmingly
-        // to existing relations, so probe first and clone the name only on a miss.
-        if !self.relations.contains_key(relation) {
-            self.relations.insert(relation.to_string(), HashMap::new());
+    /// Index of the table for `relation` at `arity`, created on first sight.
+    fn table(&mut self, relation: &str, arity: usize) -> usize {
+        if let Some(last) = self.relations.get(self.last) {
+            if last.rows.arity() == arity && last.name == relation {
+                return self.last;
+            }
         }
-        self.relations.get_mut(relation).expect("just ensured")
+        let known = self.ids.get(relation).and_then(|tables| {
+            tables
+                .iter()
+                .copied()
+                .find(|&t| self.relations[t].rows.arity() == arity)
+        });
+        self.last = known.unwrap_or_else(|| {
+            let table = self.relations.len();
+            self.relations.push(Relation {
+                name: relation.to_string(),
+                rows: RowTable::new(arity, self.seed),
+            });
+            self.ids
+                .entry(relation.to_string())
+                .or_default()
+                .push(table);
+            table
+        });
+        self.last
     }
 
-    /// Adds `delta` to one row's net multiplicity, cloning the key only on first
-    /// insertion (the hot-key common case touches an existing entry and must not
-    /// allocate) and pruning entries whose net reaches zero.
-    fn bump(rows: &mut HashMap<Vec<Value>, i64>, values: &[Value], delta: i64) {
-        if let Some(entry) = rows.get_mut(values) {
-            *entry += delta;
-            if *entry == 0 {
-                rows.remove(values);
-            }
-        } else {
-            rows.insert(values.to_vec(), delta);
-        }
+    /// Encodes `values` and adds `delta` to that row's net multiplicity in `table`.
+    fn bump<'a>(&mut self, table: usize, values: impl Iterator<Item = &'a Value>, delta: i64) {
+        self.row.clear();
+        self.row
+            .extend(values.map(|v| IVal::encode(v, &mut self.interner)));
+        self.relations[table].rows.add(&self.row, delta);
     }
 
     /// Records one single-tuple update (`±R(t⃗)` with any multiplicity; zero is a
-    /// no-op). Entries whose net multiplicity reaches zero are pruned; a tuple's
-    /// values are cloned only the first time the tuple is seen.
+    /// no-op). A tuple is stored the first time it is seen and removed when its net
+    /// multiplicity reaches zero.
     pub fn apply(&mut self, update: &Update) {
         if update.multiplicity == 0 {
             return;
         }
-        let rows = self.rows_mut(&update.relation);
-        Self::bump(rows, &update.values, update.multiplicity);
+        let table = self.table(&update.relation, update.values.len());
+        self.bump(table, update.values.iter(), update.multiplicity);
     }
 
     /// Records an already-normalized [`DeltaBatch`] — one relation resolution per
-    /// group, one hash-map update per *distinct* tuple.
+    /// group, one table update per *distinct* tuple.
     pub fn apply_delta_batch(&mut self, batch: &DeltaBatch<'_>) {
         for group in batch.groups() {
             let sign = if group.is_insert() { 1 } else { -1 };
-            let rows = self.rows_mut(group.relation());
+            let mut resolved: Option<usize> = None;
             for (values, weight) in group.deltas() {
-                Self::bump(rows, values, sign * weight);
+                // One name resolution per group; again only if a (malformed) group
+                // mixes arities.
+                let table = match resolved {
+                    Some(t) if self.relations[t].rows.arity() == values.len() => t,
+                    _ => self.table(group.relation(), values.len()),
+                };
+                resolved = Some(table);
+                self.bump(table, values.iter(), sign * weight);
             }
         }
     }
 
     /// Number of distinct live tuples across all relations.
     pub fn total_support(&self) -> usize {
-        self.relations.values().map(HashMap::len).sum()
+        self.relations.iter().map(|r| r.rows.len()).sum()
     }
 
     /// Whether no live tuples are recorded.
     pub fn is_empty(&self) -> bool {
-        self.relations.values().all(HashMap::is_empty)
+        self.relations.iter().all(|r| r.rows.len() == 0)
+    }
+
+    /// What the mirror holds and what it costs: live tuples, allocated row capacity,
+    /// slot-array length and heap bytes, summed over the relations. Capacity only
+    /// ever grows; a stream that deletes back to empty and regrows reuses it.
+    pub fn footprint(&self) -> BaseFootprint {
+        let mut total = BaseFootprint::default();
+        for relation in &self.relations {
+            total.tuples += relation.rows.len();
+            total.row_capacity += relation.rows.row_capacity();
+            total.slots += relation.rows.slots();
+            total.bytes += relation.rows.bytes();
+        }
+        total
     }
 
     /// Materializes the snapshot into a schema-carrying [`Database`] over the given
@@ -125,14 +227,12 @@ impl Snapshot {
     /// the catalog never declared, or rows of the wrong arity.
     pub fn to_database(&self, catalog: &Database) -> Result<Database, DatabaseError> {
         let mut db = catalog.schema_only();
-        for (relation, rows) in &self.relations {
-            for (values, multiplicity) in rows {
-                db.apply(&Update {
-                    relation: relation.clone(),
-                    values: values.clone(),
-                    multiplicity: *multiplicity,
-                })?;
-            }
+        for relation in self.relations.iter().filter(|r| r.rows.len() > 0) {
+            let rows = relation.rows.iter().map(|(row, multiplicity)| {
+                let values = row.iter().map(|word| word.decode(&self.interner));
+                (values, multiplicity)
+            });
+            db.add_rows(&relation.name, relation.rows.arity(), rows)?;
         }
         Ok(db)
     }
@@ -243,5 +343,68 @@ mod tests {
             bad_arity.to_database(&catalog()),
             Err(DatabaseError::ArityMismatch { .. })
         ));
+    }
+
+    /// A client that knew the seed could aim every row at one probe chain. With the
+    /// crate-private fixed seed, do exactly that: ≥ 10 000 rows on ≤ 8 home slots,
+    /// half of them in the last slots of the array so the chain wraps around, then
+    /// random deletes and re-inserts against a model. A wrong backward-shift
+    /// condition loses rows here (and trips the table's debug assertions first).
+    #[test]
+    fn rows_aimed_at_one_probe_chain_survive_random_deletes() {
+        use crate::intern::int_with_row_hash;
+        const SEED: u64 = 0x5eed_0bad_c0de;
+        const ROWS: u32 = 10_000;
+        // Low 20 bits of the stored hash: the last four and the first four slots of
+        // any slot array of up to 2²⁰ slots.
+        const LOW: [u32; 8] = [0xf_fffc, 0xf_fffd, 0xf_fffe, 0xf_ffff, 0, 1, 2, 3];
+        let keys: Vec<i64> = (0..ROWS)
+            .map(|i| int_with_row_hash(SEED, (i / 8) << 20 | LOW[i as usize % 8], i))
+            .collect();
+        let row = |key: i64| Update::insert("S", vec![Value::int(key)]);
+
+        let mut snapshot = Snapshot::with_seed(SEED);
+        let mut model = std::collections::HashMap::new();
+        for &key in &keys {
+            snapshot.apply(&row(key));
+            model.insert(key, 1i64);
+        }
+        assert_eq!(snapshot.total_support(), ROWS as usize);
+        assert!(snapshot.relations[0].rows.distinct_homes() <= 8);
+
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..ROWS {
+            let key = keys[next() as usize % keys.len()];
+            // Mostly deletes, some re-inserts of deleted rows, some weight bumps.
+            let delta = if next() % 4 == 0 { 1 } else { -1 };
+            let mut update = row(key);
+            update.multiplicity = delta;
+            snapshot.apply(&update);
+            let net = model.entry(key).or_insert(0);
+            *net += delta;
+            if *net == 0 {
+                model.remove(&key);
+            }
+        }
+        assert_eq!(snapshot.total_support(), model.len());
+        let db = snapshot.to_database(&catalog()).unwrap();
+        let stored = db.relation("S").unwrap();
+        assert_eq!(stored.iter().count(), model.len());
+        for (key, net) in &model {
+            assert_eq!(stored.get(&crate::tuple! { "X" => *key }), *net, "{key}");
+        }
+        // And back to nothing: every remaining row leaves through the same chain.
+        for (key, net) in model {
+            let mut update = row(key);
+            update.multiplicity = -net;
+            snapshot.apply(&update);
+        }
+        assert!(snapshot.is_empty());
     }
 }
