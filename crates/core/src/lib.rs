@@ -723,7 +723,7 @@ mod tests {
             fn add(&mut self, key: Vec<Value>, delta: N) {
                 self.0.add(key, delta)
             }
-            fn add_ref(&mut self, key: &[Value], delta: N) {
+            fn add_ref(&mut self, key: &[Value], delta: N) -> N {
                 self.0.add_ref(key, delta)
             }
             fn register_index(&mut self, positions: Vec<usize>) {

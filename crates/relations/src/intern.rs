@@ -22,9 +22,11 @@
 //! (buckets, encoded keys, row indices, interner) persists across batches.
 //!
 //! The crate-internal `RowTable` is the pool's persistent sibling: the same flat
-//! fixed-width rows and open addressing, but kept across batches with a net
-//! multiplicity per row, deletion and a seeded hash — the storage behind
-//! [`Snapshot`](crate::Snapshot). [`IVal::decode`] is what lets it hand rows back.
+//! fixed-width rows, but kept across batches with a net multiplicity per row, deletion
+//! and a seeded hash — the storage behind [`Snapshot`](crate::Snapshot).
+//! [`IVal::decode`] is what lets it hand rows back. Its open-addressing core is
+//! [`SlotTable`], public because the runtime's view rows, slice-group tables and undo
+//! seen-set probe through the same one.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -239,8 +241,6 @@ pub struct KeyPool {
     has_str: bool,
 }
 
-const HASH_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
-
 /// Multiply-rotate hash over the fixed-width words of one encoded key.
 #[inline]
 fn hash_key(key: &[IVal]) -> u64 {
@@ -352,14 +352,11 @@ impl KeyPool {
     }
 }
 
-/// Rows per [`RowTable`] chunk. Chunks are allocated at this capacity once and never
-/// reallocated, so a growing table copies no rows and leaves no freed copies behind
-/// (one contiguous arena measured +12 % resident on the dashboard workload, E18).
-const CHUNK_ROWS: usize = 1024;
-
-/// Up to this many slots, debug builds verify the whole [`RowTable`] after every
-/// mutation; above it, only the probe runs the mutation touched.
-const FULL_CHECK_SLOTS: usize = 1024;
+/// Rows per chunk of a flat row table (the base `RowTable` here, the runtime's view
+/// rows). Chunks are allocated at this capacity once and never reallocated, so a
+/// growing table copies no rows and leaves no freed copies behind (one contiguous
+/// arena measured +12 % resident on the dashboard workload, E18).
+pub const CHUNK_ROWS: usize = 1024;
 
 /// One fixed-capacity run of rows: `CHUNK_ROWS × arity` words and a net multiplicity
 /// per row (zero marks a free row — a live row's net is never zero).
@@ -379,42 +376,56 @@ impl RowChunk {
 }
 
 impl Clone for RowChunk {
-    /// Keeps the full chunk capacity (a derived clone would shrink it to the length
-    /// and the next row pushed would reallocate).
     fn clone(&self) -> Self {
-        let mut chunk = RowChunk {
-            words: Vec::with_capacity(self.words.capacity()),
-            nets: Vec::with_capacity(self.nets.capacity()),
-        };
-        chunk.words.extend_from_slice(&self.words);
-        chunk.nets.extend_from_slice(&self.nets);
-        chunk
+        RowChunk {
+            words: clone_with_capacity(&self.words),
+            nets: clone_with_capacity(&self.nets),
+        }
     }
+}
+
+/// A clone of `vec` at `vec`'s capacity: a chunk is never reallocated, and a derived
+/// clone would shrink it to its length so that the next row pushed reallocates.
+pub fn clone_with_capacity<T: Clone>(vec: &Vec<T>) -> Vec<T> {
+    let mut clone = Vec::with_capacity(vec.capacity());
+    clone.extend_from_slice(vec);
+    clone
 }
 
 /// A row id as (chunk index, row index within the chunk).
 #[inline]
-fn locate(id: u32) -> (usize, usize) {
+pub fn locate(id: u32) -> (usize, usize) {
     (id as usize / CHUNK_ROWS, id as usize % CHUNK_ROWS)
 }
 
-/// One open-addressing slot: `0` when empty, otherwise `hash << 32 | (row id + 1)`.
+/// The multiplier of the workspace's multiply-rotate hashes (2⁶⁴ / φ).
+pub const HASH_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The 32 bits a [`SlotTable`] stores per entry, cut from a 64-bit multiply-rotate
+/// hash state with one xor-shift-multiply round on top, so every input bit reaches
+/// the bits the home slot is taken from.
+#[inline]
+pub fn slot_hash(h: u64) -> u32 {
+    ((h ^ (h >> 32)).wrapping_mul(HASH_MUL) >> 32) as u32
+}
+
+/// One open-addressing slot: `0` when empty, otherwise `hash << 32 | (id + 1)`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct Slot(u64);
 
 impl Slot {
     const EMPTY: Slot = Slot(0);
 
-    fn new(row: u32, hash: u32) -> Self {
-        Slot(u64::from(hash) << 32 | u64::from(row + 1))
+    fn new(id: u32, hash: u32) -> Self {
+        Slot(u64::from(hash) << 32 | u64::from(id + 1))
     }
 
     fn is_empty(self) -> bool {
         self.0 == 0
     }
 
-    /// The row id of an occupied slot.
-    fn row(self) -> u32 {
+    /// The id of an occupied slot.
+    fn id(self) -> u32 {
         self.0 as u32 - 1
     }
 
@@ -423,14 +434,239 @@ impl Slot {
     }
 }
 
+/// The open-addressing core shared by every flat table in the workspace: a
+/// power-of-two array of `(id, 32-bit hash)` slots at load ≤ ½, linear probing, and
+/// *backward-shift deletion* driven by the stored hashes alone — no tombstones, and
+/// nothing behind an id is read while shifting or growing. What an id names (a row,
+/// the head of a list, a log entry) and how two of them compare is the caller's: a
+/// probe takes the hash and an equality closure over ids.
+#[derive(Clone, Debug, Default)]
+pub struct SlotTable {
+    slots: Vec<Slot>,
+    len: usize,
+}
+
+impl SlotTable {
+    /// Up to this many slots [`check`](SlotTable::check) verifies the whole table;
+    /// above it, only the probe runs around the slot a mutation touched.
+    pub const FULL_CHECK_SLOTS: usize = 1024;
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the table has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Length of the slot array (zero until the first [`reserve_one`](Self::reserve_one)).
+    pub fn capacity(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Walks the probe run of `hash` to the slot holding the id `eq` accepts —
+    /// `(slot, Some(id))` — or to the empty slot that ends the run, where
+    /// [`occupy`](Self::occupy) would put it: `(slot, None)`.
+    #[inline]
+    pub fn probe(&self, hash: u32, mut eq: impl FnMut(u32) -> bool) -> (usize, Option<u32>) {
+        if self.slots.is_empty() {
+            return (0, None);
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let slot = self.slots[i];
+            if slot.is_empty() {
+                return (i, None);
+            }
+            if slot.hash() == hash && eq(slot.id()) {
+                return (i, Some(slot.id()));
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Makes room for one more entry at load ≤ ½. Growing re-seats every entry, so
+    /// call this *before* the probe whose vacancy is to be occupied.
+    #[inline]
+    pub fn reserve_one(&mut self) {
+        if (self.len + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+    }
+
+    /// Fills the vacant `slot` a probe for `hash` ended at.
+    #[inline]
+    pub fn occupy(&mut self, slot: usize, id: u32, hash: u32) {
+        debug_assert!(self.slots[slot].is_empty());
+        self.slots[slot] = Slot::new(id, hash);
+        self.len += 1;
+    }
+
+    /// Points the occupied `slot` at another id with the same hash.
+    #[inline]
+    pub fn set_id(&mut self, slot: usize, id: u32) {
+        self.slots[slot] = Slot::new(id, self.slots[slot].hash());
+    }
+
+    /// Empties `slot` and closes the gap: every later entry of the probe run whose
+    /// home slot is at or before the hole moves back into it (linear probing must
+    /// never meet an empty slot between an entry's home and its position). Returns
+    /// the slot finally left empty.
+    pub fn remove(&mut self, mut hole: usize) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let slot = self.slots[j];
+            if slot.is_empty() {
+                break;
+            }
+            let home = slot.hash() as usize & mask;
+            // Cyclic distances back from `j`: the entry may move iff the hole lies
+            // on its probe path, i.e. no farther back than its home.
+            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
+                self.slots[hole] = slot;
+                hole = j;
+            }
+        }
+        self.slots[hole] = Slot::EMPTY;
+        self.len -= 1;
+        hole
+    }
+
+    /// Empties the table in time proportional to its entries, not its capacity, given
+    /// the hash of every entry: an entry lies in the occupied run that starts at its
+    /// home slot, so emptying each such run up to its first empty slot reaches it.
+    pub fn clear_runs(&mut self, hashes: impl IntoIterator<Item = u32>) {
+        let mask = self.slots.len().wrapping_sub(1);
+        for hash in hashes {
+            let mut i = hash as usize & mask;
+            while !self.slots[i].is_empty() {
+                self.slots[i] = Slot::EMPTY;
+                i = (i + 1) & mask;
+            }
+        }
+        debug_assert!(
+            self.slots.iter().all(|s| s.is_empty()),
+            "a hash was missing"
+        );
+        self.len = 0;
+    }
+
+    /// Doubles the slot array (from 8) and re-seats every entry by its stored hash.
+    fn grow(&mut self) {
+        let len = (self.slots.len() * 2).max(8);
+        let old = std::mem::replace(&mut self.slots, vec![Slot::EMPTY; len]);
+        let mask = len - 1;
+        for slot in old.into_iter().filter(|s| !s.is_empty()) {
+            let mut i = slot.hash() as usize & mask;
+            while !self.slots[i].is_empty() {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = slot;
+        }
+    }
+
+    /// The table invariants, for debug assertions after every mutation: load ≤ ½ and,
+    /// in every probe run checked, no empty slot separates an entry from its home.
+    /// `rehash(id)` is the hash `id` should be stored under, `None` if it names
+    /// nothing live. Small tables are checked whole (which also shows each of the
+    /// `len` entries is reachable from exactly one slot, its id below `ids`); larger
+    /// ones only in the runs around slot `touched`, and `rehash` only at `touched`
+    /// itself — a slot word moves whole — so a debug build stays usable at 10⁵ entries.
+    pub fn check(
+        &self,
+        touched: usize,
+        ids: usize,
+        rehash: impl Fn(u32) -> Option<u32>,
+    ) -> Result<(), String> {
+        let len = self.slots.len();
+        if len == 0 && self.len == 0 {
+            return Ok(());
+        }
+        if !(len.is_power_of_two() && self.len * 2 <= len) {
+            return Err(format!("{} entries in {len} slots", self.len));
+        }
+        let mask = len - 1;
+        let full = len <= Self::FULL_CHECK_SLOTS;
+        // Walk `count` slots forward from an empty one.
+        let (first, count) = if full {
+            let empty = self.slots.iter().position(|s| s.is_empty());
+            (empty.expect("load ≤ ½ leaves empty slots"), len - 1)
+        } else {
+            let mut first = touched.wrapping_sub(1) & mask;
+            while !self.slots[first].is_empty() {
+                first = first.wrapping_sub(1) & mask;
+            }
+            let mut end = (touched + 1) & mask;
+            while !self.slots[end].is_empty() {
+                end = (end + 1) & mask;
+            }
+            (first, end.wrapping_sub(first) & mask)
+        };
+        let mut seen = vec![false; if full { ids } else { 0 }];
+        let mut entries = 0;
+        let mut run_start = first;
+        for k in 1..=count {
+            let j = (first + k) & mask;
+            let slot = self.slots[j];
+            if slot.is_empty() {
+                run_start = j;
+                continue;
+            }
+            entries += 1;
+            if full || j == touched {
+                match rehash(slot.id()) {
+                    None => return Err(format!("slot {j} points at a dead id")),
+                    Some(hash) if hash != slot.hash() => {
+                        return Err(format!("slot {j}: stored hash differs from the id's"));
+                    }
+                    Some(_) => {}
+                }
+            }
+            let home = slot.hash() as usize & mask;
+            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(run_start) & mask) {
+                return Err(format!(
+                    "slot {j}: empty slot between home {home} and entry"
+                ));
+            }
+            if full
+                && seen
+                    .get_mut(slot.id() as usize)
+                    .is_none_or(|seen| std::mem::replace(seen, true))
+            {
+                return Err(format!("id {} is out of range or linked twice", slot.id()));
+            }
+        }
+        if full && entries != self.len {
+            return Err(format!("{entries} linked entries, {} counted", self.len));
+        }
+        Ok(())
+    }
+
+    /// Distinct home slots of the entries at the current slot-array length.
+    #[cfg(test)]
+    pub(crate) fn distinct_homes(&self) -> usize {
+        let mask = self.slots.len().wrapping_sub(1);
+        let homes: std::collections::HashSet<usize> = self
+            .slots
+            .iter()
+            .filter(|s| !s.is_empty())
+            .map(|s| s.hash() as usize & mask)
+            .collect();
+        homes.len()
+    }
+}
+
 /// The persistent sibling of [`KeyPool`]: a set of encoded rows of one arity with a
 /// net multiplicity each, kept across batches rather than reset per run.
 ///
-/// Rows live as [`IVal`] words at stride `arity` in fixed-size chunks; a power-of-two
-/// slot array of `(row id, 32-bit hash)` at load ≤ ½ finds them by linear probing.
-/// A row whose net reaches zero is unlinked by *backward-shift deletion* driven by
-/// the stored hashes alone — no tombstones, no row access while shifting — and its
-/// id goes on a free list, so a net-zero churn stream reaches a steady state that
+/// Rows live as [`IVal`] words at stride `arity` in fixed-size chunks and a
+/// [`SlotTable`] finds them. A row whose net reaches zero leaves the slot table and
+/// its id goes on a free list, so a net-zero churn stream reaches a steady state that
 /// allocates nothing. Rows compare as raw words: membership needs equality, which
 /// [`IVal`] preserves exactly, not `Value` order. The hash is [`hash_key`] started
 /// from a caller-supplied seed, so rows that share a probe chain under one seed do
@@ -444,8 +680,7 @@ pub(crate) struct RowTable {
     allocated: usize,
     /// Ids of carved rows that are currently unused, reused last-freed first.
     free: Vec<u32>,
-    slots: Vec<Slot>,
-    live: usize,
+    index: SlotTable,
 }
 
 impl RowTable {
@@ -457,8 +692,7 @@ impl RowTable {
             chunks: Vec::new(),
             allocated: 0,
             free: Vec::new(),
-            slots: Vec::new(),
-            live: 0,
+            index: SlotTable::default(),
         }
     }
 
@@ -468,7 +702,7 @@ impl RowTable {
 
     /// Number of live rows (rows with a non-zero net multiplicity).
     pub(crate) fn len(&self) -> usize {
-        self.live
+        self.index.len()
     }
 
     /// Rows the allocated chunks hold without allocating another.
@@ -478,14 +712,14 @@ impl RowTable {
 
     /// Length of the slot array.
     pub(crate) fn slots(&self) -> usize {
-        self.slots.len()
+        self.index.capacity()
     }
 
     /// Heap bytes owned: row chunks at full capacity, slot array, free list.
     pub(crate) fn bytes(&self) -> usize {
         use std::mem::size_of;
         self.row_capacity() * (self.arity * size_of::<IVal>() + size_of::<i64>())
-            + self.slots.len() * size_of::<Slot>()
+            + self.index.capacity() * size_of::<Slot>()
             + self.free.capacity() * size_of::<u32>()
     }
 
@@ -502,12 +736,9 @@ impl RowTable {
         })
     }
 
-    /// The 32 bits stored per slot: the seeded key hash with one xor-shift-multiply
-    /// round on top, so every input bit reaches the bits the home slot is cut from.
     #[inline]
     fn row_hash(&self, row: &[IVal]) -> u32 {
-        let h = hash_key_seeded(self.seed, row);
-        ((h ^ (h >> 32)).wrapping_mul(HASH_MUL) >> 32) as u32
+        slot_hash(hash_key_seeded(self.seed, row))
     }
 
     #[inline]
@@ -524,35 +755,27 @@ impl RowTable {
         if delta == 0 {
             return;
         }
-        if (self.live + 1) * 2 > self.slots.len() {
-            self.grow();
-        }
+        self.index.reserve_one();
         let hash = self.row_hash(row);
-        let mask = self.slots.len() - 1;
-        let mut i = hash as usize & mask;
-        loop {
-            let slot = self.slots[i];
-            if slot.is_empty() {
+        let touched = match self.index.probe(hash, |id| self.row(id) == row) {
+            (slot, None) => {
                 let id = self.alloc_row(row, delta);
-                self.slots[i] = Slot::new(id, hash);
-                self.live += 1;
-                break;
+                self.index.occupy(slot, id, hash);
+                slot
             }
-            if slot.hash() == hash && self.row(slot.row()) == row {
-                let id = slot.row();
+            (slot, Some(id)) => {
                 let (chunk, r) = locate(id);
                 let net = &mut self.chunks[chunk].nets[r];
                 *net += delta;
                 if *net == 0 {
                     self.free.push(id);
-                    self.live -= 1;
-                    i = self.unlink(i);
+                    self.index.remove(slot)
+                } else {
+                    slot
                 }
-                break;
             }
-            i = (i + 1) & mask;
-        }
-        debug_assert_eq!(self.check(i), Ok(()));
+        };
+        debug_assert_eq!(self.check(touched), Ok(()));
     }
 
     /// Stores a new row, reusing a freed id before carving a fresh one.
@@ -578,118 +801,23 @@ impl RowTable {
         id
     }
 
-    /// Empties slot `hole` and closes the gap: every later entry of the probe run
-    /// whose home slot is at or before the hole moves back into it (linear probing
-    /// must never meet an empty slot between an entry's home and its position).
-    /// Reads only the stored hashes. Returns the slot finally left empty.
-    fn unlink(&mut self, mut hole: usize) -> usize {
-        let mask = self.slots.len() - 1;
-        let mut j = hole;
-        loop {
-            j = (j + 1) & mask;
-            let slot = self.slots[j];
-            if slot.is_empty() {
-                break;
-            }
-            let home = slot.hash() as usize & mask;
-            // Cyclic distances back from `j`: the entry may move iff the hole lies
-            // on its probe path, i.e. no farther back than its home.
-            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
-                self.slots[hole] = slot;
-                hole = j;
-            }
-        }
-        self.slots[hole] = Slot::EMPTY;
-        hole
-    }
-
-    /// Doubles the slot array (from 8) and re-seats every entry by its stored hash.
-    fn grow(&mut self) {
-        let len = (self.slots.len() * 2).max(8);
-        let old = std::mem::replace(&mut self.slots, vec![Slot::EMPTY; len]);
-        let mask = len - 1;
-        for slot in old.into_iter().filter(|s| !s.is_empty()) {
-            let mut i = slot.hash() as usize & mask;
-            while !self.slots[i].is_empty() {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = slot;
-        }
-    }
-
     /// The table invariants, for debug assertions after every mutation: the counters
-    /// add up (`live + free == allocated`, load ≤ ½) and, in every probe run checked,
-    /// each entry's row is live, its stored hash is its row's hash, and no empty slot
-    /// separates it from its home. Small tables are checked whole (which also shows
-    /// every live row is reachable from exactly one slot); larger ones only in the
-    /// runs around slot `touched`, so a debug build stays usable at 10⁵ rows.
+    /// add up (`live + free == allocated`) and the slot table's own invariants hold
+    /// with every linked row live and stored under its row's hash.
     fn check(&self, touched: usize) -> Result<(), String> {
-        let len = self.slots.len();
-        if self.live + self.free.len() != self.allocated {
+        if self.index.len() + self.free.len() != self.allocated {
             return Err(format!(
                 "live {} + free {} != allocated {}",
-                self.live,
+                self.index.len(),
                 self.free.len(),
                 self.allocated
             ));
         }
-        if !(len.is_power_of_two() && self.live * 2 <= len) {
-            return Err(format!("{} live rows in {len} slots", self.live));
-        }
-        let mask = len - 1;
-        let full = len <= FULL_CHECK_SLOTS;
-        // Walk `count` slots forward from an empty one.
-        let (first, count) = if full {
-            let empty = self.slots.iter().position(|s| s.is_empty());
-            (empty.expect("load ≤ ½ leaves empty slots"), len - 1)
-        } else {
-            let mut first = touched.wrapping_sub(1) & mask;
-            while !self.slots[first].is_empty() {
-                first = first.wrapping_sub(1) & mask;
-            }
-            let mut end = (touched + 1) & mask;
-            while !self.slots[end].is_empty() {
-                end = (end + 1) & mask;
-            }
-            (first, end.wrapping_sub(first) & mask)
-        };
-        let mut seen = vec![false; if full { self.allocated } else { 0 }];
-        let mut entries = 0;
-        let mut run_start = first;
-        for k in 1..=count {
-            let j = (first + k) & mask;
-            let slot = self.slots[j];
-            if slot.is_empty() {
-                run_start = j;
-                continue;
-            }
-            entries += 1;
-            let (chunk, r) = locate(slot.row());
-            // A slot word moves whole, so away from `touched` its row (liveness,
-            // stored hash: a row read per entry) is only re-examined on the full pass.
-            if full || j == touched {
-                let live = self.chunks.get(chunk).and_then(|c| c.nets.get(r));
-                if live.is_none_or(|&net| net == 0) {
-                    return Err(format!("slot {j} points at a dead row"));
-                }
-                if slot.hash() != self.row_hash(self.row(slot.row())) {
-                    return Err(format!("slot {j}: stored hash differs from the row's"));
-                }
-            }
-            let home = slot.hash() as usize & mask;
-            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(run_start) & mask) {
-                return Err(format!(
-                    "slot {j}: empty slot between home {home} and entry"
-                ));
-            }
-            if full && std::mem::replace(&mut seen[slot.row() as usize], true) {
-                return Err(format!("row {} is linked from two slots", slot.row()));
-            }
-        }
-        if full && entries != self.live {
-            return Err(format!("{entries} linked rows, {} live", self.live));
-        }
-        Ok(())
+        self.index.check(touched, self.allocated, |id| {
+            let (chunk, r) = locate(id);
+            let live = self.chunks.get(chunk)?.nets.get(r).is_some_and(|&n| n != 0);
+            live.then(|| self.row_hash(self.row(id)))
+        })
     }
 }
 
@@ -697,14 +825,7 @@ impl RowTable {
 impl RowTable {
     /// Distinct home slots of the live rows at the current slot-array length.
     pub(crate) fn distinct_homes(&self) -> usize {
-        let mask = self.slots.len().wrapping_sub(1);
-        let homes: std::collections::HashSet<usize> = self
-            .slots
-            .iter()
-            .filter(|s| !s.is_empty())
-            .map(|s| s.hash() as usize & mask)
-            .collect();
-        homes.len()
+        self.index.distinct_homes()
     }
 }
 

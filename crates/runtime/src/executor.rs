@@ -7,19 +7,19 @@
 //! partially-bound `Enumerate` with its slice-index pattern fixed, and every scalar and
 //! guard is rewritten over slots. Applying a single-tuple update then runs the matching
 //! plan trigger's statements over reusable frame buffers: no `HashMap` environments, no
-//! per-binding environment clones, no name resolution, and — in the steady state, when
-//! the touched map entries already exist — no heap allocation at all (lookup keys are
-//! assembled in a scratch buffer, writes go through
-//! [`ViewStorage::add_ref`], candidate
-//! frames reuse the capacity of the previous statement's buffers, and the [`Value`]
-//! clones this involves never allocate: ints/floats/bools are `Copy`-sized and strings
-//! are `Arc`-interned, so a clone is a refcount bump).
+//! per-binding environment clones, no name resolution, and no heap allocation on the
+//! way — staged or not: lookup keys are assembled in a scratch buffer, writes go through
+//! [`ViewStorage::add_ref`] (which hands back the pre-image the undo log wants, so a
+//! staged write is one storage probe), candidate frames reuse the capacity of the
+//! previous statement's buffers, and the [`Value`] clones this involves never allocate:
+//! ints/floats/bools are `Copy`-sized and strings are `Arc`-shared, so a clone is a
+//! refcount bump. What does allocate is growth — a view's next row chunk or slot array,
+//! a scratch buffer's or the undo log's first warm-up — never the steady state.
 //!
 //! The executor is generic over the [`ViewStorage`] backend holding its materialized
-//! views, defaulting to [`HashViewStorage`] (the backend the zero-allocation steady
-//! state was tuned on); `Executor::<OrderedViewStorage>::with_backend` runs the same
-//! plans over ordered storage. The plan's Probe/Enumerate ops call the trait's
-//! monomorphized methods, so backend dispatch costs nothing at runtime.
+//! views, defaulting to [`HashViewStorage`]; `Executor::<OrderedViewStorage>::with_backend`
+//! runs the same plans over ordered storage. The plan's Probe/Enumerate ops call the
+//! trait's monomorphized methods, so backend dispatch costs nothing at runtime.
 //!
 //! A statement without loop variables costs a constant number of arithmetic operations;
 //! a statement with loop variables costs a constant number of operations *per affected
@@ -32,7 +32,7 @@
 //! the only state.
 
 use dbring_algebra::{Number, Semiring};
-use dbring_relations::intern::{Interner, KeyPool};
+use dbring_relations::intern::{Interner, KeyPool, SlotTable};
 use dbring_relations::{Database, DeltaBatch, Update, Value};
 
 use dbring_agca::ast::Query;
@@ -46,7 +46,9 @@ use dbring_delta::Sign;
 use std::collections::HashMap;
 
 use crate::snapshot::ChangeSet;
-use crate::storage::{HashViewStorage, StorageFootprint, ViewStorage};
+use crate::storage::{
+    hash_values, random_seed, salted, HashViewStorage, StorageFootprint, ViewStorage,
+};
 
 /// Counters describing the work performed by the executor.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -191,36 +193,34 @@ struct WriteBuf {
     accs: Vec<Number>,
 }
 
-/// One logged pre-image: the exact value `map` held under the `key_len` key values
-/// preceding this op's position in the log's flat key arena, before a staged write
-/// touched it (zero ⇔ absent — maps never store explicit zeros).
+/// One logged pre-image: the exact value `map` held, before a staged write touched
+/// it, under the key that starts at `key_start` in the log's flat key arena and ends
+/// where the next op's begins (zero ⇔ absent — maps never store explicit zeros).
 #[derive(Clone, Copy, Debug)]
 struct UndoOp {
     map: u32,
-    key_len: u32,
+    key_start: u32,
     pre: Number,
 }
 
 /// The staged-ingest undo log: pre-images of every written entry, stored as a flat
 /// arena — one fixed-size [`UndoOp`] per write plus the key values appended to one
-/// shared buffer. Logging a write therefore performs **no allocation** once the two
-/// vectors are warm (the executor recycles the log across batches), which is what
-/// keeps staged ingest within a few percent of the direct path.
+/// shared buffer. The executor recycles the log across batches, so once its vectors
+/// are warm logging a write allocates nothing.
 ///
 /// One pre-image per *distinct* `(map, key)` per batch suffices: only the first
 /// write to a key sees its pre-batch value, so [`UndoLog::push_once`] keeps a
-/// per-batch seen-set (hash buckets verified by key comparison against the arena —
-/// a collision can never suppress a needed pre-image) and skips both the log append
-/// *and* the caller's pre-image probe for keys already captured. Enumeration-heavy
-/// unit-replay triggers rewrite the same hot keys hundreds of times per batch; this
-/// is what keeps their staging overhead bounded by the *distinct* write set.
+/// per-batch seen-set — a [`SlotTable`] over op indices, verified by key comparison
+/// against the arena, so a collision can never suppress a needed pre-image — and
+/// drops repeats. Enumeration-heavy unit-replay triggers rewrite the same hot keys
+/// hundreds of times per batch; this is what keeps their log bounded by the
+/// *distinct* write set.
 ///
 /// The consolidated flush path uses [`UndoLog::push_unchecked`] instead: keys in one
-/// consolidated run are already unique, the pre-image is learned inside the landing
-/// lookup (no probe to save), and a duplicate entry from a *different* flush of the
-/// same batch is harmless — reverse-order restore replays the earliest (true)
-/// pre-image last — so the per-write seen-set check would cost more than the rare
-/// duplicate append it avoids.
+/// consolidated run are already unique, and a duplicate entry from a *different*
+/// flush of the same batch is harmless — reverse-order restore replays the earliest
+/// (true) pre-image last — so the per-write seen-set check would cost more than the
+/// rare duplicate append it avoids.
 ///
 /// Restoring the ops in *reverse* order via [`ViewStorage::restore`] reproduces the
 /// pre-batch storage bit-exactly, because the first op logged for a key holds its
@@ -230,70 +230,49 @@ struct UndoOp {
 pub(crate) struct UndoLog {
     ops: Vec<UndoOp>,
     keys: Vec<Value>,
-    /// Per-batch seen-set: hash of `(map, key)` → ops already logged under that
-    /// hash, as `(map, key start, key len)` offsets into `keys` for verification.
-    seen: HashMap<u64, Vec<(u32, u32, u32)>>,
+    /// Per-batch seen-set: `(map, key)` → index of the op that logged it.
+    seen: SlotTable,
+    /// The hash of every `seen` entry, so `clear` costs the entries, not the capacity.
+    seen_hashes: Vec<u32>,
+    /// Seed of the seen-set's hash, drawn on first use (zero: not yet) — keys come
+    /// from clients, who must not be able to aim a batch at one probe chain.
+    seed: u64,
 }
 
 impl UndoLog {
-    fn hash_key(map: usize, key: &[Value]) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        map.hash(&mut h);
-        key.hash(&mut h);
-        h.finish()
-    }
-
-    /// Appends one pre-image without consulting or updating the seen-set.
+    /// Logs `pre`, the value `key` held before the write that just landed, unless
+    /// this batch already logged a pre-image for `(map, key)`.
     #[inline]
-    fn append(&mut self, map: usize, key: &[Value], pre: Number) -> u32 {
-        let start = self.keys.len() as u32;
-        self.keys.extend_from_slice(key);
-        self.ops.push(UndoOp {
-            map: map as u32,
-            key_len: key.len() as u32,
-            pre,
-        });
-        start
-    }
-
-    /// Whether this batch already logged a pre-image for `(map, key)`; if not,
-    /// records it as logged. The caller only probes and appends on `false`.
-    #[inline]
-    fn note_unlogged(&mut self, map: usize, key: &[Value]) -> Option<u64> {
-        let hash = Self::hash_key(map, key);
-        if let Some(bucket) = self.seen.get(&hash) {
-            for &(m, start, len) in bucket {
-                let slice = &self.keys[start as usize..(start + len) as usize];
-                if m as usize == map && slice == key {
-                    return None;
-                }
-            }
+    pub(crate) fn push_once(&mut self, map: usize, key: &[Value], pre: Number) {
+        if self.seed == 0 {
+            self.seed = random_seed() | 1;
         }
-        Some(hash)
-    }
-
-    /// Logs `key`'s pre-image unless this batch already logged it for `map`. The
-    /// pre-image is probed lazily — a repeat write skips the probe entirely.
-    #[inline]
-    pub(crate) fn push_once(&mut self, map: usize, key: &[Value], pre: impl FnOnce() -> Number) {
-        let Some(hash) = self.note_unlogged(map, key) else {
-            return;
-        };
-        let pre = pre();
-        let start = self.append(map, key, pre);
-        self.seen
-            .entry(hash)
-            .or_default()
-            .push((map as u32, start, key.len() as u32));
+        let hash = hash_values(salted(self.seed, map as u64), key);
+        self.seen.reserve_one();
+        let (ops, keys) = (&self.ops, &self.keys);
+        let probe = self.seen.probe(hash, |op| {
+            let op = ops[op as usize];
+            // Same map, same arity: the logged key is as long as `key`.
+            op.map as usize == map && keys[op.key_start as usize..][..key.len()] == *key
+        });
+        if let (slot, None) = probe {
+            self.seen.occupy(slot, self.ops.len() as u32, hash);
+            self.seen_hashes.push(hash);
+            self.push_unchecked(map, key, pre);
+        }
     }
 
     /// Logs `key`'s pre-image without consulting the seen-set — for the consolidated
-    /// flush path, where keys are unique within a run, the pre-image is already in
-    /// hand, and cross-flush duplicates restore correctly in reverse order.
+    /// flush path, where keys are unique within a run and cross-flush duplicates
+    /// restore correctly in reverse order.
     #[inline]
     pub(crate) fn push_unchecked(&mut self, map: usize, key: &[Value], pre: Number) {
-        self.append(map, key, pre);
+        self.ops.push(UndoOp {
+            map: map as u32,
+            key_start: self.keys.len() as u32,
+            pre,
+        });
+        self.keys.extend_from_slice(key);
     }
 
     /// Number of logged pre-images.
@@ -306,22 +285,21 @@ impl UndoLog {
     /// consolidated-flush path alike — so for the output map these are exactly the
     /// output keys a commit may have changed.
     pub(crate) fn report_keys_of(&self, map: usize, changed: &mut ChangeSet) {
-        let mut start = 0;
-        for op in &self.ops {
-            let end = start + op.key_len as usize;
+        for (i, op) in self.ops.iter().enumerate() {
             if op.map as usize == map {
-                changed.push(&self.keys[start..end]);
+                let next = self.ops.get(i + 1);
+                let end = next.map_or(self.keys.len(), |next| next.key_start as usize);
+                changed.push(&self.keys[op.key_start as usize..end]);
             }
-            start = end;
         }
     }
 
-    /// Empties the log, keeping the allocations (arena, ops, seen-set buckets) for
-    /// reuse by the next batch.
+    /// Empties the log, keeping the allocations (arena, ops, seen-set) for reuse by
+    /// the next batch.
     pub(crate) fn clear(&mut self) {
         self.ops.clear();
         self.keys.clear();
-        self.seen.clear();
+        self.seen.clear_runs(self.seen_hashes.drain(..));
     }
 }
 
@@ -360,7 +338,7 @@ impl StagedBatch {
 pub(crate) fn rollback_maps<S: ViewStorage>(maps: &mut [S], undo: &UndoLog) {
     let mut end = undo.keys.len();
     for op in undo.ops.iter().rev() {
-        let start = end - op.key_len as usize;
+        let start = op.key_start as usize;
         maps[op.map as usize].restore(&undo.keys[start..end], op.pre);
         end = start;
     }
@@ -921,7 +899,7 @@ pub(crate) fn initialize_maps<S: ViewStorage>(
 }
 
 /// Runs one lowered statement over the scratch frames and applies its writes directly,
-/// logging each write's pre-image first when an undo log is supplied.
+/// logging the pre-image each write returns when an undo log is supplied.
 fn run_statement<S: ViewStorage>(
     maps: &mut [S],
     stats: &mut ExecStats,
@@ -951,10 +929,10 @@ fn run_statement<S: ViewStorage>(
         for &s in &stmt.target_slots {
             key_buf.push(cur_vals[row * stride + s as usize].clone());
         }
+        let pre = target.add_ref(key_buf, stmt.coefficient.mul(&acc));
         if let Some(undo) = undo {
-            undo.push_once(stmt.target, key_buf, || target.get(key_buf));
+            undo.push_once(stmt.target, key_buf, pre);
         }
-        target.add_ref(key_buf, stmt.coefficient.mul(&acc));
     }
     Ok(())
 }

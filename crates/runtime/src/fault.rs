@@ -40,8 +40,9 @@ use crate::storage::{StorageBackend, StorageFootprint, ViewStorage};
 /// The operation kinds a [`FaultPlan`] can target.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultOp {
-    /// Point probes ([`ViewStorage::get`]) — fires inside trigger evaluation and
-    /// inside the stage path's pre-image capture.
+    /// Point probes ([`ViewStorage::get`]) — fires inside trigger evaluation only:
+    /// the stage path takes its pre-images from the writes themselves
+    /// ([`ViewStorage::add_ref`] returns them), so staging adds no probe ordinals.
     Probe,
     /// Point writes ([`ViewStorage::add`] / [`ViewStorage::add_ref`]).
     Add,
@@ -159,9 +160,9 @@ impl<S: ViewStorage> ViewStorage for FaultStorage<S> {
         self.0.add(key, delta);
     }
 
-    fn add_ref(&mut self, key: &[Value], delta: Number) {
+    fn add_ref(&mut self, key: &[Value], delta: Number) -> Number {
         trip(FaultOp::Add);
-        self.0.add_ref(key, delta);
+        self.0.add_ref(key, delta)
     }
 
     fn apply_sorted(&mut self, deltas: &[(&[Value], Number)]) {

@@ -467,10 +467,10 @@ impl<S: ViewStorage> InterpretedExecutor<S> {
         }
         for (key, delta) in writes {
             stats.additions += 1;
+            let pre = maps[stmt.target].add_ref(&key, delta);
             if let Some(undo) = undo {
-                undo.push_once(stmt.target, &key, || maps[stmt.target].get(&key));
+                undo.push_once(stmt.target, &key, pre);
             }
-            maps[stmt.target].add(key, delta);
         }
         Ok(())
     }

@@ -22,8 +22,8 @@
 //! holding their materialized views — the paper's guarantee only needs point probes,
 //! ring accumulation with zero-pruning, and partial-key enumeration, so backends with
 //! different physical trade-offs plug in under the unchanged execution layer:
-//! [`HashViewStorage`] (the default: hash map + hash slice
-//! indexes, O(1) probes) and [`OrderedViewStorage`]
+//! [`HashViewStorage`] (the default: a flat row table with row-id
+//! slice lists, O(1) probes) and [`OrderedViewStorage`]
 //! (`BTreeMap` + sorted range scans, O(log n) probes but prefix enumerations need no
 //! secondary index at all). Select at compile time by naming the type
 //! (`Executor::<OrderedViewStorage>::with_backend`) or at runtime through
@@ -39,8 +39,8 @@
 //!   constant number of arithmetic operations per maintained value, never touches the
 //!   base relations, and in the steady state allocates nothing on the heap (keys are
 //!   assembled in scratch buffers; writes go through
-//!   [`ViewStorage::add_ref`], which only clones a key
-//!   on first insertion). Arithmetic operations and map writes are counted so the
+//!   [`ViewStorage::add_ref`], which copies a key into
+//!   the view's row arena on first insertion). Arithmetic operations and map writes are counted so the
 //!   experiments can verify the constant-work claim (Theorem 7.1) directly rather than
 //!   only through wall-clock time.
 //! * [`InterpretedExecutor`] — the same trigger semantics
@@ -79,6 +79,6 @@ pub use interp::InterpretedExecutor;
 pub use registry::{EngineRegistry, ParallelConfig};
 pub use snapshot::{ChangeSet, PublishStats, SnapshotAccess, SnapshotStore, ViewSnapshot};
 pub use storage::{
-    HashViewStorage, MapStorage, OrderedViewStorage, StorageBackend, StorageFootprint, ViewStorage,
+    HashViewStorage, OrderedViewStorage, StorageBackend, StorageFootprint, ViewStorage,
 };
 pub use strategy::{interpreted_ivm, recursive_ivm, strategy_by_name, MaintenanceStrategy};

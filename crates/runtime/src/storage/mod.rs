@@ -8,15 +8,29 @@
 //! [`ViewStorage`] captures, so that backends with different physical trade-offs can be
 //! swapped in and compared without touching the execution layer:
 //!
-//! * [`HashViewStorage`] — a hash map with hash-based slice indexes for the registered
-//!   key-position patterns. O(1) probes and writes; the default, and the backend the
-//!   zero-allocation steady state of the lowered executor was tuned on.
+//! * [`HashViewStorage`] — one flat row table per map: keys and values in fixed-size
+//!   chunks, an open-addressing slot array of `(row id, hash)` under a seeded
+//!   multiply-rotate hash, and per registered key-position pattern a doubly linked
+//!   list of row ids per slice. O(1) probes and writes without touching the allocator,
+//!   enumeration by walking a list; the default.
 //! * [`OrderedViewStorage`] — a `BTreeMap` keyed on the full tuple. O(log n) probes and
 //!   writes, but partial-key enumeration over *prefix* patterns needs no secondary
 //!   structure at all (a sorted range scan), and non-prefix patterns are served by
 //!   ordered permuted-key indexes whose range scans keep matching entries physically
 //!   adjacent — the index shape that sort-merge-style batched maintenance and
-//!   leapfrog-triejoin-style multiway joins build on.
+//!   leapfrog-triejoin-style multiway joins build on. What it still buys over the flat
+//!   table: entries in key order, a one-pass merge for large sorted runs (which it can
+//!   also split across threads, where a flat table has no cheap repartition), and
+//!   prefix slices nobody registered.
+//!
+//! **Enumeration order.** On both backends the order in which `for_each` and
+//! `for_each_slice` visit entries is a function of the operations applied, not of the
+//! process or of a hash seed: the ordered backend visits in key order; the hash backend
+//! visits rows in row-id order (a new key takes the most recently freed row, else the
+//! next fresh one) and a slice newest-first, and a `restore` onto a key that stays
+//! present changes neither. Float aggregates folded over an enumeration are therefore
+//! reproducible run to run, and an aborted batch leaves the order of the keys that
+//! survive it untouched.
 //!
 //! Both executors ([`Executor`](crate::executor::Executor) and
 //! [`InterpretedExecutor`](crate::interp::InterpretedExecutor)) are generic over the
@@ -35,19 +49,14 @@ mod hash;
 mod ordered;
 
 pub use hash::HashViewStorage;
+pub(crate) use hash::{hash_values, random_seed, salted};
 pub use ordered::OrderedViewStorage;
-
-/// The default backend's former name, kept so type names in downstream signatures keep
-/// resolving. (Operations moved from inherent methods to the [`ViewStorage`] trait, so
-/// calling them requires the trait in scope; the allocating `slice` helper is gone —
-/// use [`ViewStorage::for_each_slice`].)
-pub type MapStorage = HashViewStorage;
 
 /// Minimum consolidated deltas per key-range shard for
 /// [`ViewStorage::apply_sorted_sharded`] to actually split a run: below
-/// `shards * MIN_DELTAS_PER_SHARD` deltas the in-tree backends fall back to the
+/// `shards * MIN_DELTAS_PER_SHARD` deltas the ordered backend falls back to the
 /// sequential [`ViewStorage::apply_sorted`] pass, because thread spawn plus the
-/// repartition/merge of the primary structure dwarfs such a batch. The registry's
+/// split/rebuild of the primary structure dwarfs such a batch. The registry's
 /// across-view fan-out applies the same floor to a whole batch (deltas per
 /// configured thread), for the same reason.
 pub const MIN_DELTAS_PER_SHARD: usize = 64;
@@ -97,11 +106,14 @@ pub trait ViewStorage: Clone + fmt::Debug {
     fn add(&mut self, key: Vec<Value>, delta: Number);
 
     /// Adds `delta` to the value under `key`, cloning the key *only* when the entry
-    /// does not already exist — the executor's steady-state write path.
+    /// does not already exist — the executor's steady-state write path — and returns
+    /// the **pre-image**: the value held before the write (zero ⇔ absent), also when
+    /// `delta` is zero. The write already paid for the probe that finds it, so staged
+    /// ingest logs it without a second one.
     ///
     /// # Panics
     /// Panics if the key arity does not match.
-    fn add_ref(&mut self, key: &[Value], delta: Number);
+    fn add_ref(&mut self, key: &[Value], delta: Number) -> Number;
 
     /// Accumulates a consolidated batch of ring deltas whose keys are **strictly
     /// ascending** (sorted, no duplicates) — the batch-execution write path, fed by
@@ -135,22 +147,24 @@ pub trait ViewStorage: Clone + fmt::Debug {
     /// Every delta key is reported exactly once, **including** zero-delta keys (a
     /// spurious log entry restores a value to itself — harmless — while a missing one
     /// would leak a write). Keys in a run are unique, so the report order is
-    /// backend-defined.
+    /// backend-defined, and a key is reported no later than right after its own write.
     ///
-    /// The default probes each key with [`get`](ViewStorage::get) and then delegates
-    /// to `apply_sorted` — always correct, but it pays a second lookup per key.
-    /// Both in-tree backends override it to capture the pre-image inside the landing
-    /// pass itself, which is what keeps staged ingest within a few percent of the
-    /// direct path.
+    /// The default is the [`add_ref`](ViewStorage::add_ref) loop of the default
+    /// `apply_sorted`, reporting what each write returns — one probe per key. The
+    /// ordered backend overrides it to capture the pre-images inside its merge pass.
     fn apply_sorted_logged(
         &mut self,
         deltas: &[(&[Value], Number)],
         mut log: impl FnMut(&[Value], Number),
     ) {
-        for (key, _) in deltas {
-            log(key, self.get(key));
+        debug_assert!(
+            deltas.windows(2).all(|w| w[0].0 < w[1].0),
+            "apply_sorted_logged requires strictly ascending keys"
+        );
+        for (key, delta) in deltas {
+            let pre = self.add_ref(key, *delta);
+            log(key, pre);
         }
-        self.apply_sorted(deltas);
     }
 
     /// Like [`apply_sorted`](ViewStorage::apply_sorted), but allowed to split the run
@@ -161,9 +175,11 @@ pub trait ViewStorage: Clone + fmt::Debug {
     /// docs).
     ///
     /// The default ignores the hint and delegates to `apply_sorted`, which is always
-    /// correct. Backends with an internal parallel path override it, and are expected
-    /// to fall back to the sequential pass when `shards <= 1` or when the run is too
-    /// small (relative to [`MIN_DELTAS_PER_SHARD`] and the map) for splitting to pay.
+    /// correct — and what the hash backend does: a flat table has no cheap
+    /// repartition. Backends with an internal parallel path (the ordered one) override
+    /// it, and are expected to fall back to the sequential pass when `shards <= 1` or
+    /// when the run is too small (relative to [`MIN_DELTAS_PER_SHARD`] and the map) for
+    /// splitting to pay.
     ///
     /// [`MIN_DELTAS_PER_SHARD`]: crate::storage::MIN_DELTAS_PER_SHARD
     fn apply_sorted_sharded(&mut self, deltas: &[(&[Value], Number)], shards: usize) {
@@ -186,8 +202,8 @@ pub trait ViewStorage: Clone + fmt::Debug {
     /// zero in the [`Number`] ring, so the entry is pruned with full index
     /// maintenance) and then, if `value` is non-zero, inserts it verbatim via the
     /// absent-key path of [`add_ref`](ViewStorage::add_ref). The default works on
-    /// any backend; backends with a cheaper direct overwrite may override it, as
-    /// long as the result is bit-exact.
+    /// any backend; the hash backend overrides it with an in-place overwrite (one
+    /// probe, and a key that stays present keeps its place in every enumeration).
     fn restore(&mut self, key: &[Value], value: Number) {
         let current = self.get(key);
         if !current.is_zero() {
@@ -203,7 +219,8 @@ pub trait ViewStorage: Clone + fmt::Debug {
     /// backfilled, so registration order and insertion order may be interleaved freely.
     fn register_index(&mut self, positions: Vec<usize>);
 
-    /// Visits every `(key, value)` entry, in backend-defined order.
+    /// Visits every `(key, value)` entry, in an order the operation sequence determines
+    /// (see the [module docs](self)).
     fn for_each(&self, visit: impl FnMut(&[Value], Number));
 
     /// Visits every entry whose key matches `values` at the given positions, without
@@ -211,9 +228,10 @@ pub trait ViewStorage: Clone + fmt::Debug {
     ///
     /// With a registered index for the pattern (or, for ordered backends, a pattern the
     /// physical layout already serves) the cost is proportional to the number of
-    /// matches — times at most a per-match probe of the primary structure (O(1) hash /
-    /// O(log n) ordered), never to the size of the map; otherwise the backend falls
-    /// back to a full scan. An empty pattern visits every entry.
+    /// matches — a list hop each on the hash backend, at most an O(log n) probe of the
+    /// primary structure each on the ordered one — never to the size of the map;
+    /// otherwise the backend falls back to a full scan. An empty pattern visits every
+    /// entry.
     fn for_each_slice(
         &self,
         positions: &[usize],
@@ -261,7 +279,7 @@ pub trait ViewStorage: Clone + fmt::Debug {
 /// experiment CLIs). Compile-time selection just names the backend type directly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum StorageBackend {
-    /// [`HashViewStorage`]: hash map + hash slice indexes (the default).
+    /// [`HashViewStorage`]: flat row table + row-id slice lists (the default).
     Hash,
     /// [`OrderedViewStorage`]: `BTreeMap` + sorted range scans / permuted-key indexes.
     Ordered,

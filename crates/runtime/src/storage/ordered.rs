@@ -61,6 +61,16 @@ pub struct OrderedViewStorage {
     indexes: BTreeMap<Vec<usize>, PermutedIndex>,
 }
 
+/// `value + delta` on the merge paths, a zero delta ignored exactly as `add_ref`
+/// ignores it (adding a float zero would turn an integer value into a float).
+fn accumulate(value: Number, delta: &Number) -> Number {
+    if delta.is_zero() {
+        value
+    } else {
+        value.add(delta)
+    }
+}
+
 /// Whether sorted positions form the contiguous prefix `0..positions.len()`.
 fn is_prefix(positions: &[usize]) -> bool {
     positions.iter().enumerate().all(|(i, &p)| i == p)
@@ -79,11 +89,11 @@ impl OrderedViewStorage {
     }
 
     /// Accumulates `delta` into an existing entry, pruning it (and its index entries)
-    /// when the sum reaches zero; returns `false` untouched if the entry is absent.
-    fn accumulate_existing(&mut self, key: &[Value], delta: Number) -> bool {
-        let Some(value) = self.data.get_mut(key) else {
-            return false;
-        };
+    /// when the sum reaches zero, and returns the value it held; `None`, untouched, if
+    /// the entry is absent.
+    fn accumulate_existing(&mut self, key: &[Value], delta: Number) -> Option<Number> {
+        let value = self.data.get_mut(key)?;
+        let pre = *value;
         let sum = value.add(&delta);
         if sum.is_zero() {
             self.data.remove(key);
@@ -93,7 +103,7 @@ impl OrderedViewStorage {
         } else {
             *value = sum;
         }
-        true
+        Some(pre)
     }
 }
 
@@ -125,7 +135,7 @@ impl ViewStorage for OrderedViewStorage {
         if delta.is_zero() {
             return;
         }
-        if self.accumulate_existing(&key, delta) {
+        if self.accumulate_existing(&key, delta).is_some() {
             return;
         }
         for index in self.indexes.values_mut() {
@@ -134,18 +144,19 @@ impl ViewStorage for OrderedViewStorage {
         self.data.insert(key, delta);
     }
 
-    fn add_ref(&mut self, key: &[Value], delta: Number) {
+    fn add_ref(&mut self, key: &[Value], delta: Number) -> Number {
         assert_eq!(key.len(), self.key_arity, "key arity mismatch");
         if delta.is_zero() {
-            return;
+            return self.get(key);
         }
-        if self.accumulate_existing(key, delta) {
-            return;
+        if let Some(pre) = self.accumulate_existing(key, delta) {
+            return pre;
         }
         for index in self.indexes.values_mut() {
             index.insert(key);
         }
         self.data.insert(key.to_vec(), delta);
+        Number::Int(0)
     }
 
     /// Accumulates a strictly-ascending delta batch with one **sequential merge pass**:
@@ -193,7 +204,7 @@ impl ViewStorage for OrderedViewStorage {
                 di += 1;
             }
             if di < deltas.len() && deltas[di].0 == key.as_slice() {
-                let sum = value.add(&deltas[di].1);
+                let sum = accumulate(value, &deltas[di].1);
                 di += 1;
                 if sum.is_zero() {
                     for index in self.indexes.values_mut() {
@@ -295,7 +306,7 @@ impl ViewStorage for OrderedViewStorage {
             }
             if di < deltas.len() && deltas[di].0 == key.as_slice() {
                 log(&key, value);
-                let sum = value.add(&deltas[di].1);
+                let sum = accumulate(value, &deltas[di].1);
                 di += 1;
                 if sum.is_zero() {
                     for index in self.indexes.values_mut() {
@@ -387,7 +398,7 @@ impl ViewStorage for OrderedViewStorage {
                             di += 1;
                         }
                         if di < range.len() && range[di].0 == key.as_slice() {
-                            let sum = value.add(&range[di].1);
+                            let sum = accumulate(value, &range[di].1);
                             di += 1;
                             if sum.is_zero() {
                                 if track_indexes {
