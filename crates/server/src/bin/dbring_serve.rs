@@ -77,7 +77,8 @@ fn usage(message: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// One scripted client connection: line out, reply line back.
+/// One scripted client connection: line out (`TCP_NODELAY`, one write per request),
+/// reply line back.
 struct Session {
     reader: BufReader<TcpStream>,
     out: TcpStream,
@@ -86,6 +87,7 @@ struct Session {
 impl Session {
     fn connect(addr: std::net::SocketAddr) -> Result<Session, String> {
         let stream = TcpStream::connect(addr).map_err(|e| e.to_string())?;
+        stream.set_nodelay(true).map_err(|e| e.to_string())?;
         Ok(Session {
             reader: BufReader::new(stream.try_clone().map_err(|e| e.to_string())?),
             out: stream,
@@ -93,8 +95,9 @@ impl Session {
     }
 
     fn send(&mut self, line: &str) -> Result<String, String> {
-        writeln!(self.out, "{line}").map_err(|e| e.to_string())?;
-        self.out.flush().map_err(|e| e.to_string())?;
+        self.out
+            .write_all(format!("{line}\n").as_bytes())
+            .map_err(|e| e.to_string())?;
         let mut reply = String::new();
         self.reader
             .read_line(&mut reply)

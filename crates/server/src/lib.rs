@@ -6,29 +6,38 @@
 //! ## Architecture
 //!
 //! ```text
-//!   TCP connections (one handler thread each)
-//!        │ writes: DECLARE / VIEW / INSERT / DELETE / FLUSH   (mpsc round-trip)
-//!        ▼
-//!   per-tenant ingest thread ── owns the &mut Ring, batches updates between
-//!        │                      quiescent points, publishes snapshots on commit
-//!        │ reads: GET / TABLE / SCAN                    (no ingest round-trip)
-//!        ▼
-//!   RingHandle ── Arc-shared snapshot store; O(1) acquire, lock-free reads
+//!   TCP connections (one handler thread each, TCP_NODELAY; replies collect in one
+//!   buffer that goes out in one write when no further request is buffered)
+//!     │                                                │
+//!     │ INSERT / DELETE: validated against the frozen  │ GET / TABLE / SCAN:
+//!     │   catalog, enqueued, `OK queued` at once       │   no ingest round trip
+//!     │ DECLARE / VIEW / DROP / FLUSH / STATS:         │
+//!     │   enqueued, reply awaited                      │
+//!     ▼                                                │
+//!   bounded tenant queue (a full queue blocks the      │
+//!   sender, so TCP flow control reaches the client)    │
+//!     ▼                                                │
+//!   per-tenant ingest thread ── owns the &mut Ring,    │
+//!     │  commits whatever the queue held as one batch  ▼
+//!     └─ publishes snapshots on commit ──▶ RingHandle ── Arc-shared snapshot store;
+//!                                                      O(1) acquire, lock-free reads
 //! ```
 //!
 //! Each tenant's ingest thread owns its [`Ring`] exclusively (the `RingHandle` split:
 //! writers never wait for readers, readers never block the writer). Updates accumulate
 //! into a batch and are committed when the request queue drains — a **quiescent point**
 //! — or when the batch reaches [`ServerConfig::batch_max`], or on an explicit `FLUSH`.
-//! Snapshot publication happens inside the ring at exactly those commit points, so a
-//! reader always observes a batch-consistent prefix of the tenant's update stream.
+//! Because writes do not wait for the ingest thread, a commit takes every update that
+//! queued up while the previous one ran (group commit). Snapshot publication happens
+//! inside the ring at exactly those commit points, so a reader always observes a
+//! batch-consistent prefix of the tenant's update stream.
 //!
 //! ## Protocol
 //!
 //! Line-delimited text, one request per line, whitespace-separated tokens. Values
 //! parse as integer, then float, then (optionally double-quoted) string. Responses are
 //! one or more lines; every response ends with a line starting `OK`, `ERR`, `VALUE`,
-//! or `END`.
+//! or `END`. Blank lines get no response.
 //!
 //! | Request | Reply |
 //! |---|---|
@@ -36,35 +45,58 @@
 //! | `DECLARE <tenant> <relation> <col>...` | `OK declared <relation>` |
 //! | `VIEW <tenant> <name> <sql>...` | `OK created <name> ...` |
 //! | `DROP <tenant> <view>` | `OK dropped <view>` |
-//! | `INSERT <tenant> <relation> <val>...` | `OK queued` |
-//! | `DELETE <tenant> <relation> <val>...` | `OK queued` |
-//! | `FLUSH <tenant>` | `OK ingested=<n>` |
+//! | `INSERT <tenant> <relation> <val>...` | `OK queued`: validated and enqueued |
+//! | `DELETE <tenant> <relation> <val>...` | `OK queued`: validated and enqueued |
+//! | `FLUSH <tenant>` | `OK ingested=<n>`, or `ERR` for a failed commit |
 //! | `GET <tenant> <view> <key>...` | `VALUE <number>` |
 //! | `TABLE <tenant> <view>` | `ROW <key>... <number>` lines, then `END ...` |
 //! | `SCAN <tenant> <view> <prefix>...` | `ROW` lines, then `END ...` |
-//! | `STATS <tenant>` | `OK <key=value>...` |
+//! | `STATS <tenant>` | `OK <key=value>...` (`commits=` counts batch commits) |
 //! | `QUIT` | `OK bye` (closes the connection) |
 //! | `SHUTDOWN` | `OK shutting down` (stops the whole server) |
 //!
 //! Relations must be declared before the tenant's first view or update (a ring's
 //! catalog is fixed when the ring is built). `INSERT`/`DELETE` validate the relation
-//! name and arity synchronously but apply asynchronously; `GET` after `FLUSH` is
-//! guaranteed to observe the flushed rows.
+//! name and arity synchronously, on the connection's thread, and apply asynchronously:
+//! `OK queued` means the update passed validation and sits in the tenant's queue. A
+//! commit that fails anyway (a value error inside the ring rolls the whole batch back)
+//! is reported by the next `FLUSH`. `FLUSH` waits for the ingest thread, so it covers
+//! every `OK queued` any connection received before it was sent: `GET` after `FLUSH`
+//! observes the flushed rows.
+//!
+//! Clients may pipeline: send many lines without waiting, and read the replies, which
+//! come back in request order. When the tenant's queue is full, the connection stops
+//! reading until the ingest thread catches up; nothing is refused for being busy. A
+//! line longer than [`MAX_LINE_BYTES`] is answered `ERR line exceeds <N> bytes` and
+//! closes the connection; so does a line that is not UTF-8, without a reply.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::fmt::Write as _;
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 use dbring::{
     Catalog, Number, Ring, RingBuilder, RingHandle, StorageBackend, Update, Value, ViewDef,
 };
+
+/// The longest request line the server reads, newline excluded.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Requests a tenant's queue holds before senders block. Small on purpose: a pipelined
+/// load parks in the queue, so resident memory grows with the bound. It is below the
+/// default `batch_max`, so one commit can take a full queue.
+const QUEUE_BOUND: usize = 64;
+
+/// A connection's reply buffer is written out once it holds this many bytes, even
+/// while further requests are already buffered.
+const REPLY_FLUSH_BYTES: usize = 64 * 1024;
 
 /// Server-wide configuration: the storage backend new tenant rings are built on and
 /// the batch size that forces a commit even without a quiescent point.
@@ -73,7 +105,9 @@ pub struct ServerConfig {
     /// Storage backend for every tenant ring ([`StorageBackend::Hash`] by default).
     pub backend: StorageBackend,
     /// Commit the pending batch once it holds this many updates, even if more
-    /// requests are queued (bounds snapshot staleness under sustained ingest).
+    /// requests are queued. Writers that keep the queue non-empty (pipelining
+    /// clients, or several connections) grow a batch up to this size; this bounds
+    /// snapshot staleness under sustained ingest.
     pub batch_max: usize,
 }
 
@@ -86,10 +120,11 @@ impl Default for ServerConfig {
     }
 }
 
-/// A request routed to a tenant's ingest thread, paired with a reply channel.
+/// A request routed to a tenant's ingest thread. `reply` is `None` for
+/// [`Command::Ingest`], which the connection has answered already.
 struct Request {
     command: Command,
-    reply: Sender<Result<String, String>>,
+    reply: Option<Sender<Result<String, String>>>,
 }
 
 /// Commands the ingest thread executes while holding the tenant's `&mut Ring`.
@@ -105,6 +140,9 @@ enum Command {
     DropView {
         name: String,
     },
+    /// Build the ring, freezing the catalog, if the tenant has none yet.
+    Serve,
+    /// An update already validated against the frozen catalog.
     Ingest {
         update: Update,
     },
@@ -113,16 +151,18 @@ enum Command {
     Stop,
 }
 
-/// State shared between a tenant's ingest thread and connection handlers.
+/// What a serving tenant shares with connection threads. Set exactly once, when the
+/// tenant's ring is built; nothing in it changes afterwards.
 struct TenantShared {
-    /// Set exactly once, when the tenant transitions from schema-building to serving
-    /// (its ring is built). Read paths clone the handle out and never lock again.
-    reader: Mutex<Option<RingHandle>>,
+    /// Read paths acquire snapshots through this, never through the ingest thread.
+    reader: RingHandle,
+    /// The ring's catalog, which `INSERT`/`DELETE` are validated against.
+    catalog: Catalog,
 }
 
 struct Tenant {
-    requests: Sender<Request>,
-    shared: Arc<TenantShared>,
+    requests: SyncSender<Request>,
+    shared: Arc<OnceLock<TenantShared>>,
     worker: Mutex<Option<JoinHandle<()>>>,
 }
 
@@ -203,50 +243,85 @@ impl Server {
     }
 }
 
-/// Sends one command to the tenant's ingest thread and waits for the reply.
-fn roundtrip(tenant: &Tenant, command: Command) -> Result<String, String> {
-    let (reply, rx) = mpsc::channel();
+/// Puts one request on the tenant's queue, blocking while the queue is full.
+fn enqueue(
+    tenant: &Tenant,
+    command: Command,
+    reply: Option<Sender<Result<String, String>>>,
+) -> Result<(), String> {
     tenant
         .requests
         .send(Request { command, reply })
-        .map_err(|_| "tenant worker stopped".to_string())?;
+        .map_err(|_| "tenant worker stopped".to_string())
+}
+
+/// Sends one command to the tenant's ingest thread and waits for the reply.
+fn roundtrip(tenant: &Tenant, command: Command) -> Result<String, String> {
+    let (reply, rx) = mpsc::channel();
+    enqueue(tenant, command, Some(reply))?;
     rx.recv().map_err(|_| "tenant worker stopped".to_string())?
 }
 
 fn handle_connection(state: &Arc<ServerState>, stream: TcpStream) -> io::Result<()> {
-    let reader = BufReader::new(stream.try_clone()?);
+    stream.set_nodelay(true)?;
+    let mut reader = BufReader::new(stream.try_clone()?);
     let mut out = stream;
-    for line in reader.lines() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
+    let mut line = String::new();
+    let mut replies = String::new();
+    loop {
+        line.clear();
+        // One byte past the cap tells an over-long line from one of exactly the cap.
+        let read = reader
+            .by_ref()
+            .take(MAX_LINE_BYTES as u64 + 1)
+            .read_line(&mut line);
+        let close = match read {
+            Ok(0) => true,
+            Ok(_) if line.len() > MAX_LINE_BYTES && !line.ends_with('\n') => {
+                let _ = writeln!(replies, "ERR line exceeds {MAX_LINE_BYTES} bytes");
+                true
+            }
+            Ok(_) => match line.trim() {
+                "" => false,
+                request => dispatch(state, request, &mut replies),
+            },
+            // Not UTF-8, or the socket failed: close, after answering what came before.
+            Err(_) => true,
+        };
+        // Write before any read that could block: a client waiting for its reply gets
+        // it in one segment, and a pipelining client gets its replies coalesced.
+        if close || replies.len() >= REPLY_FLUSH_BYTES || !reader.buffer().contains(&b'\n') {
+            out.write_all(replies.as_bytes())?;
+            replies.clear();
+            // A large TABLE must not pin its buffer for the connection's lifetime.
+            replies.shrink_to(REPLY_FLUSH_BYTES);
         }
-        let (lines, close) = dispatch(state, trimmed);
-        for reply_line in &lines {
-            writeln!(out, "{reply_line}")?;
-        }
-        out.flush()?;
         if close {
-            break;
+            return Ok(());
         }
     }
-    Ok(())
 }
 
-/// Parses one request line and produces the response lines plus a close-connection
-/// flag.
-fn dispatch(state: &Arc<ServerState>, line: &str) -> (Vec<String>, bool) {
+/// Executes one request line, appending its reply lines to `out`. Returns whether the
+/// connection should close.
+fn dispatch(state: &Arc<ServerState>, line: &str, out: &mut String) -> bool {
     let tokens: Vec<&str> = line.split_whitespace().collect();
     let verb = tokens[0].to_ascii_uppercase();
-    let reply = match verb.as_str() {
-        "PING" => Ok(vec!["OK pong".to_string()]),
-        "QUIT" => return (vec!["OK bye".to_string()], true),
+    let result = match verb.as_str() {
+        "PING" => {
+            out.push_str("OK pong\n");
+            Ok(())
+        }
+        "QUIT" => {
+            out.push_str("OK bye\n");
+            return true;
+        }
         "SHUTDOWN" => {
             state.shutdown.store(true, Ordering::SeqCst);
             // Wake the accept loop so `run` can observe the flag and drain tenants.
             let _ = TcpStream::connect(state.addr);
-            return (vec!["OK shutting down".to_string()], true);
+            out.push_str("OK shutting down\n");
+            return true;
         }
         "DECLARE" => with_args(&tokens, 3, |t| {
             let tenant = tenant_entry(state, t[1]);
@@ -254,7 +329,7 @@ fn dispatch(state: &Arc<ServerState>, line: &str) -> (Vec<String>, bool) {
                 relation: t[2].to_string(),
                 columns: t[3..].iter().map(|c| c.to_string()).collect(),
             };
-            roundtrip(&tenant, command).map(ok_line)
+            roundtrip(&tenant, command).map(|detail| ok_line(out, &detail))
         }),
         "VIEW" => with_args(&tokens, 4, |t| {
             let tenant = tenant_entry(state, t[1]);
@@ -264,64 +339,60 @@ fn dispatch(state: &Arc<ServerState>, line: &str) -> (Vec<String>, bool) {
                 // for the Section 5 subset the parser accepts.
                 sql: t[3..].join(" "),
             };
-            roundtrip(&tenant, command).map(ok_line)
+            roundtrip(&tenant, command).map(|detail| ok_line(out, &detail))
         }),
         "DROP" => with_args(&tokens, 3, |t| {
             let tenant = tenant_entry(state, t[1]);
-            roundtrip(
-                &tenant,
-                Command::DropView {
-                    name: t[2].to_string(),
-                },
-            )
-            .map(ok_line)
+            let command = Command::DropView {
+                name: t[2].to_string(),
+            };
+            roundtrip(&tenant, command).map(|detail| ok_line(out, &detail))
         }),
         "INSERT" | "DELETE" => with_args(&tokens, 3, |t| {
             let tenant = known_tenant(state, t[1])?;
-            let values: Vec<Value> = t[3..].iter().copied().map(parse_value).collect();
-            let update = if verb == "INSERT" {
-                Update::insert(t[2], values)
-            } else {
-                Update::delete(t[2], values)
-            };
-            roundtrip(&tenant, Command::Ingest { update }).map(ok_line)
+            ingest(&tenant, verb == "INSERT", t[2], &t[3..])?;
+            out.push_str("OK queued\n");
+            Ok(())
         }),
         "FLUSH" => with_args(&tokens, 2, |t| {
             let tenant = known_tenant(state, t[1])?;
-            roundtrip(&tenant, Command::Flush).map(ok_line)
+            roundtrip(&tenant, Command::Flush).map(|detail| ok_line(out, &detail))
         }),
         "STATS" => with_args(&tokens, 2, |t| {
             let tenant = known_tenant(state, t[1])?;
-            roundtrip(&tenant, Command::Stats).map(ok_line)
+            roundtrip(&tenant, Command::Stats).map(|detail| ok_line(out, &detail))
         }),
         "GET" => with_args(&tokens, 3, |t| {
             let snapshot = acquire(state, t[1], t[2])?;
             let key: Vec<Value> = t[3..].iter().copied().map(parse_value).collect();
-            Ok(vec![format!("VALUE {}", snapshot.value(&key))])
+            let _ = writeln!(out, "VALUE {}", snapshot.value(&key));
+            Ok(())
         }),
         "TABLE" => with_args(&tokens, 3, |t| {
             let snapshot = acquire(state, t[1], t[2])?;
-            Ok(render_rows(snapshot.iter(), &snapshot))
+            render_rows(out, snapshot.iter(), &snapshot);
+            Ok(())
         }),
         "SCAN" => with_args(&tokens, 3, |t| {
             let snapshot = acquire(state, t[1], t[2])?;
             let prefix: Vec<Value> = t[3..].iter().copied().map(parse_value).collect();
-            Ok(render_rows(snapshot.prefix_scan(&prefix), &snapshot))
+            render_rows(out, snapshot.prefix_scan(&prefix), &snapshot);
+            Ok(())
         }),
         _ => Err(format!("unknown command {verb}")),
     };
-    match reply {
-        Ok(lines) => (lines, false),
-        Err(message) => (vec![format!("ERR {message}")], false),
+    if let Err(message) = result {
+        let _ = writeln!(out, "ERR {message}");
     }
+    false
 }
 
 /// Runs `body` if the request has at least `min` tokens, else an arity error.
 fn with_args<'a>(
     tokens: &[&'a str],
     min: usize,
-    body: impl FnOnce(&[&'a str]) -> Result<Vec<String>, String>,
-) -> Result<Vec<String>, String> {
+    body: impl FnOnce(&[&'a str]) -> Result<(), String>,
+) -> Result<(), String> {
     if tokens.len() < min {
         return Err(format!(
             "{} needs at least {} arguments",
@@ -332,8 +403,43 @@ fn with_args<'a>(
     body(tokens)
 }
 
-fn ok_line(detail: String) -> Vec<String> {
-    vec![format!("OK {detail}")]
+fn ok_line(out: &mut String, detail: &str) {
+    let _ = writeln!(out, "OK {detail}");
+}
+
+/// Validates an update against the tenant's frozen catalog and queues it without a
+/// reply channel, so the connection answers before the ingest thread sees it. An
+/// update that arrives before the tenant's first view builds the ring first, which is
+/// one round trip.
+fn ingest(tenant: &Tenant, insert: bool, relation: &str, values: &[&str]) -> Result<(), String> {
+    let shared = match tenant.shared.get() {
+        Some(shared) => shared,
+        None => {
+            roundtrip(tenant, Command::Serve)?;
+            tenant
+                .shared
+                .get()
+                .expect("the ingest thread publishes the shared state before answering Serve")
+        }
+    };
+    match shared.catalog.columns(relation) {
+        None => return Err(format!("unknown relation {relation}")),
+        Some(cols) if cols.len() != values.len() => {
+            return Err(format!(
+                "{relation} expects {} values, got {}",
+                cols.len(),
+                values.len()
+            ))
+        }
+        Some(_) => {}
+    }
+    let values: Vec<Value> = values.iter().copied().map(parse_value).collect();
+    let update = if insert {
+        Update::insert(relation, values)
+    } else {
+        Update::delete(relation, values)
+    };
+    enqueue(tenant, Command::Ingest { update }, None)
 }
 
 /// Returns the tenant, creating it (and its ingest thread) on first use.
@@ -342,13 +448,11 @@ fn tenant_entry(state: &Arc<ServerState>, name: &str) -> Arc<Tenant> {
     if let Some(tenant) = tenants.get(name) {
         return Arc::clone(tenant);
     }
-    let (requests, rx) = mpsc::channel();
-    let shared = Arc::new(TenantShared {
-        reader: Mutex::new(None),
-    });
+    let (requests, rx) = mpsc::sync_channel(QUEUE_BOUND);
+    let shared = Arc::new(OnceLock::new());
     let worker_shared = Arc::clone(&shared);
     let config = state.config;
-    let worker = std::thread::spawn(move || tenant_loop(rx, worker_shared, config));
+    let worker = std::thread::spawn(move || tenant_loop(rx, &worker_shared, config));
     let tenant = Arc::new(Tenant {
         requests,
         shared,
@@ -377,38 +481,37 @@ fn acquire(
     view: &str,
 ) -> Result<dbring::ViewSnapshot, String> {
     let tenant = known_tenant(state, tenant)?;
-    let handle = tenant
+    let shared = tenant
         .shared
-        .reader
-        .lock()
-        .unwrap()
-        .clone()
+        .get()
         .ok_or_else(|| "tenant has no views yet".to_string())?;
-    handle.snapshot_named(view).map_err(|e| e.to_string())
+    shared
+        .reader
+        .snapshot_named(view)
+        .map_err(|e| e.to_string())
 }
 
+/// Appends one `ROW <key>... <value>` line per row, then the `END` line.
 fn render_rows<'a>(
+    out: &mut String,
     rows: impl Iterator<Item = (&'a [Value], Number)>,
     snapshot: &dbring::ViewSnapshot,
-) -> Vec<String> {
-    let mut lines = Vec::new();
+) {
+    let mut count = 0usize;
     for (key, value) in rows {
-        let mut line = String::from("ROW");
+        out.push_str("ROW");
         for v in key {
-            line.push(' ');
-            line.push_str(&v.to_string());
+            let _ = write!(out, " {v}");
         }
-        line.push(' ');
-        line.push_str(&value.to_string());
-        lines.push(line);
+        let _ = writeln!(out, " {value}");
+        count += 1;
     }
-    lines.push(format!(
-        "END rows={} ingested={} epoch={}",
-        lines.len(),
+    let _ = writeln!(
+        out,
+        "END rows={count} ingested={} epoch={}",
         snapshot.ingested(),
         snapshot.epoch()
-    ));
-    lines
+    );
 }
 
 /// Parses a protocol token: integer, then float, then (optionally quoted) string.
@@ -426,20 +529,50 @@ fn parse_value(token: &str) -> Value {
     Value::str(unquoted)
 }
 
+/// The ingest thread's updates awaiting commit, and what its commits so far left.
+#[derive(Default)]
+struct Batch {
+    pending: Vec<Update>,
+    /// The error of a failed commit, surfaced (and cleared) by the next `FLUSH`.
+    last_error: Option<String>,
+    /// `apply_batch` calls so far.
+    commits: u64,
+}
+
+impl Batch {
+    fn flush(&mut self, core: &mut Core) {
+        if let Core::Serving(ring) = core {
+            self.commit(ring);
+        }
+    }
+
+    /// Commits the pending batch. Ingest is failure-atomic: on error the whole batch is
+    /// rolled back by the ring; the error is surfaced on the next `FLUSH`.
+    fn commit(&mut self, ring: &mut Ring) {
+        if self.pending.is_empty() {
+            return;
+        }
+        self.commits += 1;
+        if let Err(error) = ring.apply_batch(&self.pending) {
+            self.last_error = Some(error.to_string());
+        }
+        self.pending.clear();
+    }
+}
+
 /// The tenant ingest loop: owns the tenant's [`Ring`] exclusively, accumulates
 /// updates into a batch, and commits (publishing snapshots) at quiescent points —
 /// when the request queue drains, the batch hits `batch_max`, or on explicit `FLUSH`.
-fn tenant_loop(rx: Receiver<Request>, shared: Arc<TenantShared>, config: ServerConfig) {
+fn tenant_loop(rx: Receiver<Request>, shared: &OnceLock<TenantShared>, config: ServerConfig) {
     let mut core = Core::Building(Catalog::new());
-    let mut pending: Vec<Update> = Vec::new();
-    let mut last_error: Option<String> = None;
+    let mut batch = Batch::default();
     loop {
         let request = match rx.try_recv() {
             Ok(request) => request,
             Err(TryRecvError::Empty) => {
                 // Queue drained: a quiescent point. Commit what we have so readers
                 // observe it, then block for the next request.
-                flush(&mut core, &mut pending, &mut last_error);
+                batch.flush(&mut core);
                 match rx.recv() {
                     Ok(request) => request,
                     Err(_) => break,
@@ -448,31 +581,25 @@ fn tenant_loop(rx: Receiver<Request>, shared: Arc<TenantShared>, config: ServerC
             Err(TryRecvError::Disconnected) => break,
         };
         let stop = matches!(request.command, Command::Stop);
-        let reply = handle_command(
-            request.command,
-            &mut core,
-            &mut pending,
-            &mut last_error,
-            &shared,
-            &config,
-        );
-        let _ = request.reply.send(reply);
-        if pending.len() >= config.batch_max {
-            flush(&mut core, &mut pending, &mut last_error);
+        let reply = handle_command(request.command, &mut core, &mut batch, shared, &config);
+        if let Some(sender) = request.reply {
+            let _ = sender.send(reply);
+        }
+        if batch.pending.len() >= config.batch_max {
+            batch.flush(&mut core);
         }
         if stop {
             break;
         }
     }
-    flush(&mut core, &mut pending, &mut last_error);
+    batch.flush(&mut core);
 }
 
 fn handle_command(
     command: Command,
     core: &mut Core,
-    pending: &mut Vec<Update>,
-    last_error: &mut Option<String>,
-    shared: &TenantShared,
+    batch: &mut Batch,
+    shared: &OnceLock<TenantShared>,
     config: &ServerConfig,
 ) -> Result<String, String> {
     match command {
@@ -490,7 +617,7 @@ fn handle_command(
         },
         Command::CreateView { name, sql } => {
             let ring = ensure_serving(core, shared, config);
-            flush_ring(ring, pending, last_error);
+            batch.commit(ring);
             let id = ring
                 .create_view(&name, ViewDef::Sql(&sql))
                 .map_err(|e| e.to_string())?;
@@ -498,33 +625,25 @@ fn handle_command(
         }
         Command::DropView { name } => {
             let ring = serving_ring(core)?;
-            flush_ring(ring, pending, last_error);
+            batch.commit(ring);
             let id = ring
                 .view_id(&name)
                 .ok_or_else(|| format!("unknown view {name}"))?;
             ring.drop_view(id).map_err(|e| e.to_string())?;
             Ok(format!("dropped {name}"))
         }
+        Command::Serve => {
+            ensure_serving(core, shared, config);
+            Ok("serving".to_string())
+        }
         Command::Ingest { update } => {
-            let ring = ensure_serving(core, shared, config);
-            match ring.catalog().columns(&update.relation) {
-                None => Err(format!("unknown relation {}", update.relation)),
-                Some(cols) if cols.len() != update.values.len() => Err(format!(
-                    "{} expects {} values, got {}",
-                    update.relation,
-                    cols.len(),
-                    update.values.len()
-                )),
-                Some(_) => {
-                    pending.push(update);
-                    Ok("queued".to_string())
-                }
-            }
+            batch.pending.push(update);
+            Ok("queued".to_string())
         }
         Command::Flush => {
             let ring = serving_ring(core)?;
-            flush_ring(ring, pending, last_error);
-            match last_error.take() {
+            batch.commit(ring);
+            match batch.last_error.take() {
                 Some(error) => Err(error),
                 None => Ok(format!("ingested={}", ring.updates_ingested())),
             }
@@ -535,10 +654,11 @@ fn handle_command(
                 catalog.relation_names().count()
             )),
             Core::Serving(ring) => Ok(format!(
-                "views={} ingested={} pending={} publish_ns={} snapshot_entries={}",
+                "views={} ingested={} commits={} pending={} publish_ns={} snapshot_entries={}",
                 ring.len(),
                 ring.updates_ingested(),
-                pending.len(),
+                batch.commits,
+                batch.pending.len(),
                 ring.snapshot_publish_ns(),
                 ring.snapshot_footprint()
             )),
@@ -547,18 +667,22 @@ fn handle_command(
     }
 }
 
-/// Builds the tenant's ring on first view/update, freezing the catalog and handing
-/// a [`RingHandle`] to the read path.
+/// Builds the tenant's ring on its first view or update, freezing the catalog and
+/// publishing the read handle and the catalog to connection threads.
 fn ensure_serving<'a>(
     core: &'a mut Core,
-    shared: &TenantShared,
+    shared: &OnceLock<TenantShared>,
     config: &ServerConfig,
 ) -> &'a mut Ring {
     if let Core::Building(catalog) = core {
         let ring = RingBuilder::new(std::mem::take(catalog))
             .backend(config.backend)
             .build();
-        *shared.reader.lock().unwrap() = Some(ring.reader());
+        // Only this transition sets it, and a tenant makes it once.
+        let _ = shared.set(TenantShared {
+            reader: ring.reader(),
+            catalog: ring.catalog().clone(),
+        });
         *core = Core::Serving(Box::new(ring));
     }
     match core {
@@ -574,20 +698,82 @@ fn serving_ring(core: &mut Core) -> Result<&mut Ring, String> {
     }
 }
 
-fn flush(core: &mut Core, pending: &mut Vec<Update>, last_error: &mut Option<String>) {
-    if let Core::Serving(ring) = core {
-        flush_ring(ring, pending, last_error);
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// Commits the pending batch. Ingest is failure-atomic: on error the whole batch is
-/// rolled back by the ring; the error is surfaced on the next `FLUSH`.
-fn flush_ring(ring: &mut Ring, pending: &mut Vec<Update>, last_error: &mut Option<String>) {
-    if pending.is_empty() {
-        return;
+    /// Queues a command without a reply channel, as `INSERT`/`DELETE` do.
+    fn queue(requests: &SyncSender<Request>, command: Command) {
+        let request = Request {
+            command,
+            reply: None,
+        };
+        requests.send(request).expect("the queue has room");
     }
-    if let Err(error) = ring.apply_batch(pending) {
-        *last_error = Some(error.to_string());
+
+    fn ask(requests: &SyncSender<Request>, command: Command) -> Result<String, String> {
+        let (reply, rx) = mpsc::channel();
+        let request = Request {
+            command,
+            reply: Some(reply),
+        };
+        requests.send(request).expect("the queue has room");
+        rx.recv().expect("the ingest thread replies")
     }
-    pending.clear();
+
+    fn stat(stats: &str, name: &str) -> u64 {
+        stats
+            .split_whitespace()
+            .find_map(|kv| kv.strip_prefix(name)?.strip_prefix('=')?.parse().ok())
+            .unwrap_or_else(|| panic!("no {name} in {stats:?}"))
+    }
+
+    #[test]
+    fn updates_queued_together_commit_as_one_batch() {
+        // Fill the queue before the ingest thread starts, so it finds every update
+        // already waiting: one commit must take them all.
+        let (requests, rx) = mpsc::sync_channel(QUEUE_BOUND);
+        let declare = Command::Declare {
+            relation: "R".to_string(),
+            columns: vec!["k".to_string(), "v".to_string()],
+        };
+        queue(&requests, declare);
+        queue(&requests, Command::Serve);
+        let updates = QUEUE_BOUND - 2;
+        for i in 0..updates {
+            let update = Update::insert("R", vec![Value::int(i as i64 % 3), Value::int(1)]);
+            queue(&requests, Command::Ingest { update });
+        }
+        let shared = Arc::new(OnceLock::new());
+        let worker_shared = Arc::clone(&shared);
+        let worker = std::thread::spawn(move || {
+            tenant_loop(rx, &worker_shared, ServerConfig::default());
+        });
+
+        let flushed = ask(&requests, Command::Flush);
+        assert_eq!(flushed, Ok(format!("ingested={updates}")));
+        let stats = ask(&requests, Command::Stats).expect("stats");
+        assert_eq!(stat(&stats, "commits"), 1, "{stats}");
+
+        let view = Command::CreateView {
+            name: "s".to_string(),
+            sql: "SELECT k, SUM(v) AS s FROM R GROUP BY k".to_string(),
+        };
+        ask(&requests, view).expect("view");
+        for i in 0..5 {
+            let update = Update::delete("R", vec![Value::int(i), Value::int(1)]);
+            queue(&requests, Command::Ingest { update });
+        }
+        let flushed = ask(&requests, Command::Flush);
+        assert_eq!(flushed, Ok(format!("ingested={}", updates + 5)));
+        let stats = ask(&requests, Command::Stats).expect("stats");
+        let commits = stat(&stats, "commits");
+        assert!((2..=stat(&stats, "ingested")).contains(&commits), "{stats}");
+        let reader = &shared.get().expect("serving").reader;
+        let snapshot = reader.snapshot_named("s").expect("view s");
+        assert_eq!(snapshot.value(&[Value::int(0)]).to_string(), "20");
+
+        ask(&requests, Command::Stop).expect("stop");
+        worker.join().expect("ingest thread");
+    }
 }

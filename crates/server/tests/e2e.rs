@@ -1,13 +1,20 @@
 //! End-to-end tests for the serving front end: a real `Server` on an ephemeral TCP
-//! port, scripted clients, snapshot-read semantics, tenant isolation, and shutdown.
+//! port, scripted clients, snapshot-read semantics, tenant isolation, pipelining,
+//! line limits, and shutdown.
 
-use std::io::{BufRead, BufReader, Write};
+use std::collections::BTreeMap;
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
 
 use dbring::StorageBackend;
-use dbring_server::{Server, ServerConfig};
+use dbring_server::{Server, ServerConfig, MAX_LINE_BYTES};
 
-/// A tiny line-protocol client over a real TCP connection.
+/// A reply not read in this long fails the test instead of hanging it.
+const REPLY_TIMEOUT: Duration = Duration::from_secs(20);
+
+/// A tiny line-protocol client over a real TCP connection: `TCP_NODELAY`, one write
+/// per request.
 struct Client {
     reader: BufReader<TcpStream>,
     out: TcpStream,
@@ -16,35 +23,69 @@ struct Client {
 impl Client {
     fn connect(addr: SocketAddr) -> Client {
         let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        stream
+            .set_read_timeout(Some(REPLY_TIMEOUT))
+            .expect("read timeout");
         Client {
             reader: BufReader::new(stream.try_clone().expect("clone stream")),
             out: stream,
         }
     }
 
-    /// Sends one request and reads a single reply line.
-    fn send(&mut self, line: &str) -> String {
-        writeln!(self.out, "{line}").expect("send");
-        self.out.flush().expect("flush");
+    fn write(&mut self, line: &str) {
+        self.out
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
+    }
+
+    fn read_reply(&mut self) -> String {
         let mut reply = String::new();
         self.reader.read_line(&mut reply).expect("reply");
         reply.trim_end().to_string()
     }
 
+    /// Sends one request and reads a single reply line.
+    fn send(&mut self, line: &str) -> String {
+        self.write(line);
+        self.read_reply()
+    }
+
     /// Sends one request and reads reply lines until the `END` terminator.
     fn send_multi(&mut self, line: &str) -> Vec<String> {
-        writeln!(self.out, "{line}").expect("send");
-        self.out.flush().expect("flush");
+        self.write(line);
         let mut lines = Vec::new();
         loop {
-            let mut reply = String::new();
-            self.reader.read_line(&mut reply).expect("reply");
-            let reply = reply.trim_end().to_string();
+            let reply = self.read_reply();
             let done = reply.starts_with("END") || reply.starts_with("ERR");
             lines.push(reply);
             if done {
                 return lines;
             }
+        }
+    }
+
+    /// Writes `payload` in one `write_all` from a second thread while this one reads
+    /// `replies` reply lines.
+    fn pipeline(&mut self, payload: &[u8], replies: usize) -> Vec<String> {
+        let mut out = self.out.try_clone().expect("clone stream");
+        std::thread::scope(|scope| {
+            scope.spawn(move || out.write_all(payload).expect("pipelined send"));
+            (0..replies).map(|_| self.read_reply()).collect()
+        })
+    }
+
+    /// Whether the server has closed the connection: end of stream, or a reset because
+    /// the server closed with request bytes still unread.
+    fn closed(&mut self) -> bool {
+        let mut rest = String::new();
+        match self.reader.read_line(&mut rest) {
+            Ok(0) => true,
+            Err(e) => matches!(
+                e.kind(),
+                io::ErrorKind::ConnectionReset | io::ErrorKind::ConnectionAborted
+            ),
+            Ok(_) => false,
         }
     }
 }
@@ -236,5 +277,199 @@ fn concurrent_clients_share_a_tenant() {
     }
 
     drop(admin);
+    shutdown(addr, handle);
+}
+
+/// Declares `t.R(k, v)` and the view `by_k` = `SUM(v)` per `k`.
+fn serve_by_k(c: &mut Client) {
+    assert_eq!(c.send("DECLARE t R k v"), "OK declared R");
+    assert_eq!(
+        c.send("VIEW t by_k SELECT k, SUM(v) AS s FROM R GROUP BY k"),
+        "OK created by_k as view#0"
+    );
+}
+
+/// `TABLE t by_k` as a map, zero groups left out.
+fn by_k_table(c: &mut Client) -> BTreeMap<i64, i64> {
+    let lines = c.send_multi("TABLE t by_k");
+    assert!(lines.last().unwrap().starts_with("END "), "{lines:?}");
+    let mut table = BTreeMap::new();
+    for row in &lines[..lines.len() - 1] {
+        let fields: Vec<i64> = row
+            .strip_prefix("ROW ")
+            .unwrap_or_else(|| panic!("not a row: {row:?}"))
+            .split_whitespace()
+            .map(|f| f.parse().expect("integer field"))
+            .collect();
+        if fields[1] != 0 {
+            table.insert(fields[0], fields[1]);
+        }
+    }
+    table
+}
+
+/// One `key=value` field of a `STATS` reply.
+fn stat(stats: &str, name: &str) -> u64 {
+    stats
+        .split_whitespace()
+        .find_map(|kv| kv.strip_prefix(name)?.strip_prefix('=')?.parse().ok())
+        .unwrap_or_else(|| panic!("no {name} in {stats:?}"))
+}
+
+#[test]
+fn synchronous_requests_cost_a_round_trip_not_a_delayed_ack() {
+    // A reply split over two small writes on a socket without TCP_NODELAY waits for
+    // the client's delayed ACK, about 44 ms a request: these 1 000 took about 44 s.
+    let (addr, handle) = start(ServerConfig::default());
+    let mut c = Client::connect(addr);
+    serve_by_k(&mut c);
+    let started = Instant::now();
+    for i in 0..500 {
+        assert_eq!(c.send(&format!("INSERT t R {} 1", i % 10)), "OK queued");
+        let value = c.send(&format!("GET t by_k {}", i % 10));
+        assert!(value.starts_with("VALUE "), "{value}");
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "only {} of 1 000 requests answered in 2 s",
+            2 * i + 2
+        );
+    }
+    assert_eq!(c.send("FLUSH t"), "OK ingested=500");
+    assert_eq!(c.send("GET t by_k 3"), "VALUE 50");
+
+    drop(c);
+    shutdown(addr, handle);
+}
+
+#[test]
+fn pipelined_lines_get_one_reply_each_in_order() {
+    let (addr, handle) = start(ServerConfig::default());
+    let mut c = Client::connect(addr);
+    serve_by_k(&mut c);
+
+    let mut payload = String::new();
+    let mut expected = Vec::new();
+    let mut model: BTreeMap<i64, i64> = BTreeMap::new();
+    for i in 0..5_000i64 {
+        let (k, v) = (i % 37, i % 11 + 1);
+        let verb = if i % 3 == 0 { "DELETE" } else { "INSERT" };
+        payload.push_str(&format!("{verb} t R {k} {v}\n"));
+        expected.push("OK queued".to_string());
+        *model.entry(k).or_default() += if verb == "INSERT" { v } else { -v };
+        if i % 50 == 7 {
+            let (line, reply) = match (i / 50) % 4 {
+                0 => ("INSERT t Nope 1", Some("ERR unknown relation Nope")),
+                1 => ("DELETE t R 1", Some("ERR R expects 2 values, got 1")),
+                2 => ("   ", None),
+                _ => ("FROB t R 1 2", Some("ERR unknown command FROB")),
+            };
+            payload.push_str(line);
+            payload.push('\n');
+            expected.extend(reply.map(str::to_string));
+        }
+    }
+    assert_eq!(c.pipeline(payload.as_bytes(), expected.len()), expected);
+    assert_eq!(c.send("FLUSH t"), "OK ingested=5000");
+    model.retain(|_, sum| *sum != 0);
+    assert_eq!(by_k_table(&mut c), model);
+    // The tenant committed whatever had queued, not one update at a time.
+    let stats = c.send("STATS t");
+    assert!(stat(&stats, "commits") < 5_000, "{stats}");
+
+    drop(c);
+    shutdown(addr, handle);
+}
+
+#[test]
+fn flush_covers_updates_queued_by_another_connection() {
+    let (addr, handle) = start(ServerConfig::default());
+    let mut a = Client::connect(addr);
+    let mut b = Client::connect(addr);
+    serve_by_k(&mut a);
+    assert_eq!(a.send("INSERT t R 4 9"), "OK queued");
+    assert_eq!(b.send("FLUSH t"), "OK ingested=1");
+    assert_eq!(b.send("GET t by_k 4"), "VALUE 9");
+
+    drop((a, b));
+    shutdown(addr, handle);
+}
+
+#[test]
+fn a_large_pipelined_load_through_the_bounded_queue_loses_nothing() {
+    let (addr, handle) = start(ServerConfig::default());
+    let mut c = Client::connect(addr);
+    serve_by_k(&mut c);
+    let lines = 100_000;
+    let payload: String = (0..lines)
+        .map(|i| format!("INSERT t R {} 1\n", i % 100))
+        .collect();
+    let replies = c.pipeline(payload.as_bytes(), lines);
+    assert!(replies.iter().all(|r| r == "OK queued"));
+    assert_eq!(c.send("FLUSH t"), format!("OK ingested={lines}"));
+    let table = by_k_table(&mut c);
+    assert_eq!(table.len(), 100);
+    assert!(table.values().all(|&sum| sum == 1_000), "{table:?}");
+
+    drop(c);
+    shutdown(addr, handle);
+}
+
+#[test]
+fn a_failed_commit_surfaces_on_the_next_flush() {
+    let (addr, handle) = start(ServerConfig::default());
+    let mut c = Client::connect(addr);
+    serve_by_k(&mut c);
+    assert_eq!(c.send("INSERT t R 1 5"), "OK queued");
+    assert_eq!(c.send("FLUSH t"), "OK ingested=1");
+    // Relation and arity are right, so the update queues; its string value then fails
+    // the commit inside the ring, which rolls the batch back.
+    assert_eq!(c.send("INSERT t R 1 abc"), "OK queued");
+    let flushed = c.send("FLUSH t");
+    assert!(flushed.starts_with("ERR "), "{flushed}");
+    assert_eq!(c.send("FLUSH t"), "OK ingested=1");
+    assert_eq!(c.send("GET t by_k 1"), "VALUE 5");
+
+    drop(c);
+    shutdown(addr, handle);
+}
+
+#[test]
+fn an_over_long_line_is_refused_and_closes_only_its_connection() {
+    let (addr, handle) = start(ServerConfig::default());
+    let mut c = Client::connect(addr);
+    assert_eq!(c.send("PING"), "OK pong");
+    let mut long = vec![b'x'; MAX_LINE_BYTES + 1];
+    long.push(b'\n');
+    // The server may close before it has read the whole line.
+    let _ = c.out.write_all(&long);
+    assert_eq!(
+        c.read_reply(),
+        format!("ERR line exceeds {MAX_LINE_BYTES} bytes")
+    );
+    assert!(c.closed());
+
+    // A line of exactly the cap is an ordinary request.
+    let mut other = Client::connect(addr);
+    let padded = format!("PING{}", " ".repeat(MAX_LINE_BYTES - 4));
+    assert_eq!(other.send(&padded), "OK pong");
+
+    drop(other);
+    shutdown(addr, handle);
+}
+
+#[test]
+fn a_line_that_is_not_utf8_closes_only_its_connection() {
+    let (addr, handle) = start(ServerConfig::default());
+    let mut c = Client::connect(addr);
+    c.out
+        .write_all(b"PING\nPING \xff\xfe\nPING\n")
+        .expect("send");
+    assert_eq!(c.read_reply(), "OK pong");
+    assert!(c.closed());
+
+    let mut other = Client::connect(addr);
+    assert_eq!(other.send("PING"), "OK pong");
+
+    drop(other);
     shutdown(addr, handle);
 }
