@@ -3,7 +3,7 @@
 //! hierarchy from a loaded database.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dbring::{compile, Executor, IncrementalView};
+use dbring::{compile, Executor};
 use dbring_workloads::{customers_by_nation, WorkloadConfig};
 use std::hint::black_box;
 
@@ -47,7 +47,7 @@ fn bench_customers(c: &mut Criterion) {
             );
         }
 
-        let mut loaded = IncrementalView::new(&workload.catalog, workload.query.clone()).unwrap();
+        let mut loaded = Executor::new(program.clone());
         loaded.apply_all(&workload.initial).unwrap();
 
         group.bench_with_input(

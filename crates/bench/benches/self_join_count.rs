@@ -2,7 +2,7 @@
 //! self-join count under the three strategies, at a fixed database size.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use dbring::{ClassicalIvm, IncrementalView, MaintenanceStrategy, NaiveReeval};
+use dbring::{compile, ClassicalIvm, Executor, MaintenanceStrategy, NaiveReeval};
 use dbring_workloads::{self_join_count, WorkloadConfig};
 use std::hint::black_box;
 
@@ -17,9 +17,9 @@ fn bench_self_join(c: &mut Criterion) {
     let initial_db = workload.initial_database();
     // Bulk-load the starting database once by streaming it through the compiled triggers;
     // the baselines are seeded with the identical starting result.
-    let mut loaded = IncrementalView::new(&workload.catalog, workload.query.clone()).unwrap();
+    let mut loaded = Executor::new(compile(&workload.catalog, &workload.query).unwrap());
     loaded.apply_all(&workload.initial).unwrap();
-    let initial_result = loaded.table();
+    let initial_result = loaded.output_table();
 
     let mut group = c.benchmark_group("self_join_count_per_update");
     group.sample_size(20);

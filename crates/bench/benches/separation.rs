@@ -5,7 +5,7 @@
 //! slow to include in a Criterion sweep.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dbring::{ClassicalIvm, IncrementalView, MaintenanceStrategy};
+use dbring::{compile, ClassicalIvm, Executor, MaintenanceStrategy};
 use dbring_workloads::{customers_by_nation, WorkloadConfig};
 use std::hint::black_box;
 
@@ -24,9 +24,9 @@ fn bench_separation(c: &mut Criterion) {
             delete_fraction: 0.2,
         });
         let initial_db = workload.initial_database();
-        let mut loaded = IncrementalView::new(&workload.catalog, workload.query.clone()).unwrap();
+        let mut loaded = Executor::new(compile(&workload.catalog, &workload.query).unwrap());
         loaded.apply_all(&workload.initial).unwrap();
-        let initial_result = loaded.table();
+        let initial_result = loaded.output_table();
         group.throughput(Throughput::Elements(1));
 
         group.bench_with_input(BenchmarkId::new("recursive_ivm", size), &size, |b, _| {

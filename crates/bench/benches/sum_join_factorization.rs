@@ -3,7 +3,7 @@
 //! delta query per update, at two active-domain sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dbring::{ClassicalIvm, IncrementalView, MaintenanceStrategy};
+use dbring::{compile, ClassicalIvm, Executor, MaintenanceStrategy};
 use dbring_workloads::{rst_sum_join, WorkloadConfig};
 use std::hint::black_box;
 
@@ -22,9 +22,9 @@ fn bench_sum_join(c: &mut Criterion) {
             delete_fraction: 0.1,
         });
         let initial_db = workload.initial_database();
-        let mut loaded = IncrementalView::new(&workload.catalog, workload.query.clone()).unwrap();
+        let mut loaded = Executor::new(compile(&workload.catalog, &workload.query).unwrap());
         loaded.apply_all(&workload.initial).unwrap();
-        let initial_result = loaded.table();
+        let initial_result = loaded.output_table();
 
         group.bench_with_input(
             BenchmarkId::new("recursive_ivm_factorized", domain),

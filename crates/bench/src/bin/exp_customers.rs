@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release -p dbring-bench --bin exp_customers`
 
 use dbring::{
-    compile, delta, ClassicalIvm, IncrementalView, MaintenanceStrategy, NaiveReeval, UpdateEvent,
+    compile, delta, ClassicalIvm, Executor, MaintenanceStrategy, NaiveReeval, UpdateEvent,
 };
 use dbring_agca::degree::degree;
 use dbring_agca::normalize::normalize;
@@ -52,10 +52,10 @@ fn main() {
     let initial_db = workload.initial_database();
     // Bulk-load the initial customers by streaming them through the compiled triggers,
     // then measure the update stream.
-    let mut recursive = IncrementalView::new(&workload.catalog, workload.query.clone()).unwrap();
+    let mut recursive = Executor::new(program);
     recursive.apply_all(&workload.initial).unwrap();
-    let initial_result = recursive.table();
-    recursive.executor_mut().reset_stats();
+    let initial_result = recursive.output_table();
+    recursive.reset_stats();
     let started = Instant::now();
     recursive.apply_all(&workload.stream).unwrap();
     let recursive_ns = started.elapsed().as_nanos() as f64 / workload.stream.len() as f64;
@@ -72,7 +72,7 @@ fn main() {
     let (naive_per, naive_n) = measure_per_update(&mut naive, &workload.stream, 5);
 
     // Correctness cross-check between the strategies that saw the whole stream.
-    let recursive_table = recursive.table();
+    let recursive_table = recursive.output_table();
     let classical_table = classical.current_result();
     assert_eq!(recursive_table, classical_table, "strategies must agree");
 

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release -p dbring-bench --bin exp_example13`
 
-use dbring::{compile, parse_sql, IncrementalView, Sign};
+use dbring::{compile, parse_sql, Executor, Sign};
 use dbring_bench::{fmt_ns, header};
 use dbring_compiler::RhsFactor;
 use dbring_workloads::{rst_sum_join, WorkloadConfig};
@@ -56,11 +56,9 @@ fn main() {
             domain_size: domain,
             delete_fraction: 0.1,
         });
-        let mut view = IncrementalView::new(&workload.catalog, workload.query.clone())
-            .unwrap()
-            .with_initial_database(&workload.initial_database())
-            .unwrap();
-        view.executor_mut().reset_stats();
+        let mut view = Executor::new(compile(&workload.catalog, &workload.query).unwrap());
+        view.initialize_from(&workload.initial_database()).unwrap();
+        view.reset_stats();
         let started = Instant::now();
         view.apply_all(&workload.stream).unwrap();
         let per_update_ns = started.elapsed().as_nanos() as f64 / workload.stream.len() as f64;

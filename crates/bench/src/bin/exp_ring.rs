@@ -1,7 +1,8 @@
 //! Experiment E11 — what a `Ring` buys: total per-update cost of maintaining `k`
 //! standing views from one stream, as one `Ring` (shared `DeltaBatch` normalization,
 //! routed dispatch, one ingest path) against `k` independent
-//! `IncrementalView::apply_batch` loops (each re-normalizing the same updates).
+//! `Executor::apply_batch` loops (each with its own normalizer, re-normalizing the same
+//! updates).
 //!
 //! Two ring configurations are measured:
 //!

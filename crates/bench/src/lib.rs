@@ -9,8 +9,8 @@
 use std::time::{Duration, Instant};
 
 use dbring::{
-    compile, ClassicalIvm, Executor, HashViewStorage, IncrementalView, InterpretedExecutor,
-    MaintenanceStrategy, NaiveReeval, OrderedViewStorage, StorageFootprint,
+    compile, ClassicalIvm, Executor, HashViewStorage, InterpretedExecutor, MaintenanceStrategy,
+    NaiveReeval, OrderedViewStorage, StorageFootprint,
 };
 use dbring_workloads::Workload;
 use serde::Serialize;
@@ -62,12 +62,12 @@ pub fn sweep_point(workload: &Workload, classical_limit: usize, naive_limit: usi
     // triggers (cheap and memory-bounded even for large starting databases), then measure
     // the stream.
     let mut recursive =
-        IncrementalView::new(&workload.catalog, workload.query.clone()).expect("workload compiles");
+        Executor::new(compile(&workload.catalog, &workload.query).expect("workload compiles"));
     recursive
         .apply_all(&workload.initial)
         .expect("bulk load succeeds");
-    let initial_result = recursive.table();
-    recursive.executor_mut().reset_stats();
+    let initial_result = recursive.output_table();
+    recursive.reset_stats();
     let started = Instant::now();
     recursive
         .apply_all(&workload.stream)
@@ -578,10 +578,11 @@ pub fn intern_point<S: dbring::ViewStorage>(workload: &Workload, batch_size: usi
 
 /// One row of the multi-view amortization sweep: total per-update cost of ingesting
 /// one stream into a `Ring` of `k` views against `k` independent
-/// `IncrementalView::apply_batch` loops over the same stream (same compiled programs,
-/// same storage backend, same chunking — the differences are one shared `DeltaBatch`
-/// normalization per chunk instead of `k`, routed dispatch, and — for the tracked
-/// ring — base-snapshot maintenance, which is what buys late view registration).
+/// `Executor::apply_batch` loops, each with its own normalizer, over the same stream
+/// (same compiled programs, same storage backend, same chunking — the differences are
+/// one shared `DeltaBatch` normalization per chunk instead of `k`, routed dispatch,
+/// and — for the tracked ring — base-snapshot maintenance, which is what buys late
+/// view registration).
 #[derive(Clone, Copy, Debug)]
 pub struct RingPoint {
     /// Number of standing views maintained.
@@ -623,9 +624,10 @@ impl RingPoint {
 }
 
 /// Runs the first `views` queries of a [`MultiViewWorkload`](dbring_workloads::MultiViewWorkload) three ways — a default
-/// ring, a ring without base tracking, and independent `IncrementalView`s — ingesting
-/// the same stream in chunks of `batch_size` on the storage backend named by the type
-/// parameter (the shared setup of `exp_ring`). Asserts, per view, that all three reach
+/// ring, a ring without base tracking, and `k` independent `Executor`s, each
+/// normalizing every chunk itself — ingesting the same stream in chunks of
+/// `batch_size` on the storage backend named by the type parameter (the shared setup
+/// of `exp_ring`). Asserts, per view, that all three reach
 /// identical tables *and* identical `ExecStats` — the ring's routed shared-batch
 /// dispatch must change where normalization happens, never the ring work performed.
 /// Pass an integer-valued workload (e.g. [`dbring_workloads::sales_dashboard`]) so
@@ -691,23 +693,29 @@ pub fn ring_point<S: dbring::ViewStorage + Send + 'static>(
     }
     let ring_untracked_ns = started.elapsed().as_nanos() as f64 / streamed;
 
-    let mut independent: Vec<IncrementalView<S>> = defs
+    // Each independent executor gets the ring's within-view thread budget and its own
+    // normalizer, so the ring's only advantages are the shared normalization and routing.
+    let mut independent: Vec<(Executor<S>, dbring::BatchNormalizer)> = defs
         .iter()
         .map(|(_, query)| {
-            IncrementalView::<S>::with_backend(&workload.catalog, query.clone())
-                .expect("dashboard views compile")
+            let program = compile(&workload.catalog, query).expect("dashboard views compile");
+            let mut exec = Executor::<S>::with_backend(program);
+            exec.set_parallelism(dbring::ParallelConfig::default().threads);
+            (exec, dbring::BatchNormalizer::new())
         })
         .collect();
-    for view in &mut independent {
+    for (exec, normalizer) in &mut independent {
         for piece in workload.initial.chunks(chunk) {
-            view.apply_batch(piece).expect("bulk load succeeds");
+            exec.apply_batch(&normalizer.normalize(piece))
+                .expect("bulk load succeeds");
         }
-        view.executor_mut().reset_stats();
+        exec.reset_stats();
     }
     let started = Instant::now();
-    for view in &mut independent {
+    for (exec, normalizer) in &mut independent {
         for piece in workload.stream.chunks(chunk) {
-            view.apply_batch(piece).expect("view ingests the stream");
+            exec.apply_batch(&normalizer.normalize(piece))
+                .expect("view ingests the stream");
         }
     }
     let independent_ns = started.elapsed().as_nanos() as f64 / streamed;
@@ -718,10 +726,10 @@ pub fn ring_point<S: dbring::ViewStorage + Send + 'static>(
     let mut total_ops = 0u64;
     for (i, &id) in ids.iter().enumerate() {
         let hosted = ring.view(id).unwrap();
-        let solo = &independent[i];
+        let solo = &independent[i].0;
         assert_eq!(
             hosted.table(),
-            solo.table(),
+            solo.output_table(),
             "ring and independent tables diverge on {}",
             hosted.name()
         );
@@ -732,7 +740,7 @@ pub fn ring_point<S: dbring::ViewStorage + Send + 'static>(
             hosted.name()
         );
         let untracked_view = untracked.view(untracked_ids[i]).unwrap();
-        assert_eq!(untracked_view.table(), solo.table());
+        assert_eq!(untracked_view.table(), solo.output_table());
         assert_eq!(untracked_view.stats(), solo.stats());
         total_ops += hosted.stats().arithmetic_ops();
     }

@@ -51,27 +51,30 @@
 //!
 //! Batched ingest goes through [`Ring::apply_batch`]: the batch is consolidated into a
 //! [`DeltaBatch`] once for the whole ring — with `k` views that is one normalization
-//! where `k` independent views would each redo it (see `EXPERIMENTS.md`, E11).
+//! where `k` independent executors would each redo it (see `EXPERIMENTS.md`, E11).
 //!
-//! ## Single-view use: [`IncrementalView`]
+//! ## Single-view use: a one-view [`Ring`]
 //!
-//! When one query is all you need, [`IncrementalView`] wraps a one-view ring behind
-//! the original single-view API (and is the cheapest configuration: it disables
-//! base-snapshot tracking, so nothing but the view's own maps is stored):
+//! When one query is all you need, build a ring with one view. A ring built
+//! [`without_base_tracking`](RingBuilder::without_base_tracking) is the cheapest
+//! configuration: nothing but the view's own maps is stored.
 //!
 //! ```
-//! use dbring::{Catalog, IncrementalView, Value};
+//! use dbring::{Catalog, RingBuilder, Value, ViewDef};
 //!
 //! let mut catalog = Catalog::new();
 //! catalog.declare("Sales", &["cust", "price", "qty"]).unwrap();
-//! let mut revenue = IncrementalView::from_sql(
-//!     &catalog,
-//!     "SELECT cust, SUM(price * qty) AS revenue FROM Sales GROUP BY cust",
-//! )
-//! .unwrap();
-//! revenue.insert("Sales", vec![Value::int(1), Value::float(9.5), Value::int(3)]).unwrap();
-//! assert_eq!(revenue.value(&[Value::int(1)]).as_f64(), 28.5);
+//! let mut ring = RingBuilder::new(catalog).without_base_tracking().build();
+//! let revenue = ring.create_view(
+//!     "revenue",
+//!     ViewDef::Sql("SELECT cust, SUM(price * qty) AS revenue FROM Sales GROUP BY cust"),
+//! ).unwrap();
+//! ring.insert("Sales", vec![Value::int(1), Value::float(9.5), Value::int(3)]).unwrap();
+//! assert_eq!(ring.view(revenue).unwrap().value(&[Value::int(1)]).as_f64(), 28.5);
 //! ```
+//!
+//! Measurement code that wants the trigger program alone, with no catalog check and
+//! no routing, runs an [`Executor`] over `compile(..)` directly.
 //!
 //! ## Crate map
 //!
@@ -84,15 +87,12 @@
 //! | the NC0C trigger IR and the recursive IVM compiler | `dbring-compiler` | §7 |
 //! | the trigger executor, engine hosting, op counting, baselines | `dbring-runtime` | §1.1, §7 |
 //!
-//! This facade re-exports the pieces most users need and adds the [`Ring`] engine and
-//! the single-view [`IncrementalView`] wrapper.
+//! This facade re-exports the pieces most users need and adds the [`Ring`] engine.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
 use std::fmt;
-use std::marker::PhantomData;
 
 pub use dbring_agca::ast::{CmpOp, Expr, Query};
 pub use dbring_agca::eval::{eval, eval_all_groups, EvalError};
@@ -113,9 +113,8 @@ pub use dbring_relations::{
 pub use dbring_runtime::fault;
 pub use dbring_runtime::storage::MIN_DELTAS_PER_SHARD;
 pub use dbring_runtime::{
-    boxed_engine, boxed_engine_by_name, interpreted_ivm, recursive_ivm, strategy_by_name,
-    try_boxed_engine, ChangeSet, ClassicalIvm, EngineRegistry, ExecStats, Executor, FaultOp,
-    FaultPlan, FaultStorage, HashViewStorage, InterpretedExecutor, MaintenanceStrategy,
+    boxed_engine, try_boxed_engine, ChangeSet, ClassicalIvm, EngineRegistry, ExecStats, Executor,
+    FaultOp, FaultPlan, FaultStorage, HashViewStorage, InterpretedExecutor, MaintenanceStrategy,
     NaiveReeval, OrderedViewStorage, ParallelConfig, PublishStats, RuntimeError, SnapshotStore,
     StagedBatch, StorageBackend, StorageFootprint, ViewEngine, ViewSnapshot, ViewStorage,
 };
@@ -125,13 +124,12 @@ mod ring;
 pub use ring::{Ring, RingBuilder, RingHandle, ViewDef, ViewId, ViewMut, ViewRef};
 
 /// A schema catalog: relation names and their column lists. (Alias of [`Database`]; a
-/// catalog is simply a database whose contents are ignored — [`RingBuilder::new`] and
-/// the [`IncrementalView`] constructors read only its declarations. To start an engine
-/// from loaded *data*, say so explicitly with [`RingBuilder::from_database`].)
+/// catalog is simply a database whose contents are ignored — [`RingBuilder::new`]
+/// reads only its declarations. To start an engine from loaded *data*, say so
+/// explicitly with [`RingBuilder::from_database`].)
 pub type Catalog = Database;
 
-/// Any error that can occur while building or driving a [`Ring`] or
-/// [`IncrementalView`].
+/// Any error that can occur while building or driving a [`Ring`].
 ///
 /// The wrapping variants ([`Error::Parse`], [`Error::Compile`], [`Error::Eval`],
 /// [`Error::Runtime`]) expose the wrapped failure through
@@ -260,223 +258,6 @@ impl From<RuntimeError> for Error {
     }
 }
 
-/// A standing aggregate query maintained incrementally by a compiled trigger program —
-/// the single-view facade, implemented as a thin wrapper over a one-view [`Ring`].
-///
-/// Construction parses (if needed), range-checks, compiles and validates the query; after
-/// that, every [`IncrementalView::apply`] performs only the constant-work trigger
-/// statements of the compiled program. The wrapper's ring runs
-/// [`without_base_tracking`](RingBuilder::without_base_tracking), so — unlike a default
-/// `Ring` — the base relations are **not** stored: the view's materialized maps are the
-/// only state, exactly as before.
-///
-/// The view is generic over the [`ViewStorage`] backend its materialized maps live in,
-/// defaulting to [`HashViewStorage`]; pick another backend by naming it —
-/// `IncrementalView::<OrderedViewStorage>::with_backend(&catalog, query)` — or choose
-/// one at runtime by value through [`Ring`]/[`RingBuilder::backend`] or the registries
-/// ([`strategy_by_name`], [`boxed_engine`]).
-///
-/// Ingest semantics kept from the pre-`Ring` facade: updates to relations the query
-/// does not read are ignored (a multi-view [`Ring`] instead validates every update
-/// against its catalog).
-#[derive(Clone, Debug)]
-pub struct IncrementalView<S: ViewStorage = HashViewStorage> {
-    ring: Ring,
-    id: ViewId,
-    _backend: PhantomData<S>,
-}
-
-impl IncrementalView<HashViewStorage> {
-    /// Builds a view from an already-parsed AGCA [`Query`] on the default hash backend.
-    pub fn new(catalog: &Catalog, query: Query) -> Result<Self, Error> {
-        Self::with_backend(catalog, query)
-    }
-
-    /// Builds a view from a SQL aggregate query (the Section 5 SQL subset).
-    pub fn from_sql(catalog: &Catalog, sql: &str) -> Result<Self, Error> {
-        Self::from_sql_with_backend(catalog, sql)
-    }
-
-    /// Builds a view from the AGCA text syntax, e.g.
-    /// `"q[c] := Sum(C(c, n) * C(c2, n))"`.
-    pub fn from_agca(catalog: &Catalog, text: &str) -> Result<Self, Error> {
-        Self::from_agca_with_backend(catalog, text)
-    }
-}
-
-impl<S: ViewStorage + Send + 'static> IncrementalView<S> {
-    /// Builds a view from an already-parsed AGCA [`Query`] on the storage backend named
-    /// by the type parameter, e.g. `IncrementalView::<OrderedViewStorage>::with_backend`.
-    /// Any `Send + 'static` [`ViewStorage`] implementation works here (the bounds the
-    /// hosting ring's boxed-engine interface requires) — the facade hosts a genuinely
-    /// typed `Executor<S>` behind its one-view ring, so `S` is not limited to the
-    /// backends the [`StorageBackend`] enum can name.
-    pub fn with_backend(catalog: &Catalog, query: Query) -> Result<Self, Error> {
-        // Only the declarations travel (contents are ignored by contract), so clone
-        // the schema, never the data a loaded database-as-catalog might carry.
-        let mut ring = RingBuilder::new(catalog.schema_only())
-            .without_base_tracking()
-            .build();
-        let name = query.name.clone();
-        let id = ring.create_view_hosted(name, ViewDef::Query(query), |program| {
-            Box::new(Executor::<S>::with_backend(program))
-        })?;
-        Ok(IncrementalView {
-            ring,
-            id,
-            _backend: PhantomData,
-        })
-    }
-
-    /// Builds a view from a SQL aggregate query on an explicitly named storage backend.
-    pub fn from_sql_with_backend(catalog: &Catalog, sql: &str) -> Result<Self, Error> {
-        let query = parse_sql(sql, catalog)?;
-        Self::with_backend(catalog, query)
-    }
-
-    /// Builds a view from the AGCA text syntax on an explicitly named storage backend.
-    pub fn from_agca_with_backend(catalog: &Catalog, text: &str) -> Result<Self, Error> {
-        let query = parse_query(text)?;
-        Self::with_backend(catalog, query)
-    }
-
-    /// Initializes all materialized views from an existing (non-empty) database. Call this
-    /// once, before streaming updates, when the view does not start from scratch.
-    pub fn with_initial_database(mut self, db: &Database) -> Result<Self, Error> {
-        self.ring.reinitialize_view_from(self.id, db)?;
-        Ok(self)
-    }
-
-    /// The query this view maintains.
-    pub fn query(&self) -> &Query {
-        self.ring.query_unchecked(self.id)
-    }
-
-    /// The compiled trigger program (inspect with [`TriggerProgram::describe`]).
-    pub fn program(&self) -> &TriggerProgram {
-        self.ring.engine_unchecked(self.id).program()
-    }
-
-    /// The program rendered in the paper's low-level NC0C language (a C-like listing of
-    /// map declarations and trigger functions), for inspection or embedding elsewhere.
-    pub fn nc0c_source(&self) -> String {
-        generate_nc0c(self.program())
-    }
-
-    /// Applies one single-tuple update. Updates to relations the query does not read
-    /// are ignored.
-    ///
-    /// Ingest delegates straight to the typed executor (the wrapper ring does no
-    /// catalog validation, no routing and no snapshot maintenance), so both the hot
-    /// path and the error contract are exactly the pre-`Ring` facade's.
-    pub fn apply(&mut self, update: &Update) -> Result<(), Error> {
-        self.executor_mut().apply(update).map_err(Error::Runtime)
-    }
-
-    /// Applies a sequence of updates, one trigger firing per single-tuple update.
-    ///
-    /// **Not atomic:** a failure leaves every update *before* the failing one applied;
-    /// the wrapped [`RuntimeError::AtUpdate`] carries the failing update's index so
-    /// callers know how many landed.
-    pub fn apply_all<'a>(
-        &mut self,
-        updates: impl IntoIterator<Item = &'a Update>,
-    ) -> Result<(), Error> {
-        self.executor_mut()
-            .apply_all(updates)
-            .map_err(Error::Runtime)
-    }
-
-    /// Applies a batch of updates as one consolidated [`DeltaBatch`]: multiplicities of
-    /// identical tuples are netted out (cancelling pairs never fire), and each
-    /// `(relation, sign)` group drives its trigger with one dispatch and — where the
-    /// delta is degree ≤ 1 in the updated relation — one weighted firing per distinct
-    /// tuple, with the writes applied to each affected map in one sorted pass.
-    ///
-    /// The result is identical to [`IncrementalView::apply_all`] over the same updates
-    /// (in any order); for batches of more than a handful of updates it is faster —
-    /// see the `batch_crossover` bench and `EXPERIMENTS.md` for the crossover point.
-    /// Unlike `apply_all`, a batch is **atomic**: on error the view's tables and
-    /// counters are bit-identical to before the call (the executor stages the batch
-    /// and commits only on success).
-    pub fn apply_batch(&mut self, updates: &[Update]) -> Result<(), Error> {
-        // Normalize on the wrapper ring's interned fixed-width scratch (reused across
-        // batches), then feed the typed executor directly as before.
-        let batch = self.ring.normalize_updates(updates);
-        self.apply_delta_batch(&batch)
-    }
-
-    /// Applies an already-normalized delta batch (the allocation of
-    /// [`DeltaBatch::from_updates`] can then be reused or amortized by the caller).
-    pub fn apply_delta_batch(&mut self, batch: &DeltaBatch) -> Result<(), Error> {
-        self.executor_mut()
-            .apply_batch(batch)
-            .map_err(Error::Runtime)
-    }
-
-    /// Convenience: applies the insertion `+R(values)`.
-    pub fn insert(&mut self, relation: &str, values: Vec<Value>) -> Result<(), Error> {
-        self.apply(&Update::insert(relation, values))
-    }
-
-    /// Convenience: applies the deletion `−R(values)`.
-    pub fn delete(&mut self, relation: &str, values: Vec<Value>) -> Result<(), Error> {
-        self.apply(&Update::delete(relation, values))
-    }
-
-    /// The aggregate value for one group key (the empty slice for queries without
-    /// `GROUP BY`). Missing groups read as zero.
-    pub fn value(&self, group_key: &[Value]) -> Number {
-        self.ring.engine_unchecked(self.id).output_value(group_key)
-    }
-
-    /// The full result table, sorted by group key.
-    pub fn table(&self) -> BTreeMap<Vec<Value>, Number> {
-        self.ring.engine_unchecked(self.id).output_table()
-    }
-
-    /// Work counters (updates applied, ring additions/multiplications performed).
-    pub fn stats(&self) -> ExecStats {
-        self.ring.engine_unchecked(self.id).stats()
-    }
-
-    /// Total number of entries across the whole view hierarchy (memory footprint).
-    pub fn total_entries(&self) -> usize {
-        self.ring.engine_unchecked(self.id).total_entries()
-    }
-
-    /// The storage-level memory proxy of the whole view hierarchy: entry and
-    /// secondary-index-entry counts (comparable across storage backends).
-    pub fn storage_footprint(&self) -> StorageFootprint {
-        self.ring.engine_unchecked(self.id).storage_footprint()
-    }
-
-    /// The static plan auditor's diagnostics for this view's compiled program, empty
-    /// when the plan lints clean (see [`Ring::audit_view`]). Auditing re-lowers the
-    /// program, so treat it as a cold introspection call.
-    pub fn audit(&self) -> Vec<Diagnostic> {
-        self.ring.engine_unchecked(self.id).audit()
-    }
-
-    /// Borrows the underlying executor (for experiments needing map-level access).
-    pub fn executor(&self) -> &Executor<S> {
-        self.ring
-            .engine_unchecked(self.id)
-            .as_any()
-            .downcast_ref()
-            .expect("the facade always hosts a lowered executor on its own backend")
-    }
-
-    /// Mutably borrows the underlying executor.
-    pub fn executor_mut(&mut self) -> &mut Executor<S> {
-        self.ring
-            .engine_unchecked_mut(self.id)
-            .as_any_mut()
-            .downcast_mut()
-            .expect("the facade always hosts a lowered executor on its own backend")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,40 +268,52 @@ mod tests {
         c
     }
 
+    /// The single-view configuration: a ring over `catalog` hosting one view.
+    fn solo(catalog: &Catalog, def: ViewDef<'_>) -> Result<(Ring, ViewId), Error> {
+        let mut ring = RingBuilder::new(catalog.clone()).build();
+        let id = ring.create_view("q", def)?;
+        Ok((ring, id))
+    }
+
+    fn customer(i: i64, nations: &[&str]) -> Update {
+        let nation = nations[i as usize % nations.len()];
+        Update::insert("C", vec![Value::int(i), Value::str(nation)])
+    }
+
     #[test]
     fn sql_and_agca_constructors_agree() {
         let catalog = customer_catalog();
-        let mut via_sql = IncrementalView::from_sql(
+        let (mut via_sql, sql) = solo(
             &catalog,
-            "SELECT C1.cid, SUM(1) FROM C C1, C C2 WHERE C1.nation = C2.nation GROUP BY C1.cid",
+            ViewDef::Sql(
+                "SELECT C1.cid, SUM(1) FROM C C1, C C2 WHERE C1.nation = C2.nation GROUP BY C1.cid",
+            ),
         )
         .unwrap();
-        let mut via_agca =
-            IncrementalView::from_agca(&catalog, "q[c] := Sum(C(c, n) * C(c2, n))").unwrap();
+        let (mut via_agca, agca) =
+            solo(&catalog, ViewDef::Agca("q[c] := Sum(C(c, n) * C(c2, n))")).unwrap();
         for i in 0..20 {
-            let u = Update::insert(
-                "C",
-                vec![Value::int(i), Value::str(["FR", "DE"][(i % 2) as usize])],
-            );
+            let u = customer(i, &["FR", "DE"]);
             via_sql.apply(&u).unwrap();
             via_agca.apply(&u).unwrap();
         }
-        assert_eq!(via_sql.table(), via_agca.table());
+        let via_sql = via_sql.view(sql).unwrap();
+        assert_eq!(via_sql.table(), via_agca.view(agca).unwrap().table());
         assert_eq!(via_sql.value(&[Value::int(0)]), Number::Int(10));
     }
 
     #[test]
     fn initialization_from_existing_database() {
-        let catalog = customer_catalog();
-        let mut db = catalog.clone();
+        let mut db = customer_catalog();
         db.insert("C", vec![Value::int(1), Value::str("FR")])
             .unwrap();
         db.insert("C", vec![Value::int(2), Value::str("FR")])
             .unwrap();
-        let view = IncrementalView::from_agca(&catalog, "q[c] := Sum(C(c, n) * C(c2, n))")
-            .unwrap()
-            .with_initial_database(&db)
+        let mut ring = RingBuilder::from_database(db).build();
+        let id = ring
+            .create_view("q", ViewDef::Agca("q[c] := Sum(C(c, n) * C(c2, n))"))
             .unwrap();
+        let view = ring.view(id).unwrap();
         assert_eq!(view.value(&[Value::int(1)]), Number::Int(2));
         assert_eq!(view.table().len(), 2);
         assert!(view.total_entries() >= 2);
@@ -528,38 +321,36 @@ mod tests {
 
     #[test]
     fn catalog_contents_are_ignored_by_the_single_view_facade() {
-        // A loaded database used as a catalog contributes only its schema; the view
-        // starts empty unless `with_initial_database` says otherwise.
+        // A loaded database handed to `RingBuilder::new` contributes only its schema;
+        // the view starts empty unless the ring is built `from_database`.
         let mut db = customer_catalog();
         db.insert("C", vec![Value::int(1), Value::str("FR")])
             .unwrap();
-        let view = IncrementalView::from_agca(&db, "q[c] := Sum(C(c, n))").unwrap();
-        assert!(view.table().is_empty());
+        let (ring, id) = solo(&db, ViewDef::Agca("q[c] := Sum(C(c, n))")).unwrap();
+        assert!(ring.view(id).unwrap().table().is_empty());
+        assert_eq!(ring.base_snapshot().unwrap().total_support(), 0);
     }
 
     #[test]
     fn errors_are_propagated_and_displayed() {
         let catalog = customer_catalog();
         assert!(matches!(
-            IncrementalView::from_sql(&catalog, "SELECT nope FROM C"),
+            solo(&catalog, ViewDef::Sql("SELECT nope FROM C")),
             Err(Error::Parse(_))
         ));
-        // An undeclared relation is now a dedicated error (the Catalog = Database
-        // alias footgun), not a late compile error.
-        assert!(matches!(
-            IncrementalView::from_agca(&catalog, "q := Sum(Z(x))"),
-            Err(Error::UnknownRelation { .. })
-        ));
-        let err = IncrementalView::from_agca(&catalog, "q := Sum(Z(x))").unwrap_err();
+        // An undeclared relation is a dedicated error (the Catalog = Database alias
+        // footgun), not a late compile error.
+        let err = solo(&catalog, ViewDef::Agca("q := Sum(Z(x))")).unwrap_err();
+        assert!(matches!(err, Error::UnknownRelation { .. }));
         assert!(err.to_string().contains("Z"));
         // Genuine compile failures still surface as compile errors.
         assert!(matches!(
-            IncrementalView::from_agca(&catalog, "q[x] := Sum((x = 1))"),
+            solo(&catalog, ViewDef::Agca("q[x] := Sum((x = 1))")),
             Err(Error::Compile(_))
         ));
-        let mut view = IncrementalView::from_agca(&catalog, "q[c] := Sum(C(c, n))").unwrap();
+        let (mut ring, _) = solo(&catalog, ViewDef::Agca("q[c] := Sum(C(c, n))")).unwrap();
         assert!(matches!(
-            view.insert("C", vec![Value::int(1)]),
+            ring.insert("C", vec![Value::int(1)]),
             Err(Error::Runtime(_))
         ));
     }
@@ -568,58 +359,59 @@ mod tests {
     fn error_sources_expose_the_wrapped_failure_chain() {
         use std::error::Error as StdError;
         let catalog = customer_catalog();
-        let parse = IncrementalView::from_sql(&catalog, "SELECT nope FROM C").unwrap_err();
+        let parse = solo(&catalog, ViewDef::Sql("SELECT nope FROM C")).unwrap_err();
         let source = parse.source().expect("parse errors carry a source");
         assert_eq!(source.to_string(), format!("{parse}"));
-        let compile = IncrementalView::from_agca(&catalog, "q[x] := Sum((x = 1))").unwrap_err();
+        let compile = solo(&catalog, ViewDef::Agca("q[x] := Sum((x = 1))")).unwrap_err();
         assert!(compile.source().is_some());
-        let mut view = IncrementalView::from_agca(&catalog, "q[c] := Sum(C(c, n))").unwrap();
-        let runtime = view.insert("C", vec![Value::int(1)]).unwrap_err();
+        let (mut ring, _) = solo(&catalog, ViewDef::Agca("q[c] := Sum(C(c, n))")).unwrap();
+        let runtime = ring.insert("C", vec![Value::int(1)]).unwrap_err();
         let source = runtime.source().expect("runtime errors carry a source");
         assert!(source.to_string().contains("trigger expects"));
         // Structural ring errors have no inner cause.
-        let mut ring = RingBuilder::new(customer_catalog()).build();
         let dup = ring
-            .create_view("v", ViewDef::Agca("q := Sum(C(c, n))"))
-            .unwrap();
-        let err = ring
-            .create_view("v", ViewDef::Agca("q := Sum(C(c, n))"))
+            .create_view("q", ViewDef::Agca("q := Sum(C(c, n))"))
             .unwrap_err();
-        assert!(err.source().is_none());
-        ring.drop_view(dup).unwrap();
+        assert!(matches!(dup, Error::DuplicateView { .. }));
+        assert!(dup.source().is_none());
     }
 
     #[test]
     fn irrelevant_updates_are_ignored_by_the_single_view_facade() {
-        // Legacy single-view semantics: relations the query does not read — declared
-        // or not — are skipped, unlike the strict multi-view `Ring` ingest path.
+        // A declared relation the view does not read is routed to no view (the ring
+        // only tracks it in its base snapshot); the executor underneath ignores any
+        // relation it has no trigger for, declared or not.
         let mut catalog = customer_catalog();
         catalog.declare("Unread", &["x"]).unwrap();
-        let mut view = IncrementalView::from_agca(&catalog, "q[c] := Sum(C(c, n))").unwrap();
-        view.insert("Other", vec![Value::int(1)]).unwrap();
-        view.insert("Unread", vec![Value::int(1)]).unwrap();
+        let (mut ring, id) = solo(&catalog, ViewDef::Agca("q[c] := Sum(C(c, n))")).unwrap();
+        ring.insert("Unread", vec![Value::int(1)]).unwrap();
+        let view = ring.view(id).unwrap();
         assert!(view.table().is_empty());
         assert_eq!(view.stats().updates, 0);
+        let mut exec = Executor::new(view.program().clone());
+        exec.apply(&Update::insert("Other", vec![Value::int(1)]))
+            .unwrap();
+        assert_eq!(exec.stats().updates, 0);
     }
 
     #[test]
     fn ordered_backend_views_agree_with_the_default() {
-        let catalog = customer_catalog();
         let text = "q[c] := Sum(C(c, n) * C(c2, n))";
-        let mut hash = IncrementalView::from_agca(&catalog, text).unwrap();
-        let mut ordered =
-            IncrementalView::<OrderedViewStorage>::from_agca_with_backend(&catalog, text).unwrap();
+        let build = |backend| {
+            let mut ring = RingBuilder::new(customer_catalog())
+                .backend(backend)
+                .build();
+            let id = ring.create_view("q", ViewDef::Agca(text)).unwrap();
+            (ring, id)
+        };
+        let (mut hash, h) = build(StorageBackend::Hash);
+        let (mut ordered, o) = build(StorageBackend::Ordered);
         for i in 0..24 {
-            let u = Update::insert(
-                "C",
-                vec![
-                    Value::int(i),
-                    Value::str(["FR", "DE", "IT"][(i % 3) as usize]),
-                ],
-            );
+            let u = customer(i, &["FR", "DE", "IT"]);
             hash.apply(&u).unwrap();
             ordered.apply(&u).unwrap();
         }
+        let (hash, ordered) = (hash.view(h).unwrap(), ordered.view(o).unwrap());
         assert_eq!(hash.table(), ordered.table());
         assert_eq!(hash.stats(), ordered.stats());
         assert_eq!(
@@ -631,10 +423,7 @@ mod tests {
         assert!(
             ordered.storage_footprint().index_entries <= hash.storage_footprint().index_entries
         );
-        // Runtime-selected spelling of the same pair.
-        let program = compile(&catalog, &parse_query(text).unwrap()).unwrap();
-        let strategy = strategy_by_name("recursive-ivm@ordered", program).unwrap();
-        assert_eq!(strategy.strategy_name(), "recursive-ivm@ordered");
+        assert_eq!(ordered.engine_name(), "recursive-ivm@ordered");
     }
 
     #[test]
@@ -652,51 +441,56 @@ mod tests {
                 )
             })
             .collect();
-        let mut per_tuple = IncrementalView::from_agca(&catalog, text).unwrap();
+        let (mut per_tuple, id) = solo(&catalog, ViewDef::Agca(text)).unwrap();
         per_tuple.apply_all(&updates).unwrap();
-        let mut batched = IncrementalView::from_agca(&catalog, text).unwrap();
+        let (mut batched, _) = solo(&catalog, ViewDef::Agca(text)).unwrap();
         batched.apply_batch(&updates).unwrap();
-        assert_eq!(per_tuple.table(), batched.table());
+        let expected = per_tuple.view(id).unwrap().table();
+        assert_eq!(batched.view(id).unwrap().table(), expected);
         // The pre-normalized entry point behaves identically.
-        let mut prebuilt = IncrementalView::from_agca(&catalog, text).unwrap();
+        let (mut prebuilt, _) = solo(&catalog, ViewDef::Agca(text)).unwrap();
         prebuilt
             .apply_delta_batch(&DeltaBatch::from_updates(&updates))
             .unwrap();
-        assert_eq!(per_tuple.table(), prebuilt.table());
-        // apply_all is not atomic; the error pinpoints the failing update.
-        let mut view = IncrementalView::from_agca(&catalog, text).unwrap();
+        assert_eq!(prebuilt.view(id).unwrap().table(), expected);
+        // apply_all is not atomic; the error pinpoints the failing update (a string
+        // in an arithmetic position, which only the trigger can reject).
+        let (mut view, id) = solo(&catalog, ViewDef::Agca("q[c] := Sum(C(c, n) * n)")).unwrap();
         let bad = vec![
-            Update::insert("C", vec![Value::int(1), Value::str("FR")]),
-            Update::insert("C", vec![Value::int(2)]),
+            Update::insert("C", vec![Value::int(1), Value::int(5)]),
+            Update::insert("C", vec![Value::int(2), Value::str("FR")]),
         ];
         let err = view.apply_all(&bad).unwrap_err();
         assert!(matches!(
             err,
             Error::Runtime(RuntimeError::AtUpdate { index: 1, .. })
         ));
-        assert_eq!(view.stats().updates, 1);
+        assert_eq!(view.view(id).unwrap().stats().updates, 1);
     }
 
     #[test]
     fn accessors_expose_query_program_and_stats() {
-        let catalog = customer_catalog();
-        let mut view =
-            IncrementalView::from_agca(&catalog, "q[c] := Sum(C(c, n) * C(c2, n))").unwrap();
+        let (mut ring, id) = solo(
+            &customer_catalog(),
+            ViewDef::Agca("q[c] := Sum(C(c, n) * C(c2, n))"),
+        )
+        .unwrap();
+        let view = ring.view(id).unwrap();
         assert_eq!(view.query().group_by, vec!["c"]);
         assert!(view.program().describe().contains("on +C"));
         assert!(view.nc0c_source().contains("void on_insert_C"));
-        view.insert("C", vec![Value::int(1), Value::str("FR")])
+        ring.insert("C", vec![Value::int(1), Value::str("FR")])
             .unwrap();
-        assert_eq!(view.stats().updates, 1);
-        assert!(view.executor().total_entries() > 0);
-        view.executor_mut().reset_stats();
-        assert_eq!(view.stats().updates, 0);
+        assert_eq!(ring.view(id).unwrap().stats().updates, 1);
+        assert!(ring.view(id).unwrap().total_entries() > 0);
+        ring.view_mut(id).unwrap().reset_stats();
+        assert_eq!(ring.view(id).unwrap().stats().updates, 0);
     }
 
-    /// Regression (review finding): the facade must host a genuinely typed
-    /// `Executor<S>` for *any* `ViewStorage` implementation — including ones the
-    /// `StorageBackend` enum cannot name — not silently substitute a built-in
-    /// backend and panic on `executor()`.
+    /// Regression (review finding): a ring must host a genuinely typed `Executor<S>`
+    /// for *any* `ViewStorage` implementation — including ones the `StorageBackend`
+    /// enum cannot name — not silently substitute a built-in backend.
+    /// `Ring::create_view_with` is the way to host an out-of-enum backend.
     #[test]
     fn the_facade_honors_custom_storage_backends() {
         use dbring_algebra::Number as N;
@@ -745,42 +539,21 @@ mod tests {
             }
         }
 
-        let catalog = customer_catalog();
-        let mut view = IncrementalView::<CustomStorage>::from_agca_with_backend(
-            &catalog,
-            "q[c] := Sum(C(c, n))",
-        )
-        .unwrap();
-        view.insert("C", vec![Value::int(1), Value::str("FR")])
+        let mut ring = RingBuilder::new(customer_catalog()).build();
+        let id = ring
+            .create_view_with::<CustomStorage>("q", ViewDef::Agca("q[c] := Sum(C(c, n))"))
             .unwrap();
-        assert_eq!(view.value(&[Value::int(1)]), Number::Int(1));
-        // The hosted executor really runs on the custom type: the typed accessor
-        // succeeds rather than panicking on a mismatched downcast.
-        let typed: &Executor<CustomStorage> = view.executor();
-        assert_eq!(typed.output_value(&[Value::int(1)]), Number::Int(1));
-    }
-
-    #[test]
-    fn the_facade_downcasts_to_its_typed_executor_on_both_backends() {
-        let catalog = customer_catalog();
-        let text = "q[c] := Sum(C(c, n))";
-        let mut hash = IncrementalView::from_agca(&catalog, text).unwrap();
-        hash.insert("C", vec![Value::int(1), Value::str("FR")])
+        ring.insert("C", vec![Value::int(1), Value::str("FR")])
             .unwrap();
-        let _typed: &Executor<HashViewStorage> = hash.executor();
-        let mut ordered =
-            IncrementalView::<OrderedViewStorage>::from_agca_with_backend(&catalog, text).unwrap();
-        ordered
-            .insert("C", vec![Value::int(1), Value::str("FR")])
-            .unwrap();
-        let typed: &Executor<OrderedViewStorage> = ordered.executor();
-        assert_eq!(typed.output_value(&[Value::int(1)]), Number::Int(1));
-        // Clones stay independent (the boxed engine clones behind the ring).
-        let fork = ordered.clone();
-        ordered
-            .insert("C", vec![Value::int(2), Value::str("DE")])
-            .unwrap();
-        assert_eq!(fork.table().len(), 1);
-        assert_eq!(ordered.table().len(), 2);
+        assert_eq!(
+            ring.view(id).unwrap().value(&[Value::int(1)]),
+            Number::Int(1)
+        );
+        // A repair rebuilds the view on the same typed backend.
+        ring.repair_view(id).unwrap();
+        assert_eq!(
+            ring.view(id).unwrap().value(&[Value::int(1)]),
+            Number::Int(1)
+        );
     }
 }

@@ -33,8 +33,7 @@
 //! tables, work counters, storage footprints, and the compiled program (including its
 //! NC0C rendering) per view.
 //!
-//! The single-view [`IncrementalView`](crate::IncrementalView) facade survives as a
-//! thin wrapper over a one-view ring.
+//! A one-view ring is the single-view API.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -458,12 +457,10 @@ impl Ring {
         })
     }
 
-    /// [`Ring::create_view`] with the engine supplied by the caller instead of the
-    /// ring's backend registry — the seam the single-view facade and
-    /// [`Ring::create_view_with`] use to host a *typed* `Executor<S>` for arbitrary
-    /// [`ViewStorage`](crate::ViewStorage) backends. The factory is retained so
-    /// [`Ring::repair_view`] can rebuild the same kind of engine.
-    pub(crate) fn create_view_hosted(
+    /// [`Ring::create_view`] with the engine supplied by the caller — the seam
+    /// [`Ring::create_view`] and [`Ring::create_view_with`] share. The factory is
+    /// retained so [`Ring::repair_view`] can rebuild the same kind of engine.
+    fn create_view_hosted(
         &mut self,
         name: impl Into<String>,
         def: ViewDef<'_>,
@@ -975,13 +972,12 @@ impl Ring {
     /// updates are consolidated into a [`DeltaBatch`] once (cancelling pairs vanish,
     /// multiplicities net out), the snapshot is maintained in one pass per relation,
     /// and the borrowed batch is fanned out only to the views reading the touched
-    /// relations. With `k` views this is the amortization [`IncrementalView`]-per-view
-    /// ingest cannot have: `k` independent views each re-normalize and re-dispatch the
-    /// same updates.
+    /// relations. With `k` views this is the amortization that `k` independent
+    /// executors cannot have: each would re-normalize and re-dispatch the same updates.
     ///
     /// Equivalent to [`Ring::apply_all`] over the same updates for every view
-    /// (integer aggregates bit-identically; float aggregates up to IEEE reordering —
-    /// see [`IncrementalView::apply_batch`](crate::IncrementalView::apply_batch)).
+    /// (integer aggregates bit-identically; float aggregates up to IEEE reordering:
+    /// a batch consolidates identical tuples and fires each once with its net weight).
     ///
     /// **Failure atomicity** (with staged ingest, the default): catalog failures
     /// land nothing, and a runtime failure during fan-out also lands nothing — every
@@ -998,8 +994,6 @@ impl Ring {
     /// **lowest-numbered view slot** — exactly the error sequential dispatch would
     /// have returned. With [`RingBuilder::without_staged_ingest`], sibling views may
     /// instead keep the batch on error (the pre-staging contract).
-    ///
-    /// [`IncrementalView`]: crate::IncrementalView
     pub fn apply_batch(&mut self, updates: &[Update]) -> Result<(), Error> {
         let batch = self.normalizer.normalize(updates);
         self.apply_delta_batch(&batch)
@@ -1010,12 +1004,6 @@ impl Ring {
     /// never invalidates an id, so readers may cache them.
     pub fn interner(&self) -> &Interner {
         self.normalizer.interner()
-    }
-
-    /// Crate-internal: normalizes a batch through the ring's reusable interned
-    /// scratch (shared with [`IncrementalView`](crate::IncrementalView)'s batch path).
-    pub(crate) fn normalize_updates<'a>(&mut self, updates: &'a [Update]) -> DeltaBatch<'a> {
-        self.normalizer.normalize(updates)
     }
 
     /// Applies an already-normalized delta batch (the normalization cost of
@@ -1071,10 +1059,6 @@ impl Ring {
         Ok(())
     }
 
-    // ------------------------------------------------------------------
-    // Crate-internal hooks for the single-view `IncrementalView` wrapper
-    // ------------------------------------------------------------------
-
     /// Validates an ingest target against the catalog: the relation must be declared
     /// and the arity must match.
     fn check_ingest(&self, relation: &str, arity: usize) -> Result<(), Error> {
@@ -1092,47 +1076,6 @@ impl Ring {
             }
             Some(_) => Ok(()),
         }
-    }
-
-    /// Re-initializes one view's maps from an explicit database (the facade's
-    /// `with_initial_database`). Any state the view accumulated is replaced.
-    pub(crate) fn reinitialize_view_from(
-        &mut self,
-        id: ViewId,
-        db: &Database,
-    ) -> Result<(), Error> {
-        let engine = self.registry.engine_mut(id.0).ok_or(Error::UnknownView {
-            view: id.to_string(),
-        })?;
-        engine.initialize_from(db)?;
-        if self.serving() {
-            self.publish_slots(vec![(id.0, None)]);
-        }
-        Ok(())
-    }
-
-    /// The maintained query of a live view (panics on a dropped/unknown id — the
-    /// facade guarantees its single view is never dropped).
-    pub(crate) fn query_unchecked(&self, id: ViewId) -> &Query {
-        &self.infos[id.0 as usize]
-            .as_ref()
-            .expect("the facade's single view is never dropped")
-            .query
-    }
-
-    /// The hosted engine of a live view (panics on a dropped/unknown id — the facade
-    /// guarantees its single view is never dropped).
-    pub(crate) fn engine_unchecked(&self, id: ViewId) -> &dyn ViewEngine {
-        self.registry
-            .engine(id.0)
-            .expect("the facade's single view is never dropped")
-    }
-
-    /// Mutable counterpart of [`Ring::engine_unchecked`].
-    pub(crate) fn engine_unchecked_mut(&mut self, id: ViewId) -> &mut Box<dyn ViewEngine> {
-        self.registry
-            .engine_mut(id.0)
-            .expect("the facade's single view is never dropped")
     }
 }
 

@@ -1,14 +1,11 @@
-//! Shared helpers for the cross-crate integration tests (and for the benchmark harness's
-//! correctness self-checks): run a workload under every maintenance strategy and assert
-//! that they agree.
+//! Shared helpers for the cross-crate integration tests: run a workload under every
+//! maintenance strategy and assert that they agree.
 
 #![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
 
-use dbring::{
-    ClassicalIvm, Executor, IncrementalView, MaintenanceStrategy, NaiveReeval, Number, Value,
-};
+use dbring::{ClassicalIvm, Executor, MaintenanceStrategy, NaiveReeval, Number, Value};
 use dbring_workloads::Workload;
 
 /// The result tables of every strategy after consuming the workload, in a fixed order:
@@ -16,9 +13,11 @@ use dbring_workloads::Workload;
 pub fn run_all_strategies(workload: &Workload) -> Vec<(String, BTreeMap<Vec<Value>, Number>)> {
     let initial_db = workload.initial_database();
 
-    let mut recursive = IncrementalView::new(&workload.catalog, workload.query.clone())
-        .expect("workload query compiles")
-        .with_initial_database(&initial_db)
+    let program =
+        dbring::compile(&workload.catalog, &workload.query).expect("workload query compiles");
+    let mut recursive = Executor::new(program);
+    recursive
+        .initialize_from(&initial_db)
         .expect("initialization succeeds");
     let mut classical = ClassicalIvm::new(initial_db.clone(), workload.query.clone())
         .expect("classical baseline initializes");
@@ -36,7 +35,7 @@ pub fn run_all_strategies(workload: &Workload) -> Vec<(String, BTreeMap<Vec<Valu
     }
 
     vec![
-        ("recursive-ivm".to_string(), recursive.table()),
+        ("recursive-ivm".to_string(), recursive.output_table()),
         ("classical-ivm".to_string(), classical.current_result()),
         ("naive".to_string(), naive.current_result()),
     ]

@@ -76,8 +76,6 @@ impl MaintenanceStrategy for NaiveReeval {
             .map(|(k, v)| (k.clone(), *v))
             .collect()
     }
-    // Probe the stored result directly instead of paying the default impl's full-table
-    // materialization for a single key.
     fn result_value(&self, key: &[Value]) -> Number {
         self.result.get(key).copied().unwrap_or(Number::Int(0))
     }
@@ -190,8 +188,6 @@ impl MaintenanceStrategy for ClassicalIvm {
             .map(|(k, v)| (k.clone(), *v))
             .collect()
     }
-    // Probe the stored result directly instead of paying the default impl's full-table
-    // materialization for a single key.
     fn result_value(&self, key: &[Value]) -> Number {
         self.result.get(key).copied().unwrap_or(Number::Int(0))
     }

@@ -2,33 +2,28 @@
 //! engine factory.
 //!
 //! A ring-of-views engine (the `dbring::Ring` facade) hosts *many* standing views
-//! over one update stream. The views are heterogeneous — different
-//! compiled programs, different storage backends, potentially different executor
-//! families — so the host cannot be generic over one concrete executor type the way a
-//! single [`IncrementalView`] is. [`ViewEngine`] is the object-safe contract that makes
-//! a compiled, runnable view a *value*: everything the host needs to drive maintenance
+//! over one update stream. The views are heterogeneous — different compiled programs,
+//! different storage backends — so the host cannot be generic over one concrete
+//! executor type. [`ViewEngine`] is the object-safe contract that makes a compiled,
+//! runnable view a *value*: everything the host needs to drive maintenance
 //! (per-update and batched application, initialization from a snapshot) and serve reads
 //! (point lookups, tables, work counters, footprints, the program itself) — behind
-//! `Box<dyn ViewEngine>`, cloneable and inspectable.
+//! `Box<dyn ViewEngine>`, cloneable and inspectable. The lowered
+//! [`Executor`] over any [`ViewStorage`] is its implementation.
 //!
 //! [`boxed_engine`] / [`try_boxed_engine`] are the by-value factory: pick a
 //! [`StorageBackend`] with an enum value instead of a turbofish and get back a boxed
-//! lowered executor. [`boxed_engine_by_name`] resolves the same registry names as
-//! [`strategy_by_name`](crate::strategy::strategy_by_name)
-//! (`"recursive-ivm@ordered"`, `"recursive-ivm-interpreted"`, …) so experiment CLIs can
-//! host any executor family behind the same interface.
+//! lowered executor.
 //!
 //! The difference from [`MaintenanceStrategy`](crate::strategy::MaintenanceStrategy):
-//! a strategy is the *measurement* interface (it covers the database-retaining
-//! baselines, erases errors to `String`, and exposes only results), while `ViewEngine`
-//! is the *hosting* interface (typed [`RuntimeError`]s, normalized-batch application,
-//! snapshot initialization, program access for code generation). The baselines are
+//! a strategy is the *measurement* interface the experiments compare recursive IVM
+//! against its baselines through (it covers the database-retaining baselines, erases
+//! errors to `String`, and exposes only results), while `ViewEngine` is the *hosting*
+//! interface (typed [`RuntimeError`]s, staged normalized-batch application, snapshot
+//! initialization, program access for code generation). The baselines are
 //! deliberately not `ViewEngine`s — they retain the base database, which a ring
 //! maintains once for all views.
-//!
-//! [`IncrementalView`]: ../../dbring/struct.IncrementalView.html
 
-use std::any::Any;
 use std::collections::BTreeMap;
 
 use dbring_agca::eval::EvalError;
@@ -37,7 +32,6 @@ use dbring_compiler::{Diagnostic, LowerError, TriggerProgram};
 use dbring_relations::{Database, DeltaBatch, Update, Value};
 
 use crate::executor::{ExecStats, Executor, RuntimeError, StagedBatch};
-use crate::interp::InterpretedExecutor;
 use crate::snapshot::ChangeSet;
 use crate::storage::{
     HashViewStorage, OrderedViewStorage, StorageBackend, StorageFootprint, ViewStorage,
@@ -47,14 +41,13 @@ use crate::storage::{
 /// ring of views, an experiment harness) needs to drive maintenance and serve reads,
 /// independent of the concrete executor and storage backend behind it.
 ///
-/// Implemented by both executor families over every storage backend; obtain boxed
-/// instances from [`boxed_engine`] (backend by value) or [`boxed_engine_by_name`]
-/// (registry names). `Box<dyn ViewEngine>` is `Clone`, so hosts composed of boxed
-/// engines stay cheaply cloneable for experiments that fork a loaded state.
+/// Implemented by the lowered [`Executor`] over every storage backend; obtain boxed
+/// instances from [`boxed_engine`] (backend by value). `Box<dyn ViewEngine>` is
+/// `Clone`, so hosts composed of boxed engines stay cheaply cloneable for experiments
+/// that fork a loaded state.
 pub trait ViewEngine: std::fmt::Debug + Send {
-    /// The engine's registry name (`"recursive-ivm"`, `"recursive-ivm@ordered"`,
-    /// `"recursive-ivm-interpreted"`, …): the executor family, suffixed with
-    /// `@<backend>` off the default backend.
+    /// The engine's name (`"recursive-ivm"`, `"recursive-ivm@ordered"`): the executor
+    /// family, suffixed with `@<backend>` off the default backend.
     fn engine_name(&self) -> &'static str;
 
     /// The compiled trigger program this engine runs (inspectable, NC0C-generatable).
@@ -73,16 +66,10 @@ pub trait ViewEngine: std::fmt::Debug + Send {
     /// trigger for are ignored; zero-multiplicity updates are explicit no-ops.
     fn apply(&mut self, update: &Update) -> Result<(), RuntimeError>;
 
-    /// Applies an already-normalized [`DeltaBatch`]: one dispatch per
-    /// `(relation, sign)` group, weighted firing where the trigger admits it.
-    /// Equivalent to applying the batch's source updates one by one; **atomic per
-    /// view** — on `Err` the engine's tables and stats are bit-identical to before
-    /// the call (this is [`stage_batch`](ViewEngine::stage_batch) plus an immediate
-    /// commit).
-    fn apply_batch(&mut self, batch: &DeltaBatch<'_>) -> Result<(), RuntimeError>;
-
-    /// Stages an already-normalized batch: applies it while logging the pre-image of
-    /// every write, returning the [`StagedBatch`] token the host later passes to
+    /// Stages an already-normalized [`DeltaBatch`] (one dispatch per
+    /// `(relation, sign)` group, weighted firing where the trigger admits it):
+    /// applies it while logging the pre-image of every write, returning the
+    /// [`StagedBatch`] token the host later passes to
     /// [`commit_staged`](ViewEngine::commit_staged) or
     /// [`abort_staged`](ViewEngine::abort_staged). On `Err` the engine has already
     /// rolled itself back bit-exactly. Tokens are engine-specific: return one only to
@@ -100,21 +87,18 @@ pub trait ViewEngine: std::fmt::Debug + Send {
     /// [`commit_staged`](ViewEngine::commit_staged) for a host that publishes
     /// snapshots: also reports into `changed` every output key the staged writes
     /// touched (any order, repeats allowed) and returns `true`. An engine that
-    /// cannot enumerate them — the default — commits, reports nothing and returns
-    /// `false`; the host must then treat the whole output table as changed.
-    fn commit_staged_reporting(&mut self, staged: StagedBatch, changed: &mut ChangeSet) -> bool {
-        let _ = changed;
-        self.commit_staged(staged);
-        false
-    }
+    /// cannot enumerate them commits, reports nothing and returns `false`; the host
+    /// must then treat the whole output table as changed.
+    fn commit_staged_reporting(&mut self, staged: StagedBatch, changed: &mut ChangeSet) -> bool;
 
     /// Rolls a staged batch back: tables and stats return bit-exactly to the
     /// pre-stage state.
     fn abort_staged(&mut self, staged: StagedBatch);
 
-    /// The unlogged batch path: [`apply_batch`](ViewEngine::apply_batch) without the
-    /// pre-image log. **Not atomic on error** — kept for callers that own their own
-    /// recovery and as the staging-overhead measurement baseline (`exp_faults`).
+    /// The unlogged batch path: [`stage_batch`](ViewEngine::stage_batch) plus commit,
+    /// without the pre-image log. **Not atomic on error** — kept for callers that own
+    /// their own recovery and as the staging-overhead measurement baseline
+    /// (`exp_faults`).
     fn apply_batch_direct(&mut self, batch: &DeltaBatch<'_>) -> Result<(), RuntimeError>;
 
     /// Loads every materialized view from a non-empty starting database by evaluating
@@ -130,14 +114,9 @@ pub trait ViewEngine: std::fmt::Debug + Send {
 
     /// Visits every `(key, value)` group of the output table once, in any order —
     /// the export a snapshot is built from
-    /// ([`ViewSnapshot::from_export`](crate::ViewSnapshot::from_export)). The default
-    /// walks [`output_table`](ViewEngine::output_table); engines override it to visit
-    /// their storage directly, with no intermediate table.
-    fn for_each_output(&self, visit: &mut dyn FnMut(&[Value], Number)) {
-        for (key, value) in self.output_table() {
-            visit(&key, value);
-        }
-    }
+    /// ([`ViewSnapshot::from_export`](crate::ViewSnapshot::from_export)), straight
+    /// from storage with no intermediate table.
+    fn for_each_output(&self, visit: &mut dyn FnMut(&[Value], Number));
 
     /// Work counters accumulated so far.
     fn stats(&self) -> ExecStats;
@@ -147,12 +126,9 @@ pub trait ViewEngine: std::fmt::Debug + Send {
 
     /// Sets the engine's thread budget for *within-view* parallel work — today that
     /// is sharding large batched flushes across key ranges. `1` (every engine's
-    /// initial state) disables it; engines without an internal parallel path ignore
-    /// the hint. Hosts propagate their
+    /// initial state) disables it. Hosts propagate their
     /// [`ParallelConfig`](crate::registry::ParallelConfig) here on registration.
-    fn set_parallelism(&mut self, threads: usize) {
-        let _ = threads;
-    }
+    fn set_parallelism(&mut self, threads: usize);
 
     /// Total entries across the whole view hierarchy.
     fn total_entries(&self) -> usize;
@@ -164,13 +140,6 @@ pub trait ViewEngine: std::fmt::Debug + Send {
     /// Clones the engine behind the object interface (`Box<dyn ViewEngine>: Clone`
     /// is built on this).
     fn boxed_clone(&self) -> Box<dyn ViewEngine>;
-
-    /// Upcast for callers that know the concrete engine type (e.g. a facade that
-    /// always hosts lowered executors and wants the typed `&Executor<S>` back).
-    fn as_any(&self) -> &dyn Any;
-
-    /// Mutable upcast, see [`ViewEngine::as_any`].
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 impl Clone for Box<dyn ViewEngine> {
@@ -179,119 +148,88 @@ impl Clone for Box<dyn ViewEngine> {
     }
 }
 
-/// Implements [`ViewEngine`] for one executor family, generic over the storage
-/// backend (any [`ViewStorage`], not just the in-tree ones); the engine name is the
-/// family literal suffixed per [`ViewStorage::BACKEND`], spelled to match the strategy
-/// registry's names exactly so the two registries can never disagree on naming.
-macro_rules! impl_view_engine {
-    ($family:ident, $hash_name:literal, $ordered_name:literal) => {
-        impl<S: ViewStorage + Send + 'static> ViewEngine for $family<S> {
-            fn engine_name(&self) -> &'static str {
-                match S::BACKEND {
-                    StorageBackend::Hash => $hash_name,
-                    StorageBackend::Ordered => $ordered_name,
-                }
-            }
-
-            fn program(&self) -> &TriggerProgram {
-                self.program()
-            }
-
-            fn apply(&mut self, update: &Update) -> Result<(), RuntimeError> {
-                self.apply(update)
-            }
-
-            fn apply_batch(&mut self, batch: &DeltaBatch<'_>) -> Result<(), RuntimeError> {
-                self.apply_batch(batch)
-            }
-
-            fn stage_batch(&mut self, batch: &DeltaBatch<'_>) -> Result<StagedBatch, RuntimeError> {
-                self.stage_batch(batch)
-            }
-
-            fn stage_update(&mut self, update: &Update) -> Result<StagedBatch, RuntimeError> {
-                self.stage_update(update)
-            }
-
-            fn commit_staged(&mut self, staged: StagedBatch) {
-                self.commit_staged(staged)
-            }
-
-            fn commit_staged_reporting(
-                &mut self,
-                staged: StagedBatch,
-                changed: &mut ChangeSet,
-            ) -> bool {
-                staged.undo.report_keys_of(self.program().output, changed);
-                self.commit_staged(staged);
-                true
-            }
-
-            fn abort_staged(&mut self, staged: StagedBatch) {
-                self.abort_staged(staged)
-            }
-
-            fn apply_batch_direct(&mut self, batch: &DeltaBatch<'_>) -> Result<(), RuntimeError> {
-                self.apply_batch_direct(batch)
-            }
-
-            fn initialize_from(&mut self, db: &Database) -> Result<(), EvalError> {
-                self.initialize_from(db)
-            }
-
-            fn output_value(&self, key: &[Value]) -> Number {
-                self.output_value(key)
-            }
-
-            fn output_table(&self) -> BTreeMap<Vec<Value>, Number> {
-                self.output_table()
-            }
-
-            fn for_each_output(&self, visit: &mut dyn FnMut(&[Value], Number)) {
-                self.output().for_each(|key, value| visit(key, value))
-            }
-
-            fn stats(&self) -> ExecStats {
-                self.stats()
-            }
-
-            fn reset_stats(&mut self) {
-                self.reset_stats()
-            }
-
-            fn set_parallelism(&mut self, threads: usize) {
-                self.set_parallelism(threads)
-            }
-
-            fn total_entries(&self) -> usize {
-                self.total_entries()
-            }
-
-            fn storage_footprint(&self) -> StorageFootprint {
-                self.storage_footprint()
-            }
-
-            fn boxed_clone(&self) -> Box<dyn ViewEngine> {
-                Box::new(self.clone())
-            }
-
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
+impl<S: ViewStorage + Send + 'static> ViewEngine for Executor<S> {
+    fn engine_name(&self) -> &'static str {
+        match S::BACKEND {
+            StorageBackend::Hash => "recursive-ivm",
+            StorageBackend::Ordered => "recursive-ivm@ordered",
         }
-    };
-}
+    }
 
-impl_view_engine!(Executor, "recursive-ivm", "recursive-ivm@ordered");
-impl_view_engine!(
-    InterpretedExecutor,
-    "recursive-ivm-interpreted",
-    "recursive-ivm-interpreted@ordered"
-);
+    fn program(&self) -> &TriggerProgram {
+        self.program()
+    }
+
+    fn apply(&mut self, update: &Update) -> Result<(), RuntimeError> {
+        self.apply(update)
+    }
+
+    fn stage_batch(&mut self, batch: &DeltaBatch<'_>) -> Result<StagedBatch, RuntimeError> {
+        self.stage_batch(batch)
+    }
+
+    fn stage_update(&mut self, update: &Update) -> Result<StagedBatch, RuntimeError> {
+        self.stage_update(update)
+    }
+
+    fn commit_staged(&mut self, staged: StagedBatch) {
+        self.commit_staged(staged)
+    }
+
+    fn commit_staged_reporting(&mut self, staged: StagedBatch, changed: &mut ChangeSet) -> bool {
+        staged.undo.report_keys_of(self.program().output, changed);
+        self.commit_staged(staged);
+        true
+    }
+
+    fn abort_staged(&mut self, staged: StagedBatch) {
+        self.abort_staged(staged)
+    }
+
+    fn apply_batch_direct(&mut self, batch: &DeltaBatch<'_>) -> Result<(), RuntimeError> {
+        self.apply_batch_direct(batch)
+    }
+
+    fn initialize_from(&mut self, db: &Database) -> Result<(), EvalError> {
+        self.initialize_from(db)
+    }
+
+    fn output_value(&self, key: &[Value]) -> Number {
+        self.output_value(key)
+    }
+
+    fn output_table(&self) -> BTreeMap<Vec<Value>, Number> {
+        self.output_table()
+    }
+
+    fn for_each_output(&self, visit: &mut dyn FnMut(&[Value], Number)) {
+        self.output().for_each(|key, value| visit(key, value))
+    }
+
+    fn stats(&self) -> ExecStats {
+        self.stats()
+    }
+
+    fn reset_stats(&mut self) {
+        self.reset_stats()
+    }
+
+    fn set_parallelism(&mut self, threads: usize) {
+        self.set_parallelism(threads)
+    }
+
+    fn total_entries(&self) -> usize {
+        self.total_entries()
+    }
+
+    fn storage_footprint(&self) -> StorageFootprint {
+        self.storage_footprint()
+    }
+
+    fn boxed_clone(&self) -> Box<dyn ViewEngine> {
+        Box::new(self.clone())
+    }
+}
 
 /// Builds a boxed lowered-executor engine on the given storage backend — backend
 /// chosen **by value**, no turbofish. This is the constructor engine hosts use.
@@ -315,30 +253,6 @@ pub fn try_boxed_engine(
             Box::new(Executor::<OrderedViewStorage>::try_with_backend(program)?)
         }
     })
-}
-
-/// Resolves a boxed engine by its registry name — the same names as
-/// [`strategy_by_name`](crate::strategy::strategy_by_name): a family
-/// (`"recursive-ivm"`, `"recursive-ivm-interpreted"`), optionally suffixed with
-/// `@<backend>`. `None` for unknown families/backends (including the
-/// database-retaining baselines, which are not hostable engines).
-pub fn boxed_engine_by_name(name: &str, program: TriggerProgram) -> Option<Box<dyn ViewEngine>> {
-    let (family, backend) = match name.split_once('@') {
-        Some((family, backend)) => (family, StorageBackend::parse(backend)?),
-        None => (name, StorageBackend::Hash),
-    };
-    match family {
-        "recursive-ivm" => Some(boxed_engine(program, backend)),
-        "recursive-ivm-interpreted" => Some(match backend {
-            StorageBackend::Hash => Box::new(InterpretedExecutor::<HashViewStorage>::with_backend(
-                program,
-            )),
-            StorageBackend::Ordered => Box::new(
-                InterpretedExecutor::<OrderedViewStorage>::with_backend(program),
-            ),
-        }),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -365,9 +279,10 @@ mod tests {
                 Update::insert("R", vec![Value::int(4)]),
                 Update::delete("R", vec![Value::int(3)]),
             ];
-            engine
-                .apply_batch(&DeltaBatch::from_updates(&updates))
+            let staged = engine
+                .stage_batch(&DeltaBatch::from_updates(&updates))
                 .unwrap();
+            engine.commit_staged(staged);
             assert_eq!(engine.output_value(&[]), Number::Int(2), "{backend}");
             assert_eq!(engine.output_table().len(), 1);
             assert!(engine.stats().updates >= 3);
@@ -393,28 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_names_match_the_strategy_registry() {
-        for (name, expect) in [
-            ("recursive-ivm", true),
-            ("recursive-ivm@hash", true),
-            ("recursive-ivm@ordered", true),
-            ("recursive-ivm-interpreted", true),
-            ("recursive-ivm-interpreted@ordered", true),
-            ("recursive-ivm@mmap", false),
-            ("classical-ivm", false),
-            ("naive", false),
-        ] {
-            let engine = boxed_engine_by_name(name, sum_program());
-            assert_eq!(engine.is_some(), expect, "{name}");
-            if let Some(engine) = engine {
-                let strategy =
-                    crate::strategy::strategy_by_name(name, sum_program()).expect("both resolve");
-                assert_eq!(engine.engine_name(), strategy.strategy_name(), "{name}");
-            }
-        }
-    }
-
-    #[test]
     fn initialization_through_the_object_interface() {
         let mut db = Database::new();
         db.declare("R", &["A"]).unwrap();
@@ -426,23 +319,6 @@ mod tests {
     }
 
     #[test]
-    fn concrete_executor_recoverable_through_as_any() {
-        let mut engine = boxed_engine(sum_program(), StorageBackend::Hash);
-        engine
-            .apply(&Update::insert("R", vec![Value::int(7)]))
-            .unwrap();
-        let typed = engine
-            .as_any()
-            .downcast_ref::<Executor<HashViewStorage>>()
-            .expect("boxed_engine hosts a lowered executor");
-        assert_eq!(typed.output_value(&[]), Number::Int(1));
-        assert!(engine
-            .as_any_mut()
-            .downcast_mut::<Executor<OrderedViewStorage>>()
-            .is_none());
-    }
-
-    #[test]
     fn engines_audit_through_the_object_interface() {
         let engine = boxed_engine(sum_program(), StorageBackend::Hash);
         assert!(
@@ -450,11 +326,11 @@ mod tests {
             "compiled programs lint clean of errors: {:?}",
             engine.audit()
         );
-        // An engine wrapping a corrupted program reports DB000 instead of silence.
+        // A program that no longer lowers reports DB000 instead of silence (the
+        // trait's default `audit` is exactly this call on the engine's program).
         let mut corrupted = sum_program();
         corrupted.triggers[0].statements[0].target = 99;
-        let bad = InterpretedExecutor::<HashViewStorage>::with_backend(corrupted);
-        let diags = ViewEngine::audit(&bad);
+        let diags = dbring_compiler::audit_program(&corrupted);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, dbring_compiler::DiagCode::LoweringFailed);
     }

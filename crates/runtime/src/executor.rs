@@ -23,7 +23,7 @@
 //!
 //! A statement without loop variables costs a constant number of arithmetic operations;
 //! a statement with loop variables costs a constant number of operations *per affected
-//! map entry* — the executor counts both, identically to the reference
+//! map entry* — the executor counts both, identically to the reference interpreter
 //! [`InterpretedExecutor`](crate::interp::InterpretedExecutor), so the experiments can
 //! verify the paper's constant-work claim (Theorem 7.1) directly and the two paths can
 //! be checked against each other operation-for-operation.
@@ -303,9 +303,7 @@ impl UndoLog {
     }
 }
 
-/// The token a successful [`Executor::stage_batch`] (or
-/// [`InterpretedExecutor::stage_batch`](crate::interp::InterpretedExecutor::stage_batch))
-/// returns: proof that the batch evaluated cleanly, plus everything needed to undo it.
+/// The token a successful [`Executor::stage_batch`] returns: proof that the batch evaluated cleanly, plus everything needed to undo it.
 ///
 /// Staging *applies* the batch — later trigger groups must read the writes of earlier
 /// ones (the second-order `δR·δS` term of a multi-relation batch), so the writes cannot

@@ -7,7 +7,8 @@
 //! simple enough to audit at a glance. The equivalence tests and the
 //! `per_update_latency` bench run both paths against each other; work counters
 //! ([`ExecStats`]) are maintained identically so the comparison is exact, not just
-//! end-state equal.
+//! end-state equal. It is a test oracle, not an engine host: it has no stage/commit
+//! protocol and no `ViewEngine` impl, and every write lands immediately.
 
 use std::collections::{HashMap, HashSet};
 
@@ -18,7 +19,7 @@ use dbring_agca::eval::{compare_values, EvalError};
 use dbring_compiler::{RhsFactor, ScalarExpr, Statement, TriggerProgram};
 use dbring_delta::Sign;
 
-use crate::executor::{rollback_maps, ExecStats, RuntimeError, StagedBatch, UndoLog};
+use crate::executor::{ExecStats, RuntimeError};
 use crate::storage::{HashViewStorage, ViewStorage};
 
 /// The name-resolving reference executor for one compiled trigger program, generic over
@@ -93,10 +94,6 @@ impl<S: ViewStorage> InterpretedExecutor<S> {
         self.stats = ExecStats::default();
     }
 
-    /// Accepts (and ignores) a within-view thread budget: the reference interpreter
-    /// applies every write immediately, so it has no batched flush to shard.
-    pub fn set_parallelism(&mut self, _threads: usize) {}
-
     /// The storage of one materialized view.
     pub fn map(&self, id: usize) -> &S {
         &self.maps[id]
@@ -143,33 +140,8 @@ impl<S: ViewStorage> InterpretedExecutor<S> {
     /// lowered executor, an update with multiplicity 0 is an explicit no-op: it fires
     /// nothing, checks nothing (not even arity) and leaves the work counters untouched.
     ///
-    /// On error the update may be partially applied; use
-    /// [`InterpretedExecutor::stage_update`] for all-or-nothing per-update semantics.
+    /// On error the update may be partially applied.
     pub fn apply(&mut self, update: &Update) -> Result<(), RuntimeError> {
-        self.apply_logged(update, &mut None)
-    }
-
-    /// Stages a single-tuple update: applies it while logging pre-images. On `Err` the
-    /// interpreter has already been rolled back bit-exactly — mirrors
-    /// [`Executor::stage_update`](crate::executor::Executor::stage_update).
-    pub fn stage_update(&mut self, update: &Update) -> Result<StagedBatch, RuntimeError> {
-        let stats_before = self.stats;
-        let mut undo = UndoLog::default();
-        match self.apply_logged(update, &mut Some(&mut undo)) {
-            Ok(()) => Ok(StagedBatch { undo, stats_before }),
-            Err(e) => {
-                rollback_maps(&mut self.maps, &undo);
-                self.stats = stats_before;
-                Err(e)
-            }
-        }
-    }
-
-    fn apply_logged(
-        &mut self,
-        update: &Update,
-        undo: &mut Option<&mut UndoLog>,
-    ) -> Result<(), RuntimeError> {
         if update.multiplicity == 0 {
             return Ok(());
         }
@@ -178,43 +150,8 @@ impl<S: ViewStorage> InterpretedExecutor<S> {
         } else {
             Sign::Delete
         };
-        let Some(trigger_index) = self
-            .program
-            .triggers
-            .iter()
-            .position(|t| t.relation == update.relation && t.sign == sign)
-        else {
-            return Ok(());
-        };
-        let trigger = &self.program.triggers[trigger_index];
-        if trigger.params.len() != update.values.len() {
-            return Err(RuntimeError::ArityMismatch {
-                relation: update.relation.clone(),
-                expected: trigger.params.len(),
-                got: update.values.len(),
-            });
-        }
-        let env: HashMap<String, Value> = trigger
-            .params
-            .iter()
-            .cloned()
-            .zip(update.values.iter().cloned())
-            .collect();
-        for _ in 0..update.multiplicity.unsigned_abs() {
-            self.stats.updates += 1;
-            for stmt_index in 0..self.program.triggers[trigger_index].statements.len() {
-                let stmt = &self.program.triggers[trigger_index].statements[stmt_index];
-                Self::execute_statement(
-                    &mut self.maps,
-                    &mut self.stats,
-                    stmt,
-                    &env,
-                    Number::Int(1),
-                    undo,
-                )?;
-            }
-        }
-        Ok(())
+        let count = update.multiplicity.unsigned_abs();
+        self.fire(&update.relation, sign, &update.values, count, false)
     }
 
     /// Applies a sequence of updates.
@@ -243,110 +180,70 @@ impl<S: ViewStorage> InterpretedExecutor<S> {
     /// [`ExecStats`] accounting, so the two batch paths can be tested against each
     /// other exactly.
     ///
-    /// **Atomic per view**, like the lowered path: this is
-    /// [`stage_batch`](InterpretedExecutor::stage_batch) plus an immediate commit, so
-    /// on `Err` tables and stats are bit-identical to before the call.
+    /// **Not atomic:** the interpreter writes per delta, so a mid-group error leaves
+    /// earlier groups (and the failing group's earlier deltas) applied.
     pub fn apply_batch(&mut self, batch: &DeltaBatch) -> Result<(), RuntimeError> {
-        let staged = self.stage_batch(batch)?;
-        self.commit_staged(staged);
-        Ok(())
-    }
-
-    /// Stages a batch: applies it while logging the pre-image of every write. On `Err`
-    /// the rollback has already happened. The snapshot-and-restore equivalent of
-    /// [`Executor::stage_batch`](crate::executor::Executor::stage_batch) — the
-    /// interpreter writes per delta instead of buffering, so the undo log is its only
-    /// route back to the pre-batch state.
-    pub fn stage_batch(&mut self, batch: &DeltaBatch) -> Result<StagedBatch, RuntimeError> {
-        let stats_before = self.stats;
-        let mut undo = UndoLog::default();
-        match self.apply_batch_logged(batch, &mut Some(&mut undo)) {
-            Ok(()) => Ok(StagedBatch { undo, stats_before }),
-            Err(e) => {
-                rollback_maps(&mut self.maps, &undo);
-                self.stats = stats_before;
-                Err(e)
-            }
-        }
-    }
-
-    /// Makes a staged batch permanent by releasing its undo log.
-    pub fn commit_staged(&mut self, staged: StagedBatch) {
-        drop(staged);
-    }
-
-    /// Rolls a staged batch back bit-exactly (tables and [`ExecStats`]).
-    pub fn abort_staged(&mut self, staged: StagedBatch) {
-        let StagedBatch { undo, stats_before } = staged;
-        rollback_maps(&mut self.maps, &undo);
-        self.stats = stats_before;
-    }
-
-    /// The unlogged batch path, kept as the staging-overhead measurement baseline.
-    ///
-    /// **Not atomic:** a mid-group error leaves earlier groups (and the failing
-    /// group's earlier deltas — the interpreter writes per delta) applied.
-    pub fn apply_batch_direct(&mut self, batch: &DeltaBatch) -> Result<(), RuntimeError> {
-        self.apply_batch_logged(batch, &mut None)
-    }
-
-    fn apply_batch_logged(
-        &mut self,
-        batch: &DeltaBatch,
-        undo: &mut Option<&mut UndoLog>,
-    ) -> Result<(), RuntimeError> {
         for group in batch.groups() {
             let sign = if group.is_insert() {
                 Sign::Insert
             } else {
                 Sign::Delete
             };
-            let Some(trigger_index) = self
-                .program
-                .triggers
-                .iter()
-                .position(|t| t.relation == group.relation() && t.sign == sign)
-            else {
-                continue;
-            };
-            // Weighted firing reads no map the trigger writes, so immediate writes and
-            // the lowered path's deferred ones land in identical final states.
-            let weighted = self.program.triggers[trigger_index].supports_weighted_firing();
             for (values, weight) in group.deltas() {
-                let trigger = &self.program.triggers[trigger_index];
-                if trigger.params.len() != values.len() {
-                    return Err(RuntimeError::ArityMismatch {
-                        relation: group.relation().to_string(),
-                        expected: trigger.params.len(),
-                        got: values.len(),
-                    });
-                }
-                let env: HashMap<String, Value> = trigger
-                    .params
-                    .iter()
-                    .cloned()
-                    .zip(values.iter().cloned())
-                    .collect();
-                let firings = if weighted { 1 } else { *weight };
-                let scale = if weighted {
-                    Number::Int(*weight)
-                } else {
-                    Number::Int(1)
-                };
-                for _ in 0..firings {
-                    self.stats.updates += if weighted { *weight as u64 } else { 1 };
-                    for stmt_index in 0..self.program.triggers[trigger_index].statements.len() {
-                        let stmt = &self.program.triggers[trigger_index].statements[stmt_index];
-                        Self::execute_statement(
-                            &mut self.maps,
-                            &mut self.stats,
-                            stmt,
-                            &env,
-                            scale,
-                            undo,
-                        )?;
-                    }
-                }
+                self.fire(group.relation(), sign, values, weight.unsigned_abs(), true)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Fires the `(relation, sign)` trigger for `count` copies of one tuple (a no-op
+    /// when the program has no such trigger). Per-update and unit-replay firings run
+    /// `count` times at scale 1; a `batched` tuple whose trigger admits weighted
+    /// firing fires once with its writes scaled by `count`. Weighted firing reads no
+    /// map the trigger writes, so these immediate writes and the lowered path's
+    /// deferred ones land in identical final states.
+    fn fire(
+        &mut self,
+        relation: &str,
+        sign: Sign,
+        values: &[Value],
+        count: u64,
+        batched: bool,
+    ) -> Result<(), RuntimeError> {
+        let Self {
+            program,
+            maps,
+            stats,
+        } = self;
+        let Some(trigger) = program
+            .triggers
+            .iter()
+            .find(|t| t.relation == relation && t.sign == sign)
+        else {
+            return Ok(());
+        };
+        if trigger.params.len() != values.len() {
+            return Err(RuntimeError::ArityMismatch {
+                relation: relation.to_string(),
+                expected: trigger.params.len(),
+                got: values.len(),
+            });
+        }
+        let env: HashMap<String, Value> = trigger
+            .params
+            .iter()
+            .cloned()
+            .zip(values.iter().cloned())
+            .collect();
+        let (firings, scale) = if batched && trigger.supports_weighted_firing() {
+            (1, count)
+        } else {
+            (count, 1)
+        };
+        for _ in 0..firings {
+            stats.updates += scale;
+            for stmt in &trigger.statements {
+                Self::execute_statement(maps, stats, stmt, &env, Number::Int(scale as i64))?;
             }
         }
         Ok(())
@@ -361,7 +258,6 @@ impl<S: ViewStorage> InterpretedExecutor<S> {
         stmt: &Statement,
         base_env: &HashMap<String, Value>,
         scale: Number,
-        undo: &mut Option<&mut UndoLog>,
     ) -> Result<(), RuntimeError> {
         // The set of candidate bindings, each with the product accumulated so far.
         let mut envs: Vec<(HashMap<String, Value>, Number)> =
@@ -467,10 +363,7 @@ impl<S: ViewStorage> InterpretedExecutor<S> {
         }
         for (key, delta) in writes {
             stats.additions += 1;
-            let pre = maps[stmt.target].add_ref(&key, delta);
-            if let Some(undo) = undo {
-                undo.push_once(stmt.target, &key, pre);
-            }
+            maps[stmt.target].add_ref(&key, delta);
         }
         Ok(())
     }
@@ -590,44 +483,6 @@ mod tests {
         assert!(matches!(&err, RuntimeError::AtUpdate { index: 1, source }
                 if matches!(**source, RuntimeError::ArityMismatch { .. })));
         assert_eq!(exec.stats().updates, 1, "update 0 was already applied");
-    }
-
-    /// The interpreter's stage/commit/abort mirrors the lowered executor's: a failed
-    /// batch (even one that wrote per delta before failing) rolls back bit-exactly,
-    /// and stage+commit equals the direct path.
-    #[test]
-    fn interpreter_staging_rolls_back_failed_batches() {
-        let mut catalog = Database::new();
-        catalog.declare("C", &["cid", "nation"]).unwrap();
-        let q = parse_query("q[c] := Sum(C(c, n) * C(c2, n))").unwrap();
-        let mut exec = InterpretedExecutor::new(compile(&catalog, &q).unwrap());
-        exec.apply(&Update::insert("C", vec![Value::int(1), Value::int(7)]))
-            .unwrap();
-        let stats = exec.stats();
-        let table = exec.output_table();
-        let failing = [
-            Update::insert("C", vec![Value::int(2), Value::int(7)]),
-            Update::insert("C", vec![Value::int(9)]), // arity error
-        ];
-        let err = exec
-            .apply_batch(&DeltaBatch::from_updates(&failing))
-            .unwrap_err();
-        assert!(matches!(err, RuntimeError::ArityMismatch { .. }));
-        assert_eq!(exec.output_table(), table);
-        assert_eq!(exec.stats(), stats);
-        // stage → abort is a no-op; stage → commit applies.
-        let good_updates = [Update::insert("C", vec![Value::int(2), Value::int(7)])];
-        let good = DeltaBatch::from_updates(&good_updates);
-        let staged = exec.stage_batch(&good).unwrap();
-        assert!(staged.logged_writes() > 0);
-        exec.abort_staged(staged);
-        assert_eq!(exec.output_table(), table);
-        assert_eq!(exec.stats(), stats);
-        let staged = exec
-            .stage_update(&Update::insert("C", vec![Value::int(2), Value::int(7)]))
-            .unwrap();
-        exec.commit_staged(staged);
-        assert_eq!(exec.output_value(&[Value::int(1)]), Number::Int(2));
     }
 
     #[test]

@@ -26,13 +26,10 @@
 //! slice lists, O(1) probes) and [`OrderedViewStorage`]
 //! (`BTreeMap` + sorted range scans, O(log n) probes but prefix enumerations need no
 //! secondary index at all). Select at compile time by naming the type
-//! (`Executor::<OrderedViewStorage>::with_backend`) or at runtime through
-//! [`StorageBackend`] and the strategy registry
-//! ([`strategy_by_name`], names like
-//! `"recursive-ivm@ordered"`).
+//! (`Executor::<OrderedViewStorage>::with_backend`) or by value through
+//! [`StorageBackend`] and [`boxed_engine`].
 //!
-//! Four maintenance strategies are provided behind the common
-//! [`MaintenanceStrategy`] interface:
+//! ## One executor, one hosting interface, one measurement interface
 //!
 //! * [`Executor`] — **recursive IVM** (the paper's contribution),
 //!   running the lowered plan over flat reusable frames: per update it performs a
@@ -42,12 +39,18 @@
 //!   [`ViewStorage::add_ref`], which copies a key into
 //!   the view's row arena on first insertion). Arithmetic operations and map writes are counted so the
 //!   experiments can verify the constant-work claim (Theorem 7.1) directly rather than
-//!   only through wall-clock time.
+//!   only through wall-clock time. It is the one engine: hosts drive it through the
+//!   object-safe [`ViewEngine`] interface ([`EngineRegistry`], the `dbring::Ring`
+//!   facade), experiments through [`MaintenanceStrategy`].
 //! * [`InterpretedExecutor`] — the same trigger semantics
 //!   interpreted directly over the string-named IR with per-candidate `HashMap`
-//!   environments. Slower by design; it is the auditable reference the lowered path is
-//!   tested (and benchmarked) against, with identical
-//!   [`ExecStats`] accounting.
+//!   environments. Slower by design; it is the auditable test oracle the lowered path
+//!   is checked (and benchmarked) against, with identical [`ExecStats`] accounting. It
+//!   hosts nothing: no staging, no `ViewEngine` impl.
+//!
+//! The baselines the paper's complexity argument compares against implement
+//! [`MaintenanceStrategy`] next to the executor:
+//!
 //! * [`ClassicalIvm`] — classical first-order incremental view
 //!   maintenance: only the query result is materialized; on every update the *first*
 //!   delta query is evaluated against the stored database with the reference evaluator.
@@ -72,7 +75,7 @@ pub mod storage;
 pub mod strategy;
 
 pub use baseline::{ClassicalIvm, NaiveReeval};
-pub use engine::{boxed_engine, boxed_engine_by_name, try_boxed_engine, ViewEngine};
+pub use engine::{boxed_engine, try_boxed_engine, ViewEngine};
 pub use executor::{ExecStats, Executor, RuntimeError, StagedBatch};
 pub use fault::{FaultOp, FaultPlan, FaultStorage};
 pub use interp::InterpretedExecutor;
@@ -81,4 +84,4 @@ pub use snapshot::{ChangeSet, PublishStats, SnapshotAccess, SnapshotStore, ViewS
 pub use storage::{
     HashViewStorage, OrderedViewStorage, StorageBackend, StorageFootprint, ViewStorage,
 };
-pub use strategy::{interpreted_ivm, recursive_ivm, strategy_by_name, MaintenanceStrategy};
+pub use strategy::MaintenanceStrategy;

@@ -32,12 +32,13 @@
 //! reproducible run to run, and an aborted batch leaves the order of the keys that
 //! survive it untouched.
 //!
-//! Both executors ([`Executor`](crate::executor::Executor) and
+//! Both executors ([`Executor`](crate::executor::Executor) and the reference
 //! [`InterpretedExecutor`](crate::interp::InterpretedExecutor)) are generic over the
-//! backend with `HashViewStorage` as the default, so existing code is unaffected;
-//! [`StorageBackend`] names the backends for runtime selection (strategy registry,
-//! experiment CLIs), and [`StorageFootprint`] is the common memory proxy the
-//! `exp_storage` experiment compares.
+//! backend with `HashViewStorage` as the default: name a type to pick one
+//! (`Executor::<S>::with_backend`). [`StorageBackend`] names the in-tree backends as
+//! values, for by-value selection (`RingBuilder::backend`,
+//! [`boxed_engine`](crate::engine::boxed_engine)), and [`StorageFootprint`] is the
+//! common memory proxy the `exp_storage` experiment compares.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -73,12 +74,12 @@ pub const MIN_DELTAS_PER_SHARD: usize = 64;
 /// the backend, so going through the trait costs nothing on the hot path.
 pub trait ViewStorage: Clone + fmt::Debug {
     /// The [`StorageBackend`] value naming this backend, so code that is generic over
-    /// the backend type can reach the value-level registries (boxed engines, strategy
-    /// names, experiment CLIs) without a parallel name parameter. Purely a *name*:
-    /// typed construction (`Executor::<S>::with_backend`, the `IncrementalView`
-    /// facade) always builds `S` itself and never routes through this value, so a
-    /// backend outside the enum should name whichever in-tree backend it most
-    /// resembles.
+    /// the backend type can reach the by-value constructors (boxed engines, engine
+    /// names, `RingBuilder::backend`) without a parallel name parameter. Purely a
+    /// *name*: typed construction (`Executor::<S>::with_backend`,
+    /// `Ring::create_view_with::<S>`) always builds `S` itself and never routes
+    /// through this value, so a backend outside the enum should name whichever
+    /// in-tree backend it most resembles.
     const BACKEND: StorageBackend;
 
     /// Creates an empty map whose keys have the given arity.
@@ -275,8 +276,9 @@ pub trait ViewStorage: Clone + fmt::Debug {
     }
 }
 
-/// The storage backends a view can run on, for runtime selection (strategy names,
-/// experiment CLIs). Compile-time selection just names the backend type directly.
+/// The in-tree storage backends a view can run on, as values for by-value selection
+/// (`RingBuilder::backend`, [`boxed_engine`](crate::engine::boxed_engine)).
+/// Compile-time selection just names the backend type directly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum StorageBackend {
     /// [`HashViewStorage`]: flat row table + row-id slice lists (the default).
@@ -286,10 +288,10 @@ pub enum StorageBackend {
 }
 
 impl StorageBackend {
-    /// Every backend, in registry order.
+    /// Every backend, default first.
     pub const ALL: [StorageBackend; 2] = [StorageBackend::Hash, StorageBackend::Ordered];
 
-    /// The backend's short name ("hash", "ordered") as used in strategy names
+    /// The backend's short name ("hash", "ordered") as used in engine names
     /// (`recursive-ivm@ordered`) and experiment output.
     pub fn name(self) -> &'static str {
         match self {
@@ -297,28 +299,11 @@ impl StorageBackend {
             StorageBackend::Ordered => "ordered",
         }
     }
-
-    /// Parses a backend name as produced by [`StorageBackend::name`].
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "hash" => Some(StorageBackend::Hash),
-            "ordered" => Some(StorageBackend::Ordered),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for StorageBackend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for StorageBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        StorageBackend::parse(s).ok_or_else(|| format!("unknown storage backend {s:?}"))
     }
 }
 
@@ -371,12 +356,12 @@ mod tests {
     #[test]
     fn backend_names_round_trip() {
         for backend in StorageBackend::ALL {
-            assert_eq!(StorageBackend::parse(backend.name()), Some(backend));
             assert_eq!(backend.to_string(), backend.name());
-            assert_eq!(backend.name().parse::<StorageBackend>(), Ok(backend));
+            let named = StorageBackend::ALL
+                .iter()
+                .find(|b| b.name() == backend.name());
+            assert_eq!(named, Some(&backend), "names are distinct");
         }
-        assert_eq!(StorageBackend::parse("mmap"), None);
-        assert!("mmap".parse::<StorageBackend>().is_err());
     }
 
     #[test]

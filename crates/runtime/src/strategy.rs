@@ -1,165 +1,65 @@
 //! A common interface over the maintenance strategies, so experiments, tests and
-//! benchmarks can drive them interchangeably — including the same strategy over
-//! different [`StorageBackend`]s, selected by name (`"recursive-ivm@ordered"`).
+//! benchmarks can drive recursive IVM (the lowered [`Executor`], on any storage
+//! backend) and its baselines ([`ClassicalIvm`](crate::baseline::ClassicalIvm),
+//! [`NaiveReeval`](crate::baseline::NaiveReeval)) interchangeably.
 
 use std::collections::BTreeMap;
 
 use dbring_algebra::Number;
-use dbring_compiler::TriggerProgram;
 use dbring_relations::{Update, Value};
 
+use crate::engine::ViewEngine;
 use crate::executor::Executor;
-use crate::interp::InterpretedExecutor;
-use crate::storage::{HashViewStorage, OrderedViewStorage, StorageBackend};
+use crate::storage::ViewStorage;
 
 /// A view-maintenance strategy: consumes single-tuple updates and can report the current
 /// query result (a table from group keys to aggregate values).
 pub trait MaintenanceStrategy {
     /// A short name used in experiment output: the strategy family
-    /// ("recursive-ivm", "recursive-ivm-interpreted", "classical-ivm", "naive"),
-    /// suffixed with `@<backend>` when it runs on a non-default storage backend
-    /// ("recursive-ivm@ordered").
+    /// ("recursive-ivm", "classical-ivm", "naive"), suffixed with `@<backend>` when it
+    /// runs on a non-default storage backend ("recursive-ivm@ordered").
     fn strategy_name(&self) -> &'static str;
 
     /// Applies one single-tuple update.
     fn apply_update(&mut self, update: &Update) -> Result<(), String>;
 
-    /// Applies a batch of updates. The default loops [`apply_update`]; strategies with
-    /// a real batch path (the trigger-program executors) override it to consolidate the
-    /// batch into a [`DeltaBatch`](dbring_relations::DeltaBatch) and fire each affected
-    /// map once. Either way the result equals applying the updates one by one; like the
-    /// per-update path, a mid-batch failure is not rolled back.
-    ///
-    /// [`apply_update`]: MaintenanceStrategy::apply_update
-    fn apply_update_batch(&mut self, updates: &[Update]) -> Result<(), String> {
-        for update in updates {
-            self.apply_update(update)?;
-        }
-        Ok(())
-    }
-
     /// The current query result as a sorted table. Groups whose aggregate is zero may be
     /// omitted.
     fn current_result(&self) -> BTreeMap<Vec<Value>, Number>;
 
-    /// The aggregate value for one group key (zero if the group is absent).
-    ///
-    /// **Cost of the default impl:** it calls [`current_result`], materializing the
-    /// *entire* result table (one allocation per group) to answer a single-key lookup.
-    /// That is fine for the baselines' occasional oracle checks, but any strategy that
-    /// can probe its result directly must override this — all four in-tree strategy
-    /// families do — and callers probing in a loop should prefer a strategy-specific
-    /// accessor over a `dyn MaintenanceStrategy` default.
+    /// The aggregate value for one group key (zero if the group is absent), probed
+    /// directly rather than through a materialized [`current_result`] table.
     ///
     /// [`current_result`]: MaintenanceStrategy::current_result
+    fn result_value(&self, key: &[Value]) -> Number;
+}
+
+/// Recursive IVM on any storage backend, named like its [`ViewEngine`] impl.
+impl<S: ViewStorage + Send + 'static> MaintenanceStrategy for Executor<S> {
+    fn strategy_name(&self) -> &'static str {
+        self.engine_name()
+    }
+
+    fn apply_update(&mut self, update: &Update) -> Result<(), String> {
+        self.apply(update).map_err(|e| e.to_string())
+    }
+
+    fn current_result(&self) -> BTreeMap<Vec<Value>, Number> {
+        self.output_table()
+    }
+
     fn result_value(&self, key: &[Value]) -> Number {
-        self.current_result()
-            .get(key)
-            .copied()
-            .unwrap_or(Number::Int(0))
-    }
-}
-
-/// Implements [`MaintenanceStrategy`] for one concrete executor type, with a literal
-/// strategy name (names must be `&'static str`, so each backend combination gets its
-/// own impl rather than a formatted string).
-macro_rules! impl_executor_strategy {
-    ($ty:ty, $name:literal) => {
-        impl MaintenanceStrategy for $ty {
-            fn strategy_name(&self) -> &'static str {
-                $name
-            }
-
-            fn apply_update(&mut self, update: &Update) -> Result<(), String> {
-                self.apply(update).map_err(|e| e.to_string())
-            }
-
-            // The real batch path: consolidate once, fire each affected map once.
-            fn apply_update_batch(&mut self, updates: &[Update]) -> Result<(), String> {
-                self.apply_batch(&dbring_relations::DeltaBatch::from_updates(updates))
-                    .map_err(|e| e.to_string())
-            }
-
-            fn current_result(&self) -> BTreeMap<Vec<Value>, Number> {
-                self.output_table()
-            }
-
-            // Direct probe of the output map: no table materialization.
-            fn result_value(&self, key: &[Value]) -> Number {
-                self.output_value(key)
-            }
-        }
-    };
-}
-
-impl_executor_strategy!(Executor<HashViewStorage>, "recursive-ivm");
-impl_executor_strategy!(Executor<OrderedViewStorage>, "recursive-ivm@ordered");
-impl_executor_strategy!(
-    InterpretedExecutor<HashViewStorage>,
-    "recursive-ivm-interpreted"
-);
-impl_executor_strategy!(
-    InterpretedExecutor<OrderedViewStorage>,
-    "recursive-ivm-interpreted@ordered"
-);
-
-/// Builds the lowered recursive-IVM strategy for a compiled program on the given
-/// storage backend, behind the dynamic strategy interface.
-///
-/// # Panics
-/// Panics if the program does not lower (impossible for compiler-produced programs).
-pub fn recursive_ivm(
-    program: TriggerProgram,
-    backend: StorageBackend,
-) -> Box<dyn MaintenanceStrategy> {
-    match backend {
-        StorageBackend::Hash => Box::new(Executor::<HashViewStorage>::with_backend(program)),
-        StorageBackend::Ordered => Box::new(Executor::<OrderedViewStorage>::with_backend(program)),
-    }
-}
-
-/// Builds the interpreted recursive-IVM reference strategy on the given storage backend.
-pub fn interpreted_ivm(
-    program: TriggerProgram,
-    backend: StorageBackend,
-) -> Box<dyn MaintenanceStrategy> {
-    match backend {
-        StorageBackend::Hash => Box::new(InterpretedExecutor::<HashViewStorage>::with_backend(
-            program,
-        )),
-        StorageBackend::Ordered => Box::new(
-            InterpretedExecutor::<OrderedViewStorage>::with_backend(program),
-        ),
-    }
-}
-
-/// Resolves a trigger-program strategy by its registry name: a family name
-/// (`"recursive-ivm"`, `"recursive-ivm-interpreted"`), optionally suffixed with
-/// `@<backend>` (`"recursive-ivm@ordered"`). No suffix means the hash backend.
-/// Returns `None` for unknown families or backends. (The database-retaining baselines
-/// `classical-ivm` / `naive` are constructed from a database + query, not a compiled
-/// program, so they are not served here.)
-pub fn strategy_by_name(
-    name: &str,
-    program: TriggerProgram,
-) -> Option<Box<dyn MaintenanceStrategy>> {
-    let (family, backend) = match name.split_once('@') {
-        Some((family, backend)) => (family, StorageBackend::parse(backend)?),
-        None => (name, StorageBackend::Hash),
-    };
-    match family {
-        "recursive-ivm" => Some(recursive_ivm(program, backend)),
-        "recursive-ivm-interpreted" => Some(interpreted_ivm(program, backend)),
-        _ => None,
+        self.output_value(key)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::{HashViewStorage, OrderedViewStorage};
     use dbring_agca::parser::parse_query;
-    use dbring_compiler::compile;
-    use dbring_relations::Database;
+    use dbring_compiler::{compile, TriggerProgram};
+    use dbring_relations::{Database, DeltaBatch};
 
     fn sum_program() -> TriggerProgram {
         let mut catalog = Database::new();
@@ -185,22 +85,9 @@ mod tests {
 
     #[test]
     fn backend_factories_yield_equivalent_strategies_with_distinct_names() {
-        let mut strategies = vec![
-            recursive_ivm(sum_program(), StorageBackend::Hash),
-            recursive_ivm(sum_program(), StorageBackend::Ordered),
-            interpreted_ivm(sum_program(), StorageBackend::Hash),
-            interpreted_ivm(sum_program(), StorageBackend::Ordered),
-        ];
+        let mut strategies = both_backends();
         let names: Vec<&str> = strategies.iter().map(|s| s.strategy_name()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "recursive-ivm",
-                "recursive-ivm@ordered",
-                "recursive-ivm-interpreted",
-                "recursive-ivm-interpreted@ordered",
-            ]
-        );
+        assert_eq!(names, vec!["recursive-ivm", "recursive-ivm@ordered"]);
         for s in &mut strategies {
             s.apply_update(&Update::insert("R", vec![Value::int(5)]))
                 .unwrap();
@@ -218,6 +105,13 @@ mod tests {
         }
     }
 
+    fn both_backends() -> Vec<Box<dyn MaintenanceStrategy>> {
+        vec![
+            Box::new(Executor::<HashViewStorage>::with_backend(sum_program())),
+            Box::new(Executor::<OrderedViewStorage>::with_backend(sum_program())),
+        ]
+    }
+
     fn strategies_result() -> BTreeMap<Vec<Value>, Number> {
         let mut expected = BTreeMap::new();
         expected.insert(vec![], Number::Int(1));
@@ -230,47 +124,19 @@ mod tests {
             .map(|i| Update::insert("R", vec![Value::int(i % 4)]))
             .chain((0..3).map(|i| Update::delete("R", vec![Value::int(i)])))
             .collect();
-        for name in [
-            "recursive-ivm",
-            "recursive-ivm@ordered",
-            "recursive-ivm-interpreted",
-            "recursive-ivm-interpreted@ordered",
-        ] {
-            let mut per_update = strategy_by_name(name, sum_program()).unwrap();
+        // Strategies apply one update at a time; the executor's own batch path must
+        // reach the same result on every backend.
+        let batch = DeltaBatch::from_updates(&updates);
+        let mut hash = Executor::<HashViewStorage>::with_backend(sum_program());
+        hash.apply_batch(&batch).unwrap();
+        let mut ordered = Executor::<OrderedViewStorage>::with_backend(sum_program());
+        ordered.apply_batch(&batch).unwrap();
+        for mut per_update in both_backends() {
             for u in &updates {
                 per_update.apply_update(u).unwrap();
             }
-            let mut batched = strategy_by_name(name, sum_program()).unwrap();
-            batched.apply_update_batch(&updates).unwrap();
-            assert_eq!(
-                per_update.current_result(),
-                batched.current_result(),
-                "{name}"
-            );
+            assert_eq!(per_update.current_result(), hash.output_table());
+            assert_eq!(per_update.current_result(), ordered.output_table());
         }
-    }
-
-    #[test]
-    fn strategy_names_resolve_through_the_registry() {
-        for name in [
-            "recursive-ivm",
-            "recursive-ivm@hash",
-            "recursive-ivm@ordered",
-            "recursive-ivm-interpreted",
-            "recursive-ivm-interpreted@ordered",
-        ] {
-            let mut s =
-                strategy_by_name(name, sum_program()).unwrap_or_else(|| panic!("{name} resolves"));
-            s.apply_update(&Update::insert("R", vec![Value::int(1)]))
-                .unwrap();
-            assert_eq!(s.result_value(&[]), Number::Int(1), "{name}");
-            // `@hash` is the explicit spelling of the default.
-            if name == "recursive-ivm@hash" {
-                assert_eq!(s.strategy_name(), "recursive-ivm");
-            }
-        }
-        assert!(strategy_by_name("recursive-ivm@mmap", sum_program()).is_none());
-        assert!(strategy_by_name("bogus", sum_program()).is_none());
-        assert!(strategy_by_name("naive", sum_program()).is_none());
     }
 }

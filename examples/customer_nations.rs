@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example customer_nations`
 
-use dbring::{Catalog, IncrementalView, MaintenanceStrategy, NaiveReeval, Update, Value};
+use dbring::{Catalog, MaintenanceStrategy, NaiveReeval, RingBuilder, Update, Value, ViewDef};
 use dbring_workloads::{customers_by_nation, WorkloadConfig};
 
 fn main() {
@@ -15,20 +15,26 @@ fn main() {
         delete_fraction: 0.25,
     });
 
-    // The paper's SQL query, compiled to a trigger program.
-    let mut view = IncrementalView::new(&workload.catalog, workload.query.clone())
+    // The paper's SQL query, compiled to a trigger program and hosted on a one-view ring.
+    let mut ring = RingBuilder::new(workload.catalog.clone()).build();
+    let id = ring
+        .create_view("same_nation", ViewDef::Query(workload.query.clone()))
         .expect("Example 5.2 compiles");
     println!("query: {}", workload.query);
-    println!("\ncompiled program:\n{}", view.program().describe());
+    println!(
+        "\ncompiled program:\n{}",
+        ring.view(id).unwrap().program().describe()
+    );
 
     // The non-incremental oracle recomputes the query after every update.
     let mut oracle =
         NaiveReeval::new(workload.catalog.clone(), workload.query.clone()).expect("oracle");
 
     for (i, update) in workload.stream.iter().enumerate() {
-        view.apply(update).unwrap();
+        ring.apply(update).unwrap();
         oracle.apply_update(update).unwrap();
         if (i + 1) % 100 == 0 {
+            let view = ring.view(id).unwrap();
             assert_eq!(
                 view.table(),
                 oracle.current_result(),
@@ -46,7 +52,9 @@ fn main() {
     }
 
     // Show the five customers with the most same-nation peers.
-    let mut rows: Vec<(Vec<Value>, i64)> = view
+    let mut rows: Vec<(Vec<Value>, i64)> = ring
+        .view(id)
+        .unwrap()
         .table()
         .into_iter()
         .map(|(k, v)| (k, v.as_i64().unwrap_or(0)))
@@ -60,8 +68,10 @@ fn main() {
     // Replay the paper's own miniature trace (Example 1.2 uses the scalar variant).
     let mut catalog = Catalog::new();
     catalog.declare("R", &["A"]).unwrap();
-    let mut count =
-        IncrementalView::from_agca(&catalog, "q := Sum(R(x) * R(y) * (x = y))").unwrap();
+    let mut count = RingBuilder::new(catalog).build();
+    let q = count
+        .create_view("q", ViewDef::Agca("q := Sum(R(x) * R(y) * (x = y))"))
+        .unwrap();
     let mut r_updates = vec![
         Update::insert("R", vec![Value::str("c")]),
         Update::insert("R", vec![Value::str("c")]),
@@ -74,6 +84,10 @@ fn main() {
     println!("\nExample 1.2 trace (Q = self-join count of R):");
     for u in r_updates.drain(..) {
         count.apply(&u).unwrap();
-        println!("  {:<8} Q(R) = {}", u.to_string(), count.value(&[]));
+        println!(
+            "  {:<8} Q(R) = {}",
+            u.to_string(),
+            count.view(q).unwrap().value(&[])
+        );
     }
 }

@@ -1,10 +1,10 @@
 //! Quick start: build a `Ring` engine, register two standing SQL aggregates, stream
 //! inserts and deletes once, and read both incrementally maintained results — plus the
-//! single-view `IncrementalView` shortcut for when one query is all you need.
+//! one-view ring for when one query is all you need.
 //!
 //! Run with: `cargo run --example quickstart`
 
-use dbring::{Catalog, IncrementalView, RingBuilder, Value, ViewDef};
+use dbring::{Catalog, RingBuilder, Value, ViewDef};
 
 fn main() {
     // 1. Declare the schema (a catalog is a database whose contents are ignored).
@@ -81,21 +81,25 @@ fn main() {
         2.0
     );
 
-    // 5. One query only? `IncrementalView` is the single-view shortcut over the same
-    //    machinery (and stores nothing but the view's own maps).
-    let mut solo = IncrementalView::from_sql(
-        &catalog,
-        "SELECT cust, SUM(price * qty) AS revenue FROM Sales GROUP BY cust",
-    )
-    .expect("query compiles");
+    // 5. One query only? A one-view ring is the same machinery; built without base
+    //    tracking it stores nothing but the view's own maps.
+    let mut solo = RingBuilder::new(catalog).without_base_tracking().build();
+    let solo_revenue = solo
+        .create_view(
+            "revenue",
+            ViewDef::Sql("SELECT cust, SUM(price * qty) AS revenue FROM Sales GROUP BY cust"),
+        )
+        .expect("query compiles");
     solo.insert(
         "Sales",
         vec![Value::int(1), Value::float(9.99), Value::int(3)],
     )
     .unwrap();
-    assert!((solo.value(&[Value::int(1)]).as_f64() - 29.97).abs() < 1e-9);
-    println!(
-        "single-view shortcut agrees: {:.2}",
-        solo.value(&[Value::int(1)]).as_f64()
-    );
+    let solo_value = solo
+        .view(solo_revenue)
+        .unwrap()
+        .value(&[Value::int(1)])
+        .as_f64();
+    assert!((solo_value - 29.97).abs() < 1e-9);
+    println!("one-view ring agrees: {solo_value:.2}");
 }

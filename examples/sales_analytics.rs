@@ -9,7 +9,7 @@
 
 use std::time::Instant;
 
-use dbring::{ClassicalIvm, IncrementalView, MaintenanceStrategy, NaiveReeval, Value};
+use dbring::{ClassicalIvm, MaintenanceStrategy, NaiveReeval, RingBuilder, Value, ViewDef};
 use dbring_workloads::{sales_revenue, WorkloadConfig};
 
 fn main() {
@@ -22,17 +22,18 @@ fn main() {
     });
     println!("query: {}", workload.query);
 
-    // Recursive IVM: compile once, bulk-load the initial database into the view hierarchy,
-    // then stream.
+    // Recursive IVM: a ring over the initial database compiles the view once and
+    // backfills its hierarchy from that database; then stream.
     let initial_db = workload.initial_database();
-    let mut view = IncrementalView::new(&workload.catalog, workload.query.clone())
-        .unwrap()
-        .with_initial_database(&initial_db)
+    let mut ring = RingBuilder::from_database(initial_db.clone()).build();
+    let id = ring
+        .create_view("revenue", ViewDef::Query(workload.query.clone()))
         .unwrap();
 
     let started = Instant::now();
-    view.apply_all(&workload.stream).unwrap();
+    ring.apply_all(&workload.stream).unwrap();
     let recursive_elapsed = started.elapsed();
+    let view = ring.view(id).unwrap();
 
     // Classical first-order IVM and naive re-evaluation over the same stream.
     let mut classical = ClassicalIvm::new(initial_db.clone(), workload.query.clone()).unwrap();

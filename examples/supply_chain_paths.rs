@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release --example supply_chain_paths`
 
-use dbring::IncrementalView;
+use dbring::{RingBuilder, ViewDef};
 use dbring_workloads::{rst_sum_join, WorkloadConfig};
 
 fn main() {
@@ -23,16 +23,22 @@ fn main() {
     });
     println!("query: {}\n", workload.query);
 
-    let mut view =
-        IncrementalView::new(&workload.catalog, workload.query.clone()).expect("compiles");
-    println!("compiled program:\n{}", view.program().describe());
+    let mut ring = RingBuilder::new(workload.catalog.clone()).build();
+    let id = ring
+        .create_view("paths", ViewDef::Query(workload.query.clone()))
+        .expect("compiles");
+    println!(
+        "compiled program:\n{}",
+        ring.view(id).unwrap().program().describe()
+    );
 
     // Stream the updates, sampling the per-update arithmetic work as the database grows.
     println!("updates applied | tuples in views | arithmetic ops per update (avg over last 1000)");
     let mut last_ops = 0u64;
     for (i, update) in workload.stream.iter().enumerate() {
-        view.apply(update).unwrap();
+        ring.apply(update).unwrap();
         if (i + 1) % 1000 == 0 {
+            let view = ring.view(id).unwrap();
             let ops = view.stats().arithmetic_ops();
             println!(
                 "{:>15} | {:>15} | {:>10.2}",
@@ -46,6 +52,6 @@ fn main() {
 
     println!(
         "\ntotal weighted path capacity: {}",
-        view.value(&[]).as_f64()
+        ring.view(id).unwrap().value(&[]).as_f64()
     );
 }

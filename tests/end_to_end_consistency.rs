@@ -3,7 +3,7 @@
 //! classical first-order IVM and naive re-evaluation, across seeds, update mixes and
 //! starting databases.
 
-use dbring::IncrementalView;
+use dbring::{compile, Executor};
 use dbring_integration_tests::{
     assert_strategies_agree, assert_tables_match, run_all_strategies, stream_with_oracle,
 };
@@ -69,16 +69,17 @@ fn initialization_and_streaming_commute() {
     // with streaming everything from the start.
     for workload in all_workloads(WorkloadConfig::small(21)) {
         let initial_db = workload.initial_database();
-        let mut initialized = IncrementalView::new(&workload.catalog, workload.query.clone())
-            .unwrap()
-            .with_initial_database(&initial_db)
-            .unwrap();
-        let mut streamed = IncrementalView::new(&workload.catalog, workload.query.clone()).unwrap();
+        let program = compile(&workload.catalog, &workload.query).unwrap();
+        let mut initialized = Executor::new(program.clone());
+        initialized.initialize_from(&initial_db).unwrap();
+        let mut streamed = Executor::new(program);
         streamed.apply_all(workload.initial.iter()).unwrap();
-        assert_tables_match(&initialized.table(), &streamed.table(), workload.name);
+        let (a, b) = (initialized.output_table(), streamed.output_table());
+        assert_tables_match(&a, &b, workload.name);
         initialized.apply_all(&workload.stream).unwrap();
         streamed.apply_all(&workload.stream).unwrap();
-        assert_tables_match(&initialized.table(), &streamed.table(), workload.name);
+        let (a, b) = (initialized.output_table(), streamed.output_table());
+        assert_tables_match(&a, &b, workload.name);
     }
 }
 
@@ -90,13 +91,13 @@ fn inverse_streams_cancel_exactly() {
         delete_fraction: 0.0,
         ..WorkloadConfig::small(31)
     });
-    let mut view = IncrementalView::new(&workload.catalog, workload.query.clone()).unwrap();
+    let mut view = Executor::new(compile(&workload.catalog, &workload.query).unwrap());
     view.apply_all(&workload.stream).unwrap();
-    assert!(!view.table().is_empty());
+    assert!(!view.output_table().is_empty());
     let inverse: Vec<_> = workload.stream.iter().rev().map(|u| u.inverse()).collect();
     view.apply_all(&inverse).unwrap();
     assert!(
-        view.table().is_empty(),
+        view.output_table().is_empty(),
         "all groups must cancel back to zero"
     );
     assert_eq!(view.total_entries(), 0);

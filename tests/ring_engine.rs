@@ -3,7 +3,8 @@
 //! with per-relation routing, the dedicated catalog errors, and the read handles.
 
 use dbring::{
-    Catalog, Error, Number, Ring, RingBuilder, RuntimeError, StorageBackend, Update, Value, ViewDef,
+    compile, parse_query, BatchNormalizer, Catalog, Error, Executor, Number, Ring, RingBuilder,
+    RuntimeError, StorageBackend, Update, Value, ViewDef,
 };
 
 fn shop_catalog() -> Catalog {
@@ -18,6 +19,13 @@ fn sale(cust: i64, cents: i64, qty: i64) -> Update {
         "Sales",
         vec![Value::int(cust), Value::int(cents), Value::int(qty)],
     )
+}
+
+/// An independent executor for an AGCA view over `catalog`, with its own batch
+/// normalizer: the oracle a ring's routed dispatch is compared against.
+fn solo(catalog: &Catalog, text: &str) -> (Executor, BatchNormalizer) {
+    let program = compile(catalog, &parse_query(text).unwrap()).unwrap();
+    (Executor::new(program), BatchNormalizer::new())
 }
 
 fn ret(cust: i64, cents: i64, qty: i64) -> Update {
@@ -91,22 +99,16 @@ fn routed_ingest_matches_independent_views_exactly() {
             ring.apply_batch(chunk).unwrap();
         }
 
-        let mut independent: Vec<dbring::IncrementalView> = defs
-            .iter()
-            .map(|(_, text)| dbring::IncrementalView::from_agca(&catalog, text).unwrap())
-            .collect();
-        for view in &mut independent {
-            view.apply_all(first).unwrap();
+        for (&id, (_, text)) in ids.iter().zip(defs) {
+            let (mut exec, mut normalizer) = solo(&catalog, text);
+            exec.apply_all(first).unwrap();
             for chunk in second.chunks(8) {
-                view.apply_batch(chunk).unwrap();
+                exec.apply_batch(&normalizer.normalize(chunk)).unwrap();
             }
-        }
-
-        for (i, &id) in ids.iter().enumerate() {
             let hosted = ring.view(id).unwrap();
-            assert_eq!(hosted.table(), independent[i].table(), "{}", hosted.name());
+            assert_eq!(hosted.table(), exec.output_table(), "{}", hosted.name());
             // Routed dispatch == per-view apply, operation for operation.
-            assert_eq!(hosted.stats(), independent[i].stats(), "{}", hosted.name());
+            assert_eq!(hosted.stats(), exec.stats(), "{}", hosted.name());
         }
         // Routing is visible: the refunds view saw only the Returns updates.
         let returns_seen = updates.iter().filter(|u| u.relation == "Returns").count() as u64;
@@ -144,12 +146,11 @@ fn late_views_are_backfilled_and_stay_consistent() {
         )
         .unwrap();
 
-    let mut replayed_units =
-        dbring::IncrementalView::from_agca(&catalog, "q[c] := Sum(Sales(c, p, n) * n)").unwrap();
+    let (mut replayed_units, mut normalizer) = solo(&catalog, "q[c] := Sum(Sales(c, p, n) * n)");
     replayed_units.apply_all(&prefix).unwrap();
     assert_eq!(
         ring.view(late_sales).unwrap().table(),
-        replayed_units.table()
+        replayed_units.output_table()
     );
     assert_eq!(
         ring.view(late_returns).unwrap().value(&[Value::int(1)]),
@@ -159,10 +160,12 @@ fn late_views_are_backfilled_and_stay_consistent() {
     // Subsequent maintenance keeps all of them in lockstep.
     let suffix: Vec<Update> = (0..20).map(|i| sale(i % 4, 30, i % 3 + 1)).collect();
     ring.apply_batch(&suffix).unwrap();
-    replayed_units.apply_batch(&suffix).unwrap();
+    replayed_units
+        .apply_batch(&normalizer.normalize(&suffix))
+        .unwrap();
     assert_eq!(
         ring.view(late_sales).unwrap().table(),
-        replayed_units.table()
+        replayed_units.output_table()
     );
 }
 

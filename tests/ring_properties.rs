@@ -5,11 +5,12 @@
 //!    the same view replayed from scratch over those updates — at the registration
 //!    point and after arbitrary further maintenance.
 //! 2. **Routed shared-batch ingest**: one ring maintaining k views from one chunked
-//!    stream must reach exactly the tables *and* `ExecStats` of k independently
-//!    maintained views (the amortization moves normalization, never ring work).
+//!    stream must reach exactly the tables *and* `ExecStats` of k independent
+//!    executors (the amortization moves normalization, never ring work).
 
 use dbring::{
-    Catalog, IncrementalView, RingBuilder, StorageBackend, Update, Value, ViewDef, ViewId,
+    compile, parse_query, BatchNormalizer, Catalog, Executor, RingBuilder, StorageBackend, Update,
+    Value, ViewDef, ViewId,
 };
 use proptest::prelude::*;
 
@@ -52,6 +53,12 @@ fn arb_update() -> impl Strategy<Value = Update> {
     ]
 }
 
+/// An independent executor for one of [`VIEWS`], with its own batch normalizer.
+fn solo(text: &str) -> (Executor, BatchNormalizer) {
+    let program = compile(&catalog(), &parse_query(text).unwrap()).unwrap();
+    (Executor::new(program), BatchNormalizer::new())
+}
+
 fn backends() -> [StorageBackend; 2] {
     [StorageBackend::Hash, StorageBackend::Ordered]
 }
@@ -75,11 +82,11 @@ proptest! {
                 .collect();
 
             for (i, (name, text)) in VIEWS.iter().enumerate() {
-                let mut replayed = IncrementalView::from_agca(&catalog(), text).unwrap();
+                let (mut replayed, mut normalizer) = solo(text);
                 replayed.apply_all(&prefix).unwrap();
                 prop_assert_eq!(
                     ring.view(ids[i]).unwrap().table(),
-                    replayed.table(),
+                    replayed.output_table(),
                     "late view {} diverges from replay on {} after backfill",
                     name,
                     backend
@@ -92,10 +99,10 @@ proptest! {
                 fork.apply_all(head).unwrap();
                 fork.apply_batch(tail).unwrap();
                 replayed.apply_all(head).unwrap();
-                replayed.apply_batch(tail).unwrap();
+                replayed.apply_batch(&normalizer.normalize(tail)).unwrap();
                 prop_assert_eq!(
                     fork.view(ids[i]).unwrap().table(),
-                    replayed.table(),
+                    replayed.output_table(),
                     "late view {} diverges from replay on {} after further ingest",
                     name,
                     backend
@@ -121,21 +128,21 @@ proptest! {
                 ring.apply_batch(piece).unwrap();
             }
             for (i, (name, text)) in VIEWS.iter().enumerate() {
-                let mut solo = IncrementalView::from_agca(&catalog(), text).unwrap();
+                let (mut exec, mut normalizer) = solo(text);
                 for piece in stream.chunks(chunk) {
-                    solo.apply_batch(piece).unwrap();
+                    exec.apply_batch(&normalizer.normalize(piece)).unwrap();
                 }
                 let hosted = ring.view(ids[i]).unwrap();
                 prop_assert_eq!(
                     hosted.table(),
-                    solo.table(),
+                    exec.output_table(),
                     "tables diverge for {} on {}",
                     name,
                     backend
                 );
                 prop_assert_eq!(
                     hosted.stats(),
-                    solo.stats(),
+                    exec.stats(),
                     "work counters diverge for {} on {}",
                     name,
                     backend
