@@ -21,7 +21,6 @@ use dbring::{HashViewStorage, OrderedViewStorage};
 use dbring_bench::{fault_point, fmt_ns, header, write_bench_json, BenchRow, FaultPoint};
 use dbring_workloads::{sales_dashboard, MultiViewWorkload, WorkloadConfig};
 
-const THREADS: &[usize] = &[1, 4];
 const BATCHES_QUICK: &[usize] = &[1, 64];
 const BATCHES_FULL: &[usize] = &[1, 64, 512];
 
@@ -33,37 +32,34 @@ fn sweep<S: dbring::ViewStorage + Send + 'static>(
 ) -> Vec<FaultPoint> {
     let mut points = Vec::new();
     println!(
-        "[{backend}] {:>7} | {:>5} | {:>5} | {:>10} | {:>10} | {:>8}",
-        "threads", "views", "batch", "direct/upd", "staged/upd", "overhead"
+        "[{backend}] {:>5} | {:>5} | {:>10} | {:>10} | {:>8}",
+        "views", "batch", "direct/upd", "staged/upd", "overhead"
     );
     let views = workload.views.len();
     for &batch in batches {
-        for &threads in THREADS {
-            let p = fault_point::<S>(workload, views, batch, threads);
-            println!(
-                "[{backend}] {:>7} | {:>5} | {:>5} | {:>10} | {:>10} | {:>7.3}x",
-                p.threads,
-                p.views,
-                p.batch_size,
-                fmt_ns(p.direct_ns),
-                fmt_ns(p.staged_ns),
-                p.overhead(),
-            );
-            // `ops_per_update` carries the staged/direct overhead ratio on the
-            // staged row so the trajectory is trackable as one number.
-            for (metric, ns, ops) in [
-                ("direct_ns", p.direct_ns, 0.0),
-                ("staged_ns", p.staged_ns, p.overhead()),
-            ] {
-                rows.push(BenchRow {
-                    series: format!("faults/{backend}/threads{}/{metric}", p.threads),
-                    batch_size: p.batch_size,
-                    ns_per_update: ns,
-                    ops_per_update: ops,
-                });
-            }
-            points.push(p);
+        let p = fault_point::<S>(workload, views, batch);
+        println!(
+            "[{backend}] {:>5} | {:>5} | {:>10} | {:>10} | {:>7.3}x",
+            p.views,
+            p.batch_size,
+            fmt_ns(p.direct_ns),
+            fmt_ns(p.staged_ns),
+            p.overhead(),
+        );
+        // `ops_per_update` carries the staged/direct overhead ratio on the
+        // staged row so the trajectory is trackable as one number.
+        for (metric, ns, ops) in [
+            ("direct_ns", p.direct_ns, 0.0),
+            ("staged_ns", p.staged_ns, p.overhead()),
+        ] {
+            rows.push(BenchRow {
+                series: format!("faults/{backend}/{metric}"),
+                batch_size: p.batch_size,
+                ns_per_update: ns,
+                ops_per_update: ops,
+            });
         }
+        points.push(p);
     }
     points
 }
@@ -74,11 +70,10 @@ fn report_worst(label: &str, points: &[FaultPoint]) {
         .max_by(|a, b| a.overhead().total_cmp(&b.overhead()))
     {
         println!(
-            "[{label}] worst staging overhead: {:.3}x at batch {} with {} thread(s) \
+            "[{label}] worst staging overhead: {:.3}x at batch {} \
              ({} direct vs {} staged per update)",
             worst.overhead(),
             worst.batch_size,
-            worst.threads,
             fmt_ns(worst.direct_ns),
             fmt_ns(worst.staged_ns),
         );

@@ -693,15 +693,16 @@ pub fn ring_point<S: dbring::ViewStorage + Send + 'static>(
     }
     let ring_untracked_ns = started.elapsed().as_nanos() as f64 / streamed;
 
-    // Each independent executor gets the ring's within-view thread budget and its own
-    // normalizer, so the ring's only advantages are the shared normalization and routing.
+    // Each independent executor gets its own normalizer, so the ring's only
+    // advantages are the shared normalization and routing.
     let mut independent: Vec<(Executor<S>, dbring::BatchNormalizer)> = defs
         .iter()
         .map(|(_, query)| {
             let program = compile(&workload.catalog, query).expect("dashboard views compile");
-            let mut exec = Executor::<S>::with_backend(program);
-            exec.set_parallelism(dbring::ParallelConfig::default().threads);
-            (exec, dbring::BatchNormalizer::new())
+            (
+                Executor::<S>::with_backend(program),
+                dbring::BatchNormalizer::new(),
+            )
         })
         .collect();
     for (exec, normalizer) in &mut independent {
@@ -755,132 +756,6 @@ pub fn ring_point<S: dbring::ViewStorage + Send + 'static>(
     }
 }
 
-/// One row of the parallel-ingest sweep: total per-update cost of a ring ingesting one
-/// chunked stream sequentially (`ingest_threads(1)`, the exact pre-parallelism code
-/// path) against the same ring at a given thread budget (same compiled programs, same
-/// storage backend, same chunking — the difference is purely fan-out across views and
-/// key-range sharding within each view's batched flush).
-#[derive(Clone, Copy, Debug)]
-pub struct ParallelPoint {
-    /// Thread budget of the parallel ring (`1` would make both sides identical).
-    pub threads: usize,
-    /// Number of standing views maintained.
-    pub views: usize,
-    /// Number of stream updates per ingested chunk.
-    pub batch_size: usize,
-    /// Number of stream updates ingested (after the bulk load).
-    pub updates: usize,
-    /// Mean per-update latency of the sequential ring, in nanoseconds.
-    pub sequential_ns: f64,
-    /// Mean per-update latency of the parallel ring, in nanoseconds.
-    pub parallel_ns: f64,
-}
-
-impl ParallelPoint {
-    /// Sequential time over parallel time (> 1 means parallelism wins).
-    pub fn speedup(&self) -> f64 {
-        if self.parallel_ns > 0.0 {
-            self.sequential_ns / self.parallel_ns
-        } else {
-            f64::NAN
-        }
-    }
-}
-
-/// Runs the first `views` queries of a [`MultiViewWorkload`](dbring_workloads::MultiViewWorkload) through two rings — one
-/// built with `ingest_threads(1)` and one with `ingest_threads(threads)` — ingesting
-/// the same stream in chunks of `batch_size` on the storage backend named by the type
-/// parameter (the shared setup of `exp_parallel` and the `parallel_ingest` bench).
-///
-/// **Parity is asserted on every run**, never sampled: per view, the parallel ring
-/// must reach exactly the sequential ring's table *and* its exact `ExecStats` —
-/// parallel dispatch and sharded flushes relocate work across threads, they must
-/// never change what work is done. Pass an integer-valued workload (e.g.
-/// [`dbring_workloads::sales_dashboard`]) so table equality is exact.
-///
-/// [`MultiViewWorkload`]: dbring_workloads::MultiViewWorkload
-pub fn parallel_point<S: dbring::ViewStorage + Send + 'static>(
-    workload: &dbring_workloads::MultiViewWorkload,
-    views: usize,
-    batch_size: usize,
-    threads: usize,
-) -> ParallelPoint {
-    use dbring::{RingBuilder, ViewDef};
-    assert!(
-        !workload.views.is_empty(),
-        "parallel_point needs a workload with at least one view"
-    );
-    let k = views.clamp(1, workload.views.len());
-    let defs = &workload.views[..k];
-    let streamed = workload.stream.len().max(1) as f64;
-    let chunk = batch_size.max(1);
-
-    let build_ring = |n_threads: usize| {
-        let mut ring = RingBuilder::new(workload.catalog.clone())
-            .backend(S::BACKEND)
-            .ingest_threads(n_threads)
-            .build();
-        let ids: Vec<dbring::ViewId> = defs
-            .iter()
-            .map(|(name, query)| {
-                ring.create_view(*name, ViewDef::Query(query.clone()))
-                    .expect("workload views compile")
-            })
-            .collect();
-        for piece in workload.initial.chunks(chunk) {
-            ring.apply_batch(piece).expect("bulk load succeeds");
-        }
-        for &id in &ids {
-            ring.view_mut(id).unwrap().reset_stats();
-        }
-        (ring, ids)
-    };
-
-    let (mut sequential, seq_ids) = build_ring(1);
-    let started = Instant::now();
-    for piece in workload.stream.chunks(chunk) {
-        sequential
-            .apply_batch(piece)
-            .expect("sequential ring ingests the stream");
-    }
-    let sequential_ns = started.elapsed().as_nanos() as f64 / streamed;
-
-    let (mut parallel, par_ids) = build_ring(threads.max(1));
-    let started = Instant::now();
-    for piece in workload.stream.chunks(chunk) {
-        parallel
-            .apply_batch(piece)
-            .expect("parallel ring ingests the stream");
-    }
-    let parallel_ns = started.elapsed().as_nanos() as f64 / streamed;
-
-    for (i, &id) in seq_ids.iter().enumerate() {
-        let seq = sequential.view(id).unwrap();
-        let par = parallel.view(par_ids[i]).unwrap();
-        assert_eq!(
-            seq.table(),
-            par.table(),
-            "parallel and sequential tables diverge on {}",
-            seq.name()
-        );
-        assert_eq!(
-            seq.stats(),
-            par.stats(),
-            "parallel and sequential ExecStats diverge on {}",
-            seq.name()
-        );
-    }
-
-    ParallelPoint {
-        threads: threads.max(1),
-        views: k,
-        batch_size: chunk,
-        updates: workload.stream.len(),
-        sequential_ns,
-        parallel_ns,
-    }
-}
-
 /// One row of the staging-overhead sweep: total per-update cost of a ring ingesting
 /// one chunked stream with failure-atomic staged batches (the default) against the
 /// same ring built [`without_staged_ingest`] (the pre-staging direct path). The
@@ -890,8 +765,6 @@ pub fn parallel_point<S: dbring::ViewStorage + Send + 'static>(
 /// [`without_staged_ingest`]: dbring::RingBuilder::without_staged_ingest
 #[derive(Clone, Copy, Debug)]
 pub struct FaultPoint {
-    /// Thread budget shared by both rings.
-    pub threads: usize,
     /// Number of standing views maintained.
     pub views: usize,
     /// Number of stream updates per ingested chunk.
@@ -933,7 +806,6 @@ pub fn fault_point<S: dbring::ViewStorage + Send + 'static>(
     workload: &dbring_workloads::MultiViewWorkload,
     views: usize,
     batch_size: usize,
-    threads: usize,
 ) -> FaultPoint {
     use dbring::{RingBuilder, ViewDef};
     assert!(
@@ -946,9 +818,7 @@ pub fn fault_point<S: dbring::ViewStorage + Send + 'static>(
     let chunk = batch_size.max(1);
 
     let build_ring = |staged: bool| {
-        let builder = RingBuilder::new(workload.catalog.clone())
-            .backend(S::BACKEND)
-            .ingest_threads(threads.max(1));
+        let builder = RingBuilder::new(workload.catalog.clone()).backend(S::BACKEND);
         let builder = if staged {
             builder
         } else {
@@ -1007,7 +877,6 @@ pub fn fault_point<S: dbring::ViewStorage + Send + 'static>(
     }
 
     FaultPoint {
-        threads: threads.max(1),
         views: k,
         batch_size: chunk,
         updates: workload.stream.len(),
@@ -1151,33 +1020,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_point_produces_sane_numbers_on_both_backends() {
-        use dbring_workloads::sales_dashboard;
-        let workload = sales_dashboard(WorkloadConfig {
-            seed: 6,
-            initial_size: 64,
-            stream_length: 96,
-            domain_size: 8,
-            delete_fraction: 0.2,
-        });
-        for point in [
-            parallel_point::<dbring::HashViewStorage>(&workload, 4, 32, 4),
-            parallel_point::<dbring::OrderedViewStorage>(&workload, 4, 32, 4),
-        ] {
-            assert_eq!(point.threads, 4);
-            assert_eq!(point.views, 4);
-            assert_eq!(point.batch_size, 32);
-            assert_eq!(point.updates, 96);
-            assert!(point.sequential_ns > 0.0);
-            assert!(point.parallel_ns > 0.0);
-            assert!(point.speedup() > 0.0);
-        }
-        // threads = 1 degenerates to two identical sequential runs, still asserted.
-        let flat = parallel_point::<dbring::HashViewStorage>(&workload, 4, 32, 1);
-        assert_eq!(flat.threads, 1);
-    }
-
-    #[test]
     fn fault_point_produces_sane_numbers_on_both_backends() {
         use dbring_workloads::sales_dashboard;
         let workload = sales_dashboard(WorkloadConfig {
@@ -1188,8 +1030,8 @@ mod tests {
             delete_fraction: 0.2,
         });
         for point in [
-            fault_point::<dbring::HashViewStorage>(&workload, 4, 32, 1),
-            fault_point::<dbring::OrderedViewStorage>(&workload, 4, 32, 4),
+            fault_point::<dbring::HashViewStorage>(&workload, 4, 32),
+            fault_point::<dbring::OrderedViewStorage>(&workload, 4, 32),
         ] {
             assert_eq!(point.views, 4);
             assert_eq!(point.batch_size, 32);

@@ -111,12 +111,11 @@ pub use dbring_relations::{
     Tuple, Update, Value,
 };
 pub use dbring_runtime::fault;
-pub use dbring_runtime::storage::MIN_DELTAS_PER_SHARD;
 pub use dbring_runtime::{
     boxed_engine, try_boxed_engine, ChangeSet, ClassicalIvm, EngineRegistry, ExecStats, Executor,
     FaultOp, FaultPlan, FaultStorage, HashViewStorage, InterpretedExecutor, MaintenanceStrategy,
-    NaiveReeval, OrderedViewStorage, ParallelConfig, PublishStats, RuntimeError, SnapshotStore,
-    StagedBatch, StorageBackend, StorageFootprint, ViewEngine, ViewSnapshot, ViewStorage,
+    NaiveReeval, OrderedViewStorage, PublishStats, RuntimeError, SnapshotStore, StagedBatch,
+    StorageBackend, StorageFootprint, ViewEngine, ViewSnapshot, ViewStorage,
 };
 
 mod ring;

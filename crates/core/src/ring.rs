@@ -22,7 +22,7 @@
 //!   them against the catalog once, normalizes batches into a
 //!   [`DeltaBatch`](crate::DeltaBatch) **once**, and routes work only to the views
 //!   whose programs read the touched relations — `k` views over one stream cost one
-//!   normalization, not `k`.
+//!   normalization, not `k`. All of it runs on the calling thread.
 //! * **Failure-atomic ingest.** By default every update and batch is *staged* on all
 //!   touched views and committed only when all of them succeed; a failure (including
 //!   a panicking engine) rolls every view back, so a rejected batch lands nowhere. A
@@ -50,9 +50,9 @@ use dbring_relations::{
     BaseFootprint, BatchNormalizer, Database, DeltaBatch, Interner, Snapshot, Update, Value,
 };
 use dbring_runtime::{
-    boxed_engine, ChangeSet, EngineRegistry, ExecStats, Executor, ParallelConfig, PublishStats,
-    RuntimeError, SnapshotAccess, SnapshotStore, StorageBackend, StorageFootprint, ViewEngine,
-    ViewSnapshot, ViewStorage,
+    boxed_engine, ChangeSet, EngineRegistry, ExecStats, Executor, PublishStats, RuntimeError,
+    SnapshotAccess, SnapshotStore, StorageBackend, StorageFootprint, ViewEngine, ViewSnapshot,
+    ViewStorage,
 };
 
 use crate::{Catalog, Error};
@@ -94,7 +94,8 @@ pub enum ViewDef<'a> {
 
 /// Builds a [`Ring`]: catalog plus engine configuration, all chosen **by value** — no
 /// turbofish, so the backend (and any future strategy choice) can come from a config
-/// file or CLI flag.
+/// file or CLI flag. There is no thread setting: the built ring ingests on whichever
+/// thread calls it (see [`Ring::apply_batch`]).
 ///
 /// ```
 /// use dbring::{Catalog, RingBuilder, StorageBackend};
@@ -112,7 +113,6 @@ pub struct RingBuilder {
     snapshot: Snapshot,
     backend: StorageBackend,
     track_base: bool,
-    parallel: ParallelConfig,
     staged: bool,
 }
 
@@ -126,7 +126,6 @@ impl RingBuilder {
             snapshot: Snapshot::new(),
             backend: StorageBackend::Hash,
             track_base: true,
-            parallel: ParallelConfig::default(),
             staged: true,
         }
     }
@@ -140,7 +139,6 @@ impl RingBuilder {
             catalog: db.schema_only(),
             backend: StorageBackend::Hash,
             track_base: true,
-            parallel: ParallelConfig::default(),
             staged: true,
         }
     }
@@ -152,23 +150,12 @@ impl RingBuilder {
         self
     }
 
-    /// Sets the thread budget for batch ingest: how many worker threads
-    /// [`Ring::apply_batch`] may fan a shared batch out on across views, and how many
-    /// key-range shards a single view may split a large batched flush into. Default:
-    /// available parallelism, overridable with the `DBRING_INGEST_THREADS`
-    /// environment variable. `threads = 1` (values clamp to at least 1) forces the
-    /// exact sequential path. Results are identical either way for integer
-    /// aggregates; float aggregates may differ by rounding, as with any
-    /// accumulation-order change.
-    pub fn ingest_threads(mut self, threads: usize) -> Self {
-        self.parallel = ParallelConfig::with_threads(threads);
-        self
-    }
-
-    /// Sets the full parallel-ingest configuration (see [`ParallelConfig`]);
-    /// [`RingBuilder::ingest_threads`] is the shorthand for the thread count alone.
-    pub fn parallelism(mut self, config: ParallelConfig) -> Self {
-        self.parallel = config;
+    /// Accepted and ignored: ingest always runs on the calling thread (see
+    /// [`Ring::apply_batch`]), so there is no thread budget to set. Kept only
+    /// because the end-to-end benchmark (`benchmark/src/embedded.rs`) still builds
+    /// an `ingest_threads(1)` ring; this method goes once that call does.
+    #[doc(hidden)]
+    pub fn ingest_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -195,7 +182,7 @@ impl RingBuilder {
 
     /// Finishes the builder.
     pub fn build(self) -> Ring {
-        let mut registry = EngineRegistry::with_parallelism(self.parallel);
+        let mut registry = EngineRegistry::new();
         registry.set_staging(self.staged);
         Ring {
             catalog: self.catalog,
@@ -366,12 +353,6 @@ impl Ring {
     /// The storage backend the ring's views run on.
     pub fn backend(&self) -> StorageBackend {
         self.backend
-    }
-
-    /// The configured batch-ingest thread budget (see
-    /// [`RingBuilder::ingest_threads`]); `1` means strictly sequential ingest.
-    pub fn ingest_threads(&self) -> usize {
-        self.registry.parallelism().threads
     }
 
     /// Whether ingest runs the stage/commit protocol (the default; see
@@ -987,13 +968,17 @@ impl Ring {
     /// surfaces as [`RuntimeError::EnginePanicked`], quarantines that view (see
     /// [`Ring::repair_view`]), and still rolls every sibling back. Staging costs one
     /// pre-image record per map write for the duration of the batch — memory
-    /// proportional to the batch's write set, not to the views. When the ring was
-    /// built with [`RingBuilder::ingest_threads`] above one, touched views stage
-    /// concurrently; the error contract stays deterministic regardless: if several
-    /// views fail on the same batch, the failure reported is always the one from the
-    /// **lowest-numbered view slot** — exactly the error sequential dispatch would
-    /// have returned. With [`RingBuilder::without_staged_ingest`], sibling views may
-    /// instead keep the batch on error (the pre-staging contract).
+    /// proportional to the batch's write set, not to the views. Touched views stage
+    /// one after another in slot order and the first failure stops the batch, so if
+    /// several views would fail on it, the error reported is always the one from the
+    /// **lowest-numbered view slot**. With [`RingBuilder::without_staged_ingest`],
+    /// lower-slot views may instead keep the batch on error (the pre-staging
+    /// contract).
+    ///
+    /// The whole batch runs on the calling thread: no worker pool is spawned and no
+    /// view is written from another core, so the views this thread reads next are
+    /// still in its cache. A trigger does constant work per update — too little to
+    /// pay for handing a batch to other threads.
     pub fn apply_batch(&mut self, updates: &[Update]) -> Result<(), Error> {
         let batch = self.normalizer.normalize(updates);
         self.apply_delta_batch(&batch)
@@ -1011,7 +996,8 @@ impl Ring {
     ///
     /// Shares [`Ring::apply_batch`]'s failure contract: on a runtime error the batch
     /// has landed nowhere — every staged view rolled back, snapshot untouched — and
-    /// under parallel dispatch the reported error is the lowest-slot failure.
+    /// the reported error is the lowest-slot failure. Like [`Ring::apply_batch`], it
+    /// runs entirely on the calling thread.
     pub fn apply_delta_batch(&mut self, batch: &DeltaBatch<'_>) -> Result<(), Error> {
         for group in batch.groups() {
             let expected = match self.catalog.columns(group.relation()) {
@@ -1629,38 +1615,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_ingest_matches_sequential_ingest_exactly() {
-        let updates: Vec<Update> = (0..60)
-            .map(|i| sale(i % 7, 10 * (i % 4 + 1), i % 3 + 1))
-            .chain((0..9).map(|i| sale(i % 7, 10, 1).inverse()))
-            .collect();
-        let defs = [
-            ("revenue", "q[c] := Sum(Sales(c, p, n) * p * n)"),
-            ("orders", "q[c] := Sum(Sales(c, p, n))"),
-            ("units", "q[c] := Sum(Sales(c, p, n) * n)"),
-            ("total", "q := Sum(Sales(c, p, n) * p * n)"),
-        ];
-        let mut sequential = RingBuilder::new(sales_catalog()).ingest_threads(1).build();
-        let mut parallel = RingBuilder::new(sales_catalog()).ingest_threads(4).build();
-        assert_eq!(sequential.ingest_threads(), 1);
-        assert_eq!(parallel.ingest_threads(), 4);
-        for (name, text) in defs {
-            sequential.create_view(name, ViewDef::Agca(text)).unwrap();
-            parallel.create_view(name, ViewDef::Agca(text)).unwrap();
-        }
-        for chunk in updates.chunks(20) {
-            sequential.apply_batch(chunk).unwrap();
-            parallel.apply_batch(chunk).unwrap();
-        }
-        for (name, _) in defs {
-            let seq = sequential.view_named(name).unwrap();
-            let par = parallel.view_named(name).unwrap();
-            assert_eq!(seq.table(), par.table(), "{name}: tables diverged");
-            assert_eq!(seq.stats(), par.stats(), "{name}: stats diverged");
-        }
-    }
-
-    #[test]
     fn disabling_base_tracking_blocks_late_registration_only() {
         let mut ring = RingBuilder::new(sales_catalog())
             .without_base_tracking()
@@ -1842,7 +1796,7 @@ mod tests {
             vec![Value::int(1), Value::str("x"), Value::str("y")],
         );
         let build = |staged: bool| {
-            let builder = RingBuilder::new(sales_catalog()).ingest_threads(1);
+            let builder = RingBuilder::new(sales_catalog());
             let builder = if staged {
                 builder
             } else {

@@ -124,12 +124,6 @@ pub trait ViewEngine: std::fmt::Debug + Send {
     /// Resets the work counters.
     fn reset_stats(&mut self);
 
-    /// Sets the engine's thread budget for *within-view* parallel work — today that
-    /// is sharding large batched flushes across key ranges. `1` (every engine's
-    /// initial state) disables it. Hosts propagate their
-    /// [`ParallelConfig`](crate::registry::ParallelConfig) here on registration.
-    fn set_parallelism(&mut self, threads: usize);
-
     /// Total entries across the whole view hierarchy.
     fn total_entries(&self) -> usize;
 
@@ -212,10 +206,6 @@ impl<S: ViewStorage + Send + 'static> ViewEngine for Executor<S> {
 
     fn reset_stats(&mut self) {
         self.reset_stats()
-    }
-
-    fn set_parallelism(&mut self, threads: usize) {
-        self.set_parallelism(threads)
     }
 
     fn total_entries(&self) -> usize {

@@ -354,9 +354,6 @@ pub struct Executor<S: ViewStorage = HashViewStorage> {
     dispatch: HashMap<String, [Option<usize>; 2]>,
     stats: ExecStats,
     scratch: Scratch,
-    /// Thread budget for sharding large batched flushes across key ranges; `1` (the
-    /// initial state) keeps every flush on the sequential `apply_sorted` path.
-    shard_threads: usize,
     /// Recycled undo-log allocation: staging takes it, commit/abort hand it back, so
     /// steady-state staging allocates nothing for the log itself.
     undo_pool: UndoLog,
@@ -424,25 +421,8 @@ impl<S: ViewStorage> Executor<S> {
             dispatch,
             stats: ExecStats::default(),
             scratch: Scratch::default(),
-            shard_threads: 1,
             undo_pool: UndoLog::default(),
         })
-    }
-
-    /// Sets the thread budget for sharding large batched flushes across contiguous
-    /// key ranges (see
-    /// [`ViewStorage::apply_sorted_sharded`]).
-    /// `1` (the initial state) keeps every flush on the sequential `apply_sorted`
-    /// path, exactly. Values are clamped to at least 1. The result is independent of
-    /// the budget for integer aggregates; float aggregates may differ by rounding,
-    /// as with any accumulation-order change.
-    pub fn set_parallelism(&mut self, threads: usize) {
-        self.shard_threads = threads.max(1);
-    }
-
-    /// The configured shard-flush thread budget.
-    pub fn parallelism(&self) -> usize {
-        self.shard_threads
     }
 
     /// The compiled program this executor runs.
@@ -627,10 +607,7 @@ impl<S: ViewStorage> Executor<S> {
     ///   ([`PlanTrigger::weighted_firing`]), one firing per *distinct* tuple with the
     ///   writes scaled by the tuple's consolidated weight — writes are buffered, sorted,
     ///   consolidated and handed to [`ViewStorage::apply_sorted`] in one sequential pass
-    ///   per map (on ordered backends, a merge) — or, with a shard-thread budget above
-    ///   one (see [`Executor::set_parallelism`]), to
-    ///   [`ViewStorage::apply_sorted_sharded`],
-    ///   which lands large runs as concurrent contiguous key ranges;
+    ///   per map (on ordered backends, a merge);
     /// * for self-join-style triggers that read their own targets, a unit-replay
     ///   fallback preserving the exact per-tuple semantics.
     ///
@@ -716,10 +693,8 @@ impl<S: ViewStorage> Executor<S> {
             dispatch,
             stats,
             scratch,
-            shard_threads,
             ..
         } = self;
-        let shards = *shard_threads;
         if scratch.write_bufs.len() < maps.len() {
             scratch
                 .write_bufs
@@ -782,9 +757,7 @@ impl<S: ViewStorage> Executor<S> {
                 }
             }
             if trigger.weighted_firing {
-                // Fire each affected map once: sort, consolidate, one pass — sharded
-                // across contiguous key ranges when a thread budget is configured and
-                // the consolidated run is large enough to pay for splitting.
+                // Fire each affected map once: sort, consolidate, one pass.
                 for stmt in &trigger.statements {
                     let arity = plan.map_arities[stmt.target];
                     let Scratch {
@@ -833,24 +806,15 @@ impl<S: ViewStorage> Executor<S> {
                     // pre-image, unchecked: keys in a consolidated run are unique,
                     // and a key another flush of this batch already logged restores
                     // correctly anyway (reverse order replays the true pre-image
-                    // last). The sequential path captures pre-images inside the
-                    // landing pass itself (`apply_sorted_logged` shares the lookup),
-                    // the sharded path in one probe pass up front.
-                    match (undo.as_deref_mut(), shards > 1) {
-                        (Some(undo), true) => {
-                            for (key, _) in &refs {
-                                let pre = maps[stmt.target].get(key);
-                                undo.push_unchecked(stmt.target, key, pre);
-                            }
-                            maps[stmt.target].apply_sorted_sharded(&refs, shards);
-                        }
-                        (Some(undo), false) => {
+                    // last). The pre-images are captured inside the landing pass
+                    // itself (`apply_sorted_logged` shares the lookup).
+                    match undo.as_deref_mut() {
+                        Some(undo) => {
                             maps[stmt.target].apply_sorted_logged(&refs, |key, pre| {
                                 undo.push_unchecked(stmt.target, key, pre)
                             });
                         }
-                        (None, true) => maps[stmt.target].apply_sorted_sharded(&refs, shards),
-                        (None, false) => maps[stmt.target].apply_sorted(&refs),
+                        None => maps[stmt.target].apply_sorted(&refs),
                     }
                     drop(refs);
                     buf.keys.clear();
@@ -1458,45 +1422,6 @@ mod tests {
         exec.apply_batch(&DeltaBatch::from_updates(&good)).unwrap();
         assert_eq!(exec.output_table().len(), 1);
         assert_eq!(exec.output_value(&[Value::int(5)]), Number::Int(6));
-    }
-
-    /// A sharded flush must land exactly what a sequential flush lands — tables,
-    /// entry counts, and work counters (the counters are accumulated while
-    /// buffering, before the flush, so sharding cannot move them).
-    #[test]
-    fn sharded_flush_matches_sequential_flush() {
-        let mut catalog = Database::new();
-        catalog.declare("Sales", &["cust", "cents", "qty"]).unwrap();
-        let q = dbring_agca::sql::parse_sql(
-            "SELECT cust, SUM(cents * qty) AS revenue FROM Sales GROUP BY cust",
-            &catalog,
-        )
-        .unwrap();
-        let program = compile(&catalog, &q).unwrap();
-        // Enough distinct group keys that the consolidated run clears the sharding
-        // threshold, plus weight and deletion mixing.
-        let updates: Vec<Update> = (0..600i64)
-            .map(|i| {
-                let values = vec![Value::int(i % 500), Value::int(i + 1), Value::int(2)];
-                if i % 11 == 3 {
-                    Update::delete("Sales", values)
-                } else {
-                    Update::insert("Sales", values)
-                }
-            })
-            .collect();
-        let mut sequential = Executor::new(program.clone());
-        let mut sharded = Executor::new(program);
-        sharded.set_parallelism(4);
-        assert_eq!(sharded.parallelism(), 4);
-        for chunk in updates.chunks(300) {
-            let batch = DeltaBatch::from_updates(chunk);
-            sequential.apply_batch(&batch).unwrap();
-            sharded.apply_batch(&batch).unwrap();
-        }
-        assert_eq!(sequential.output_table(), sharded.output_table());
-        assert_eq!(sequential.total_entries(), sharded.total_entries());
-        assert_eq!(sequential.stats(), sharded.stats());
     }
 
     /// Satellite regression: the unit-replay path used to leave a failing group

@@ -4,10 +4,9 @@
 //! verbatim — except that a globally *armed* [`FaultPlan`] makes the Nth occurrence
 //! of a chosen operation kind panic mid-write. That is exactly the failure the
 //! stage/commit protocol has to survive: a view engine dying half-way through a
-//! batch, with some writes landed and some not, on whatever thread the dispatch
-//! pool happened to schedule it on. The registry catches the unwind, quarantines
-//! the slot, and rolls every sibling back; the chaos property tests assert the ring
-//! is bit-identical to its pre-batch state afterwards.
+//! batch, with some writes landed and some not. The registry catches the unwind,
+//! quarantines the slot, and rolls every sibling back; the chaos property tests
+//! assert the ring is bit-identical to its pre-batch state afterwards.
 //!
 //! Design notes:
 //!
@@ -16,9 +15,9 @@
 //!   are injected one level up, with malformed updates (wrong arity, wrong types)
 //!   fed to the ingest path — see the fault property tests.
 //! * **Global plan.** The armed plan and its operation counter live in a process
-//!   global, not in the storage value: dispatch and shard workers run on separate
-//!   threads and storages are cloned freely, so per-instance state would never see
-//!   a coherent "Nth operation". The counter spans every [`FaultStorage`] instance
+//!   global, not in the storage value: storages are cloned freely (a ring forks its
+//!   engines, a rebuild clones a fresh hierarchy), so per-instance state would never
+//!   see a coherent "Nth operation". The counter spans every [`FaultStorage`] instance
 //!   in the process, which is what "the Nth probe of this ingest call" means in a
 //!   test that controls its storages. Tests must serialize armed sections —
 //!   [`with_fault`] does so with an internal lock.
@@ -47,8 +46,7 @@ pub enum FaultOp {
     /// Point writes ([`ViewStorage::add`] / [`ViewStorage::add_ref`]).
     Add,
     /// Consolidated batch flushes ([`ViewStorage::apply_sorted`] /
-    /// [`ViewStorage::apply_sorted_sharded`] /
-    /// [`ViewStorage::apply_sorted_logged`]).
+    /// [`ViewStorage::apply_sorted_logged`]), one trip per flush.
     ApplySorted,
 }
 
@@ -170,11 +168,6 @@ impl<S: ViewStorage> ViewStorage for FaultStorage<S> {
         self.0.apply_sorted(deltas);
     }
 
-    fn apply_sorted_sharded(&mut self, deltas: &[(&[Value], Number)], shards: usize) {
-        trip(FaultOp::ApplySorted);
-        self.0.apply_sorted_sharded(deltas, shards);
-    }
-
     fn apply_sorted_logged(
         &mut self,
         deltas: &[(&[Value], Number)],
@@ -281,7 +274,7 @@ mod tests {
         let borrowed: Vec<(&[Value], Number)> =
             refs.iter().map(|(k, d)| (k.as_slice(), *d)).collect();
         m.apply_sorted(&borrowed);
-        m.apply_sorted_sharded(&borrowed, 4);
+        m.apply_sorted_logged(&borrowed, |_, _| {});
         assert_eq!(m.get(&key(&[2, 2])), Number::Int(18));
         let mut seen = 0;
         m.for_each_slice(&[1], &key(&[2]), |_, _| seen += 1);

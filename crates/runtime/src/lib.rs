@@ -79,7 +79,7 @@ pub use engine::{boxed_engine, try_boxed_engine, ViewEngine};
 pub use executor::{ExecStats, Executor, RuntimeError, StagedBatch};
 pub use fault::{FaultOp, FaultPlan, FaultStorage};
 pub use interp::InterpretedExecutor;
-pub use registry::{EngineRegistry, ParallelConfig};
+pub use registry::EngineRegistry;
 pub use snapshot::{ChangeSet, PublishStats, SnapshotAccess, SnapshotStore, ViewSnapshot};
 pub use storage::{
     HashViewStorage, OrderedViewStorage, StorageBackend, StorageFootprint, ViewStorage,

@@ -18,19 +18,16 @@
 //!   borrowed batch out to the union of the touched relations' readers. With `k` views
 //!   over one stream this does one consolidation (bucket + sort + net) where `k`
 //!   independent views would each redo it.
-//! * **Parallel dispatch** ([`ParallelConfig`]): with a thread budget above one, the
-//!   shared-batch fan-out runs the touched engines concurrently on a scoped thread
-//!   pool — the engines are independent (each owns its maps and counters), so the
-//!   borrowed batch is the only thing shared. The pool is spawned and joined per
-//!   batch, so a batch with fewer than [`MIN_DELTAS_PER_SHARD`] deltas per configured
-//!   thread — and every batch at `threads = 1` — takes the sequential code path
-//!   exactly. The same budget is propagated to each hosted engine as its within-view
-//!   shard budget for batched flushes.
+//! * **Ingest on the calling thread**: every engine stages, commits or aborts on the
+//!   thread that called [`EngineRegistry::apply_batch`]. A trigger does constant work
+//!   per update (about a microsecond per update across a six-view dashboard), far too
+//!   little to pay for spawning and joining a pool per batch, and a view written on
+//!   another core makes the caller's next reads of it miss its own cache.
 //! * **Failure atomicity** (stage → commit): dispatch stages the batch on every
 //!   touched engine — each engine applies it while logging pre-images — and commits
 //!   only if *all* stages succeed. Any failure aborts every stage, so a failed
 //!   dispatch leaves every engine's tables and stats bit-identical to before the
-//!   call, and the deterministic lowest-slot error is reported. Worker panics are
+//!   call, and the deterministic lowest-slot error is reported. Engine panics are
 //!   caught ([`RuntimeError::EnginePanicked`]) and the panicking slot is
 //!   **quarantined**: its state can no longer be trusted, so ingest skips it and the
 //!   host is expected to rebuild it ([`EngineRegistry::replace`]) from a base
@@ -46,61 +43,12 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use dbring_relations::{DeltaBatch, Update};
 
 use crate::engine::ViewEngine;
 use crate::executor::{RuntimeError, StagedBatch};
 use crate::snapshot::ChangeSet;
-use crate::storage::MIN_DELTAS_PER_SHARD;
-
-/// The thread budget for batch ingest: how many worker threads the registry may use
-/// to fan a shared batch out across views, and — propagated to every hosted engine —
-/// how many key-range shards a single view may split a large batched flush into.
-///
-/// `threads = 1` (always the effective minimum) means *the sequential code path,
-/// exactly*: no scoped pool is created, no flush is sharded, and behavior is
-/// byte-for-byte that of a registry without the knob.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ParallelConfig {
-    /// Worker-thread budget for batch dispatch and sharded flushes (min. 1).
-    pub threads: usize,
-}
-
-impl Default for ParallelConfig {
-    /// Available parallelism, overridable with the `DBRING_INGEST_THREADS`
-    /// environment variable (useful to force `threads = 1` in CI so the sequential
-    /// path stays covered on many-core runners).
-    fn default() -> Self {
-        let threads = std::env::var("DBRING_INGEST_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            });
-        ParallelConfig {
-            threads: threads.max(1),
-        }
-    }
-}
-
-impl ParallelConfig {
-    /// The sequential configuration (`threads = 1`).
-    pub fn sequential() -> Self {
-        ParallelConfig { threads: 1 }
-    }
-
-    /// An explicit thread budget (clamped to at least 1).
-    pub fn with_threads(threads: usize) -> Self {
-        ParallelConfig {
-            threads: threads.max(1),
-        }
-    }
-}
 
 /// A slot-addressed host for boxed view engines with per-relation update routing.
 ///
@@ -115,8 +63,6 @@ pub struct EngineRegistry {
     routing: HashMap<String, Vec<u32>>,
     /// Number of live (non-tombstoned) slots.
     live: usize,
-    /// Thread budget for shared-batch dispatch and hosted engines' sharded flushes.
-    parallel: ParallelConfig,
     /// When true, dispatch skips the stage/commit protocol and applies batches
     /// directly (the pre-staging byte-for-byte path; not atomic across engines).
     direct: bool,
@@ -141,32 +87,9 @@ struct RegisteredEngine {
 }
 
 impl EngineRegistry {
-    /// An empty registry with the default thread budget (see
-    /// [`ParallelConfig::default`]).
+    /// An empty registry.
     pub fn new() -> Self {
         EngineRegistry::default()
-    }
-
-    /// An empty registry with an explicit thread budget.
-    pub fn with_parallelism(config: ParallelConfig) -> Self {
-        EngineRegistry {
-            parallel: config,
-            ..EngineRegistry::default()
-        }
-    }
-
-    /// The configured thread budget.
-    pub fn parallelism(&self) -> ParallelConfig {
-        self.parallel
-    }
-
-    /// Reconfigures the thread budget, propagating it to every live engine as its
-    /// within-view shard budget.
-    pub fn set_parallelism(&mut self, config: ParallelConfig) {
-        self.parallel = config;
-        for registered in self.slots.iter_mut().flatten() {
-            registered.engine.set_parallelism(config.threads);
-        }
     }
 
     /// Number of live engines.
@@ -182,8 +105,6 @@ impl EngineRegistry {
     /// Registers an engine and returns its slot id. The engine's read set is derived
     /// from its program's triggers and indexed for routing.
     pub fn register(&mut self, engine: Box<dyn ViewEngine>) -> u32 {
-        let mut engine = engine;
-        engine.set_parallelism(self.parallel.threads);
         let mut relations: Vec<String> = engine
             .program()
             .triggers
@@ -269,8 +190,6 @@ impl EngineRegistry {
         engine: Box<dyn ViewEngine>,
     ) -> Option<Box<dyn ViewEngine>> {
         let registered = self.slots.get_mut(slot as usize)?.as_mut()?;
-        let mut engine = engine;
-        engine.set_parallelism(self.parallel.threads);
         let old = std::mem::replace(&mut registered.engine, engine);
         registered.poisoned = false;
         registered.changed = None;
@@ -363,13 +282,24 @@ impl EngineRegistry {
             }
             return Ok(readers.len() as u32);
         }
-        let mut staged: Vec<(u32, StagedBatch)> = Vec::with_capacity(readers.len());
+        self.stage_all(&readers, |engine| engine.stage_update(update))
+    }
+
+    /// Stage → commit dispatch over `slots`: stage each engine in slot order,
+    /// short-circuiting on the first failure (which is therefore the lowest-slot
+    /// failure), then [settle](Self::settle) the staged tokens.
+    fn stage_all(
+        &mut self,
+        slots: &[u32],
+        mut stage: impl FnMut(&mut dyn ViewEngine) -> Result<StagedBatch, RuntimeError>,
+    ) -> Result<u32, RuntimeError> {
+        let mut staged: Vec<(u32, StagedBatch)> = Vec::with_capacity(slots.len());
         let mut failure: Option<RuntimeError> = None;
-        for &slot in &readers {
+        for &slot in slots {
             let registered = self.slots[slot as usize]
                 .as_mut()
                 .expect("routing only lists live slots");
-            match catch_unwind(AssertUnwindSafe(|| registered.engine.stage_update(update))) {
+            match catch_unwind(AssertUnwindSafe(|| stage(registered.engine.as_mut()))) {
                 Ok(Ok(token)) => staged.push((slot, token)),
                 Ok(Err(err)) => {
                     failure = Some(err);
@@ -439,19 +369,16 @@ impl EngineRegistry {
     /// touched engine stages the batch — applying it while logging pre-images — and
     /// only if *all* stages succeed are they committed. Any failure aborts every
     /// stage, leaving every engine's tables and stats bit-identical to before the
-    /// call. The error contract stays deterministic, parallel or not: if several
-    /// engines fail on the same batch, the failure from the **lowest slot** is
-    /// reported — the same error the sequential loop surfaces first. A panic in an
-    /// engine is caught, reported as [`RuntimeError::EnginePanicked`], and
-    /// quarantines that slot (its mid-flight state cannot be rolled back); sibling
-    /// slots are still aborted cleanly, so the batch lands nowhere.
+    /// call. Engines stage in ascending slot order and the first failure stops the
+    /// loop, so if several engines would fail on the same batch, the **lowest slot**'s
+    /// error is reported. A panic in an engine is caught, reported as
+    /// [`RuntimeError::EnginePanicked`], and quarantines that slot (its mid-flight
+    /// state cannot be rolled back); the slots staged before it are still aborted
+    /// cleanly, so the batch lands nowhere.
     ///
-    /// With a thread budget above one, and a batch of at least
-    /// [`MIN_DELTAS_PER_SHARD`] deltas per thread, the touched engines stage
-    /// concurrently on a scoped pool; commit/abort runs on the dispatching thread
-    /// afterwards. With staging disabled ([`EngineRegistry::set_staging`]) this is the
-    /// pre-staging direct dispatch, byte-for-byte, and a failure can leave sibling
-    /// slots applied.
+    /// Everything runs on the calling thread. With staging disabled
+    /// ([`EngineRegistry::set_staging`]) this is the pre-staging direct dispatch,
+    /// byte-for-byte, and a failure can leave lower slots applied.
     pub fn apply_batch(&mut self, batch: &DeltaBatch<'_>) -> Result<u32, RuntimeError> {
         // Union of readers over the touched relations. Batches have at most two groups
         // per relation, so a sort/dedup over the concatenated reader lists stays tiny.
@@ -467,205 +394,16 @@ impl EngineRegistry {
                 .expect("routing only lists live slots")
                 .poisoned
         });
-        // Fanning out spawns and joins a scoped pool per batch, which only pays when
-        // every thread gets a real share of the batch: a small commit (a 64-update
-        // serving batch, a one-update write) runs the sequential loop.
-        let threads = self.parallel.threads;
-        let fan_out =
-            threads > 1 && touched.len() > 1 && batch.len() >= threads * MIN_DELTAS_PER_SHARD;
         if self.direct {
-            if !fan_out {
-                // The direct sequential path, exactly: byte-for-byte the pre-staging
-                // registry when staging is off and `threads = 1`.
-                for &slot in &touched {
-                    let registered = self.slots[slot as usize]
-                        .as_mut()
-                        .expect("routing only lists live slots");
-                    registered.engine.apply_batch_direct(batch)?;
-                }
-                return Ok(touched.len() as u32);
+            for &slot in &touched {
+                let registered = self.slots[slot as usize]
+                    .as_mut()
+                    .expect("routing only lists live slots");
+                registered.engine.apply_batch_direct(batch)?;
             }
-            self.apply_batch_direct_parallel(batch, &touched)?;
             return Ok(touched.len() as u32);
         }
-        if !fan_out {
-            return self.apply_batch_staged_sequential(batch, &touched);
-        }
-        self.apply_batch_staged_parallel(batch, &touched)
-    }
-
-    /// Sequential stage → commit dispatch: stage each touched engine in slot order,
-    /// short-circuiting on the first failure (which is therefore the lowest-slot
-    /// failure); commit all stages on success, abort them in reverse on failure.
-    fn apply_batch_staged_sequential(
-        &mut self,
-        batch: &DeltaBatch<'_>,
-        touched: &[u32],
-    ) -> Result<u32, RuntimeError> {
-        let mut staged: Vec<(u32, StagedBatch)> = Vec::with_capacity(touched.len());
-        let mut failure: Option<RuntimeError> = None;
-        for &slot in touched {
-            let registered = self.slots[slot as usize]
-                .as_mut()
-                .expect("routing only lists live slots");
-            match catch_unwind(AssertUnwindSafe(|| registered.engine.stage_batch(batch))) {
-                Ok(Ok(token)) => staged.push((slot, token)),
-                Ok(Err(err)) => {
-                    failure = Some(err);
-                    break;
-                }
-                Err(_) => {
-                    registered.poisoned = true;
-                    failure = Some(RuntimeError::EnginePanicked { slot });
-                    break;
-                }
-            }
-        }
-        self.settle(staged, failure)
-    }
-
-    /// Parallel stage → commit dispatch: the touched engines are handed out to a
-    /// scoped worker pool via an atomic task counter. Each worker stages its engine
-    /// under `catch_unwind` and records the outcome; after the pool joins, the
-    /// dispatching thread commits everything (all staged) or aborts everything (any
-    /// failure), exactly as the sequential path does.
-    #[allow(clippy::type_complexity)]
-    fn apply_batch_staged_parallel(
-        &mut self,
-        batch: &DeltaBatch<'_>,
-        touched: &[u32],
-    ) -> Result<u32, RuntimeError> {
-        enum StageOutcome {
-            Staged(StagedBatch),
-            Failed(RuntimeError),
-            Panicked,
-        }
-        // Disjoint `&mut` borrows of the touched engines, in ascending slot order,
-        // each behind a mutex so any worker may claim any task.
-        let tasks: Vec<Mutex<Option<(u32, &mut Box<dyn ViewEngine>)>>> = self
-            .slots
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(slot, entry)| {
-                let slot = u32::try_from(slot).expect("fewer than 2^32 views");
-                if touched.binary_search(&slot).is_err() {
-                    return None;
-                }
-                let registered = entry.as_mut().expect("routing only lists live slots");
-                Some(Mutex::new(Some((slot, &mut registered.engine))))
-            })
-            .collect();
-        let outcomes: Vec<Mutex<Option<(u32, StageOutcome)>>> =
-            tasks.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let workers = self.parallel.threads.min(tasks.len());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let claimed = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(task) = tasks.get(claimed) else {
-                        return;
-                    };
-                    let (slot, engine) = task
-                        .lock()
-                        .expect("task mutex is never poisoned")
-                        .take()
-                        .expect("each task index is claimed exactly once");
-                    let outcome = match catch_unwind(AssertUnwindSafe(|| engine.stage_batch(batch)))
-                    {
-                        Ok(Ok(token)) => StageOutcome::Staged(token),
-                        Ok(Err(err)) => StageOutcome::Failed(err),
-                        Err(_) => StageOutcome::Panicked,
-                    };
-                    *outcomes[claimed]
-                        .lock()
-                        .expect("outcome mutex is never poisoned") = Some((slot, outcome));
-                });
-            }
-        });
-        drop(tasks);
-        // Outcomes are in ascending slot order, so the first failure met is the
-        // lowest slot's — the deterministic error contract.
-        let mut staged: Vec<(u32, StagedBatch)> = Vec::with_capacity(touched.len());
-        let mut failure: Option<RuntimeError> = None;
-        for outcome in outcomes {
-            let (slot, outcome) = outcome
-                .into_inner()
-                .expect("outcome mutex is never poisoned")
-                .expect("every claimed task records an outcome");
-            match outcome {
-                StageOutcome::Staged(token) => staged.push((slot, token)),
-                StageOutcome::Failed(err) => {
-                    failure.get_or_insert(err);
-                }
-                StageOutcome::Panicked => {
-                    self.slots[slot as usize]
-                        .as_mut()
-                        .expect("routing only lists live slots")
-                        .poisoned = true;
-                    failure.get_or_insert(RuntimeError::EnginePanicked { slot });
-                }
-            }
-        }
-        self.settle(staged, failure)
-    }
-
-    /// Parallel direct dispatch (staging disabled): the pre-staging fan-out,
-    /// byte-for-byte. A failure can leave sibling slots applied; the lowest failing
-    /// slot's error is still the one reported.
-    #[allow(clippy::type_complexity)]
-    fn apply_batch_direct_parallel(
-        &mut self,
-        batch: &DeltaBatch<'_>,
-        touched: &[u32],
-    ) -> Result<(), RuntimeError> {
-        // Disjoint `&mut` borrows of the touched engines, in ascending slot order,
-        // each behind a mutex so any worker may claim any task.
-        let tasks: Vec<Mutex<Option<(u32, &mut Box<dyn ViewEngine>)>>> = self
-            .slots
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(slot, entry)| {
-                let slot = u32::try_from(slot).expect("fewer than 2^32 views");
-                if touched.binary_search(&slot).is_err() {
-                    return None;
-                }
-                let registered = entry.as_mut().expect("routing only lists live slots");
-                Some(Mutex::new(Some((slot, &mut registered.engine))))
-            })
-            .collect();
-        let next = AtomicUsize::new(0);
-        let failures: Mutex<Vec<(u32, RuntimeError)>> = Mutex::new(Vec::new());
-        let workers = self.parallel.threads.min(tasks.len());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let claimed = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(task) = tasks.get(claimed) else {
-                        return;
-                    };
-                    let (slot, engine) = task
-                        .lock()
-                        .expect("task mutex is never poisoned")
-                        .take()
-                        .expect("each task index is claimed exactly once");
-                    if let Err(err) = engine.apply_batch_direct(batch) {
-                        failures
-                            .lock()
-                            .expect("failure mutex is never poisoned")
-                            .push((slot, err));
-                    }
-                });
-            }
-        });
-        let mut failures = failures.into_inner().expect("all workers joined");
-        // Deterministic error contract: the lowest failing slot wins — the error the
-        // sequential loop would have surfaced first.
-        failures.sort_unstable_by_key(|(slot, _)| *slot);
-        match failures.into_iter().next() {
-            Some((_, err)) => Err(err),
-            None => Ok(()),
-        }
+        self.stage_all(&touched, |engine| engine.stage_batch(batch))
     }
 }
 
@@ -689,14 +427,6 @@ mod tests {
     fn engine_for(text: &str) -> Box<dyn ViewEngine> {
         let program = compile(&catalog(), &parse_query(text).unwrap()).unwrap();
         boxed_engine(program, StorageBackend::Hash)
-    }
-
-    /// Distinct `R` inserts, enough of them that a registry with `threads` workers
-    /// fans the batch out instead of taking the small-commit sequential loop.
-    fn wide_batch(threads: usize) -> Vec<Update> {
-        (1..=(threads * MIN_DELTAS_PER_SHARD) as i64)
-            .map(|x| Update::insert("R", vec![Value::int(x)]))
-            .collect()
     }
 
     #[test]
@@ -779,41 +509,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_dispatch_matches_sequential_dispatch_exactly() {
-        let engines = [
-            "r_sum := Sum(R(x))",
-            "r_wsum := Sum(R(x) * x)",
-            "s_sum := Sum(S(y))",
-            "both := Sum(R(x) * S(x))",
-        ];
-        let build = |config: ParallelConfig| {
-            let mut registry = EngineRegistry::with_parallelism(config);
-            for text in engines {
-                registry.register(engine_for(text));
-            }
-            registry
-        };
-        let mut sequential = build(ParallelConfig::sequential());
-        let mut parallel = build(ParallelConfig::with_threads(4));
-        let mut updates = wide_batch(4);
-        updates.extend([
-            Update::insert("S", vec![Value::int(1)]),
-            Update::delete("R", vec![Value::int(2)]),
-            Update::insert("S", vec![Value::int(3)]),
-        ]);
-        let batch = DeltaBatch::from_updates(&updates);
-        assert_eq!(sequential.apply_batch(&batch).unwrap(), 4);
-        assert_eq!(parallel.apply_batch(&batch).unwrap(), 4);
-        for slot in 0..engines.len() as u32 {
-            let seq = sequential.engine(slot).unwrap();
-            let par = parallel.engine(slot).unwrap();
-            assert_eq!(par.output_table(), seq.output_table(), "slot {slot} table");
-            assert_eq!(par.stats(), seq.stats(), "slot {slot} work counters");
-        }
-    }
-
-    #[test]
-    fn parallel_dispatch_failure_reports_the_lowest_slot() {
+    fn dispatch_failure_reports_the_lowest_slot() {
         let mut db = Database::new();
         db.declare("R", &["A"]).unwrap();
         db.declare("S", &["B"]).unwrap();
@@ -822,54 +518,44 @@ mod tests {
             let program = compile(&db, &parse_query(text).unwrap()).unwrap();
             boxed_engine(program, StorageBackend::Hash)
         };
-        let mut registry = EngineRegistry::with_parallelism(ParallelConfig::with_threads(4));
+        let mut registry = EngineRegistry::new();
         let ok = registry.register(engine("ok := Sum(R(x))"));
-        registry.register(engine("fails_s := Sum(S(y))"));
-        registry.register(engine("fails_t := Sum(T(z))"));
-        // Healthy R deltas (enough to fan out) plus bad-arity S and T deltas: slots 1
-        // and 2 both fail on the same batch, with distinguishable errors.
-        let mut updates = wide_batch(4);
-        updates.extend([
+        let fails_s = registry.register(engine("fails_s := Sum(S(y))"));
+        let fails_t = registry.register(engine("fails_t := Sum(T(z))"));
+        // Healthy R deltas plus bad-arity S and T deltas: slots 1 and 2 both fail on
+        // the same batch, with distinguishable errors.
+        let updates = [
+            Update::insert("R", vec![Value::int(1)]),
+            Update::insert("R", vec![Value::int(2)]),
             Update::insert("S", vec![Value::int(1), Value::int(2)]),
             Update::insert("T", vec![Value::int(1), Value::int(2)]),
-        ]);
+        ];
         let batch = DeltaBatch::from_updates(&updates);
-        // Several rounds for scheduler variety: the T engine finishing first must
-        // never let its error shadow the S engine's.
-        for _ in 0..8 {
-            let mut fork = registry.clone();
-            let err = fork.apply_batch(&batch).unwrap_err();
-            assert_eq!(
-                err,
-                RuntimeError::ArityMismatch {
-                    relation: "S".into(),
-                    expected: 1,
-                    got: 2
-                },
-                "the lowest failing slot's error wins"
-            );
-            // The sequential path surfaces the identical error...
-            let mut seq = registry.clone();
-            seq.set_parallelism(ParallelConfig::sequential());
-            assert_eq!(seq.apply_batch(&batch).unwrap_err(), err);
-            // ...and the staged protocol aborted every sibling: the healthy R reader
-            // staged its delta but rolled it back, so the batch landed nowhere.
-            assert_eq!(
-                fork.engine(ok).unwrap().output_value(&[]),
-                Number::Int(0),
-                "a failed dispatch lands nowhere, even at healthy slots"
-            );
-            assert_eq!(
-                fork.engine(ok).unwrap().stats().updates,
-                0,
-                "aborted stages restore work counters too"
-            );
-            assert_eq!(
-                seq.engine(ok).unwrap().output_value(&[]),
-                Number::Int(0),
-                "the sequential staged path rolls back identically"
-            );
-        }
+        let err = registry.apply_batch(&batch).unwrap_err();
+        assert_eq!(
+            err,
+            RuntimeError::ArityMismatch {
+                relation: "S".into(),
+                expected: 1,
+                got: 2
+            },
+            "the lowest failing slot's error wins"
+        );
+        // The staged protocol aborted every sibling: the healthy R reader staged its
+        // delta but rolled it back, so the batch landed nowhere.
+        assert_eq!(
+            registry.engine(ok).unwrap().output_value(&[]),
+            Number::Int(0),
+            "a failed dispatch lands nowhere, even at healthy slots"
+        );
+        assert_eq!(
+            registry.engine(ok).unwrap().stats().updates,
+            0,
+            "aborted stages restore work counters too"
+        );
+        // The first failure stops the loop: the higher failing slot never staged.
+        assert_eq!(registry.engine(fails_t).unwrap().stats().updates, 0);
+        assert_eq!(registry.engine(fails_s).unwrap().stats().updates, 0);
     }
 
     #[test]
@@ -881,7 +567,7 @@ mod tests {
             let program = compile(&db, &parse_query(text).unwrap()).unwrap();
             boxed_engine(program, StorageBackend::Hash)
         };
-        let mut registry = EngineRegistry::with_parallelism(ParallelConfig::sequential());
+        let mut registry = EngineRegistry::new();
         registry.set_staging(false);
         assert!(!registry.staging());
         let ok = registry.register(engine("ok := Sum(R(x))"));
@@ -909,61 +595,55 @@ mod tests {
 
         let catalog = catalog();
         let program = |text: &str| compile(&catalog, &parse_query(text).unwrap()).unwrap();
-        for threads in [1usize, 4] {
-            let mut registry =
-                EngineRegistry::with_parallelism(ParallelConfig::with_threads(threads));
-            let healthy = registry.register(engine_for("healthy := Sum(R(x))"));
-            let victim = registry.register(Box::new(
-                Executor::<FaultStorage<HashViewStorage>>::with_backend(program(
-                    "victim := Sum(R(x) * x)",
-                )),
-            ));
-            // Wide enough that the four-thread registry really fans out.
-            let updates = wide_batch(4);
-            let (count, sum) = (updates.len() as i64, (1..=updates.len() as i64).sum());
-            let batch = DeltaBatch::from_updates(&updates);
-            // Warm both engines with a clean batch first.
-            assert_eq!(registry.apply_batch(&batch).unwrap(), 2);
-            let healthy_table = registry.engine(healthy).unwrap().output_table();
+        let mut registry = EngineRegistry::new();
+        let healthy = registry.register(engine_for("healthy := Sum(R(x))"));
+        let victim = registry.register(Box::new(
+            Executor::<FaultStorage<HashViewStorage>>::with_backend(program(
+                "victim := Sum(R(x) * x)",
+            )),
+        ));
+        let updates: Vec<Update> = (1..=64)
+            .map(|x| Update::insert("R", vec![Value::int(x)]))
+            .collect();
+        let (count, sum) = (updates.len() as i64, (1..=updates.len() as i64).sum());
+        let batch = DeltaBatch::from_updates(&updates);
+        // Warm both engines with a clean batch first.
+        assert_eq!(registry.apply_batch(&batch).unwrap(), 2);
+        let healthy_table = registry.engine(healthy).unwrap().output_table();
 
-            // The batched path lands its writes through consolidated flushes, so
-            // target the first `apply_sorted` of the dispatch.
-            let err = with_fault(FaultPlan::new(FaultOp::ApplySorted, 0), || {
-                registry.apply_batch(&batch).unwrap_err()
-            });
-            assert_eq!(
-                err,
-                RuntimeError::EnginePanicked { slot: victim },
-                "threads={threads}"
-            );
-            assert!(registry.is_poisoned(victim));
-            assert_eq!(registry.poisoned_slots(), vec![victim]);
-            assert!(!registry.is_poisoned(healthy));
-            // The healthy sibling rolled back: the failed batch landed nowhere.
-            assert_eq!(
-                registry.engine(healthy).unwrap().output_table(),
-                healthy_table
-            );
+        // The batched path lands its writes through consolidated flushes, so
+        // target the first `apply_sorted` of the dispatch.
+        let err = with_fault(FaultPlan::new(FaultOp::ApplySorted, 0), || {
+            registry.apply_batch(&batch).unwrap_err()
+        });
+        assert_eq!(err, RuntimeError::EnginePanicked { slot: victim });
+        assert!(registry.is_poisoned(victim));
+        assert_eq!(registry.poisoned_slots(), vec![victim]);
+        assert!(!registry.is_poisoned(healthy));
+        // The healthy sibling rolled back: the failed batch landed nowhere.
+        assert_eq!(
+            registry.engine(healthy).unwrap().output_table(),
+            healthy_table
+        );
 
-            // Ingest now skips the quarantined slot but keeps serving the healthy one.
-            assert_eq!(registry.apply_batch(&batch).unwrap(), 1);
-            assert_eq!(
-                registry.engine(healthy).unwrap().output_value(&[]),
-                Number::Int(2 * count)
-            );
+        // Ingest now skips the quarantined slot but keeps serving the healthy one.
+        assert_eq!(registry.apply_batch(&batch).unwrap(), 1);
+        assert_eq!(
+            registry.engine(healthy).unwrap().output_value(&[]),
+            Number::Int(2 * count)
+        );
 
-            // Repair: replace the slot with a rebuilt engine; quarantine clears.
-            let rebuilt = Box::new(Executor::<FaultStorage<HashViewStorage>>::with_backend(
-                program("victim := Sum(R(x) * x)"),
-            ));
-            registry.replace(victim, rebuilt).expect("slot is live");
-            assert!(!registry.is_poisoned(victim));
-            assert_eq!(registry.apply_batch(&batch).unwrap(), 2);
-            assert_eq!(
-                registry.engine(victim).unwrap().output_value(&[]),
-                Number::Int(sum)
-            );
-        }
+        // Repair: replace the slot with a rebuilt engine; quarantine clears.
+        let rebuilt = Box::new(Executor::<FaultStorage<HashViewStorage>>::with_backend(
+            program("victim := Sum(R(x) * x)"),
+        ));
+        registry.replace(victim, rebuilt).expect("slot is live");
+        assert!(!registry.is_poisoned(victim));
+        assert_eq!(registry.apply_batch(&batch).unwrap(), 2);
+        assert_eq!(
+            registry.engine(victim).unwrap().output_value(&[]),
+            Number::Int(sum)
+        );
     }
 
     /// Change tracking hands out the output keys of exactly the last commit: none
@@ -983,7 +663,7 @@ mod tests {
                 .map(|&x| Update::insert("R", vec![Value::int(x)]))
                 .collect()
         };
-        let mut registry = EngineRegistry::with_parallelism(ParallelConfig::sequential());
+        let mut registry = EngineRegistry::new();
         let by_x = registry.register(engine_for("by_x[x] := Sum(R(x))"));
         let s_sum = registry.register(engine_for("s_sum := Sum(S(y))"));
 

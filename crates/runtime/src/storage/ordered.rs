@@ -325,117 +325,6 @@ impl ViewStorage for OrderedViewStorage {
         self.data = merged.into_iter().collect();
     }
 
-    /// Sharded accumulation by pre-splitting the tree: `BTreeMap::split_off` at each
-    /// range boundary hands every scoped worker the subtree its contiguous delta
-    /// range can touch; each worker runs the same zip-merge as
-    /// [`apply_sorted`](ViewStorage::apply_sorted) into a per-shard vector, and the
-    /// (ascending, disjoint) per-shard results chain into one linear bulk rebuild.
-    /// The map-global permuted indexes cannot be touched concurrently, so workers
-    /// record inserted/pruned keys and the indexes are fixed after the join.
-    ///
-    /// Falls back to the sequential pass when the run is below
-    /// `shards * MIN_DELTAS_PER_SHARD` deltas or below the merge threshold (where
-    /// `apply_sorted` takes the point path anyway).
-    fn apply_sorted_sharded(&mut self, deltas: &[(&[Value], Number)], shards: usize) {
-        debug_assert!(
-            deltas.windows(2).all(|w| w[0].0 < w[1].0),
-            "apply_sorted_sharded requires strictly ascending keys"
-        );
-        let k = shards.min(deltas.len() / super::MIN_DELTAS_PER_SHARD);
-        if k <= 1 || deltas.len() * 8 < self.data.len() {
-            self.apply_sorted(deltas);
-            return;
-        }
-        let key_arity = self.key_arity;
-        for (key, _) in deltas {
-            assert_eq!(key.len(), key_arity, "key arity mismatch");
-        }
-        // Shard s covers delta indices [bounds[s-1], bounds[s]); splitting the tree at
-        // each boundary key gives subtree s exactly the entries range s can touch.
-        let bounds: Vec<usize> = (1..k).map(|s| s * deltas.len() / k).collect();
-        let mut remaining = std::mem::take(&mut self.data);
-        let mut subtrees: Vec<BTreeMap<Vec<Value>, Number>> = Vec::with_capacity(k);
-        for &b in bounds.iter().rev() {
-            subtrees.push(remaining.split_off(deltas[b].0));
-        }
-        subtrees.push(remaining);
-        subtrees.reverse();
-        let track_indexes = !self.indexes.is_empty();
-        let mut merged: Vec<Vec<(Vec<Value>, Number)>> = (0..k).map(|_| Vec::new()).collect();
-        let mut fixups: Vec<IndexFixups> = (0..k).map(|_| IndexFixups::default()).collect();
-        std::thread::scope(|scope| {
-            let mut rest = deltas;
-            let mut prev = 0usize;
-            for (s, ((subtree, out), fixup)) in subtrees
-                .into_iter()
-                .zip(merged.iter_mut())
-                .zip(fixups.iter_mut())
-                .enumerate()
-            {
-                let hi = bounds.get(s).copied().unwrap_or(deltas.len());
-                let (range, tail) = rest.split_at(hi - prev);
-                prev = hi;
-                rest = tail;
-                scope.spawn(move || {
-                    out.reserve(subtree.len() + range.len());
-                    let mut di = 0usize;
-                    let insert_new = |out: &mut Vec<(Vec<Value>, Number)>,
-                                      fixup: &mut IndexFixups,
-                                      key: &[Value],
-                                      delta: Number| {
-                        if delta.is_zero() {
-                            return;
-                        }
-                        let owned = key.to_vec();
-                        if track_indexes {
-                            fixup.inserted.push(owned.clone());
-                        }
-                        out.push((owned, delta));
-                    };
-                    for (key, value) in subtree {
-                        while di < range.len() && range[di].0 < key.as_slice() {
-                            insert_new(out, fixup, range[di].0, range[di].1);
-                            di += 1;
-                        }
-                        if di < range.len() && range[di].0 == key.as_slice() {
-                            let sum = accumulate(value, &range[di].1);
-                            di += 1;
-                            if sum.is_zero() {
-                                if track_indexes {
-                                    fixup.removed.push(key);
-                                }
-                            } else {
-                                out.push((key, sum));
-                            }
-                        } else {
-                            out.push((key, value));
-                        }
-                    }
-                    for &(key, delta) in &range[di..] {
-                        insert_new(out, fixup, key, delta);
-                    }
-                });
-            }
-        });
-        // Per-shard merges are ascending and the shards' key ranges are disjoint and
-        // ordered, so chaining them rebuilds the tree in one linear pass.
-        self.data = merged.into_iter().flatten().collect();
-        // A key appears at most once in the run, so no key is both pruned and
-        // inserted; fixup order across shards is immaterial.
-        for fixup in fixups {
-            for key in fixup.removed {
-                for index in self.indexes.values_mut() {
-                    index.remove(&key);
-                }
-            }
-            for key in fixup.inserted {
-                for index in self.indexes.values_mut() {
-                    index.insert(&key);
-                }
-            }
-        }
-    }
-
     /// Registers a pattern. Degenerate patterns are ignored; *prefix* patterns are
     /// accepted but build no structure (the primary sort order already enumerates them
     /// via a range scan); non-prefix patterns get a permuted index, backfilled from the
@@ -530,14 +419,6 @@ impl ViewStorage for OrderedViewStorage {
             index_entries: self.indexes.values().map(|i| i.keys.len()).sum(),
         }
     }
-}
-
-/// Keys one shard worker inserted or pruned, replayed onto the map-global permuted
-/// indexes after the scoped threads join (indexes are never touched concurrently).
-#[derive(Default)]
-struct IndexFixups {
-    inserted: Vec<Vec<Value>>,
-    removed: Vec<Vec<Value>>,
 }
 
 #[cfg(test)]

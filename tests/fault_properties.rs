@@ -13,8 +13,7 @@
 //!    bit-exactly, poison nothing, and leave the ring equivalent to one that never
 //!    saw the failing batch.
 //!
-//! Both properties run on both storage backends at 1, 2, 4 and 8 ingest threads, so
-//! the sequential and parallel staging paths are both under fire.
+//! Both properties run on both storage backends.
 
 use std::collections::BTreeMap;
 
@@ -63,12 +62,11 @@ fn arb_update() -> impl Strategy<Value = Update> {
     ]
 }
 
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 const OPS: [FaultOp; 3] = [FaultOp::Probe, FaultOp::Add, FaultOp::ApplySorted];
 
 /// A ring whose every view lives on the fault-injection wrapper around `S`.
-fn faulted_ring<S: ViewStorage + Send + 'static>(threads: usize) -> Ring {
-    let mut ring = RingBuilder::new(catalog()).ingest_threads(threads).build();
+fn faulted_ring<S: ViewStorage + Send + 'static>() -> Ring {
+    let mut ring = RingBuilder::new(catalog()).build();
     for (name, text) in VIEWS {
         ring.create_view_with::<FaultStorage<S>>(*name, ViewDef::Agca(text))
             .unwrap();
@@ -104,13 +102,12 @@ fn tables(ring: &Ring) -> Vec<(String, BTreeMap<Vec<Value>, Number>)> {
 /// wrapped backend so hash and ordered share the harness.
 fn check_panic_atomicity<S: ViewStorage + Send + 'static>(
     backend: StorageBackend,
-    threads: usize,
     prefix: &[Update],
     batch: &[Update],
     suffix: &[Update],
     plan: FaultPlan,
 ) -> Result<(), TestCaseError> {
-    let mut ring = faulted_ring::<S>(threads);
+    let mut ring = faulted_ring::<S>();
     let mut reference = reference_ring(backend);
     if !prefix.is_empty() {
         ring.apply_batch(prefix).unwrap();
@@ -181,7 +178,6 @@ fn check_panic_atomicity<S: ViewStorage + Send + 'static>(
 /// already have staged the batch successfully.
 fn check_value_error_atomicity(
     backend: StorageBackend,
-    threads: usize,
     prefix: &[Update],
     mut batch: Vec<Update>,
     poison_at: usize,
@@ -191,10 +187,7 @@ fn check_value_error_atomicity(
     let at = poison_at % (batch.len() + 1);
     batch.insert(at, poison);
 
-    let mut ring = RingBuilder::new(catalog())
-        .backend(backend)
-        .ingest_threads(threads)
-        .build();
+    let mut ring = RingBuilder::new(catalog()).backend(backend).build();
     for (name, text) in VIEWS {
         ring.create_view(*name, ViewDef::Agca(text)).unwrap();
     }
@@ -231,23 +224,21 @@ proptest! {
 
     /// Injected storage panics at random operations: failed batches land nowhere,
     /// panicked views quarantine and repair to the replay-from-scratch state, on
-    /// both backends at every thread count.
+    /// both backends.
     #[test]
     fn injected_panics_leave_failed_batches_unlanded(
         prefix in prop::collection::vec(arb_update(), 0..24),
         batch in prop::collection::vec(arb_update(), 1..24),
         suffix in prop::collection::vec(arb_update(), 1..12),
-        t_idx in 0usize..4,
         op_idx in 0usize..3,
         at in 0usize..12,
     ) {
-        let threads = THREADS[t_idx];
         let plan = FaultPlan::new(OPS[op_idx], at);
         check_panic_atomicity::<HashViewStorage>(
-            StorageBackend::Hash, threads, &prefix, &batch, &suffix, plan,
+            StorageBackend::Hash, &prefix, &batch, &suffix, plan,
         )?;
         check_panic_atomicity::<OrderedViewStorage>(
-            StorageBackend::Ordered, threads, &prefix, &batch, &suffix, plan,
+            StorageBackend::Ordered, &prefix, &batch, &suffix, plan,
         )?;
     }
 
@@ -260,11 +251,9 @@ proptest! {
         batch in prop::collection::vec(arb_update(), 0..16),
         poison_at in 0usize..16,
         suffix in prop::collection::vec(arb_update(), 1..12),
-        t_idx in 0usize..4,
     ) {
-        let threads = THREADS[t_idx];
         for backend in [StorageBackend::Hash, StorageBackend::Ordered] {
-            check_value_error_atomicity(backend, threads, &prefix, batch.clone(), poison_at, &suffix)?;
+            check_value_error_atomicity(backend, &prefix, batch.clone(), poison_at, &suffix)?;
         }
     }
 }

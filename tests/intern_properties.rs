@@ -4,7 +4,7 @@
 //!    [`BatchNormalizer`] scratch — must match a twin ring fed the classic
 //!    [`DeltaBatch::from_updates`] batches through [`Ring::apply_delta_batch`]:
 //!    identical tables AND bit-identical [`ExecStats`] per view, across both storage
-//!    backends, ingest thread budgets {1, 4}, and staged vs direct ingest.
+//!    backends and staged vs direct ingest.
 //! 2. **Interner-id stability**: ids handed out by [`Ring::interner`] survive
 //!    `repair_view` rebuilds and `drop_view` — no dangling and no reassignment —
 //!    while the repaired ring's tables stay equal to an untouched twin's.
@@ -59,10 +59,8 @@ fn backends() -> [StorageBackend; 2] {
     [StorageBackend::Hash, StorageBackend::Ordered]
 }
 
-fn build_ring(backend: StorageBackend, threads: usize, staged: bool) -> (Ring, Vec<ViewId>) {
-    let mut builder = RingBuilder::new(catalog())
-        .backend(backend)
-        .ingest_threads(threads);
+fn build_ring(backend: StorageBackend, staged: bool) -> (Ring, Vec<ViewId>) {
+    let mut builder = RingBuilder::new(catalog()).backend(backend);
     if !staged {
         builder = builder.without_staged_ingest();
     }
@@ -89,30 +87,28 @@ fn view_state(ring: &Ring, ids: &[ViewId]) -> Vec<ViewState> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Interned ring ingest == classic normalization, across backends × threads
-    /// {1, 4} × staged/direct: same tables, bit-identical work counters.
+    /// Interned ring ingest == classic normalization, across backends ×
+    /// staged/direct: same tables, bit-identical work counters.
     #[test]
     fn interned_ring_ingest_matches_classic_normalization(
         stream in prop::collection::vec(arb_update(), 1..60),
         chunk in 1usize..20,
     ) {
         for backend in backends() {
-            for threads in [1usize, 4] {
-                for staged in [true, false] {
-                    let (mut interned, ids) = build_ring(backend, threads, staged);
-                    let (mut classic, classic_ids) = build_ring(backend, threads, staged);
-                    for piece in stream.chunks(chunk) {
-                        interned.apply_batch(piece).unwrap();
-                        classic.apply_delta_batch(&DeltaBatch::from_updates(piece)).unwrap();
-                    }
-                    prop_assert_eq!(
-                        view_state(&interned, &ids),
-                        view_state(&classic, &classic_ids),
-                        "interned vs classic diverged on {} threads={} staged={}",
-                        backend, threads, staged
-                    );
-                    prop_assert!(interned.interner().is_consistent());
+            for staged in [true, false] {
+                let (mut interned, ids) = build_ring(backend, staged);
+                let (mut classic, classic_ids) = build_ring(backend, staged);
+                for piece in stream.chunks(chunk) {
+                    interned.apply_batch(piece).unwrap();
+                    classic.apply_delta_batch(&DeltaBatch::from_updates(piece)).unwrap();
                 }
+                prop_assert_eq!(
+                    view_state(&interned, &ids),
+                    view_state(&classic, &classic_ids),
+                    "interned vs classic diverged on {} staged={}",
+                    backend, staged
+                );
+                prop_assert!(interned.interner().is_consistent());
             }
         }
     }
@@ -126,8 +122,8 @@ proptest! {
         suffix in prop::collection::vec(arb_update(), 1..30),
     ) {
         for backend in backends() {
-            let (mut churned, ids) = build_ring(backend, 1, true);
-            let (mut untouched, twin_ids) = build_ring(backend, 1, true);
+            let (mut churned, ids) = build_ring(backend, true);
+            let (mut untouched, twin_ids) = build_ring(backend, true);
             churned.apply_batch(&prefix).unwrap();
             untouched.apply_batch(&prefix).unwrap();
             let snapshot: Vec<(String, u32)> = (0..churned.interner().len() as u32)

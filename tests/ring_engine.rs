@@ -2,9 +2,13 @@
 //! lifecycle (create / late-create with backfill / drop), the one-ingest-path contract
 //! with per-relation routing, the dedicated catalog errors, and the read handles.
 
+use std::sync::{Mutex, PoisonError};
+use std::thread::ThreadId;
+
 use dbring::{
-    compile, parse_query, BatchNormalizer, Catalog, Error, Executor, Number, Ring, RingBuilder,
-    RuntimeError, StorageBackend, Update, Value, ViewDef,
+    compile, parse_query, BatchNormalizer, Catalog, Error, Executor, HashViewStorage, Number, Ring,
+    RingBuilder, RuntimeError, StorageBackend, StorageFootprint, Update, Value, ViewDef,
+    ViewStorage,
 };
 
 fn shop_catalog() -> Catalog {
@@ -393,4 +397,144 @@ fn untracked_rings_refuse_late_registration() {
         ring.view_named("early").unwrap().value(&[Value::int(1)]),
         Number::Int(1)
     );
+}
+
+/// The threads that wrote to any [`ThreadRecordingStorage`] in this process.
+static WRITERS: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
+
+fn record_writer() {
+    let id = std::thread::current().id();
+    let mut writers = WRITERS.lock().unwrap_or_else(PoisonError::into_inner);
+    if !writers.contains(&id) {
+        writers.push(id);
+    }
+}
+
+/// A [`ViewStorage`] decorator that records which thread performs each write call
+/// and otherwise delegates to the hash backend.
+#[derive(Clone, Debug)]
+struct ThreadRecordingStorage(HashViewStorage);
+
+impl ViewStorage for ThreadRecordingStorage {
+    const BACKEND: StorageBackend = StorageBackend::Hash;
+
+    fn new(key_arity: usize) -> Self {
+        ThreadRecordingStorage(HashViewStorage::new(key_arity))
+    }
+
+    fn key_arity(&self) -> usize {
+        self.0.key_arity()
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn get(&self, key: &[Value]) -> Number {
+        self.0.get(key)
+    }
+
+    fn add(&mut self, key: Vec<Value>, delta: Number) {
+        record_writer();
+        self.0.add(key, delta);
+    }
+
+    fn add_ref(&mut self, key: &[Value], delta: Number) -> Number {
+        record_writer();
+        self.0.add_ref(key, delta)
+    }
+
+    fn apply_sorted(&mut self, deltas: &[(&[Value], Number)]) {
+        record_writer();
+        self.0.apply_sorted(deltas);
+    }
+
+    fn apply_sorted_logged(
+        &mut self,
+        deltas: &[(&[Value], Number)],
+        log: impl FnMut(&[Value], Number),
+    ) {
+        record_writer();
+        self.0.apply_sorted_logged(deltas, log);
+    }
+
+    fn set(&mut self, key: Vec<Value>, value: Number) {
+        record_writer();
+        self.0.set(key, value);
+    }
+
+    fn restore(&mut self, key: &[Value], value: Number) {
+        record_writer();
+        self.0.restore(key, value);
+    }
+
+    fn register_index(&mut self, positions: Vec<usize>) {
+        self.0.register_index(positions);
+    }
+
+    fn for_each(&self, visit: impl FnMut(&[Value], Number)) {
+        self.0.for_each(visit);
+    }
+
+    fn for_each_slice(
+        &self,
+        positions: &[usize],
+        values: &[Value],
+        visit: impl FnMut(&[Value], Number),
+    ) {
+        self.0.for_each_slice(positions, values, visit);
+    }
+
+    fn footprint(&self) -> StorageFootprint {
+        self.0.footprint()
+    }
+}
+
+/// Batch ingest writes every view on the calling thread: a 512-update batch that
+/// touches several views is not handed to worker threads, whatever the core count.
+#[test]
+fn batch_ingest_writes_every_view_on_the_callers_thread() {
+    let defs = [
+        ("revenue", "q[c] := Sum(Sales(c, p, n) * p * n)"),
+        ("orders", "q[c] := Sum(Sales(c, p, n))"),
+        ("units", "q := Sum(Sales(c, p, n) * n)"),
+        ("refunds", "q[c] := Sum(Returns(c, p, n) * p)"),
+    ];
+    let mut ring = RingBuilder::new(shop_catalog()).build();
+    let mut reference = RingBuilder::new(shop_catalog()).build();
+    for (name, text) in defs {
+        ring.create_view_with::<ThreadRecordingStorage>(name, ViewDef::Agca(text))
+            .unwrap();
+        reference.create_view(name, ViewDef::Agca(text)).unwrap();
+    }
+    // 512 distinct tuples over both relations, so every view is touched.
+    let batch: Vec<Update> = (0..512)
+        .map(|i| {
+            if i % 4 == 3 {
+                ret(i % 37, i + 1, 1)
+            } else {
+                sale(i % 37, i + 1, i % 5 + 1)
+            }
+        })
+        .collect();
+    WRITERS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clear();
+    ring.apply_batch(&batch).unwrap();
+    reference.apply_batch(&batch).unwrap();
+    let writers = WRITERS
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clone();
+    assert_eq!(
+        writers,
+        vec![std::thread::current().id()],
+        "batch ingest wrote views from other threads"
+    );
+    for (name, _) in defs {
+        let view = ring.view_named(name).unwrap();
+        assert!(view.stats().updates > 0, "{name} was not touched");
+        assert_eq!(view.table(), reference.view_named(name).unwrap().table());
+    }
 }

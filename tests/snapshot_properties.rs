@@ -1,11 +1,11 @@
 //! Property tests for the snapshot read path: a published [`ViewSnapshot`] is always
 //! a *batch-consistent prefix* of the update stream, and once acquired it never
-//! changes — no matter the storage backend, ingest-thread count, staging mode, or a
-//! concurrently running writer.
+//! changes — no matter the storage backend, staging mode, or a concurrently running
+//! writer.
 //!
 //! 1. **Prefix equivalence**: after every committed batch, each view's snapshot table
 //!    equals the table of a plain reference ring that replayed exactly that prefix —
-//!    across hash/ordered × ingest threads {1, 4} × staged/direct ingest.
+//!    across hash/ordered × staged/direct ingest.
 //! 2. **Immutability**: snapshots held across later batches still compare equal to
 //!    the prefix table they were acquired at.
 //! 3. **No torn reads**: with a real writer thread committing batches while reader
@@ -77,20 +77,16 @@ fn arb_update() -> impl Strategy<Value = Update> {
 }
 
 /// Every serving configuration the snapshot contract must hold under:
-/// backend × ingest threads × staged/direct ingest.
-const CONFIGS: &[(StorageBackend, usize, bool)] = &[
-    (StorageBackend::Hash, 1, true),
-    (StorageBackend::Hash, 1, false),
-    (StorageBackend::Hash, 4, true),
-    (StorageBackend::Hash, 4, false),
-    (StorageBackend::Ordered, 1, true),
-    (StorageBackend::Ordered, 4, true),
+/// backend × staged/direct ingest.
+const CONFIGS: &[(StorageBackend, bool)] = &[
+    (StorageBackend::Hash, true),
+    (StorageBackend::Hash, false),
+    (StorageBackend::Ordered, true),
+    (StorageBackend::Ordered, false),
 ];
 
-fn build_ring(backend: StorageBackend, threads: usize, staged: bool) -> Ring {
-    let mut builder = RingBuilder::new(catalog())
-        .backend(backend)
-        .ingest_threads(threads);
+fn build_ring(backend: StorageBackend, staged: bool) -> Ring {
+    let mut builder = RingBuilder::new(catalog()).backend(backend);
     if !staged {
         builder = builder.without_staged_ingest();
     }
@@ -120,13 +116,12 @@ fn snapshot_tables(ring: &Ring) -> Vec<(String, ViewSnapshot)> {
 /// equivalence, plus immutability of every snapshot acquired along the way.
 fn check_prefix_equivalence(
     backend: StorageBackend,
-    threads: usize,
     staged: bool,
     updates: &[Update],
     batch_size: usize,
 ) -> Result<(), TestCaseError> {
-    let mut live = build_ring(backend, threads, staged);
-    let mut reference = build_ring(backend, 1, true);
+    let mut live = build_ring(backend, staged);
+    let mut reference = build_ring(backend, true);
     let _handle = live.reader(); // serving mode on: every commit publishes
 
     // (snapshot, the prefix table it must keep answering with)
@@ -147,10 +142,9 @@ fn check_prefix_equivalence(
             let exported = scratch.snapshot_named(&name).unwrap();
             prop_assert!(
                 snapshot.iter().eq(exported.iter()),
-                "published {} != from-scratch export (backend {:?}, threads {}, staged {})",
+                "published {} != from-scratch export (backend {:?}, staged {})",
                 name,
                 backend,
-                threads,
                 staged
             );
             prop_assert_eq!(snapshot.len(), exported.len());
@@ -164,10 +158,9 @@ fn check_prefix_equivalence(
                 &snapshot.table(),
                 want,
                 "snapshot of {} diverged from the replayed prefix \
-                 (backend {:?}, threads {}, staged {})",
+                 (backend {:?}, staged {})",
                 name,
                 backend,
-                threads,
                 staged
             );
             // Views untouched by the batch keep their (still-current) older
@@ -207,8 +200,8 @@ proptest! {
         updates in prop::collection::vec(arb_update(), 1..32),
         batch_size in 1usize..8,
     ) {
-        for &(backend, threads, staged) in CONFIGS {
-            check_prefix_equivalence(backend, threads, staged, &updates, batch_size)?;
+        for &(backend, staged) in CONFIGS {
+            check_prefix_equivalence(backend, staged, &updates, batch_size)?;
         }
     }
 }
@@ -245,7 +238,7 @@ fn concurrent_readers_see_only_committed_prefixes() {
     // Oracle: expected r_by_a table per committed-prefix `updates_ingested` count.
     // The counter advances by normalized batch weight, so it is read off the
     // reference ring rather than recomputed from raw chunk lengths.
-    let mut reference = build_ring(StorageBackend::Hash, 1, true);
+    let mut reference = build_ring(StorageBackend::Hash, true);
     let mut oracle: HashMap<u64, BTreeMap<Vec<Value>, Number>> = HashMap::new();
     oracle.insert(0, reference.view_named("r_by_a").unwrap().table());
     for chunk in stream.chunks(BATCH) {
@@ -258,7 +251,7 @@ fn concurrent_readers_see_only_committed_prefixes() {
     let final_ingested = reference.updates_ingested();
     let oracle = Arc::new(oracle);
 
-    let mut live = build_ring(StorageBackend::Hash, 4, true);
+    let mut live = build_ring(StorageBackend::Hash, true);
     let handle = live.reader();
     let done = Arc::new(AtomicBool::new(false));
 
