@@ -23,8 +23,8 @@
 //!   [`DeltaBatch`](crate::DeltaBatch) **once**, and routes work only to the views
 //!   whose programs read the touched relations — `k` views over one stream cost one
 //!   normalization, not `k`. All of it runs on the calling thread.
-//! * **Failure-atomic ingest.** By default every update and batch is *staged* on all
-//!   touched views and committed only when all of them succeed; a failure (including
+//! * **Failure-atomic ingest.** Every update and batch is *staged* on all touched
+//!   views and committed only when all of them succeed; a failure (including
 //!   a panicking engine) rolls every view back, so a rejected batch lands nowhere. A
 //!   view whose engine panicked is **quarantined** — reads refuse it, ingest skips
 //!   it — until [`Ring::repair_view`] rebuilds it from the base snapshot.
@@ -113,7 +113,6 @@ pub struct RingBuilder {
     snapshot: Snapshot,
     backend: StorageBackend,
     track_base: bool,
-    staged: bool,
 }
 
 impl RingBuilder {
@@ -126,7 +125,6 @@ impl RingBuilder {
             snapshot: Snapshot::new(),
             backend: StorageBackend::Hash,
             track_base: true,
-            staged: true,
         }
     }
 
@@ -139,7 +137,6 @@ impl RingBuilder {
             catalog: db.schema_only(),
             backend: StorageBackend::Hash,
             track_base: true,
-            staged: true,
         }
     }
 
@@ -159,14 +156,12 @@ impl RingBuilder {
         self
     }
 
-    /// Disables the stage/commit ingest protocol: failed updates and batches may then
-    /// leave *some* views applied and others not (the pre-staging contract), in
-    /// exchange for skipping the pre-image logging staged ingest pays per write. The
-    /// deterministic lowest-slot error contract is unaffected. Exists for measurement
-    /// (the `exp_faults` baseline) and for pipelines that discard the whole ring on
-    /// any error anyway.
-    pub fn without_staged_ingest(mut self) -> Self {
-        self.staged = false;
+    /// Accepted and ignored: ingest is always staged, so a failed update or batch
+    /// lands nowhere (see [`Ring::apply_batch`]). Kept only because the end-to-end
+    /// benchmark (`benchmark/src/embedded.rs`) still builds a ring with it; this
+    /// method goes once that call does.
+    #[doc(hidden)]
+    pub fn without_staged_ingest(self) -> Self {
         self
     }
 
@@ -182,15 +177,13 @@ impl RingBuilder {
 
     /// Finishes the builder.
     pub fn build(self) -> Ring {
-        let mut registry = EngineRegistry::new();
-        registry.set_staging(self.staged);
         Ring {
             catalog: self.catalog,
             snapshot: self.snapshot,
             backend: self.backend,
             track_base: self.track_base,
             ingested: 0,
-            registry,
+            registry: EngineRegistry::new(),
             infos: Vec::new(),
             names: BTreeMap::new(),
             normalizer: BatchNormalizer::new(),
@@ -355,12 +348,6 @@ impl Ring {
         self.backend
     }
 
-    /// Whether ingest runs the stage/commit protocol (the default; see
-    /// [`RingBuilder::without_staged_ingest`]).
-    pub fn staged_ingest(&self) -> bool {
-        self.registry.staging()
-    }
-
     /// Number of live views.
     pub fn len(&self) -> usize {
         self.registry.len()
@@ -498,7 +485,7 @@ impl Ring {
         debug_assert_eq!(registered, slot);
         if self.serving() {
             // Serve the backfilled table immediately, not at the next commit.
-            self.publish_slots(vec![(slot, None)]);
+            self.publish_slots(vec![(slot, Publication::Whole)]);
         }
         self.names.insert(name, id);
         Ok(id)
@@ -653,7 +640,7 @@ impl Ring {
         if self.serving() {
             // Republication clears the store-side quarantine flag along with the
             // registry-side one: the repaired view serves again immediately.
-            self.publish_slots(vec![(id.0, None)]);
+            self.publish_slots(vec![(id.0, Publication::Whole)]);
         }
         // A rebuild replays from the snapshot through a fresh engine; the ring-level
         // interner is untouched, so previously returned ids stay valid.
@@ -780,7 +767,7 @@ impl Ring {
         }
         self.publish_slots(
             (0..self.infos.len() as u32)
-                .map(|slot| (slot, None))
+                .map(|slot| (slot, Publication::Whole))
                 .collect(),
         );
         self.sync_quarantine();
@@ -788,12 +775,9 @@ impl Ring {
 
     /// Publishes fresh snapshots for the given slots (skipping dropped and
     /// quarantined ones) under one publication epoch, accumulating the cost into
-    /// [`Ring::snapshot_publish_ns`] and [`Ring::snapshot_publish_stats`]. A slot
-    /// that comes with the [`ChangeSet`] of the commit just made is published as
-    /// the successor of its current snapshot — O(changed blocks), paid by the
-    /// *writer* at the commit boundary; a slot without one is exported whole.
-    /// Readers never copy.
-    fn publish_slots(&self, slots: Vec<(u32, Option<ChangeSet>)>) {
+    /// [`Ring::snapshot_publish_ns`] and [`Ring::snapshot_publish_stats`]. Readers
+    /// never copy.
+    fn publish_slots(&self, slots: Vec<(u32, Publication)>) {
         let mut live = slots
             .into_iter()
             .filter(|(slot, _)| !self.registry.is_poisoned(*slot))
@@ -807,20 +791,19 @@ impl Ring {
         let mut totals = self.publish_totals();
         let stats = &mut totals.stats;
         stats.commits += 1;
-        for (slot, engine, changed) in live {
-            let predecessor = changed.and_then(|changed| match self.snapshots.acquire(slot) {
-                SnapshotAccess::Published(snapshot) => Some((snapshot, changed)),
-                _ => None,
-            });
-            let snapshot = match predecessor {
-                Some((previous, mut changed)) => previous.successor(
-                    epoch,
-                    self.ingested,
-                    &mut changed,
-                    |key| engine.output_value(key),
-                    stats,
-                ),
-                None => ViewSnapshot::from_export(
+        for (slot, engine, publication) in live {
+            let snapshot = match publication {
+                Publication::Commit(mut changed) => match self.snapshots.acquire(slot) {
+                    SnapshotAccess::Published(previous) => previous.successor(
+                        epoch,
+                        self.ingested,
+                        &mut changed,
+                        |key| engine.output_value(key),
+                        stats,
+                    ),
+                    _ => unreachable!("a serving ring publishes every live view before it commits"),
+                },
+                Publication::Whole => ViewSnapshot::from_export(
                     self.snapshots.name(slot).expect("slots stay in sync"),
                     epoch,
                     self.ingested,
@@ -835,12 +818,21 @@ impl Ring {
     }
 
     /// Publishes the views a commit touched, each as the successor of its current
-    /// snapshot when the registry recorded what the commit changed in it.
+    /// snapshot patched at the output keys the commit changed. Every touched live
+    /// view committed with change tracking on, so each has its change set; a
+    /// quarantined one was skipped by the dispatch and is skipped here too.
     fn publish_commit(&mut self, touched: &[u32]) {
-        let slots = touched
-            .iter()
-            .map(|&slot| (slot, self.registry.take_changes(slot)))
-            .collect();
+        let mut slots = Vec::with_capacity(touched.len());
+        for &slot in touched {
+            if self.registry.is_poisoned(slot) {
+                continue;
+            }
+            let changed = self
+                .registry
+                .take_changes(slot)
+                .expect("a committed view reports its changes while serving");
+            slots.push((slot, Publication::Commit(changed)));
+        }
         self.publish_slots(slots);
     }
 
@@ -865,17 +857,14 @@ impl Ring {
     /// Zero-multiplicity updates are explicit no-ops. Quarantined views are skipped
     /// (they catch up through [`Ring::repair_view`]'s snapshot backfill).
     ///
-    /// **All-or-nothing across views** (with staged ingest, the default): the catalog
-    /// check vets relation and arity, and when a trigger still fails on the values
-    /// themselves (e.g. a string reaching an arithmetic position) the update is
-    /// rolled back from every view that already staged it — a rejected update lands
-    /// *nowhere*: no view, no snapshot, no counter. A panicking view engine surfaces
-    /// as [`RuntimeError::EnginePanicked`] and quarantines that view; sibling views
-    /// still roll back cleanly. (With
-    /// [`RingBuilder::without_staged_ingest`] a mid-fan-out failure instead leaves
-    /// earlier views updated; the snapshot records only fully-applied updates either
-    /// way, so a rejected update can never poison future
-    /// [`create_view`](Ring::create_view) backfills.)
+    /// **All-or-nothing across views**: the catalog check vets relation and arity, and when
+    /// a trigger still fails on the values themselves (e.g. a string reaching an arithmetic
+    /// position) the update is rolled back from every view that already staged it — a
+    /// rejected update lands *nowhere*: no view, no snapshot, no counter. A panicking view
+    /// engine surfaces as [`RuntimeError::EnginePanicked`] and quarantines that view;
+    /// sibling views still roll back cleanly. The snapshot records only fully-applied
+    /// updates, so a rejected update can never poison future
+    /// [`create_view`](Ring::create_view) backfills.
     pub fn apply(&mut self, update: &Update) -> Result<(), Error> {
         if update.multiplicity == 0 {
             return Ok(());
@@ -917,14 +906,14 @@ impl Ring {
     /// Applies a sequence of updates one by one (one routing decision and one trigger
     /// firing per update per reading view).
     ///
-    /// The whole sequence is validated against the catalog **before** anything is
-    /// applied, so an undeclared relation or a wrong arity anywhere in the sequence
-    /// fails with *nothing* landed. Runtime failures past that point (a trigger
-    /// choking on the values themselves) stop the sequence at the failing update:
-    /// every update before it is applied everywhere, the failing update itself lands
-    /// nowhere (each update is all-or-nothing across views under staged ingest — see
-    /// [`Ring::apply`]), and the error is wrapped in [`RuntimeError::AtUpdate`]
-    /// carrying the failing index so callers know exactly how many landed.
+    /// The whole sequence is validated against the catalog **before** anything is applied,
+    /// so an undeclared relation or a wrong arity anywhere in the sequence fails with
+    /// *nothing* landed. Runtime failures past that point (a trigger choking on the values
+    /// themselves) stop the sequence at the failing update: every update before it is
+    /// applied everywhere, the failing update itself lands nowhere (each update is
+    /// all-or-nothing across views — see [`Ring::apply`]), and the error is wrapped in
+    /// [`RuntimeError::AtUpdate`] carrying the failing index so callers know exactly how
+    /// many landed.
     pub fn apply_all<'a>(
         &mut self,
         updates: impl IntoIterator<Item = &'a Update>,
@@ -960,20 +949,17 @@ impl Ring {
     /// (integer aggregates bit-identically; float aggregates up to IEEE reordering:
     /// a batch consolidates identical tuples and fires each once with its net weight).
     ///
-    /// **Failure atomicity** (with staged ingest, the default): catalog failures
-    /// land nothing, and a runtime failure during fan-out also lands nothing — every
-    /// touched view *stages* the batch (applying it while logging pre-images) and
-    /// commits only if all of them succeed, so on error each staged view is rolled
-    /// back bit-identically and the snapshot is untouched. A panicking view engine
-    /// surfaces as [`RuntimeError::EnginePanicked`], quarantines that view (see
-    /// [`Ring::repair_view`]), and still rolls every sibling back. Staging costs one
-    /// pre-image record per map write for the duration of the batch — memory
-    /// proportional to the batch's write set, not to the views. Touched views stage
-    /// one after another in slot order and the first failure stops the batch, so if
-    /// several views would fail on it, the error reported is always the one from the
-    /// **lowest-numbered view slot**. With [`RingBuilder::without_staged_ingest`],
-    /// lower-slot views may instead keep the batch on error (the pre-staging
-    /// contract).
+    /// **Failure atomicity**: catalog failures land nothing, and a runtime failure during
+    /// fan-out also lands nothing — every touched view *stages* the batch (applying it
+    /// while logging pre-images) and commits only if all of them succeed, so on error each
+    /// staged view is rolled back bit-identically and the snapshot is untouched. A
+    /// panicking view engine surfaces as [`RuntimeError::EnginePanicked`], quarantines that
+    /// view (see [`Ring::repair_view`]), and still rolls every sibling back. Staging costs
+    /// one pre-image record per map write for the duration of the batch — memory
+    /// proportional to the batch's write set, not to the views. Touched views stage one
+    /// after another in slot order and the first failure stops the batch, so if several
+    /// views would fail on it, the error reported is always the one from the
+    /// **lowest-numbered view slot**.
     ///
     /// The whole batch runs on the calling thread: no worker pool is spawned and no
     /// view is written from another core, so the views this thread reads next are
@@ -1185,6 +1171,15 @@ impl fmt::Debug for ViewMut<'_> {
             .field("engine", &self.engine.engine_name())
             .finish()
     }
+}
+
+/// How [`Ring::publish_slots`] builds a view's next snapshot.
+enum Publication {
+    /// Exported whole from the engine: first publication, backfill and repair.
+    Whole,
+    /// The successor of the current snapshot, patched at the output keys a commit
+    /// changed — O(changed blocks), paid by the writer at the commit boundary.
+    Commit(ChangeSet),
 }
 
 /// The number of values in one of the engine's output group keys.
@@ -1784,51 +1779,35 @@ mod tests {
         ));
     }
 
-    /// The builder's staging knob: staged ingest (default) makes a failed update
-    /// land nowhere; `without_staged_ingest` restores the pre-staging contract where
-    /// lower-slot siblings keep their writes.
+    /// `without_staged_ingest` is a shim that changes nothing: ingest stays staged,
+    /// so a batch one view rejects lands in no view, not even in a lower slot that
+    /// accepted it.
     #[test]
-    fn the_staging_knob_selects_between_atomic_and_direct_ingest() {
-        // Catalog-valid but the revenue view chokes on the string in an arithmetic
-        // position; the counting view accepts the same tuple.
-        let poison = Update::insert(
-            "Sales",
-            vec![Value::int(1), Value::str("x"), Value::str("y")],
-        );
-        let build = |staged: bool| {
-            let builder = RingBuilder::new(sales_catalog());
-            let builder = if staged {
-                builder
-            } else {
-                builder.without_staged_ingest()
-            };
-            let mut ring = builder.build();
-            let orders = ring
-                .create_view("orders", ViewDef::Agca("q[c] := Sum(Sales(c, p, n))"))
-                .unwrap();
-            ring.create_view(
+    fn without_staged_ingest_is_ignored_and_ingest_stays_atomic() {
+        let mut ring = RingBuilder::new(sales_catalog())
+            .without_staged_ingest()
+            .build();
+        let orders = ring
+            .create_view("orders", ViewDef::Agca("q[c] := Sum(Sales(c, p, n))"))
+            .unwrap();
+        let revenue = ring
+            .create_view(
                 "revenue",
                 ViewDef::Agca("q[c] := Sum(Sales(c, p, n) * p * n)"),
             )
             .unwrap();
-            (ring, orders)
-        };
-        let (mut staged, orders) = build(true);
-        assert!(staged.staged_ingest());
-        staged
-            .apply_batch(std::slice::from_ref(&poison))
-            .unwrap_err();
-        assert!(staged.view(orders).unwrap().table().is_empty(), "atomic");
-        assert_eq!(staged.view(orders).unwrap().stats().updates, 0);
-
-        let (mut direct, orders) = build(false);
-        assert!(!direct.staged_ingest());
-        direct.apply_batch(&[poison]).unwrap_err();
-        assert_eq!(
-            direct.view(orders).unwrap().table().len(),
-            1,
-            "direct mode lets the lower slot keep the batch"
+        // Catalog-valid, but the revenue view chokes on the strings in arithmetic
+        // positions while the counting view (the lower slot) accepts the tuple.
+        let poison = Update::insert(
+            "Sales",
+            vec![Value::int(1), Value::str("x"), Value::str("y")],
         );
+        ring.apply_batch(&[poison]).unwrap_err();
+        for id in [orders, revenue] {
+            let view = ring.view(id).unwrap();
+            assert!(view.table().is_empty(), "the failed batch landed nowhere");
+            assert_eq!(view.stats().updates, 0);
+        }
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! different storage backends — so the host cannot be generic over one concrete
 //! executor type. [`ViewEngine`] is the object-safe contract that makes a compiled,
 //! runnable view a *value*: everything the host needs to drive maintenance
-//! (per-update and batched application, initialization from a snapshot) and serve reads
-//! (point lookups, tables, work counters, footprints, the program itself) — behind
-//! `Box<dyn ViewEngine>`, cloneable and inspectable. The lowered
+//! (staged per-update and batched application, initialization from a snapshot) and
+//! serve reads (point lookups, tables, work counters, footprints, the program itself)
+//! — behind `Box<dyn ViewEngine>`, cloneable and inspectable. The lowered
 //! [`Executor`] over any [`ViewStorage`] is its implementation.
 //!
 //! [`boxed_engine`] / [`try_boxed_engine`] are the by-value factory: pick a
@@ -62,10 +62,6 @@ pub trait ViewEngine: std::fmt::Debug + Send {
         dbring_compiler::audit_program(self.program())
     }
 
-    /// Applies one single-tuple update. Updates to relations the program has no
-    /// trigger for are ignored; zero-multiplicity updates are explicit no-ops.
-    fn apply(&mut self, update: &Update) -> Result<(), RuntimeError>;
-
     /// Stages an already-normalized [`DeltaBatch`] (one dispatch per
     /// `(relation, sign)` group, weighted firing where the trigger admits it):
     /// applies it while logging the pre-image of every write, returning the
@@ -78,7 +74,9 @@ pub trait ViewEngine: std::fmt::Debug + Send {
 
     /// Stages one single-tuple update — the per-update counterpart of
     /// [`stage_batch`](ViewEngine::stage_batch), with the same `Err` ⇒ rolled-back
-    /// contract (covering partial |multiplicity| > 1 firings).
+    /// contract (covering partial |multiplicity| > 1 firings). Updates to relations
+    /// the program has no trigger for are ignored; zero-multiplicity updates are
+    /// explicit no-ops.
     fn stage_update(&mut self, update: &Update) -> Result<StagedBatch, RuntimeError>;
 
     /// Makes a staged batch permanent by releasing its undo log. Cannot fail.
@@ -86,20 +84,13 @@ pub trait ViewEngine: std::fmt::Debug + Send {
 
     /// [`commit_staged`](ViewEngine::commit_staged) for a host that publishes
     /// snapshots: also reports into `changed` every output key the staged writes
-    /// touched (any order, repeats allowed) and returns `true`. An engine that
-    /// cannot enumerate them commits, reports nothing and returns `false`; the host
-    /// must then treat the whole output table as changed.
-    fn commit_staged_reporting(&mut self, staged: StagedBatch, changed: &mut ChangeSet) -> bool;
+    /// touched (any order, repeats allowed) — the undo log's entries for the output
+    /// map, so nothing is tracked twice.
+    fn commit_staged_reporting(&mut self, staged: StagedBatch, changed: &mut ChangeSet);
 
     /// Rolls a staged batch back: tables and stats return bit-exactly to the
     /// pre-stage state.
     fn abort_staged(&mut self, staged: StagedBatch);
-
-    /// The unlogged batch path: [`stage_batch`](ViewEngine::stage_batch) plus commit,
-    /// without the pre-image log. **Not atomic on error** — kept for callers that own
-    /// their own recovery and as the staging-overhead measurement baseline
-    /// (`exp_faults`).
-    fn apply_batch_direct(&mut self, batch: &DeltaBatch<'_>) -> Result<(), RuntimeError>;
 
     /// Loads every materialized view from a non-empty starting database by evaluating
     /// its defining query (the initialization step of Section 1.1). The database is
@@ -154,10 +145,6 @@ impl<S: ViewStorage + Send + 'static> ViewEngine for Executor<S> {
         self.program()
     }
 
-    fn apply(&mut self, update: &Update) -> Result<(), RuntimeError> {
-        self.apply(update)
-    }
-
     fn stage_batch(&mut self, batch: &DeltaBatch<'_>) -> Result<StagedBatch, RuntimeError> {
         self.stage_batch(batch)
     }
@@ -170,18 +157,13 @@ impl<S: ViewStorage + Send + 'static> ViewEngine for Executor<S> {
         self.commit_staged(staged)
     }
 
-    fn commit_staged_reporting(&mut self, staged: StagedBatch, changed: &mut ChangeSet) -> bool {
+    fn commit_staged_reporting(&mut self, staged: StagedBatch, changed: &mut ChangeSet) {
         staged.undo.report_keys_of(self.program().output, changed);
         self.commit_staged(staged);
-        true
     }
 
     fn abort_staged(&mut self, staged: StagedBatch) {
         self.abort_staged(staged)
-    }
-
-    fn apply_batch_direct(&mut self, batch: &DeltaBatch<'_>) -> Result<(), RuntimeError> {
-        self.apply_batch_direct(batch)
     }
 
     fn initialize_from(&mut self, db: &Database) -> Result<(), EvalError> {
@@ -257,13 +239,19 @@ mod tests {
         compile(&catalog, &parse_query("q := Sum(R(x))").unwrap()).unwrap()
     }
 
+    /// Stages and commits the insertion of `R(x)`.
+    fn insert(engine: &mut dyn ViewEngine, x: i64) {
+        let staged = engine
+            .stage_update(&Update::insert("R", vec![Value::int(x)]))
+            .unwrap();
+        engine.commit_staged(staged);
+    }
+
     #[test]
     fn boxed_engines_run_and_report_on_every_backend() {
         for backend in StorageBackend::ALL {
             let mut engine = boxed_engine(sum_program(), backend);
-            engine
-                .apply(&Update::insert("R", vec![Value::int(3)]))
-                .unwrap();
+            insert(engine.as_mut(), 3);
             let updates = [
                 Update::insert("R", vec![Value::int(4)]),
                 Update::insert("R", vec![Value::int(4)]),
@@ -287,12 +275,9 @@ mod tests {
     #[test]
     fn boxed_engines_clone_independently() {
         let mut engine = boxed_engine(sum_program(), StorageBackend::Hash);
-        engine
-            .apply(&Update::insert("R", vec![Value::int(1)]))
-            .unwrap();
+        insert(engine.as_mut(), 1);
         let mut fork = engine.clone();
-        fork.apply(&Update::insert("R", vec![Value::int(2)]))
-            .unwrap();
+        insert(fork.as_mut(), 2);
         assert_eq!(engine.output_value(&[]), Number::Int(1));
         assert_eq!(fork.output_value(&[]), Number::Int(2));
     }

@@ -332,7 +332,7 @@ impl StagedBatch {
 }
 
 /// Replays an undo log in reverse, restoring every touched entry to its logged
-/// pre-image bit-exactly. Shared by both executor families.
+/// pre-image bit-exactly.
 pub(crate) fn rollback_maps<S: ViewStorage>(maps: &mut [S], undo: &UndoLog) {
     let mut end = undo.keys.len();
     for op in undo.ops.iter().rev() {
@@ -495,7 +495,9 @@ impl<S: ViewStorage> Executor<S> {
     /// On error the update may be partially applied (a failure between the firings of a
     /// |multiplicity| > 1 update leaves the earlier firings in place); use
     /// [`Executor::stage_update`] when the caller needs all-or-nothing per-update
-    /// semantics.
+    /// semantics. Hosts always do: this unlogged call is the bare trigger kernel that
+    /// [`MaintenanceStrategy`](crate::strategy::MaintenanceStrategy) measures against
+    /// the baselines.
     pub fn apply(&mut self, update: &Update) -> Result<(), RuntimeError> {
         self.apply_logged(update, &mut None)
     }
@@ -622,9 +624,8 @@ impl<S: ViewStorage> Executor<S> {
     /// **Atomic per view:** this is [`stage_batch`](Executor::stage_batch) followed by
     /// an immediate [`commit_staged`](Executor::commit_staged), so on `Err` the engine's
     /// tables and [`ExecStats`] are bit-identical to before the call — on the weighted
-    /// path *and* the unit-replay path. Callers that own their own recovery (or are
-    /// measuring) can skip the pre-image log with
-    /// [`apply_batch_direct`](Executor::apply_batch_direct).
+    /// path *and* the unit-replay path. Batches have no unlogged path: the pre-image
+    /// log is what makes the flush revocable.
     pub fn apply_batch(&mut self, batch: &DeltaBatch) -> Result<(), RuntimeError> {
         let staged = self.stage_batch(batch)?;
         self.commit_staged(staged);
@@ -645,7 +646,7 @@ impl<S: ViewStorage> Executor<S> {
     pub fn stage_batch(&mut self, batch: &DeltaBatch) -> Result<StagedBatch, RuntimeError> {
         let stats_before = self.stats;
         let mut undo = std::mem::take(&mut self.undo_pool);
-        match self.apply_batch_logged(batch, &mut Some(&mut undo)) {
+        match self.apply_batch_logged(batch, &mut undo) {
             Ok(()) => Ok(StagedBatch { undo, stats_before }),
             Err(e) => {
                 rollback_maps(&mut self.maps, &undo);
@@ -672,20 +673,10 @@ impl<S: ViewStorage> Executor<S> {
         self.recycle(staged.undo);
     }
 
-    /// The unlogged batch path: [`apply_batch`](Executor::apply_batch) without the
-    /// pre-image log — the pre-staging ingest path, kept for callers that own their own
-    /// recovery and as the measurement baseline for the staging overhead (`exp_faults`).
-    ///
-    /// **Not atomic:** a failing group leaves all previously processed groups applied,
-    /// and the failing group itself may be partially applied on the unit-replay path.
-    pub fn apply_batch_direct(&mut self, batch: &DeltaBatch) -> Result<(), RuntimeError> {
-        self.apply_batch_logged(batch, &mut None)
-    }
-
     fn apply_batch_logged(
         &mut self,
         batch: &DeltaBatch,
-        undo: &mut Option<&mut UndoLog>,
+        undo: &mut UndoLog,
     ) -> Result<(), RuntimeError> {
         let Self {
             plan,
@@ -751,7 +742,7 @@ impl<S: ViewStorage> Executor<S> {
                     for _ in 0..*weight {
                         stats.updates += 1;
                         for stmt in &trigger.statements {
-                            run_statement(maps, stats, scratch, trigger, stmt, undo)?;
+                            run_statement(maps, stats, scratch, trigger, stmt, &mut Some(undo))?;
                         }
                     }
                 }
@@ -778,7 +769,7 @@ impl<S: ViewStorage> Executor<S> {
                     // *distinct* keys get sorted (exact `Value` order — strings fall
                     // back through the interner), and only the non-zero groups
                     // materialize as refs, still sorted ascending and unique as
-                    // `apply_sorted*` require.
+                    // `apply_sorted` requires.
                     flush_pool.begin(arity, buf.accs.len());
                     flush_sums.clear();
                     flush_reps.clear();
@@ -802,20 +793,13 @@ impl<S: ViewStorage> Executor<S> {
                             refs.push((&buf.keys[f * arity..(f + 1) * arity], sum));
                         }
                     }
-                    // When staging, every key the flush touches is logged with its
-                    // pre-image, unchecked: keys in a consolidated run are unique,
-                    // and a key another flush of this batch already logged restores
-                    // correctly anyway (reverse order replays the true pre-image
-                    // last). The pre-images are captured inside the landing pass
-                    // itself (`apply_sorted_logged` shares the lookup).
-                    match undo.as_deref_mut() {
-                        Some(undo) => {
-                            maps[stmt.target].apply_sorted_logged(&refs, |key, pre| {
-                                undo.push_unchecked(stmt.target, key, pre)
-                            });
-                        }
-                        None => maps[stmt.target].apply_sorted(&refs),
-                    }
+                    // Every key the flush touches is logged with its pre-image,
+                    // unchecked: keys in a consolidated run are unique, and a key
+                    // another flush of this batch already logged restores correctly
+                    // anyway (reverse order replays the true pre-image last). The
+                    // pre-images are captured inside the landing pass itself.
+                    maps[stmt.target]
+                        .apply_sorted(&refs, |key, pre| undo.push_unchecked(stmt.target, key, pre));
                     drop(refs);
                     buf.keys.clear();
                     buf.accs.clear();
@@ -1488,20 +1472,21 @@ mod tests {
             .collect();
         assert_eq!(before, after, "abort must restore float bit patterns");
         assert_eq!(exec.stats(), stats);
-        // stage + commit matches a direct apply of the same batch, stats included.
+        // After the abort, stage + commit matches a fresh executor that never saw the
+        // aborted batch applying the same one, stats included.
         let updates = [row(1, 0.2, 1), row(2, 0.3, 1)];
         let batch = DeltaBatch::from_updates(&updates);
-        let mut direct = Executor::new(program);
-        direct.apply(&row(1, 0.1, 1)).unwrap();
-        direct.apply_batch_direct(&batch).unwrap();
+        let mut fresh = Executor::new(program);
+        fresh.apply(&row(1, 0.1, 1)).unwrap();
+        fresh.apply_batch(&batch).unwrap();
         let staged = exec.stage_batch(&batch).unwrap();
         exec.commit_staged(staged);
-        assert_eq!(exec.output_table(), direct.output_table());
-        assert_eq!(exec.stats(), direct.stats());
+        assert_eq!(exec.output_table(), fresh.output_table());
+        assert_eq!(exec.stats(), fresh.stats());
     }
 
     /// A failed `stage_update` rolls back even partial multiplicity firings, while the
-    /// direct `apply` keeps its documented partial semantics.
+    /// unlogged `apply` keeps its documented partial semantics.
     #[test]
     fn stage_update_is_atomic_per_update() {
         let mut exec = Executor::new(customers_program());

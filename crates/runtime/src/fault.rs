@@ -45,8 +45,8 @@ pub enum FaultOp {
     Probe,
     /// Point writes ([`ViewStorage::add`] / [`ViewStorage::add_ref`]).
     Add,
-    /// Consolidated batch flushes ([`ViewStorage::apply_sorted`] /
-    /// [`ViewStorage::apply_sorted_logged`]), one trip per flush.
+    /// Consolidated batch flushes ([`ViewStorage::apply_sorted`]), one trip per
+    /// flush.
     ApplySorted,
 }
 
@@ -163,20 +163,11 @@ impl<S: ViewStorage> ViewStorage for FaultStorage<S> {
         self.0.add_ref(key, delta)
     }
 
-    fn apply_sorted(&mut self, deltas: &[(&[Value], Number)]) {
+    fn apply_sorted(&mut self, deltas: &[(&[Value], Number)], log: impl FnMut(&[Value], Number)) {
+        // One ApplySorted trip per flush, then the wrapped backend's combined
+        // capture-and-land.
         trip(FaultOp::ApplySorted);
-        self.0.apply_sorted(deltas);
-    }
-
-    fn apply_sorted_logged(
-        &mut self,
-        deltas: &[(&[Value], Number)],
-        log: impl FnMut(&[Value], Number),
-    ) {
-        // The staged landing pass is a flush like any other: one ApplySorted trip,
-        // then the wrapped backend's combined capture-and-land.
-        trip(FaultOp::ApplySorted);
-        self.0.apply_sorted_logged(deltas, log);
+        self.0.apply_sorted(deltas, log);
     }
 
     fn set(&mut self, key: Vec<Value>, value: Number) {
@@ -273,8 +264,11 @@ mod tests {
         let refs = [(key(&[2, 2]), Number::Int(9))];
         let borrowed: Vec<(&[Value], Number)> =
             refs.iter().map(|(k, d)| (k.as_slice(), *d)).collect();
-        m.apply_sorted(&borrowed);
-        m.apply_sorted_logged(&borrowed, |_, _| {});
+        let mut pres = Vec::new();
+        for _ in 0..2 {
+            m.apply_sorted(&borrowed, |_, pre| pres.push(pre));
+        }
+        assert_eq!(pres, vec![Number::Int(0), Number::Int(9)]);
         assert_eq!(m.get(&key(&[2, 2])), Number::Int(18));
         let mut seen = 0;
         m.for_each_slice(&[1], &key(&[2]), |_, _| seen += 1);

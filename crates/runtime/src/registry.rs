@@ -31,8 +31,7 @@
 //!   caught ([`RuntimeError::EnginePanicked`]) and the panicking slot is
 //!   **quarantined**: its state can no longer be trusted, so ingest skips it and the
 //!   host is expected to rebuild it ([`EngineRegistry::replace`]) from a base
-//!   snapshot. [`EngineRegistry::set_staging`] can disable the protocol, restoring
-//!   the pre-staging dispatch byte-for-byte (the `exp_faults` measurement baseline).
+//!   snapshot. Staging is the only dispatch: there is no unlogged path.
 //! * **Change reporting** ([`EngineRegistry::set_change_tracking`]): a commit's undo
 //!   log already names every output key the batch wrote; a host that publishes
 //!   snapshots has each commit hand those keys out
@@ -63,9 +62,6 @@ pub struct EngineRegistry {
     routing: HashMap<String, Vec<u32>>,
     /// Number of live (non-tombstoned) slots.
     live: usize,
-    /// When true, dispatch skips the stage/commit protocol and applies batches
-    /// directly (the pre-staging byte-for-byte path; not atomic across engines).
-    direct: bool,
     /// When true, every commit records per engine the output keys it wrote (see
     /// [`EngineRegistry::take_changes`]).
     track_changes: bool,
@@ -127,21 +123,6 @@ impl EngineRegistry {
         slot
     }
 
-    /// Whether the stage/commit protocol is enabled (the default). When disabled via
-    /// [`EngineRegistry::set_staging`], dispatch applies batches directly — the
-    /// pre-staging code path, byte-for-byte — and a failure can leave some engines
-    /// applied and others not.
-    pub fn staging(&self) -> bool {
-        !self.direct
-    }
-
-    /// Enables or disables the stage/commit protocol. Disabling it exists for
-    /// measurement (the `exp_faults` baseline) and for callers that prefer raw
-    /// throughput over the all-or-nothing guarantee.
-    pub fn set_staging(&mut self, staged: bool) {
-        self.direct = !staged;
-    }
-
     /// Turns change tracking on or off (off by default). While on, every staged
     /// commit also records, per engine, the output keys it wrote — the undo log's
     /// entries for the output map, so nothing is tracked twice — for a host that
@@ -150,10 +131,8 @@ impl EngineRegistry {
         self.track_changes = on;
     }
 
-    /// Takes the output keys the last commit wrote in `slot`. `None` means the
-    /// engine did not say — tracking was off, the dispatch was direct
-    /// ([`EngineRegistry::set_staging`]), or the engine cannot report — and the host
-    /// must treat the slot's whole output table as changed.
+    /// Takes the output keys the last commit wrote in `slot`. `None` means tracking
+    /// was off, or no commit reached the slot since the keys were last taken.
     pub fn take_changes(&mut self, slot: u32) -> Option<ChangeSet> {
         self.slots.get_mut(slot as usize)?.as_mut()?.changed.take()
     }
@@ -248,14 +227,11 @@ impl EngineRegistry {
     /// returning how many engines fired. Updates to relations no engine reads return
     /// `Ok(0)` without touching anything; quarantined engines are skipped.
     ///
-    /// **Atomic across engines** (while staging is enabled, the default): the update
-    /// is staged on every reader in slot order and committed only if all stages
-    /// succeed. On failure every stage is aborted, so a rejected update lands
-    /// nowhere, and the first (lowest-slot) error is returned. A panic in an engine
-    /// quarantines that slot and surfaces as [`RuntimeError::EnginePanicked`].
-    ///
-    /// With staging disabled this falls back to the old fire-in-slot-order loop,
-    /// where a failure leaves every earlier engine's write applied.
+    /// **Atomic across engines**: the update is staged on every reader in slot order
+    /// and committed only if all stages succeed. On failure every stage is aborted, so
+    /// a rejected update lands nowhere, and the first (lowest-slot) error is returned.
+    /// A panic in an engine quarantines that slot and surfaces as
+    /// [`RuntimeError::EnginePanicked`].
     pub fn apply(&mut self, update: &Update) -> Result<u32, RuntimeError> {
         if update.multiplicity == 0 {
             return Ok(0);
@@ -273,15 +249,6 @@ impl EngineRegistry {
                 .collect(),
             None => return Ok(0),
         };
-        if self.direct {
-            for &slot in &readers {
-                let registered = self.slots[slot as usize]
-                    .as_mut()
-                    .expect("routing only lists live slots");
-                registered.engine.apply(update)?;
-            }
-            return Ok(readers.len() as u32);
-        }
         self.stage_all(&readers, |engine| engine.stage_update(update))
     }
 
@@ -334,10 +301,10 @@ impl EngineRegistry {
                 .expect("routing only lists live slots");
             if self.track_changes {
                 let mut changed = ChangeSet::new();
-                let reported = registered
+                registered
                     .engine
                     .commit_staged_reporting(token, &mut changed);
-                registered.changed = reported.then_some(changed);
+                registered.changed = Some(changed);
             } else {
                 registered.engine.commit_staged(token);
             }
@@ -365,20 +332,17 @@ impl EngineRegistry {
     /// is the shared-batch dispatch entry point that amortizes consolidation across
     /// views. Quarantined engines are skipped.
     ///
-    /// **Atomic across engines** (while staging is enabled, the default): every
-    /// touched engine stages the batch — applying it while logging pre-images — and
-    /// only if *all* stages succeed are they committed. Any failure aborts every
-    /// stage, leaving every engine's tables and stats bit-identical to before the
-    /// call. Engines stage in ascending slot order and the first failure stops the
-    /// loop, so if several engines would fail on the same batch, the **lowest slot**'s
-    /// error is reported. A panic in an engine is caught, reported as
-    /// [`RuntimeError::EnginePanicked`], and quarantines that slot (its mid-flight
-    /// state cannot be rolled back); the slots staged before it are still aborted
-    /// cleanly, so the batch lands nowhere.
+    /// **Atomic across engines**: every touched engine stages the batch — applying it
+    /// while logging pre-images — and only if *all* stages succeed are they
+    /// committed. Any failure aborts every stage, leaving every engine's tables and
+    /// stats bit-identical to before the call. Engines stage in ascending slot order
+    /// and the first failure stops the loop, so if several engines would fail on the
+    /// same batch, the **lowest slot**'s error is reported. A panic in an engine is
+    /// caught, reported as [`RuntimeError::EnginePanicked`], and quarantines that
+    /// slot (its mid-flight state cannot be rolled back); the slots staged before it
+    /// are still aborted cleanly, so the batch lands nowhere.
     ///
-    /// Everything runs on the calling thread. With staging disabled
-    /// ([`EngineRegistry::set_staging`]) this is the pre-staging direct dispatch,
-    /// byte-for-byte, and a failure can leave lower slots applied.
+    /// Everything runs on the calling thread.
     pub fn apply_batch(&mut self, batch: &DeltaBatch<'_>) -> Result<u32, RuntimeError> {
         // Union of readers over the touched relations. Batches have at most two groups
         // per relation, so a sort/dedup over the concatenated reader lists stays tiny.
@@ -394,15 +358,6 @@ impl EngineRegistry {
                 .expect("routing only lists live slots")
                 .poisoned
         });
-        if self.direct {
-            for &slot in &touched {
-                let registered = self.slots[slot as usize]
-                    .as_mut()
-                    .expect("routing only lists live slots");
-                registered.engine.apply_batch_direct(batch)?;
-            }
-            return Ok(touched.len() as u32);
-        }
         self.stage_all(&touched, |engine| engine.stage_batch(batch))
     }
 }
@@ -559,35 +514,6 @@ mod tests {
     }
 
     #[test]
-    fn direct_mode_restores_the_partial_apply_behavior() {
-        let mut db = Database::new();
-        db.declare("R", &["A"]).unwrap();
-        db.declare("S", &["B"]).unwrap();
-        let engine = |text: &str| {
-            let program = compile(&db, &parse_query(text).unwrap()).unwrap();
-            boxed_engine(program, StorageBackend::Hash)
-        };
-        let mut registry = EngineRegistry::new();
-        registry.set_staging(false);
-        assert!(!registry.staging());
-        let ok = registry.register(engine("ok := Sum(R(x))"));
-        registry.register(engine("fails := Sum(S(y))"));
-        let updates = [
-            Update::insert("R", vec![Value::int(1)]),
-            Update::insert("S", vec![Value::int(1), Value::int(2)]),
-        ];
-        let batch = DeltaBatch::from_updates(&updates);
-        registry.apply_batch(&batch).unwrap_err();
-        // With staging off, the healthy lower slot applied before the failure — the
-        // pre-staging contract, preserved as the measurement baseline.
-        assert_eq!(
-            registry.engine(ok).unwrap().output_value(&[]),
-            Number::Int(1),
-            "direct mode lets sibling slots apply"
-        );
-    }
-
-    #[test]
     fn a_panicking_engine_is_quarantined_and_siblings_roll_back() {
         use crate::executor::Executor;
         use crate::fault::{with_fault, FaultOp, FaultPlan, FaultStorage};
@@ -647,8 +573,7 @@ mod tests {
     }
 
     /// Change tracking hands out the output keys of exactly the last commit: none
-    /// while it is off or the dispatch is direct, none from a failed dispatch, and
-    /// never a second time.
+    /// while it is off, none from a failed dispatch, and never a second time.
     #[test]
     fn commits_report_their_output_keys_while_tracking_is_on() {
         // The distinct keys of a change set, ascending.
@@ -703,14 +628,6 @@ mod tests {
             .unwrap_err();
         assert!(registry.take_changes(by_x).is_none());
         assert!(registry.take_changes(s_sum).is_none());
-
-        // Direct dispatch keeps no undo log, hence has nothing to report.
-        registry.set_staging(false);
-        let updates = inserts(&[8]);
-        registry
-            .apply_batch(&DeltaBatch::from_updates(&updates))
-            .unwrap();
-        assert!(registry.take_changes(by_x).is_none());
     }
 
     #[test]

@@ -19,12 +19,12 @@
 //!
 //! **Publication is proportional to what a commit changed.** There are exactly two
 //! ways to build a snapshot. [`ViewSnapshot::from_export`] copies a whole output
-//! table (first publication, backfill, repair, and engines that cannot say what a
-//! commit changed). [`ViewSnapshot::successor`] takes the predecessor snapshot and
-//! the [`ChangeSet`] of output keys a commit wrote, rebuilds only the blocks those
-//! keys fall in and `Arc`-shares every other block — so a three-key batch into a
-//! 10 000-group view copies three blocks, and the untouched blocks keep their
-//! addresses (and the reader's cache lines) across epochs. [`PublishStats`] counts
+//! table (first publication, backfill and repair). [`ViewSnapshot::successor`] takes
+//! the predecessor snapshot and the [`ChangeSet`] of output keys a commit wrote,
+//! rebuilds only the blocks those keys fall in and `Arc`-shares every other block —
+//! so a three-key batch into a 10 000-group view copies three blocks, and the
+//! untouched blocks keep their addresses (and the reader's cache lines) across
+//! epochs. [`PublishStats`] counts
 //! the blocks rebuilt and shared and the rows copied, machine-independently.
 //!
 //! The store tracks view lifecycle alongside the published data: a quarantined view's

@@ -22,6 +22,12 @@
 //!   table: entries in key order, a one-pass merge for large sorted runs, and prefix
 //!   slices nobody registered.
 //!
+//! **One flush.** Batched writes land through a single method,
+//! [`ViewStorage::apply_sorted`], which also reports every key's pre-image as it
+//! lands it: staged ingest is the only way the executor writes a batch, and those
+//! pre-images are its undo log. Rollback goes back through
+//! [`ViewStorage::restore`].
+//!
 //! **Enumeration order.** On both backends the order in which `for_each` and
 //! `for_each_slice` visit entries is a function of the operations applied, not of the
 //! process or of a hash seed: the ordered backend visits in key order; the hash backend
@@ -107,50 +113,36 @@ pub trait ViewStorage: Clone + fmt::Debug {
     fn add_ref(&mut self, key: &[Value], delta: Number) -> Number;
 
     /// Accumulates a consolidated batch of ring deltas whose keys are **strictly
-    /// ascending** (sorted, no duplicates) — the batch-execution write path, fed by
-    /// [`DeltaBatch`](dbring_relations::DeltaBatch)-driven triggers that buffer,
-    /// sort and consolidate their writes per map. The keys are borrowed (they point
-    /// into the executor's reusable write buffers), so a backend clones only what it
-    /// actually inserts.
-    ///
-    /// The default is a per-key [`add_ref`](ViewStorage::add_ref) loop (the right thing
-    /// for hash backends, where sortedness buys nothing); ordered backends override it
-    /// with a single sequential merge pass so a large batch costs O(n + k) instead of
-    /// O(k log n). Zero deltas are ignored either way, and index maintenance and
-    /// zero-pruning behave exactly as `add_ref`.
-    fn apply_sorted(&mut self, deltas: &[(&[Value], Number)]) {
-        debug_assert!(
-            deltas.windows(2).all(|w| w[0].0 < w[1].0),
-            "apply_sorted requires strictly ascending keys"
-        );
-        for (key, delta) in deltas {
-            self.add_ref(key, *delta);
-        }
-    }
-
-    /// Applies a sorted, consolidated run exactly like
-    /// [`apply_sorted`](ViewStorage::apply_sorted) while reporting each delta key's
+    /// ascending** (sorted, no duplicates) while reporting each delta key's
     /// **pre-image** — the value held before the run landed (zero ⇔ absent) — to
-    /// `log`. This is staged ingest's capture-and-land step: the executor feeds the
-    /// pre-images straight into its undo log, and on rollback restores them via
-    /// [`restore`](ViewStorage::restore).
+    /// `log`. This is the batch-execution write path, fed by
+    /// [`DeltaBatch`](dbring_relations::DeltaBatch)-driven triggers that buffer,
+    /// sort and consolidate their writes per map, and it is staged ingest's
+    /// capture-and-land step: the executor feeds the pre-images straight into its
+    /// undo log, and on rollback restores them via [`restore`](ViewStorage::restore).
+    /// The keys are borrowed (they point into the executor's reusable write
+    /// buffers), so a backend clones only what it actually inserts.
     ///
     /// Every delta key is reported exactly once, **including** zero-delta keys (a
     /// spurious log entry restores a value to itself — harmless — while a missing one
     /// would leak a write). Keys in a run are unique, so the report order is
     /// backend-defined, and a key is reported no later than right after its own write.
+    /// Zero deltas land nothing, and index maintenance and zero-pruning behave exactly
+    /// as [`add_ref`](ViewStorage::add_ref).
     ///
-    /// The default is the [`add_ref`](ViewStorage::add_ref) loop of the default
-    /// `apply_sorted`, reporting what each write returns — one probe per key. The
-    /// ordered backend overrides it to capture the pre-images inside its merge pass.
-    fn apply_sorted_logged(
+    /// The default is a per-key `add_ref` loop reporting what each write returns —
+    /// one probe per key, the right thing for hash backends, where sortedness buys
+    /// nothing. The ordered backend overrides it with a sequential merge pass that
+    /// captures the pre-images as it goes, so a large run costs O(n + k) instead of
+    /// O(k log n).
+    fn apply_sorted(
         &mut self,
         deltas: &[(&[Value], Number)],
         mut log: impl FnMut(&[Value], Number),
     ) {
         debug_assert!(
             deltas.windows(2).all(|w| w[0].0 < w[1].0),
-            "apply_sorted_logged requires strictly ascending keys"
+            "apply_sorted requires strictly ascending keys"
         );
         for (key, delta) in deltas {
             let pre = self.add_ref(key, *delta);
@@ -353,12 +345,15 @@ mod tests {
         assert_eq!(StorageFootprint::default().entries, 0);
     }
 
-    /// `apply_sorted` must be indistinguishable from the equivalent `add_ref` loop on
-    /// every backend — same tables, same pruning, same index maintenance — for batches
-    /// small (point path) and large (the ordered backend's merge path) relative to the
-    /// map, including zero deltas, zero-sum pruning and brand-new keys.
+    /// `apply_sorted` must land exactly what the equivalent `add_ref` loop lands —
+    /// same tables, same pruning, same index maintenance — *and* report exactly the
+    /// pre-images a probe loop before the batch would have seen: one log call per
+    /// delta key, zero for absent keys. Checked on every backend for batches small
+    /// (point path) and large (the ordered backend's merge path) relative to the map,
+    /// including zero deltas, zero-sum pruning and brand-new keys. This is the
+    /// invariant the staged-ingest undo log is built on.
     #[test]
-    fn apply_sorted_matches_the_add_ref_loop_on_both_backends() {
+    fn apply_sorted_matches_an_add_ref_loop_and_logs_the_probed_pre_images() {
         fn check<S: ViewStorage>() {
             for batch_scale in [1usize, 12] {
                 let mut batched = S::new(2);
@@ -383,79 +378,30 @@ mod tests {
                 deltas.dedup_by(|a, b| a.0 == b.0);
                 let refs: Vec<(&[Value], Number)> =
                     deltas.iter().map(|(k, d)| (k.as_slice(), *d)).collect();
-                batched.apply_sorted(&refs);
+                let mut expected: Vec<(Vec<Value>, Number)> = refs
+                    .iter()
+                    .map(|(k, _)| (k.to_vec(), looped.get(k)))
+                    .collect();
+                let mut captured: Vec<(Vec<Value>, Number)> = Vec::new();
+                batched.apply_sorted(&refs, |k, pre| captured.push((k.to_vec(), pre)));
                 for (k, d) in &deltas {
                     looped.add_ref(k, *d);
                 }
-                assert_eq!(batched.to_table(), looped.to_table());
-                assert_eq!(batched.len(), looped.len());
-                assert_eq!(batched.footprint(), looped.footprint());
+                // Log order is backend-defined; contents are not.
+                captured.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+                expected.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+                let label = format!("{:?} scale={batch_scale}", S::BACKEND);
+                assert_eq!(captured, expected, "pre-image log diverged ({label})");
+                assert_eq!(batched.to_table(), looped.to_table(), "{label}");
+                assert_eq!(batched.len(), looped.len(), "{label}");
+                assert_eq!(batched.footprint(), looped.footprint(), "{label}");
                 // Index maintenance survived the batch: slices still see every entry.
                 for n in 0..4 {
                     let mut via_batch = slice_entries(&batched, &[1], &key(&[n]));
                     let mut via_loop = slice_entries(&looped, &[1], &key(&[n]));
                     via_batch.sort_unstable_by(|a, b| a.0.cmp(&b.0));
                     via_loop.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                    assert_eq!(via_batch, via_loop);
-                }
-            }
-        }
-        check::<HashViewStorage>();
-        check::<OrderedViewStorage>();
-    }
-
-    /// `apply_sorted_logged` must land exactly what `apply_sorted` lands *and* report
-    /// exactly the pre-images a probe loop before the batch would have seen — one log
-    /// call per delta key, zero for absent keys, on every backend and on both sides
-    /// of the ordered backend's point/merge threshold. This is the invariant the
-    /// staged-ingest undo log is built on.
-    #[test]
-    fn apply_sorted_logged_matches_a_probe_loop_plus_apply_sorted() {
-        fn check<S: ViewStorage>() {
-            for batch_scale in [1usize, 12] {
-                let mut logged = S::new(2);
-                let mut probed = S::new(2);
-                for m in [&mut logged, &mut probed] {
-                    m.register_index(vec![1]);
-                    for i in 0..64i64 {
-                        m.add(key(&[i, i % 4]), Number::Int(i + 1));
-                    }
-                }
-                // Same mix as the apply_sorted parity test: zero-sum prunes,
-                // accumulations, brand-new keys and zero deltas, at a scale below
-                // (1) and above (12) the ordered backend's merge threshold.
-                let mut deltas: Vec<(Vec<Value>, Number)> = Vec::new();
-                for i in 0..(batch_scale as i64) {
-                    deltas.push((key(&[3 * i, 3 * i % 4]), Number::Int(-(3 * i + 1))));
-                    deltas.push((key(&[3 * i + 1, (3 * i + 1) % 4]), Number::Int(5)));
-                    deltas.push((key(&[100 + i, 0]), Number::Int(7)));
-                    deltas.push((key(&[200 + i, 1]), Number::Int(0)));
-                }
-                deltas.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                deltas.dedup_by(|a, b| a.0 == b.0);
-                let refs: Vec<(&[Value], Number)> =
-                    deltas.iter().map(|(k, d)| (k.as_slice(), *d)).collect();
-                let mut expected: Vec<(Vec<Value>, Number)> = refs
-                    .iter()
-                    .map(|(k, _)| (k.to_vec(), probed.get(k)))
-                    .collect();
-                probed.apply_sorted(&refs);
-                let mut captured: Vec<(Vec<Value>, Number)> = Vec::new();
-                logged.apply_sorted_logged(&refs, |k, pre| captured.push((k.to_vec(), pre)));
-                // Log order is backend-defined; contents are not.
-                captured.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                expected.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                let label = format!("{:?} scale={batch_scale}", S::BACKEND);
-                assert_eq!(captured, expected, "pre-image log diverged ({label})");
-                assert_eq!(logged.to_table(), probed.to_table(), "{label}");
-                assert_eq!(logged.len(), probed.len(), "{label}");
-                assert_eq!(logged.footprint(), probed.footprint(), "{label}");
-                for n in 0..4 {
-                    let mut via_logged = slice_entries(&logged, &[1], &key(&[n]));
-                    let mut via_probed = slice_entries(&probed, &[1], &key(&[n]));
-                    via_logged.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                    via_probed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                    assert_eq!(via_logged, via_probed, "{label} slice {n}");
+                    assert_eq!(via_batch, via_loop, "{label} slice {n}");
                 }
             }
         }

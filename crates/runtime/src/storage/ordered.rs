@@ -61,7 +61,7 @@ pub struct OrderedViewStorage {
     indexes: BTreeMap<Vec<usize>, PermutedIndex>,
 }
 
-/// `value + delta` on the merge paths, a zero delta ignored exactly as `add_ref`
+/// `value + delta` on the merge path, a zero delta ignored exactly as `add_ref`
 /// ignores it (adding a float zero would turn an integer value into a float).
 fn accumulate(value: Number, delta: &Number) -> Number {
     if delta.is_zero() {
@@ -164,80 +164,23 @@ impl ViewStorage for OrderedViewStorage {
     /// summing where keys collide, pruning zero sums (with index removal) and inserting
     /// new keys (with index insertion) as the merge encounters them. Cost O(n + k) plus
     /// the bulk rebuild — the batch counterpart of the range scans the primary sort
-    /// order already gives enumeration.
+    /// order already gives enumeration. The pre-images are captured inside the same
+    /// merge that lands the write, so staging pays no second lookup per key.
     ///
-    /// Small batches (k ≪ n) fall back to the per-key `add_ref` loop: rebuilding an
-    /// n-entry tree to land a handful of deltas would waste the merge.
-    fn apply_sorted(&mut self, deltas: &[(&[Value], Number)]) {
-        debug_assert!(
-            deltas.windows(2).all(|w| w[0].0 < w[1].0),
-            "apply_sorted requires strictly ascending keys"
-        );
-        // Merge only when the batch is within ~a factor of the map size; otherwise the
-        // O(k log n) point path beats the O(n + k) rebuild.
-        if deltas.len() * 8 < self.data.len() {
-            for (key, delta) in deltas {
-                self.add_ref(key, *delta);
-            }
-            return;
-        }
-        let key_arity = self.key_arity;
-        let old = std::mem::take(&mut self.data);
-        let mut merged: Vec<(Vec<Value>, Number)> = Vec::with_capacity(old.len() + deltas.len());
-        let mut di = 0usize;
-        let insert_new = |indexes: &mut BTreeMap<Vec<usize>, PermutedIndex>,
-                          merged: &mut Vec<(Vec<Value>, Number)>,
-                          key: &[Value],
-                          delta: Number| {
-            assert_eq!(key.len(), key_arity, "key arity mismatch");
-            if delta.is_zero() {
-                return;
-            }
-            for index in indexes.values_mut() {
-                index.insert(key);
-            }
-            merged.push((key.to_vec(), delta));
-        };
-        for (key, value) in old {
-            while di < deltas.len() && deltas[di].0 < key.as_slice() {
-                insert_new(&mut self.indexes, &mut merged, deltas[di].0, deltas[di].1);
-                di += 1;
-            }
-            if di < deltas.len() && deltas[di].0 == key.as_slice() {
-                let sum = accumulate(value, &deltas[di].1);
-                di += 1;
-                if sum.is_zero() {
-                    for index in self.indexes.values_mut() {
-                        index.remove(&key);
-                    }
-                } else {
-                    merged.push((key, sum));
-                }
-            } else {
-                merged.push((key, value));
-            }
-        }
-        for (key, delta) in &deltas[di..] {
-            insert_new(&mut self.indexes, &mut merged, key, *delta);
-        }
-        // `merged` is ascending by construction, so the bulk build is a linear pass.
-        self.data = merged.into_iter().collect();
-    }
-
-    /// The staged-ingest landing pass: pre-images are captured inside the same
-    /// merge (or, for small runs, the same tree descent) that lands the write, so
-    /// staging pays no second lookup per key. Write semantics are exactly
-    /// [`apply_sorted`](ViewStorage::apply_sorted)'s, including the small-batch
-    /// point-path fallback and its threshold.
-    fn apply_sorted_logged(
+    /// Small batches (k ≪ n) fall back to one tree descent per key, which serves both
+    /// capture and write: rebuilding an n-entry tree to land a handful of deltas would
+    /// waste the merge.
+    fn apply_sorted(
         &mut self,
         deltas: &[(&[Value], Number)],
         mut log: impl FnMut(&[Value], Number),
     ) {
         debug_assert!(
             deltas.windows(2).all(|w| w[0].0 < w[1].0),
-            "apply_sorted_logged requires strictly ascending keys"
+            "apply_sorted requires strictly ascending keys"
         );
+        // Merge only when the batch is within ~a factor of the map size; otherwise the
+        // O(k log n) point path beats the O(n + k) rebuild.
         if deltas.len() * 8 < self.data.len() {
             // Point path: one descent per key serves both capture and write.
             for (key, delta) in deltas {

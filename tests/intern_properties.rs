@@ -4,7 +4,7 @@
 //!    [`BatchNormalizer`] scratch — must match a twin ring fed the classic
 //!    [`DeltaBatch::from_updates`] batches through [`Ring::apply_delta_batch`]:
 //!    identical tables AND bit-identical [`ExecStats`] per view, across both storage
-//!    backends and staged vs direct ingest.
+//!    backends.
 //! 2. **Interner-id stability**: ids handed out by [`Ring::interner`] survive
 //!    `repair_view` rebuilds and `drop_view` — no dangling and no reassignment —
 //!    while the repaired ring's tables stay equal to an untouched twin's.
@@ -59,12 +59,8 @@ fn backends() -> [StorageBackend; 2] {
     [StorageBackend::Hash, StorageBackend::Ordered]
 }
 
-fn build_ring(backend: StorageBackend, staged: bool) -> (Ring, Vec<ViewId>) {
-    let mut builder = RingBuilder::new(catalog()).backend(backend);
-    if !staged {
-        builder = builder.without_staged_ingest();
-    }
-    let mut ring = builder.build();
+fn build_ring(backend: StorageBackend) -> (Ring, Vec<ViewId>) {
+    let mut ring = RingBuilder::new(catalog()).backend(backend).build();
     let ids = VIEWS
         .iter()
         .map(|(name, text)| ring.create_view(*name, ViewDef::Agca(text)).unwrap())
@@ -87,29 +83,27 @@ fn view_state(ring: &Ring, ids: &[ViewId]) -> Vec<ViewState> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Interned ring ingest == classic normalization, across backends ×
-    /// staged/direct: same tables, bit-identical work counters.
+    /// Interned ring ingest == classic normalization, across backends: same tables,
+    /// bit-identical work counters.
     #[test]
     fn interned_ring_ingest_matches_classic_normalization(
         stream in prop::collection::vec(arb_update(), 1..60),
         chunk in 1usize..20,
     ) {
         for backend in backends() {
-            for staged in [true, false] {
-                let (mut interned, ids) = build_ring(backend, staged);
-                let (mut classic, classic_ids) = build_ring(backend, staged);
-                for piece in stream.chunks(chunk) {
-                    interned.apply_batch(piece).unwrap();
-                    classic.apply_delta_batch(&DeltaBatch::from_updates(piece)).unwrap();
-                }
-                prop_assert_eq!(
-                    view_state(&interned, &ids),
-                    view_state(&classic, &classic_ids),
-                    "interned vs classic diverged on {} staged={}",
-                    backend, staged
-                );
-                prop_assert!(interned.interner().is_consistent());
+            let (mut interned, ids) = build_ring(backend);
+            let (mut classic, classic_ids) = build_ring(backend);
+            for piece in stream.chunks(chunk) {
+                interned.apply_batch(piece).unwrap();
+                classic.apply_delta_batch(&DeltaBatch::from_updates(piece)).unwrap();
             }
+            prop_assert_eq!(
+                view_state(&interned, &ids),
+                view_state(&classic, &classic_ids),
+                "interned vs classic diverged on {}",
+                backend
+            );
+            prop_assert!(interned.interner().is_consistent());
         }
     }
 
@@ -122,8 +116,8 @@ proptest! {
         suffix in prop::collection::vec(arb_update(), 1..30),
     ) {
         for backend in backends() {
-            let (mut churned, ids) = build_ring(backend, true);
-            let (mut untouched, twin_ids) = build_ring(backend, true);
+            let (mut churned, ids) = build_ring(backend);
+            let (mut untouched, twin_ids) = build_ring(backend);
             churned.apply_batch(&prefix).unwrap();
             untouched.apply_batch(&prefix).unwrap();
             let snapshot: Vec<(String, u32)> = (0..churned.interner().len() as u32)

@@ -444,18 +444,9 @@ impl ViewStorage for ThreadRecordingStorage {
         self.0.add_ref(key, delta)
     }
 
-    fn apply_sorted(&mut self, deltas: &[(&[Value], Number)]) {
+    fn apply_sorted(&mut self, deltas: &[(&[Value], Number)], log: impl FnMut(&[Value], Number)) {
         record_writer();
-        self.0.apply_sorted(deltas);
-    }
-
-    fn apply_sorted_logged(
-        &mut self,
-        deltas: &[(&[Value], Number)],
-        log: impl FnMut(&[Value], Number),
-    ) {
-        record_writer();
-        self.0.apply_sorted_logged(deltas, log);
+        self.0.apply_sorted(deltas, log);
     }
 
     fn set(&mut self, key: Vec<Value>, value: Number) {

@@ -1,11 +1,10 @@
 //! Property tests for the snapshot read path: a published [`ViewSnapshot`] is always
 //! a *batch-consistent prefix* of the update stream, and once acquired it never
-//! changes — no matter the storage backend, staging mode, or a concurrently running
-//! writer.
+//! changes — no matter the storage backend or a concurrently running writer.
 //!
 //! 1. **Prefix equivalence**: after every committed batch, each view's snapshot table
 //!    equals the table of a plain reference ring that replayed exactly that prefix —
-//!    across hash/ordered × staged/direct ingest.
+//!    on both the hash and the ordered backend.
 //! 2. **Immutability**: snapshots held across later batches still compare equal to
 //!    the prefix table they were acquired at.
 //! 3. **No torn reads**: with a real writer thread committing batches while reader
@@ -17,9 +16,8 @@
 //!    snapshot promptly; only handles already acquired keep the data alive.
 //! 6. **Incremental == from scratch**: publication after a commit rebuilds only the
 //!    blocks the commit's keys fall in, yet after *every* commit each snapshot equals
-//!    a from-scratch export of the same ring (rows, `len`, `ingested`) — with staged
-//!    ingest through the incremental builder, with direct ingest through the export
-//!    builder — while a view grows from empty to 5 000 groups and shrinks back.
+//!    a from-scratch export of the same ring (rows, `len`, `ingested`) — while a view
+//!    grows from empty to 5 000 groups and shrinks back.
 //! 7. **Cost follows the batch** (`Ring::snapshot_publish_stats`): a three-key batch
 //!    rebuilds at most three blocks of a 10 000-group view and shares the rest, and
 //!    copies the same number of rows at 10 240 groups as at 40 960.
@@ -76,21 +74,8 @@ fn arb_update() -> impl Strategy<Value = Update> {
     ]
 }
 
-/// Every serving configuration the snapshot contract must hold under:
-/// backend × staged/direct ingest.
-const CONFIGS: &[(StorageBackend, bool)] = &[
-    (StorageBackend::Hash, true),
-    (StorageBackend::Hash, false),
-    (StorageBackend::Ordered, true),
-    (StorageBackend::Ordered, false),
-];
-
-fn build_ring(backend: StorageBackend, staged: bool) -> Ring {
-    let mut builder = RingBuilder::new(catalog()).backend(backend);
-    if !staged {
-        builder = builder.without_staged_ingest();
-    }
-    let mut ring = builder.build();
+fn build_ring(backend: StorageBackend) -> Ring {
+    let mut ring = RingBuilder::new(catalog()).backend(backend).build();
     for (name, text) in VIEWS {
         ring.create_view(*name, ViewDef::Agca(text)).unwrap();
     }
@@ -116,12 +101,11 @@ fn snapshot_tables(ring: &Ring) -> Vec<(String, ViewSnapshot)> {
 /// equivalence, plus immutability of every snapshot acquired along the way.
 fn check_prefix_equivalence(
     backend: StorageBackend,
-    staged: bool,
     updates: &[Update],
     batch_size: usize,
 ) -> Result<(), TestCaseError> {
-    let mut live = build_ring(backend, staged);
-    let mut reference = build_ring(backend, true);
+    let mut live = build_ring(backend);
+    let mut reference = build_ring(backend);
     let _handle = live.reader(); // serving mode on: every commit publishes
 
     // (snapshot, the prefix table it must keep answering with)
@@ -142,10 +126,9 @@ fn check_prefix_equivalence(
             let exported = scratch.snapshot_named(&name).unwrap();
             prop_assert!(
                 snapshot.iter().eq(exported.iter()),
-                "published {} != from-scratch export (backend {:?}, staged {})",
+                "published {} != from-scratch export (backend {:?})",
                 name,
-                backend,
-                staged
+                backend
             );
             prop_assert_eq!(snapshot.len(), exported.len());
             prop_assert_eq!(snapshot.len(), want.len());
@@ -157,11 +140,9 @@ fn check_prefix_equivalence(
             prop_assert_eq!(
                 &snapshot.table(),
                 want,
-                "snapshot of {} diverged from the replayed prefix \
-                 (backend {:?}, staged {})",
+                "snapshot of {} diverged from the replayed prefix (backend {:?})",
                 name,
-                backend,
-                staged
+                backend
             );
             // Views untouched by the batch keep their (still-current) older
             // publication, so `ingested` may lag but never lead.
@@ -200,8 +181,8 @@ proptest! {
         updates in prop::collection::vec(arb_update(), 1..32),
         batch_size in 1usize..8,
     ) {
-        for &(backend, staged) in CONFIGS {
-            check_prefix_equivalence(backend, staged, &updates, batch_size)?;
+        for backend in StorageBackend::ALL {
+            check_prefix_equivalence(backend, &updates, batch_size)?;
         }
     }
 }
@@ -238,7 +219,7 @@ fn concurrent_readers_see_only_committed_prefixes() {
     // Oracle: expected r_by_a table per committed-prefix `updates_ingested` count.
     // The counter advances by normalized batch weight, so it is read off the
     // reference ring rather than recomputed from raw chunk lengths.
-    let mut reference = build_ring(StorageBackend::Hash, true);
+    let mut reference = build_ring(StorageBackend::Hash);
     let mut oracle: HashMap<u64, BTreeMap<Vec<Value>, Number>> = HashMap::new();
     oracle.insert(0, reference.view_named("r_by_a").unwrap().table());
     for chunk in stream.chunks(BATCH) {
@@ -251,7 +232,7 @@ fn concurrent_readers_see_only_committed_prefixes() {
     let final_ingested = reference.updates_ingested();
     let oracle = Arc::new(oracle);
 
-    let mut live = build_ring(StorageBackend::Hash, true);
+    let mut live = build_ring(StorageBackend::Hash);
     let handle = live.reader();
     let done = Arc::new(AtomicBool::new(false));
 
