@@ -345,64 +345,95 @@ mod tests {
         assert_eq!(StorageFootprint::default().entries, 0);
     }
 
-    /// `apply_sorted` must land exactly what the equivalent `add_ref` loop lands —
-    /// same tables, same pruning, same index maintenance — *and* report exactly the
-    /// pre-images a probe loop before the batch would have seen: one log call per
-    /// delta key, zero for absent keys. Checked on every backend for batches small
-    /// (point path) and large (the ordered backend's merge path) relative to the map,
-    /// including zero deltas, zero-sum pruning and brand-new keys. This is the
-    /// invariant the staged-ingest undo log is built on.
+    /// Two identically seeded maps (64 entries, an index on column 1) and a sorted,
+    /// deduplicated delta run mixing zero-sum prunes, accumulations, brand-new keys
+    /// and zero deltas. Scale 1 keeps the run below the ordered backend's merge
+    /// threshold (point path); scale 12 crosses it (merge path).
+    fn batch_fixture<S: ViewStorage>(batch_scale: usize) -> (S, S, Vec<(Vec<Value>, Number)>) {
+        let mut a = S::new(2);
+        let mut b = S::new(2);
+        for m in [&mut a, &mut b] {
+            m.register_index(vec![1]);
+            for i in 0..64i64 {
+                m.add(key(&[i, i % 4]), Number::Int(i + 1));
+            }
+        }
+        let mut deltas: Vec<(Vec<Value>, Number)> = Vec::new();
+        for i in 0..(batch_scale as i64) {
+            deltas.push((key(&[3 * i, 3 * i % 4]), Number::Int(-(3 * i + 1))));
+            deltas.push((key(&[3 * i + 1, (3 * i + 1) % 4]), Number::Int(5)));
+            deltas.push((key(&[100 + i, 0]), Number::Int(7)));
+            deltas.push((key(&[200 + i, 1]), Number::Int(0)));
+        }
+        deltas.sort_unstable_by(|x, y| x.0.cmp(&y.0));
+        deltas.dedup_by(|x, y| x.0 == y.0);
+        (a, b, deltas)
+    }
+
+    /// Same tables, same pruning, same index maintenance: slices on column 1 still
+    /// see every entry.
+    fn assert_same_contents<S: ViewStorage>(a: &S, b: &S, label: &str) {
+        assert_eq!(a.to_table(), b.to_table(), "{label}");
+        assert_eq!(a.len(), b.len(), "{label}");
+        assert_eq!(a.footprint(), b.footprint(), "{label}");
+        for n in 0..4 {
+            let mut via_a = slice_entries(a, &[1], &key(&[n]));
+            let mut via_b = slice_entries(b, &[1], &key(&[n]));
+            via_a.sort_unstable_by(|x, y| x.0.cmp(&y.0));
+            via_b.sort_unstable_by(|x, y| x.0.cmp(&y.0));
+            assert_eq!(via_a, via_b, "{label} slice {n}");
+        }
+    }
+
+    /// `apply_sorted` must be indistinguishable from the equivalent `add_ref` loop on
+    /// every backend — same tables, same pruning, same index maintenance — for batches
+    /// small (point path) and large (the ordered backend's merge path) relative to the
+    /// map, including zero deltas, zero-sum pruning and brand-new keys.
     #[test]
-    fn apply_sorted_matches_an_add_ref_loop_and_logs_the_probed_pre_images() {
+    fn apply_sorted_matches_the_add_ref_loop_on_both_backends() {
         fn check<S: ViewStorage>() {
             for batch_scale in [1usize, 12] {
-                let mut batched = S::new(2);
-                let mut looped = S::new(2);
-                for m in [&mut batched, &mut looped] {
-                    m.register_index(vec![1]);
-                    for i in 0..64i64 {
-                        m.add(key(&[i, i % 4]), Number::Int(i + 1));
-                    }
+                let (mut batched, mut looped, deltas) = batch_fixture::<S>(batch_scale);
+                let refs: Vec<(&[Value], Number)> =
+                    deltas.iter().map(|(k, d)| (k.as_slice(), *d)).collect();
+                batched.apply_sorted(&refs, |_, _| {});
+                for (k, d) in &deltas {
+                    looped.add_ref(k, *d);
                 }
-                // scale 1 keeps the batch below the merge threshold (point path on the
-                // ordered backend); scale 12 crosses it (merge path).
-                let mut deltas: Vec<(Vec<Value>, Number)> = Vec::new();
-                for i in 0..(batch_scale as i64) {
-                    // Mix: existing keys (some summed to zero), new keys, zero deltas.
-                    deltas.push((key(&[3 * i, 3 * i % 4]), Number::Int(-(3 * i + 1))));
-                    deltas.push((key(&[3 * i + 1, (3 * i + 1) % 4]), Number::Int(5)));
-                    deltas.push((key(&[100 + i, 0]), Number::Int(7)));
-                    deltas.push((key(&[200 + i, 1]), Number::Int(0)));
-                }
-                deltas.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                deltas.dedup_by(|a, b| a.0 == b.0);
+                let label = format!("{:?} scale={batch_scale}", S::BACKEND);
+                assert_same_contents(&batched, &looped, &label);
+            }
+        }
+        check::<HashViewStorage>();
+        check::<OrderedViewStorage>();
+    }
+
+    /// The pre-image log of `apply_sorted` (formerly the separate
+    /// `apply_sorted_logged`) must report exactly the pre-images a probe loop before
+    /// the batch would have seen — one log call per delta key, zero for absent keys —
+    /// while landing what the unobserved batch lands, on every backend and on both
+    /// sides of the ordered backend's point/merge threshold. This is the invariant
+    /// the staged-ingest undo log is built on.
+    #[test]
+    fn apply_sorted_logged_matches_a_probe_loop_plus_apply_sorted() {
+        fn check<S: ViewStorage>() {
+            for batch_scale in [1usize, 12] {
+                let (mut logged, mut probed, deltas) = batch_fixture::<S>(batch_scale);
                 let refs: Vec<(&[Value], Number)> =
                     deltas.iter().map(|(k, d)| (k.as_slice(), *d)).collect();
                 let mut expected: Vec<(Vec<Value>, Number)> = refs
                     .iter()
-                    .map(|(k, _)| (k.to_vec(), looped.get(k)))
+                    .map(|(k, _)| (k.to_vec(), probed.get(k)))
                     .collect();
+                probed.apply_sorted(&refs, |_, _| {});
                 let mut captured: Vec<(Vec<Value>, Number)> = Vec::new();
-                batched.apply_sorted(&refs, |k, pre| captured.push((k.to_vec(), pre)));
-                for (k, d) in &deltas {
-                    looped.add_ref(k, *d);
-                }
+                logged.apply_sorted(&refs, |k, pre| captured.push((k.to_vec(), pre)));
                 // Log order is backend-defined; contents are not.
                 captured.sort_unstable_by(|a, b| a.0.cmp(&b.0));
                 expected.sort_unstable_by(|a, b| a.0.cmp(&b.0));
                 let label = format!("{:?} scale={batch_scale}", S::BACKEND);
                 assert_eq!(captured, expected, "pre-image log diverged ({label})");
-                assert_eq!(batched.to_table(), looped.to_table(), "{label}");
-                assert_eq!(batched.len(), looped.len(), "{label}");
-                assert_eq!(batched.footprint(), looped.footprint(), "{label}");
-                // Index maintenance survived the batch: slices still see every entry.
-                for n in 0..4 {
-                    let mut via_batch = slice_entries(&batched, &[1], &key(&[n]));
-                    let mut via_loop = slice_entries(&looped, &[1], &key(&[n]));
-                    via_batch.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                    via_loop.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                    assert_eq!(via_batch, via_loop, "{label} slice {n}");
-                }
+                assert_same_contents(&logged, &probed, &label);
             }
         }
         check::<HashViewStorage>();
