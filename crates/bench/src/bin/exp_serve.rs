@@ -12,10 +12,12 @@
 //! * snapshot publication cost (ns per update, and share of writer wall-clock),
 //! * bare snapshot-acquire latency (no lookup), demonstrating O(1) acquire.
 //!
-//! Two consistency checks run alongside the measurement: a snapshot acquired before
+//! Three consistency checks run alongside the measurement: a snapshot acquired before
 //! the writer starts must be bit-identical after the writer finishes (immutability),
-//! and every reader must observe monotonically non-decreasing `ingested()` counts
-//! (publication never goes backwards).
+//! every reader must observe monotonically non-decreasing `ingested()` counts
+//! (publication never goes backwards), and at the end every view's snapshot must
+//! equal its live table — the views no reader touched during the run deferred their
+//! commits, so this first acquire builds them.
 //!
 //! Run with: `cargo run --release -p dbring-bench --bin exp_serve`
 //! (add `-- --quick` for the CI smoke: hash backend only, fewer readers)
@@ -101,7 +103,7 @@ fn serve_point(
                 }
             }
             let elapsed = start.elapsed().as_nanos() as u64;
-            (updates, elapsed, ring.snapshot_publish_ns())
+            (updates, elapsed, ring)
         })
     };
 
@@ -141,7 +143,8 @@ fn serve_point(
     for t in reader_threads {
         samples.extend(t.join().expect("reader thread"));
     }
-    let (updates, write_elapsed_ns, publish_ns) = writer.join().expect("writer thread");
+    let (updates, write_elapsed_ns, ring) = writer.join().expect("writer thread");
+    let publish_ns = ring.snapshot_publish_ns();
 
     // The held snapshot is immutable: the writer's batches never touched it.
     assert_eq!(
@@ -149,6 +152,15 @@ fn serve_point(
         held_before,
         "held snapshot mutated under ingest"
     );
+    // Every view's snapshot is its live table: the read view was published at each
+    // commit, the others were deferred and are built by this first acquire.
+    for (name, _) in &workload.views {
+        assert_eq!(
+            handle.snapshot_named(name).expect("snapshot").table(),
+            ring.view_named(name).expect("view").table(),
+            "snapshot of {name} differs from the live view"
+        );
+    }
 
     // Bare acquire cost, measured after the run on the final published state.
     let acquire_rounds = 10_000u32;
@@ -240,8 +252,9 @@ fn main() {
         READ_VIEW,
     ));
     println!(
-        "each read = snapshot acquire + point lookup; held-snapshot immutability and \
-         per-reader ingest monotonicity asserted at every point"
+        "each read = snapshot acquire + point lookup; held-snapshot immutability, \
+         per-reader ingest monotonicity and every view's final snapshot == its live \
+         table asserted at every point"
     );
 
     let mut rows = Vec::new();

@@ -112,10 +112,11 @@ pub use dbring_relations::{
 };
 pub use dbring_runtime::fault;
 pub use dbring_runtime::{
-    boxed_engine, try_boxed_engine, ChangeSet, ClassicalIvm, EngineRegistry, ExecStats, Executor,
-    FaultOp, FaultPlan, FaultStorage, HashViewStorage, InterpretedExecutor, MaintenanceStrategy,
-    NaiveReeval, OrderedViewStorage, PublishStats, RuntimeError, SnapshotStore, StagedBatch,
-    StorageBackend, StorageFootprint, ViewEngine, ViewSnapshot, ViewStorage,
+    boxed_engine, try_boxed_engine, ChangeSet, Changes, ClassicalIvm, EngineRegistry, ExecStats,
+    Executor, FaultOp, FaultPlan, FaultStorage, HashViewStorage, InterpretedExecutor,
+    MaintenanceStrategy, NaiveReeval, OrderedViewStorage, PublishStats, RuntimeError,
+    SnapshotStore, StagedBatch, StorageBackend, StorageFootprint, ViewEngine, ViewSnapshot,
+    ViewStorage,
 };
 
 mod ring;

@@ -38,7 +38,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::Instant;
 
 use dbring_agca::ast::Query;
@@ -189,17 +189,8 @@ impl RingBuilder {
             normalizer: BatchNormalizer::new(),
             snapshots: Arc::new(SnapshotStore::new()),
             serving: AtomicBool::new(false),
-            publish: Mutex::default(),
         }
     }
-}
-
-/// Cumulative publication cost: wall-clock nanoseconds and the [`PublishStats`]
-/// counts. Kept behind a mutex because publication runs behind `&self`.
-#[derive(Debug, Default)]
-struct PublishTotals {
-    ns: u64,
-    stats: PublishStats,
 }
 
 /// Per-view metadata the ring keeps next to the hosted engine.
@@ -280,9 +271,6 @@ pub struct Ring {
     /// read-side request — [`Ring::reader`] / [`Ring::snapshot`] — so rings that are
     /// never read through snapshots pay a single untaken branch per commit.
     serving: AtomicBool,
-    /// Cumulative cost of publishing snapshots (the write-side cost of the read
-    /// path; see [`Ring::snapshot_publish_ns`], [`Ring::snapshot_publish_stats`]).
-    publish: Mutex<PublishTotals>,
 }
 
 impl Clone for Ring {
@@ -290,7 +278,9 @@ impl Clone for Ring {
     /// **fresh** publication store: the clone publishes to its own slots, never to
     /// the original's readers (a [`RingHandle`] keeps addressing the ring it came
     /// from). Serving state carries over: if the original was serving, the clone
-    /// starts serving too, with its views republished from the cloned engines.
+    /// starts serving too, with its views republished from the cloned engines and
+    /// none of them subscribed (see [`Ring::reader`]) until the clone's own
+    /// acquires.
     fn clone(&self) -> Self {
         let clone = Ring {
             catalog: self.catalog.clone(),
@@ -304,7 +294,6 @@ impl Clone for Ring {
             normalizer: self.normalizer.clone(),
             snapshots: Arc::new(SnapshotStore::new()),
             serving: AtomicBool::new(false),
-            publish: Mutex::default(),
         };
         // Mirror the slot layout (tombstones included) so ids stay aligned.
         for slot in 0..clone.infos.len() as u32 {
@@ -684,8 +673,16 @@ impl Ring {
     /// The first read-side request (this method or [`Ring::snapshot`]) switches the
     /// ring into *serving* mode: every live view is published once, and from then on
     /// each successful commit — a single-tuple [`Ring::apply`] or a whole
-    /// [`Ring::apply_batch`] — republishes the views it touched at that quiescent
+    /// [`Ring::apply_batch`] — publishes the views it touched at that quiescent
     /// point. Rings that never serve snapshots pay one untaken branch per commit.
+    ///
+    /// Publication follows reader interest. A view is *subscribed* by the first
+    /// acquire of its snapshot (through any handle or the ring itself) and stays
+    /// subscribed; a commit builds a subscribed view's next snapshot at once. A
+    /// commit into a view nobody has acquired yet only records the output keys it
+    /// wrote with their new values, one entry per key, and that view's first acquire
+    /// builds the snapshot as of the latest commit. Acquires cannot tell the two
+    /// apart: each returns the view after the latest commit that touched it.
     pub fn reader(&self) -> RingHandle {
         self.enable_serving();
         RingHandle {
@@ -701,7 +698,9 @@ impl Ring {
     /// snapshot handed out before the failure stays valid and consistent.
     ///
     /// Switches the ring into serving mode on first use (see [`Ring::reader`]), so
-    /// the first call publishes every live view and is O(total output size).
+    /// the first call publishes every live view and is O(total output size). The
+    /// first acquire of a view that commits have touched since builds their changes
+    /// (see [`Ring::reader`]): O(changed blocks), once per view.
     pub fn snapshot(&self, id: ViewId) -> Result<ViewSnapshot, Error> {
         self.enable_serving();
         snapshot_access(self.snapshots.acquire(id.0), || id.to_string())
@@ -721,33 +720,40 @@ impl Ring {
 
     /// Cumulative wall-clock nanoseconds the ingest path has spent publishing
     /// snapshots — the *writer-side* cost of the read path (zero until serving
-    /// starts). `exp_serve` reports this per batch as the snapshot-publish cost.
+    /// starts), deferring included. Builds on a view's first acquire run on the
+    /// reader's thread and are not in it. `exp_serve` reports this per batch as the
+    /// snapshot-publish cost.
     pub fn snapshot_publish_ns(&self) -> u64 {
-        self.publish_totals().ns
+        self.snapshots.publish_ns()
     }
 
     /// Cumulative publication work in machine-independent counts: publication
     /// rounds, blocks rebuilt, blocks shared with the predecessor snapshot, rows
-    /// copied. After the first publication a commit copies only the blocks its
-    /// changed keys fall in, so `entries_copied` per commit follows the batch, not
-    /// the size of the view.
+    /// copied, view publications deferred, and snapshots built on a view's first
+    /// acquire (whose blocks are counted too). After the first publication a commit
+    /// copies only the blocks its changed keys fall in, so `entries_copied` per
+    /// commit follows the batch, not the size of the view.
     pub fn snapshot_publish_stats(&self) -> PublishStats {
-        self.publish_totals().stats
-    }
-
-    fn publish_totals(&self) -> MutexGuard<'_, PublishTotals> {
-        // Plain counters, valid after every single update: a panic while they were
-        // held leaves nothing to repair.
-        self.publish.lock().unwrap_or_else(PoisonError::into_inner)
+        self.snapshots.publish_stats()
     }
 
     /// Total groups currently held across all published snapshots — the publication
-    /// store's memory proxy, analogous to [`StorageFootprint`] for the engine side.
+    /// store's memory proxy, analogous to [`StorageFootprint`] for the engine side;
+    /// [`Ring::snapshot_pending_entries`] is the deferred part.
     /// Dropping a view releases its contribution promptly. (Successive snapshots of
     /// a view share their unchanged blocks, so a reader holding older epochs keeps
     /// alive only the blocks later commits replaced.)
     pub fn snapshot_footprint(&self) -> usize {
         self.snapshots.published_entries()
+    }
+
+    /// Total `(key, value)` entries the publication store holds for commits into
+    /// views no reader has acquired yet — the deferred half of the publication
+    /// footprint (see [`Ring::reader`]). At most one per key a view wrote since its
+    /// snapshot was last built, and none for a group created and deleted again in
+    /// between, so a view holds at most its built rows plus its live rows.
+    pub fn snapshot_pending_entries(&self) -> usize {
+        self.snapshots.pending_entries()
     }
 
     /// What the base mirror holds and costs — live tuples, allocated row capacity,
@@ -773,10 +779,11 @@ impl Ring {
         self.sync_quarantine();
     }
 
-    /// Publishes fresh snapshots for the given slots (skipping dropped and
-    /// quarantined ones) under one publication epoch, accumulating the cost into
-    /// [`Ring::snapshot_publish_ns`] and [`Ring::snapshot_publish_stats`]. Readers
-    /// never copy.
+    /// Publishes the given slots (skipping dropped and quarantined ones) under one
+    /// publication epoch, accumulating the cost into [`Ring::snapshot_publish_ns`]
+    /// and [`Ring::snapshot_publish_stats`]. A whole publication replaces the
+    /// slot's snapshot; a commit is built into it, or deferred until the slot's
+    /// first acquire (see [`SnapshotStore::commit`]).
     fn publish_slots(&self, slots: Vec<(u32, Publication)>) {
         let mut live = slots
             .into_iter()
@@ -788,37 +795,39 @@ impl Ring {
         }
         let started = Instant::now();
         let epoch = self.snapshots.next_epoch();
-        let mut totals = self.publish_totals();
-        let stats = &mut totals.stats;
-        stats.commits += 1;
+        let mut stats = PublishStats {
+            commits: 1,
+            ..PublishStats::default()
+        };
         for (slot, engine, publication) in live {
-            let snapshot = match publication {
-                Publication::Commit(mut changed) => match self.snapshots.acquire(slot) {
-                    SnapshotAccess::Published(previous) => previous.successor(
-                        epoch,
-                        self.ingested,
-                        &mut changed,
-                        |key| engine.output_value(key),
-                        stats,
-                    ),
-                    _ => unreachable!("a serving ring publishes every live view before it commits"),
-                },
-                Publication::Whole => ViewSnapshot::from_export(
-                    self.snapshots.name(slot).expect("slots stay in sync"),
+            match publication {
+                Publication::Commit(mut changed) => self.snapshots.commit(
+                    slot,
                     epoch,
                     self.ingested,
-                    output_arity(engine),
-                    |visit| engine.for_each_output(visit),
-                    stats,
+                    &mut changed,
+                    |key| engine.output_value(key),
+                    &mut stats,
                 ),
-            };
-            self.snapshots.publish(slot, snapshot);
+                Publication::Whole => self.snapshots.publish(
+                    slot,
+                    ViewSnapshot::from_export(
+                        self.snapshots.name(slot).expect("slots stay in sync"),
+                        epoch,
+                        self.ingested,
+                        output_arity(engine),
+                        |visit| engine.for_each_output(visit),
+                        &mut stats,
+                    ),
+                ),
+            }
         }
-        totals.ns += started.elapsed().as_nanos() as u64;
+        self.snapshots
+            .record(started.elapsed().as_nanos() as u64, &stats);
     }
 
-    /// Publishes the views a commit touched, each as the successor of its current
-    /// snapshot patched at the output keys the commit changed. Every touched live
+    /// Publishes the views a commit touched, each patched at the output keys the
+    /// commit changed (at once, or on the view's first acquire). Every touched live
     /// view committed with change tracking on, so each has its change set; a
     /// quarantined one was skipped by the dispatch and is skipped here too.
     fn publish_commit(&mut self, touched: &[u32]) {
@@ -1177,8 +1186,9 @@ impl fmt::Debug for ViewMut<'_> {
 enum Publication {
     /// Exported whole from the engine: first publication, backfill and repair.
     Whole,
-    /// The successor of the current snapshot, patched at the output keys a commit
-    /// changed — O(changed blocks), paid by the writer at the commit boundary.
+    /// The output keys a commit changed: the successor of the current snapshot is
+    /// built at the commit boundary — O(changed blocks), paid by the writer — if a
+    /// reader has acquired the view, and on its first acquire otherwise.
     Commit(ChangeSet),
 }
 
@@ -1211,7 +1221,9 @@ fn snapshot_access(
 /// the `&mut Ring` and any number of reader threads holding `RingHandle` clones:
 /// reads acquire O(1) point-in-time [`ViewSnapshot`]s published at batch-commit
 /// quiescent points, and never contend with the writer beyond a pointer-sized
-/// critical section at acquire.
+/// critical section at acquire. The first acquire of a view subscribes it: commits
+/// into a view no reader has acquired defer their changes, and that first acquire
+/// builds them on the reader's thread (see [`Ring::reader`]).
 ///
 /// A handle observes the ring's view lifecycle as of each acquisition: snapshots of
 /// views created later are visible once published, dropped views report
@@ -1251,7 +1263,8 @@ pub struct RingHandle {
 
 impl RingHandle {
     /// Acquires the current published snapshot of one view — O(1): an `Arc` clone
-    /// under a pointer-sized critical section, never a table copy.
+    /// under a pointer-sized critical section, never a table copy. The view's first
+    /// acquire builds the commits deferred until then (see [`Ring::reader`]).
     pub fn snapshot(&self, id: ViewId) -> Result<ViewSnapshot, Error> {
         snapshot_access(self.store.acquire(id.0), || id.to_string())
     }
@@ -1272,6 +1285,12 @@ impl RingHandle {
     /// [`Ring::snapshot_footprint`]).
     pub fn snapshot_footprint(&self) -> usize {
         self.store.published_entries()
+    }
+
+    /// Entries held for commits not yet built (see
+    /// [`Ring::snapshot_pending_entries`]).
+    pub fn snapshot_pending_entries(&self) -> usize {
+        self.store.pending_entries()
     }
 }
 

@@ -80,7 +80,7 @@ pub use executor::{ExecStats, Executor, RuntimeError, StagedBatch};
 pub use fault::{FaultOp, FaultPlan, FaultStorage};
 pub use interp::InterpretedExecutor;
 pub use registry::EngineRegistry;
-pub use snapshot::{ChangeSet, PublishStats, SnapshotAccess, SnapshotStore, ViewSnapshot};
+pub use snapshot::{ChangeSet, Changes, PublishStats, SnapshotAccess, SnapshotStore, ViewSnapshot};
 pub use storage::{
     HashViewStorage, OrderedViewStorage, StorageBackend, StorageFootprint, ViewStorage,
 };

@@ -11,21 +11,37 @@
 //!   scans, full iteration — runs lock-free against the shared immutable data, so any
 //!   number of threads can read one snapshot concurrently while the writer keeps
 //!   ingesting.
-//! * [`SnapshotStore`] — the per-view publication slots. A writer *publishes* a fresh
-//!   snapshot at a quiescent point (a batch-commit boundary); readers *acquire* the
-//!   current snapshot. Acquire is O(1): one shared-lock on the slot table plus one
-//!   per-slot mutex held only for an `Arc` clone — never for the duration of a read —
-//!   and publication swaps a pointer, so writers never wait for readers to finish.
+//! * [`SnapshotStore`] — the per-view publication slots. A writer *publishes* at a
+//!   quiescent point (a batch-commit boundary); readers *acquire* the current
+//!   snapshot. Acquire is O(1): one shared-lock on the slot table plus one per-slot
+//!   mutex held only for an `Arc` clone — never for the duration of a read — and
+//!   publication swaps a pointer, so writers never wait for readers to finish.
 //!
 //! **Publication is proportional to what a commit changed.** There are exactly two
 //! ways to build a snapshot. [`ViewSnapshot::from_export`] copies a whole output
 //! table (first publication, backfill and repair). [`ViewSnapshot::successor`] takes
-//! the predecessor snapshot and the [`ChangeSet`] of output keys a commit wrote,
-//! rebuilds only the blocks those keys fall in and `Arc`-shares every other block —
-//! so a three-key batch into a 10 000-group view copies three blocks, and the
-//! untouched blocks keep their addresses (and the reader's cache lines) across
-//! epochs. [`PublishStats`] counts
-//! the blocks rebuilt and shared and the rows copied, machine-independently.
+//! the predecessor snapshot and a sorted [`Changes`] list of output keys with their
+//! values after the commits it covers, rebuilds only the blocks those keys fall in
+//! and `Arc`-shares every other block — so a three-key batch into a 10 000-group view
+//! copies three blocks, and the untouched blocks keep their addresses (and the
+//! reader's cache lines) across epochs. [`PublishStats`] counts the blocks rebuilt
+//! and shared and the rows copied, machine-independently.
+//!
+//! **Publication follows reader interest.** A slot is *subscribed* by its first
+//! acquire, for good. A commit into a subscribed slot builds its successor at once
+//! ([`SnapshotStore::commit`]). A commit into any other slot only records the
+//! [`ChangeSet`]'s keys with their values after the commit in the slot's pending
+//! set — deduplicated by key, the latest value winning, so it never holds more than
+//! one entry per group — and the slot's first acquire builds the snapshot *as of
+//! the latest commit* from them, outside the slot mutex (a commit records under it,
+//! so that first acquire may wait for one recording; a commit never waits for a
+//! build). No acquire can tell a
+//! deferred commit from a published one: the snapshot followed by the pending set
+//! is always the view after the latest commit that touched it, an acquire never
+//! misses a commit that returned before it began, and the built snapshot carries
+//! that commit's epoch and `ingested` count. So a commit stops paying block
+//! rebuilds, directory copies and retirement for views nobody reads — DBSP's "a
+//! step consumes the accumulated delta", applied to the read side.
 //!
 //! The store tracks view lifecycle alongside the published data: a quarantined view's
 //! slot is flagged so acquisition fails *up front* ([`SnapshotAccess::Poisoned`])
@@ -38,10 +54,13 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use dbring_algebra::{Number, Semiring};
+use dbring_relations::intern::SlotTable;
 use dbring_relations::Value;
+
+use crate::storage::{hash_values, random_seed};
 
 /// Rows a snapshot block is built to hold. A block never exceeds twice this, and
 /// only a snapshot's final block may hold fewer than half of it, so rebuilding the
@@ -97,7 +116,7 @@ fn append(to: &mut Vec<Value>, values: &[Value]) {
 /// A run of rows under construction, sorted ascending by unique key. Keys are stored
 /// flat — `arity` values per row, values beside them — so a run is two allocations
 /// however many rows it holds.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct Rows {
     keys: Vec<Value>,
     vals: Vec<Number>,
@@ -145,9 +164,9 @@ impl Block {
     }
 }
 
-/// The output keys one commit wrote in one view — the input of
-/// [`ViewSnapshot::successor`]. Engines report keys in whatever order they wrote
-/// them, repeats included; the builder sorts and deduplicates.
+/// The output keys one commit wrote in one view, as the engine reports them: in
+/// whatever order they were written, repeats included. [`ChangeSet::resolve`] sorts
+/// and deduplicates them into the [`Changes`] a successor is built from.
 #[derive(Clone, Debug, Default)]
 pub struct ChangeSet {
     arity: usize,
@@ -192,6 +211,61 @@ impl ChangeSet {
     fn sorted_key(&self, i: usize) -> &[Value] {
         row_key(&self.keys, self.arity, self.order[i] as usize)
     }
+
+    /// The reported keys with the values `current` gives them now, as a sorted
+    /// change list: each distinct key is probed once, in ascending order.
+    pub fn resolve(&mut self, mut current: impl FnMut(&[Value]) -> Number) -> Changes {
+        self.sort_dedup();
+        let mut changes = Changes::new(self.arity);
+        for i in 0..self.order.len() {
+            let key = self.sorted_key(i);
+            changes.push(key, current(key));
+        }
+        changes
+    }
+}
+
+/// Output keys with their values after a commit (zero ⇒ the group is gone), sorted
+/// ascending by key, each key once — the input of [`ViewSnapshot::successor`].
+#[derive(Debug)]
+pub struct Changes {
+    arity: usize,
+    rows: Rows,
+}
+
+impl Changes {
+    /// An empty change list for keys of `arity` values.
+    fn new(arity: usize) -> Self {
+        Changes {
+            arity,
+            rows: Rows::default(),
+        }
+    }
+
+    /// Appends `key`'s new value. Keys must arrive in strictly ascending order.
+    fn push(&mut self, key: &[Value], value: Number) {
+        debug_assert_eq!(key.len(), self.arity);
+        debug_assert!(self.is_empty() || self.key(self.len() - 1) < key);
+        self.rows.push(key, value);
+    }
+
+    /// Number of changed keys.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether no key changed.
+    pub fn is_empty(&self) -> bool {
+        self.rows.len() == 0
+    }
+
+    fn key(&self, i: usize) -> &[Value] {
+        self.rows.key(i, self.arity)
+    }
+
+    fn value(&self, i: usize) -> Number {
+        self.rows.vals[i]
+    }
 }
 
 /// Work done building snapshots, in machine-independent counts. The complexity
@@ -199,7 +273,7 @@ impl ChangeSet {
 /// `entries_copied` depends on the batch, not on the size of the view.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PublishStats {
-    /// Publication rounds that published at least one view.
+    /// Publication rounds that published or deferred at least one view.
     pub commits: u64,
     /// Blocks built from copied rows.
     pub blocks_rebuilt: u64,
@@ -207,6 +281,11 @@ pub struct PublishStats {
     pub blocks_shared: u64,
     /// Rows copied into rebuilt blocks.
     pub entries_copied: u64,
+    /// Slot publications deferred: a commit into a view no reader has acquired yet
+    /// recorded its changes in the slot's pending set instead of building.
+    pub deferred: u64,
+    /// Snapshots built on acquire, from a slot's pending set.
+    pub pulled: u64,
 }
 
 /// An immutable point-in-time copy of one view's output table, shared by `Arc`.
@@ -408,31 +487,27 @@ impl ViewSnapshot {
         }
     }
 
-    /// Builds the snapshot that follows this one after a commit that wrote the
-    /// output keys in `changed`: `current` is asked for the value each of those keys
-    /// holds now (zero ⇒ the group is gone), the blocks the keys fall in are rebuilt —
-    /// split when they outgrow the block limit, merged into their successor or
-    /// dropped when they shrink, and sharing the old block's key array when only
-    /// values changed — and every other block is shared with `self` by `Arc` clone.
-    /// The cost is O(changed blocks) row copies plus one pointer per block; `self`
-    /// is not modified.
+    /// Builds the snapshot that follows this one after the commits `changes` lists:
+    /// the blocks its keys fall in are rebuilt — split when they outgrow the block
+    /// limit, merged into their successor or dropped when they shrink, and sharing
+    /// the old block's key array when only values changed — and every other block
+    /// is shared with `self` by `Arc` clone. The cost is O(changed blocks) row
+    /// copies plus one pointer per block; `self` is not modified.
     ///
-    /// `changed` must cover every key whose value differs from this snapshot's;
-    /// it may hold repeats and keys whose value did not change.
+    /// `changes` must cover every key whose value differs from this snapshot's; it
+    /// may hold keys whose value did not change.
     pub fn successor(
         &self,
         epoch: u64,
         ingested: u64,
-        changed: &mut ChangeSet,
-        mut current: impl FnMut(&[Value]) -> Number,
+        changes: &Changes,
         stats: &mut PublishStats,
     ) -> Self {
         let prev = &*self.inner;
         let arity = prev.arity;
         let blocks = prev.blocks.len();
-        debug_assert!(changed.is_empty() || changed.arity == arity);
-        changed.sort_dedup();
-        let distinct = changed.order.len();
+        debug_assert!(changes.is_empty() || changes.arity == arity);
+        let distinct = changes.len();
         let mut directory = Directory {
             arity,
             fences: Vec::with_capacity(prev.fences.len() + arity),
@@ -441,9 +516,9 @@ impl ViewSnapshot {
         let mut len = prev.len;
         // Rebuilt rows not yet sealed into a block.
         let mut pending = Rows::default();
-        // Per changed key of one block: its row in the old block, whether the old
-        // block holds it, and its current value.
-        let mut spots: Vec<(usize, bool, Number)> = Vec::new();
+        // Per changed key of one block: its row in the old block and whether the
+        // old block holds it.
+        let mut spots: Vec<(usize, bool)> = Vec::new();
         let empty = Block {
             keys: Arc::from(Vec::new()),
             vals: Vec::new(),
@@ -454,14 +529,14 @@ impl ViewSnapshot {
         while c < distinct {
             // The block owning this key: the last one whose fence is not above it
             // (the first block also owns everything below its fence).
-            let key = changed.sorted_key(c);
+            let key = changes.key(c);
             let b = partition_rows(&prev.fences, arity, 0, blocks, |f| f <= key).saturating_sub(1);
             directory.share(prev, next..b, &mut pending, stats);
             // Every changed key below the next fence belongs to the same block.
             let mut end = c + 1;
             if b + 1 < blocks {
                 let fence = row_key(&prev.fences, arity, b + 1);
-                while end < distinct && changed.sorted_key(end) < fence {
+                while end < distinct && changes.key(end) < fence {
                     end += 1;
                 }
             } else {
@@ -472,21 +547,21 @@ impl ViewSnapshot {
             let mut row = 0;
             let mut same_keys = pending.len() == 0;
             for i in c..end {
-                let key = changed.sorted_key(i);
+                let key = changes.key(i);
                 let at = partition_rows(&old.keys, arity, row, old.len(), |k| k < key);
                 let held = at < old.len() && old.key(at, arity) == key;
-                let value = current(key);
-                same_keys &= held && !value.is_zero();
-                len += usize::from(!value.is_zero());
+                let live = !changes.value(i).is_zero();
+                same_keys &= held && live;
+                len += usize::from(live);
                 len -= usize::from(held);
-                spots.push((at, held, value));
+                spots.push((at, held));
                 row = at + usize::from(held);
             }
             if same_keys {
                 // Only values changed: the new block keeps the old one's key array.
                 let mut vals = old.vals.clone();
-                for &(at, _, value) in &spots {
-                    vals[at] = value;
+                for (i, &(at, _)) in (c..end).zip(&spots) {
+                    vals[at] = changes.value(i);
                 }
                 stats.blocks_rebuilt += 1;
                 stats.entries_copied += vals.len() as u64;
@@ -497,11 +572,12 @@ impl ViewSnapshot {
             } else {
                 // Merge the old block's rows with the changed keys' current values.
                 let mut row = 0;
-                for (i, &(at, held, value)) in (c..end).zip(&spots) {
+                for (i, &(at, held)) in (c..end).zip(&spots) {
                     pending.extend_from(old, row..at, arity);
                     row = at + usize::from(held);
+                    let value = changes.value(i);
                     if !value.is_zero() {
-                        pending.push(changed.sorted_key(i), value);
+                        pending.push(changes.key(i), value);
                     }
                 }
                 pending.extend_from(old, row..old.len(), arity);
@@ -527,6 +603,11 @@ impl ViewSnapshot {
         }
     }
 
+    /// Whether `self` and `other` are clones of one snapshot.
+    fn same(&self, other: &ViewSnapshot) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
+    }
+
     /// The name of the view this snapshot was published from.
     pub fn name(&self) -> &str {
         &self.inner.name
@@ -544,6 +625,12 @@ impl ViewSnapshot {
     /// of the update stream.
     pub fn ingested(&self) -> u64 {
         self.inner.ingested
+    }
+
+    /// Values per group key: the number of key columns of the view (zero for a
+    /// scalar view). A point lookup takes exactly this many values.
+    pub fn arity(&self) -> usize {
+        self.inner.arity
     }
 
     /// Number of groups (rows) in the snapshot.
@@ -674,22 +761,167 @@ pub enum SnapshotAccess {
     Unknown,
 }
 
-/// One view's publication slot.
+/// The commits a slot has not built into its snapshot yet: the latest value of every
+/// output key they wrote, and the epoch and `ingested` count of the last of them.
+/// One entry per key, in a flat arena (`arity` values per entry, values beside
+/// them) indexed by a [`SlotTable`] over entry numbers, so recording a key costs one
+/// hash and one probe, and the set never holds more entries than keys.
+#[derive(Clone)]
+struct Pending {
+    arity: usize,
+    keys: Vec<Value>,
+    vals: Vec<Number>,
+    /// Key hash → entry number.
+    index: SlotTable,
+    /// Seed of the index's hash: keys come from clients, who must not be able to
+    /// aim a commit at one probe chain.
+    seed: u64,
+    epoch: u64,
+    ingested: u64,
+}
+
+impl Pending {
+    fn new(arity: usize) -> Self {
+        Pending {
+            arity,
+            keys: Vec::new(),
+            vals: Vec::new(),
+            index: SlotTable::default(),
+            seed: random_seed(),
+            epoch: 0,
+            ingested: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.vals.len()
+    }
+
+    fn key(&self, entry: usize) -> &[Value] {
+        row_key(&self.keys, self.arity, entry)
+    }
+
+    /// Records one commit on top of `base`, the slot's snapshot: `current` gives
+    /// the value each key in `changed` holds after it, and a key recorded before
+    /// keeps only its latest value. A key that is zero now and absent from `base`
+    /// needs no entry, so groups created and deleted again between two builds
+    /// leave nothing behind.
+    fn record(
+        &mut self,
+        base: &ViewSnapshot,
+        epoch: u64,
+        ingested: u64,
+        changed: &ChangeSet,
+        mut current: impl FnMut(&[Value]) -> Number,
+    ) {
+        for key in changed.iter() {
+            let value = current(key);
+            let gone = value.is_zero() && base.get(key).is_none();
+            let hash = hash_values(self.seed, key);
+            self.index.reserve_one();
+            let (keys, arity) = (&self.keys, self.arity);
+            match self
+                .index
+                .probe(hash, |entry| row_key(keys, arity, entry as usize) == key)
+            {
+                (slot, Some(entry)) if gone => self.remove(slot, entry as usize),
+                (_, Some(entry)) => self.vals[entry as usize] = value,
+                (slot, None) if !gone => {
+                    self.index.occupy(slot, self.len() as u32, hash);
+                    append(&mut self.keys, key);
+                    self.vals.push(value);
+                }
+                (_, None) => {}
+            }
+        }
+        self.epoch = epoch;
+        self.ingested = ingested;
+    }
+
+    /// Deletes `entry`, indexed at `slot`, by moving the last entry into its place.
+    fn remove(&mut self, slot: usize, entry: usize) {
+        self.index.remove(slot);
+        let last = self.len() - 1;
+        if entry != last {
+            let hash = hash_values(self.seed, self.key(last));
+            let (moved, _) = self.index.probe(hash, |e| e as usize == last);
+            self.index.set_id(moved, entry as u32);
+            for i in 0..self.arity {
+                self.keys
+                    .swap(entry * self.arity + i, last * self.arity + i);
+            }
+            self.vals.swap(entry, last);
+        }
+        self.keys.truncate(last * self.arity);
+        self.vals.pop();
+    }
+
+    /// The pending values as a sorted change list.
+    fn changes(&self) -> Changes {
+        let mut order = Vec::new();
+        sort_rows(&self.keys, self.arity, self.len(), &mut order);
+        let mut changes = Changes::new(self.arity);
+        for entry in order {
+            changes.push(self.key(entry as usize), self.vals[entry as usize]);
+        }
+        changes
+    }
+}
+
+/// What a slot update let go of. The caller drops it after releasing the slot
+/// mutex, so that an acquire never waits for blocks to be freed.
+type Released = (
+    Option<ViewSnapshot>,
+    Option<ViewSnapshot>,
+    Option<Arc<Pending>>,
+);
+
+/// A slot's mutable part, behind its mutex.
+#[derive(Default)]
+struct SlotState {
+    /// The published snapshot; `None` while the view is quarantined, and after it
+    /// was dropped.
+    current: Option<ViewSnapshot>,
+    /// The snapshot the current one displaced, kept one publication longer so that
+    /// the writer reclaims it. A reader that acquired it just before the swap would
+    /// otherwise drop the last reference and pay — on the read path — for freeing
+    /// every block the commit replaced, allocated on another thread.
+    retired: Option<ViewSnapshot>,
+    /// Set for good by the slot's first acquire. Until then commits defer into
+    /// `pending` instead of building snapshots nobody reads.
+    subscribed: bool,
+    /// Commits not built yet: `current` followed by `pending` is the view after the
+    /// latest commit that touched it. Present only before the first acquire, and
+    /// while that acquire builds.
+    pending: Option<Arc<Pending>>,
+}
+
+impl SlotState {
+    /// Swaps the snapshot for `next` and discards `pending`, which `next` covers. A
+    /// publication retires the displaced snapshot (releasing the one retired before
+    /// it); clearing the slot releases both.
+    fn install(&mut self, next: Option<ViewSnapshot>) -> Released {
+        let retire = next.is_some();
+        let displaced = std::mem::replace(&mut self.current, next);
+        let (retired, displaced) = if retire {
+            (std::mem::replace(&mut self.retired, displaced), None)
+        } else {
+            (self.retired.take(), displaced)
+        };
+        (retired, displaced, self.pending.take())
+    }
+}
+
+/// One view's publication slot, on cache lines of its own: an acquire touches one
+/// line, and a commit into a neighbouring slot does not take it from the reader.
+#[repr(align(64))]
 struct Slot {
     /// The view's name, fixed for the slot's life and kept outside the mutex so a
     /// lookup by name locks nothing but the slot it selects.
     name: Arc<str>,
     /// Set (for good) when the view is dropped.
     dropped: AtomicBool,
-    /// The published snapshot; `None` while the view is quarantined, and after it
-    /// was dropped.
-    current: Mutex<Option<ViewSnapshot>>,
-    /// The snapshot the current one displaced, kept one publication longer so that
-    /// the writer reclaims it. A reader that acquired it just before the swap would
-    /// otherwise drop the last reference and pay — on the read path — for freeing
-    /// every block the commit replaced, allocated on another thread. Touched only by
-    /// the writer.
-    retired: Mutex<Option<ViewSnapshot>>,
+    state: Mutex<SlotState>,
 }
 
 impl Slot {
@@ -702,9 +934,12 @@ impl Slot {
         !self.is_dropped() && &*self.name == name
     }
 
-    fn acquire(&self) -> SnapshotAccess {
-        let current = self.current.lock().expect("snapshot slot lock poisoned");
-        match &*current {
+    fn lock(&self) -> MutexGuard<'_, SlotState> {
+        self.state.lock().expect("snapshot slot lock poisoned")
+    }
+
+    fn access(&self, current: Option<&ViewSnapshot>) -> SnapshotAccess {
+        match current {
             Some(snapshot) => SnapshotAccess::Published(snapshot.clone()),
             // `evict` raises the flag before it takes the lock, so it is up to date
             // under the lock.
@@ -713,17 +948,151 @@ impl Slot {
         }
     }
 
-    /// Swaps the slot's snapshot for `next`. A publication retires the displaced
-    /// snapshot (releasing the one retired before it); clearing the slot releases
-    /// both.
-    fn install(&self, next: Option<ViewSnapshot>) {
-        let retire = next.is_some();
-        let displaced = std::mem::replace(
-            &mut *self.current.lock().expect("snapshot slot lock poisoned"),
-            next,
-        );
-        *self.retired.lock().expect("snapshot slot lock poisoned") = displaced.filter(|_| retire);
+    /// Acquires the slot's snapshot and subscribes the slot. If commits are pending,
+    /// their snapshot is built first — outside the mutex, so a commit never waits
+    /// for it — and installed only if neither the snapshot nor the pending set moved
+    /// meanwhile. If one did, a commit installed a newer snapshot that covers them,
+    /// and that one is returned.
+    fn acquire(&self, totals: &Mutex<PublishTotals>) -> SnapshotAccess {
+        match self.subscribe() {
+            Ok(access) => access,
+            Err((base, pending)) => self.pull(base, pending, totals),
+        }
     }
+
+    /// Subscribes the slot and takes what it serves: the snapshot, or — while
+    /// commits are pending — the snapshot and the pending set to build on it.
+    fn subscribe(&self) -> Result<SnapshotAccess, (ViewSnapshot, Arc<Pending>)> {
+        let mut state = self.lock();
+        // Written once: the acquire of a subscribed slot stores nothing but the lock.
+        if !state.subscribed {
+            state.subscribed = true;
+        }
+        match (&state.current, &state.pending) {
+            (Some(base), Some(pending)) => Err((base.clone(), Arc::clone(pending))),
+            (current, _) => Ok(self.access(current.as_ref())),
+        }
+    }
+
+    /// The second half of [`Slot::acquire`]: builds `base ⊕ pending` and installs
+    /// it if the slot still holds both. Out of line and cold, so that the acquire
+    /// of a subscribed slot stays an `Arc` clone under a lock.
+    #[cold]
+    #[inline(never)]
+    fn pull(
+        &self,
+        base: ViewSnapshot,
+        pending: Arc<Pending>,
+        totals: &Mutex<PublishTotals>,
+    ) -> SnapshotAccess {
+        let mut stats = PublishStats {
+            pulled: 1,
+            ..PublishStats::default()
+        };
+        let built = base.successor(
+            pending.epoch,
+            pending.ingested,
+            &pending.changes(),
+            &mut stats,
+        );
+        let released = {
+            let mut state = self.lock();
+            let unmoved = state.current.as_ref().is_some_and(|c| c.same(&base))
+                && state
+                    .pending
+                    .as_ref()
+                    .is_some_and(|p| Arc::ptr_eq(p, &pending));
+            if !unmoved {
+                return self.access(state.current.as_ref());
+            }
+            state.install(Some(built.clone()))
+        };
+        drop(released);
+        record(totals, 0, &stats);
+        SnapshotAccess::Published(built)
+    }
+
+    /// Publishes a commit that wrote the output keys in `changed`, `current` giving
+    /// each key's value after it. A subscribed slot gets the successor snapshot
+    /// (pending commits included, the commit's values winning); an unsubscribed one
+    /// records the values in its pending set. A slot with no snapshot (quarantined
+    /// or dropped) is left alone.
+    fn commit(
+        &self,
+        epoch: u64,
+        ingested: u64,
+        changed: &mut ChangeSet,
+        current: impl FnMut(&[Value]) -> Number,
+        stats: &mut PublishStats,
+    ) {
+        let (base, pending) = {
+            let mut state = self.lock();
+            let SlotState {
+                current: Some(base),
+                subscribed,
+                pending,
+                ..
+            } = &mut *state
+            else {
+                return;
+            };
+            if !*subscribed {
+                let pending = pending.get_or_insert_with(|| Arc::new(Pending::new(base.arity())));
+                Arc::make_mut(pending).record(base, epoch, ingested, changed, current);
+                stats.deferred += 1;
+                return;
+            }
+            (base.clone(), pending.clone())
+        };
+        let changes = match &pending {
+            // A first acquire is building `pending` right now: this commit's build
+            // covers it too, its own values winning.
+            Some(pending) => {
+                let mut merged = Pending::clone(pending);
+                merged.record(&base, epoch, ingested, changed, current);
+                merged.changes()
+            }
+            None => changed.resolve(current),
+        };
+        let next = base.successor(epoch, ingested, &changes, stats);
+        let released = {
+            let mut state = self.lock();
+            // Only a commit adds to `pending`, and only before the first acquire, so
+            // it holds what this build consumed or was emptied by a pull it covers.
+            debug_assert!(state
+                .pending
+                .as_ref()
+                .is_none_or(|p| pending.as_ref().is_some_and(|q| Arc::ptr_eq(p, q))));
+            state.install(Some(next))
+        };
+        drop(released);
+    }
+}
+
+/// Cumulative publication cost: the writer's wall-clock nanoseconds, and the
+/// [`PublishStats`] counts of every build, the acquires' included.
+#[derive(Debug, Default)]
+struct PublishTotals {
+    ns: u64,
+    stats: PublishStats,
+}
+
+fn totals(totals: &Mutex<PublishTotals>) -> MutexGuard<'_, PublishTotals> {
+    // Plain counters, valid after every update: a panic while they were held leaves
+    // nothing to repair.
+    totals.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn record(into: &Mutex<PublishTotals>, ns: u64, stats: &PublishStats) {
+    let mut totals = totals(into);
+    totals.ns += ns;
+    let sum = &mut totals.stats;
+    sum.commits += stats.commits;
+    sum.blocks_rebuilt += stats.blocks_rebuilt;
+    sum.blocks_shared += stats.blocks_shared;
+    sum.entries_copied += stats.entries_copied;
+    sum.deferred += stats.deferred;
+    sum.pulled += stats.pulled;
 }
 
 /// The per-view snapshot publication slots, shared between one writer and any
@@ -731,13 +1100,16 @@ impl Slot {
 ///
 /// Slot indices parallel the owning engine registry's slots: registered in creation
 /// order, never reused. The writer publishes at quiescent points with
-/// [`SnapshotStore::publish`]; readers acquire with [`SnapshotStore::acquire`] or
+/// [`SnapshotStore::publish`] (a whole table) and [`SnapshotStore::commit`] (a
+/// commit's changes); readers acquire with [`SnapshotStore::acquire`] or
 /// [`SnapshotStore::acquire_named`]. All slot access is O(1) — a shared lock on the
 /// slot table (taken exclusively only when a *new* view is registered) plus one
-/// per-slot mutex held just long enough to clone or swap an `Arc`.
+/// per-slot mutex held just long enough to clone or swap an `Arc` — except the
+/// first acquire of a slot, which builds the commits deferred until then.
 pub struct SnapshotStore {
     slots: RwLock<Vec<Slot>>,
     epoch: AtomicU64,
+    totals: Mutex<PublishTotals>,
 }
 
 impl SnapshotStore {
@@ -746,6 +1118,7 @@ impl SnapshotStore {
         SnapshotStore {
             slots: RwLock::new(Vec::new()),
             epoch: AtomicU64::new(0),
+            totals: Mutex::default(),
         }
     }
 
@@ -754,8 +1127,10 @@ impl SnapshotStore {
         slots.push(Slot {
             name,
             dropped: AtomicBool::new(current.is_none()),
-            current: Mutex::new(current),
-            retired: Mutex::new(None),
+            state: Mutex::new(SlotState {
+                current,
+                ..SlotState::default()
+            }),
         });
         (slots.len() - 1) as u32
     }
@@ -790,56 +1165,91 @@ impl SnapshotStore {
         self.epoch.fetch_add(1, AtomicOrdering::Relaxed) + 1
     }
 
-    /// Swaps `slot`'s published snapshot for a fresh one (clearing any quarantine
-    /// flag — the repair path republishes through here). The displaced snapshot is
-    /// released by the *next* publication to the slot (so the writer, not a reader,
-    /// frees it), or later if a reader still holds a clone. Publishing to a dropped
-    /// (or unknown) slot does nothing: a dropped view stays dropped.
-    pub fn publish(&self, slot: u32, snapshot: ViewSnapshot) {
+    /// Runs `f` on `slot` under the shared lock of the slot table; a dropped or
+    /// unknown slot is skipped.
+    fn with_live(&self, slot: u32, f: impl FnOnce(&Slot)) {
         let slots = self.slots.read().expect("snapshot store lock poisoned");
-        let Some(slot) = slots.get(slot as usize).filter(|s| !s.is_dropped()) else {
-            return;
-        };
-        slot.install(Some(snapshot));
+        if let Some(slot) = slots.get(slot as usize).filter(|s| !s.is_dropped()) {
+            f(slot);
+        }
+    }
+
+    /// Swaps `slot`'s published snapshot for a whole fresh one (clearing any
+    /// quarantine flag — the repair path republishes through here) and discards the
+    /// slot's pending commits, which the fresh table covers. The displaced snapshot
+    /// is released by the *next* publication to the slot (so the writer, not a
+    /// reader, frees it), or later if a reader still holds a clone. Publishing to a
+    /// dropped (or unknown) slot does nothing: a dropped view stays dropped.
+    pub fn publish(&self, slot: u32, snapshot: ViewSnapshot) {
+        self.with_live(slot, |slot| {
+            let released = slot.lock().install(Some(snapshot));
+            drop(released);
+        });
+    }
+
+    /// Publishes a commit into `slot` at `epoch` and `ingested`: `changed` holds the
+    /// output keys it wrote and `current` gives each key's value after it (zero ⇒
+    /// the group is gone). A slot some acquire has subscribed gets the successor of
+    /// its snapshot now. Any other slot defers: the keys and their values go into
+    /// its pending set, deduplicated by key, and its first acquire builds them. Work
+    /// is added to `stats`. Quarantined, dropped and unknown slots are skipped.
+    pub fn commit(
+        &self,
+        slot: u32,
+        epoch: u64,
+        ingested: u64,
+        changed: &mut ChangeSet,
+        current: impl FnMut(&[Value]) -> Number,
+        stats: &mut PublishStats,
+    ) {
+        self.with_live(slot, |slot| {
+            slot.commit(epoch, ingested, changed, current, stats);
+        });
     }
 
     /// Flags `slot` as quarantined: acquisition reports
     /// [`SnapshotAccess::Poisoned`] until a repair republishes. The stale snapshot
-    /// is released immediately — it predates the failure, but serving it would
-    /// silently freeze the view, so the poisoning is surfaced instead.
+    /// and any pending commits are released immediately — the snapshot predates the
+    /// failure, but serving it would silently freeze the view, so the poisoning is
+    /// surfaced instead.
     pub fn poison(&self, slot: u32) {
         let slots = self.slots.read().expect("snapshot store lock poisoned");
-        slots[slot as usize].install(None);
+        let released = slots[slot as usize].lock().install(None);
+        drop(released);
     }
 
-    /// Releases `slot`'s snapshot for good (the view was dropped). Readers still
-    /// holding a previously acquired [`ViewSnapshot`] keep it alive until they
-    /// drop it; new acquisitions report [`SnapshotAccess::Dropped`].
+    /// Releases `slot`'s snapshot and pending commits for good (the view was
+    /// dropped). Readers still holding a previously acquired [`ViewSnapshot`] keep
+    /// it alive until they drop it; new acquisitions report
+    /// [`SnapshotAccess::Dropped`].
     pub fn evict(&self, slot: u32) {
         let slots = self.slots.read().expect("snapshot store lock poisoned");
         let slot = &slots[slot as usize];
         slot.dropped.store(true, AtomicOrdering::SeqCst);
-        slot.install(None);
+        let released = slot.lock().install(None);
+        drop(released);
     }
 
-    /// Acquires `slot`'s current snapshot — O(1), independent of view size.
+    /// Acquires `slot`'s current snapshot and subscribes the slot. O(1),
+    /// independent of view size, except the slot's first acquire after deferred
+    /// commits, which builds them.
     pub fn acquire(&self, slot: u32) -> SnapshotAccess {
         let slots = self.slots.read().expect("snapshot store lock poisoned");
         slots
             .get(slot as usize)
-            .map_or(SnapshotAccess::Unknown, Slot::acquire)
+            .map_or(SnapshotAccess::Unknown, |slot| slot.acquire(&self.totals))
     }
 
     /// Acquires the current snapshot of the live view named `name`
-    /// ([`SnapshotAccess::Unknown`] if there is none): the slot table is locked
-    /// once, names are compared outside the slot mutexes, and only the matching
-    /// slot is locked.
+    /// ([`SnapshotAccess::Unknown`] if there is none), as [`SnapshotStore::acquire`]
+    /// does: the slot table is locked once, names are compared outside the slot
+    /// mutexes, and only the matching slot is locked.
     pub fn acquire_named(&self, name: &str) -> SnapshotAccess {
         let slots = self.slots.read().expect("snapshot store lock poisoned");
         slots
             .iter()
             .find(|slot| slot.is_live_named(name))
-            .map_or(SnapshotAccess::Unknown, Slot::acquire)
+            .map_or(SnapshotAccess::Unknown, |slot| slot.acquire(&self.totals))
     }
 
     /// The slot index of the live (published or poisoned) view named `name`, if any
@@ -858,17 +1268,38 @@ impl SnapshotStore {
         slots.get(slot as usize).map(|s| Arc::clone(&s.name))
     }
 
+    /// Adds one publication round's cost: the writer's wall-clock `ns` and the
+    /// `stats` of its builds.
+    pub fn record(&self, ns: u64, stats: &PublishStats) {
+        record(&self.totals, ns, stats);
+    }
+
+    /// Cumulative wall-clock nanoseconds recorded by the writer.
+    pub fn publish_ns(&self) -> u64 {
+        totals(&self.totals).ns
+    }
+
+    /// Cumulative build work: the writer's rounds and every acquire's build.
+    pub fn publish_stats(&self) -> PublishStats {
+        totals(&self.totals).stats
+    }
+
+    /// Sums `count` over the slots' states.
+    fn sum(&self, count: impl Fn(&SlotState) -> usize) -> usize {
+        let slots = self.slots.read().expect("snapshot store lock poisoned");
+        slots.iter().map(|slot| count(&slot.lock())).sum()
+    }
+
     /// Total groups currently held across all published snapshots — the store's
     /// memory-proxy footprint (dropped and poisoned slots contribute zero).
     pub fn published_entries(&self) -> usize {
-        let slots = self.slots.read().expect("snapshot store lock poisoned");
-        slots
-            .iter()
-            .map(|slot| {
-                let current = slot.current.lock().expect("snapshot slot lock poisoned");
-                current.as_ref().map_or(0, ViewSnapshot::len)
-            })
-            .sum()
+        self.sum(|state| state.current.as_ref().map_or(0, ViewSnapshot::len))
+    }
+
+    /// Total `(key, value)` entries held in pending sets, for views that no acquire
+    /// has built yet — at most one per group each view wrote since its last build.
+    pub fn pending_entries(&self) -> usize {
+        self.sum(|state| state.pending.as_ref().map_or(0, |p| p.len()))
     }
 }
 
@@ -938,11 +1369,11 @@ mod tests {
             }
             changed.push(k);
         }
+        let changes_now = changed.resolve(|k| model.get(k).copied().unwrap_or(Number::Int(0)));
         let next = snapshot.successor(
             snapshot.epoch() + 1,
             snapshot.ingested() + changes.len() as u64,
-            &mut changed,
-            |k| model.get(k).copied().unwrap_or(Number::Int(0)),
+            &changes_now,
             stats,
         );
         next.check_blocks();
@@ -1207,6 +1638,226 @@ mod tests {
         store.evict(slot);
         // The handle acquired earlier still reads its point-in-time data.
         assert_eq!(held.value(&key(&[1])), Number::Int(5));
+    }
+
+    fn published(access: SnapshotAccess) -> ViewSnapshot {
+        match access {
+            SnapshotAccess::Published(snapshot) => snapshot,
+            other => panic!("expected a snapshot, got {other:?}"),
+        }
+    }
+
+    /// Sets `changes` in the model and commits them into `slot` through the store,
+    /// at the next epoch and ten times that `ingested`.
+    fn commit(
+        store: &SnapshotStore,
+        slot: u32,
+        model: &mut Table,
+        changes: &[(&[i64], i64)],
+        stats: &mut PublishStats,
+    ) {
+        let mut changed = ChangeSet::new();
+        for (k, v) in changes {
+            if *v == 0 {
+                model.remove(&key(k));
+            } else {
+                model.insert(key(k), Number::Int(*v));
+            }
+            changed.push(&key(k));
+        }
+        let epoch = store.next_epoch();
+        let current = |k: &[Value]| model.get(k).copied().unwrap_or(Number::Int(0));
+        store.commit(slot, epoch, 10 * epoch, &mut changed, current, stats);
+    }
+
+    fn model_of(entries: &[(&[i64], i64)]) -> Table {
+        entries
+            .iter()
+            .map(|(k, v)| (key(k), Number::Int(*v)))
+            .collect()
+    }
+
+    /// Commits into a slot no acquire has touched record their values instead of
+    /// building; the first acquire builds them all, stamped with the last commit's
+    /// epoch and `ingested`, and from then on each commit builds at once.
+    #[test]
+    fn commits_defer_until_the_first_acquire_builds_them() {
+        let store = SnapshotStore::new();
+        let initial: &[(&[i64], i64)] = &[(&[1], 5), (&[2], 6)];
+        let slot = store.register(snap(initial));
+        let mut model = model_of(initial);
+        let mut stats = PublishStats::default();
+        commit(&store, slot, &mut model, &[(&[1], 7)], &mut stats);
+        commit(
+            &store,
+            slot,
+            &mut model,
+            &[(&[1], 8), (&[3], 1), (&[2], 0)],
+            &mut stats,
+        );
+        assert_eq!((stats.deferred, stats.blocks_rebuilt), (2, 0));
+        // Keys 1 and 3 with their latest values, and key 2's deletion.
+        assert_eq!(store.pending_entries(), 3);
+
+        let built = published(store.acquire(slot));
+        built.check_blocks();
+        assert_eq!(built.table(), model);
+        assert_eq!((built.epoch(), built.ingested()), (2, 20));
+        assert_eq!(store.pending_entries(), 0);
+        assert_eq!(store.publish_stats().pulled, 1);
+
+        let mut stats = PublishStats::default();
+        commit(&store, slot, &mut model, &[(&[3], 2)], &mut stats);
+        assert_eq!((stats.deferred, stats.blocks_rebuilt), (0, 1));
+        let next = published(store.acquire(slot));
+        assert_eq!(next.table(), model);
+        assert_eq!((next.epoch(), next.ingested()), (3, 30));
+        assert_eq!(store.publish_stats().pulled, 1, "nothing left to build");
+    }
+
+    /// A pending set holds one entry per key, the latest value, and forgets a group
+    /// created and deleted again since the snapshot it builds on.
+    #[test]
+    fn pending_keeps_one_entry_per_key_and_forgets_transient_groups() {
+        let store = SnapshotStore::new();
+        let initial: &[(&[i64], i64)] = &[(&[1], 5)];
+        let slot = store.register(snap(initial));
+        let mut model = model_of(initial);
+        let mut stats = PublishStats::default();
+        let mut step = |changes: &[(&[i64], i64)]| {
+            commit(&store, slot, &mut model, changes, &mut stats);
+            store.pending_entries()
+        };
+        for round in 1..=100 {
+            step(&[(&[1], round), (&[2], round)]);
+        }
+        assert_eq!(step(&[]), 2);
+        step(&[(&[2], 0), (&[9], 1)]);
+        // Keys 2 and 9 never reached a snapshot; key 1's deletion must be kept.
+        assert_eq!(step(&[(&[9], 0), (&[1], 0)]), 1);
+        step(&[(&[20], 1), (&[21], 1), (&[22], 1)]);
+        // Deleting an entry other than the last moves the last one into its place,
+        // where it must still be found.
+        assert_eq!(step(&[(&[20], 0), (&[22], 5)]), 3);
+        assert_eq!(step(&[(&[22], 6)]), 3);
+        let built = published(store.acquire(slot));
+        assert_eq!(built.table(), model);
+        assert_eq!(built.value(&key(&[22])), Number::Int(6));
+        assert_eq!(built.ingested(), 10 * 106);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Commits deferred into a pending set — keys rewritten, created, deleted
+        /// and recreated in any order — build on acquire exactly the snapshot a
+        /// subscribed slot published at its last commit, and the set holds at most
+        /// one entry per key written, none for a group absent before and after.
+        #[test]
+        fn deferred_commits_build_what_published_commits_serve(
+            batches in prop::collection::vec(
+                prop::collection::vec((0i64..40, 0i64..3), 0..30),
+                1..16,
+            ),
+        ) {
+            let keys: Vec<[i64; 1]> = (0..40).step_by(3).map(|k| [k]).collect();
+            let initial: Vec<(&[i64], i64)> = keys.iter().map(|k| (&k[..], 1)).collect();
+            let (lazy, eager) = (SnapshotStore::new(), SnapshotStore::new());
+            let (l, e) = (lazy.register(snap(&initial)), eager.register(snap(&initial)));
+            published(eager.acquire(e));
+            let (mut lazy_model, mut eager_model) = (model_of(&initial), model_of(&initial));
+            let mut stats = PublishStats::default();
+            let mut written = std::collections::BTreeSet::new();
+            for batch in &batches {
+                let keys: Vec<[i64; 1]> = batch.iter().map(|&(k, _)| [k]).collect();
+                let changes: Vec<(&[i64], i64)> =
+                    keys.iter().zip(batch).map(|(k, &(_, v))| (&k[..], v)).collect();
+                commit(&lazy, l, &mut lazy_model, &changes, &mut stats);
+                commit(&eager, e, &mut eager_model, &changes, &mut stats);
+                written.extend(batch.iter().map(|&(k, _)| k));
+                let transient = written
+                    .iter()
+                    .filter(|&&k| k % 3 != 0 && !lazy_model.contains_key(&key(&[k])))
+                    .count();
+                prop_assert!(lazy.pending_entries() <= written.len() - transient);
+            }
+            let built = published(lazy.acquire(l));
+            built.check_blocks();
+            let served = published(eager.acquire(e));
+            prop_assert_eq!(built.table(), lazy_model);
+            prop_assert!(built.iter().eq(served.iter()));
+            prop_assert_eq!(built.ingested(), served.ingested());
+            prop_assert_eq!(lazy.pending_entries(), 0);
+        }
+    }
+
+    /// A whole publication covers what is pending, so it discards it; so do
+    /// quarantine and eviction, which release the slot's data.
+    #[test]
+    fn whole_publication_poison_and_evict_discard_pending() {
+        let store = SnapshotStore::new();
+        let slot = store.register(snap(&[(&[1], 5)]));
+        let mut model = model_of(&[(&[1], 5)]);
+        let mut stats = PublishStats::default();
+        commit(&store, slot, &mut model, &[(&[1], 6)], &mut stats);
+        store.publish(slot, snap(&[(&[1], 6), (&[2], 1)]));
+        assert_eq!(store.pending_entries(), 0);
+        commit(&store, slot, &mut model, &[(&[1], 7)], &mut stats);
+        store.poison(slot);
+        assert_eq!(store.pending_entries(), 0);
+        assert!(matches!(store.acquire(slot), SnapshotAccess::Poisoned(_)));
+        store.publish(slot, snap(&[(&[1], 7)]));
+        let slot2 = store.register(snap(&[(&[4], 1)]));
+        commit(&store, slot2, &mut Table::new(), &[(&[4], 2)], &mut stats);
+        assert_eq!(store.pending_entries(), 1);
+        store.evict(slot2);
+        assert_eq!(store.pending_entries(), 0);
+        assert_eq!(
+            published(store.acquire(slot)).value(&key(&[1])),
+            Number::Int(7)
+        );
+    }
+
+    /// A first acquire builds outside the slot mutex. When a commit installs a
+    /// newer snapshot meanwhile — merging the same pending set — the build is
+    /// thrown away and the acquire returns the commit's snapshot.
+    #[test]
+    fn a_pull_that_loses_to_a_commit_returns_the_newer_snapshot() {
+        let store = SnapshotStore::new();
+        let initial: &[(&[i64], i64)] = &[(&[1], 5), (&[2], 6)];
+        let slot = store.register(snap(initial));
+        let mut model = model_of(initial);
+        let mut stats = PublishStats::default();
+        commit(
+            &store,
+            slot,
+            &mut model,
+            &[(&[1], 7), (&[3], 1)],
+            &mut stats,
+        );
+
+        let slots = store.slots.read().expect("unpoisoned");
+        let Err((base, pending)) = slots[slot as usize].subscribe() else {
+            panic!("a commit is pending");
+        };
+        // The acquire subscribed the slot, so this commit builds, pending included.
+        commit(
+            &store,
+            slot,
+            &mut model,
+            &[(&[2], 9), (&[3], 4)],
+            &mut stats,
+        );
+        assert_eq!(stats.deferred, 1);
+        let got = published(slots[slot as usize].pull(base, pending, &store.totals));
+        got.check_blocks();
+        assert_eq!(got.table(), model);
+        assert_eq!(got.ingested(), 20);
+        assert_eq!(
+            store.publish_stats().pulled,
+            0,
+            "the lost build is not installed"
+        );
     }
 
     /// The displaced snapshot outlives one publication inside the store (the writer

@@ -148,6 +148,10 @@ fn run_self_test(config: ServerConfig) -> Result<(), String> {
         "ERR no live view missing on this ring",
     )?;
     s.expect("GET ghost revenue 1", "ERR unknown tenant ghost")?;
+    s.expect(
+        "GET acme revenue 1 2",
+        "ERR revenue has 1 key columns, got 2",
+    )?;
 
     let stats = s.send("STATS acme")?;
     if !stats.starts_with("OK views=1 ingested=4") {

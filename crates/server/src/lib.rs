@@ -19,7 +19,7 @@
 //!     ▼                                                │
 //!   per-tenant ingest thread ── owns the &mut Ring,    │
 //!     │  commits whatever the queue held as one batch  ▼
-//!     └─ publishes snapshots on commit ──▶ RingHandle ── Arc-shared snapshot store;
+//!     └─ publishes read views on commit ─▶ RingHandle ── Arc-shared snapshot store;
 //!                                                      O(1) acquire, lock-free reads
 //! ```
 //!
@@ -30,7 +30,10 @@
 //! Because writes do not wait for the ingest thread, a commit takes every update that
 //! queued up while the previous one ran (group commit). Snapshot publication happens
 //! inside the ring at exactly those commit points, so a reader always observes a
-//! batch-consistent prefix of the tenant's update stream.
+//! batch-consistent prefix of the tenant's update stream. Only views some client has
+//! read are built at a commit: a view nobody has read yet keeps its commits' changes
+//! pending, and its first `GET`, `TABLE` or `SCAN` builds them (`STATS` counts both
+//! as `deferred=` and `pulled=`).
 //!
 //! ## Protocol
 //!
@@ -48,12 +51,16 @@
 //! | `INSERT <tenant> <relation> <val>...` | `OK queued`: validated and enqueued |
 //! | `DELETE <tenant> <relation> <val>...` | `OK queued`: validated and enqueued |
 //! | `FLUSH <tenant>` | `OK ingested=<n>`, or `ERR` for a failed commit |
-//! | `GET <tenant> <view> <key>...` | `VALUE <number>` |
+//! | `GET <tenant> <view> <key>...` | `VALUE <number>`: one value per key column |
 //! | `TABLE <tenant> <view>` | `ROW <key>... <number>` lines, then `END ...` |
-//! | `SCAN <tenant> <view> <prefix>...` | `ROW` lines, then `END ...` |
-//! | `STATS <tenant>` | `OK <key=value>...` (`commits=` counts batch commits) |
+//! | `SCAN <tenant> <view> <prefix>...` | `ROW` lines, then `END ...`: at most one value per key column |
+//! | `STATS <tenant>` | `OK <key=value>...` (`commits=` counts batch commits; `deferred=`, `pulled=` count view publications deferred and built on first read) |
 //! | `QUIT` | `OK bye` (closes the connection) |
 //! | `SHUTDOWN` | `OK shutting down` (stops the whole server) |
+//!
+//! A `GET` whose key has other than one value per key column of the view, or a
+//! `SCAN` whose prefix has more, is answered `ERR <view> has <n> key columns, got
+//! <m>`.
 //!
 //! Relations must be declared before the tenant's first view or update (a ring's
 //! catalog is fixed when the ring is built). `INSERT`/`DELETE` validate the relation
@@ -364,7 +371,7 @@ fn dispatch(state: &Arc<ServerState>, line: &str, out: &mut String) -> bool {
         }),
         "GET" => with_args(&tokens, 3, |t| {
             let snapshot = acquire(state, t[1], t[2])?;
-            let key: Vec<Value> = t[3..].iter().copied().map(parse_value).collect();
+            let key = key_values(&snapshot, &t[3..], false)?;
             let _ = writeln!(out, "VALUE {}", snapshot.value(&key));
             Ok(())
         }),
@@ -375,7 +382,7 @@ fn dispatch(state: &Arc<ServerState>, line: &str, out: &mut String) -> bool {
         }),
         "SCAN" => with_args(&tokens, 3, |t| {
             let snapshot = acquire(state, t[1], t[2])?;
-            let prefix: Vec<Value> = t[3..].iter().copied().map(parse_value).collect();
+            let prefix = key_values(&snapshot, &t[3..], true)?;
             render_rows(out, snapshot.prefix_scan(&prefix), &snapshot);
             Ok(())
         }),
@@ -489,6 +496,25 @@ fn acquire(
         .reader
         .snapshot_named(view)
         .map_err(|e| e.to_string())
+}
+
+/// Parses the key of a `GET` (one value per key column of the view) or the prefix of
+/// a `SCAN` (`prefix`: at most one per key column). Any other count is an error: a
+/// lookup with the wrong number of values can only miss, and would read as zero.
+fn key_values(
+    snapshot: &dbring::ViewSnapshot,
+    tokens: &[&str],
+    prefix: bool,
+) -> Result<Vec<Value>, String> {
+    let columns = snapshot.arity();
+    if tokens.len() > columns || (!prefix && tokens.len() < columns) {
+        return Err(format!(
+            "{} has {columns} key columns, got {}",
+            snapshot.name(),
+            tokens.len()
+        ));
+    }
+    Ok(tokens.iter().copied().map(parse_value).collect())
 }
 
 /// Appends one `ROW <key>... <value>` line per row, then the `END` line.
@@ -653,15 +679,21 @@ fn handle_command(
                 "building relations={}",
                 catalog.relation_names().count()
             )),
-            Core::Serving(ring) => Ok(format!(
-                "views={} ingested={} commits={} pending={} publish_ns={} snapshot_entries={}",
-                ring.len(),
-                ring.updates_ingested(),
-                batch.commits,
-                batch.pending.len(),
-                ring.snapshot_publish_ns(),
-                ring.snapshot_footprint()
-            )),
+            Core::Serving(ring) => {
+                let publish = ring.snapshot_publish_stats();
+                Ok(format!(
+                    "views={} ingested={} commits={} pending={} publish_ns={} snapshot_entries={} \
+                     deferred={} pulled={}",
+                    ring.len(),
+                    ring.updates_ingested(),
+                    batch.commits,
+                    batch.pending.len(),
+                    ring.snapshot_publish_ns(),
+                    ring.snapshot_footprint(),
+                    publish.deferred,
+                    publish.pulled
+                ))
+            }
         },
         Command::Stop => Ok("stopping".to_string()),
     }

@@ -233,6 +233,82 @@ fn errors_are_per_request_and_recoverable() {
     shutdown(addr, handle);
 }
 
+/// A `GET` must name exactly one value per key column and a `SCAN` at most that many:
+/// any other count used to miss every group and answer like an empty table.
+#[test]
+fn a_wrong_key_count_is_an_error_not_a_silent_miss() {
+    let (addr, handle) = start(ServerConfig::default());
+    let mut c = Client::connect(addr);
+
+    c.send("DECLARE t Sales cust price");
+    c.send("VIEW t total SELECT SUM(price) AS total FROM Sales");
+    c.send("VIEW t rev SELECT cust, SUM(price) AS r FROM Sales GROUP BY cust");
+    assert_eq!(c.send("INSERT t Sales 1 500"), "OK queued");
+    assert_eq!(c.send("FLUSH t"), "OK ingested=1");
+
+    assert_eq!(c.send("GET t total"), "VALUE 500");
+    assert_eq!(
+        c.send("GET t total 7"),
+        "ERR total has 0 key columns, got 1"
+    );
+    assert_eq!(c.send("GET t rev 1"), "VALUE 500");
+    assert_eq!(c.send("GET t rev"), "ERR rev has 1 key columns, got 0");
+    assert_eq!(c.send("GET t rev 1 2"), "ERR rev has 1 key columns, got 2");
+    assert_eq!(c.send("SCAN t rev 1 2"), "ERR rev has 1 key columns, got 2");
+    assert_eq!(
+        c.send("SCAN t total 1"),
+        "ERR total has 0 key columns, got 1"
+    );
+    // A shorter prefix is a scan, not an error.
+    let scan = c.send_multi("SCAN t rev");
+    assert_eq!(scan[0], "ROW 1 500");
+    assert!(scan[1].starts_with("END rows=1 "), "{}", scan[1]);
+    let scan = c.send_multi("SCAN t rev 1");
+    assert_eq!(scan[0], "ROW 1 500");
+
+    drop(c);
+    shutdown(addr, handle);
+}
+
+/// A view no client has read yet defers its commits; its first `GET` builds them,
+/// and from then on its commits publish at once.
+#[test]
+fn an_unread_view_defers_until_its_first_read() {
+    let (addr, handle) = start(ServerConfig::default());
+    let mut c = Client::connect(addr);
+
+    c.send("DECLARE t R k v");
+    c.send("VIEW t hot SELECT k, SUM(v) AS s FROM R GROUP BY k");
+    c.send("VIEW t cold SELECT k, SUM(1) AS n FROM R GROUP BY k");
+    assert_eq!(c.send("GET t hot 1"), "VALUE 0");
+    for round in 1..=3 {
+        assert_eq!(c.send(&format!("INSERT t R 1 {round}")), "OK queued");
+        assert_eq!(c.send("FLUSH t"), format!("OK ingested={round}"));
+    }
+    let stats = c.send("STATS t");
+    assert_eq!(stat(&stats, "deferred"), 3, "{stats}");
+    assert_eq!(stat(&stats, "pulled"), 0, "{stats}");
+    assert_eq!(c.send("GET t hot 1"), "VALUE 6");
+    assert_eq!(c.send("GET t cold 1"), "VALUE 3");
+    let table = c.send_multi("TABLE t cold");
+    assert!(
+        table[1].starts_with("END rows=1 ingested=3 "),
+        "{}",
+        table[1]
+    );
+    assert_eq!(stat(&c.send("STATS t"), "pulled"), 1);
+
+    assert_eq!(c.send("INSERT t R 2 1"), "OK queued");
+    assert_eq!(c.send("FLUSH t"), "OK ingested=4");
+    assert_eq!(c.send("GET t cold 2"), "VALUE 1");
+    let stats = c.send("STATS t");
+    assert_eq!(stat(&stats, "deferred"), 3, "{stats}");
+    assert_eq!(stat(&stats, "pulled"), 1, "{stats}");
+
+    drop(c);
+    shutdown(addr, handle);
+}
+
 #[test]
 fn drop_view_releases_and_later_reads_error() {
     let (addr, handle) = start(ServerConfig::default());

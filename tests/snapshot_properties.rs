@@ -24,10 +24,21 @@
 //! 8. **Failed batches publish nothing**: a rejected or panicked batch leaves epoch,
 //!    snapshots and publication counters untouched and leaks no change into the next
 //!    commit; `repair_view` republishes the repaired view from scratch.
+//! 9. **Deferred publication is never observable**: views no reader has acquired
+//!    defer their commits until their first acquire builds them. Acquired at random
+//!    points, or only at the end, they serve exactly what a ring whose views were
+//!    all acquired up front serves — the oracle's table, the same epoch and
+//!    `ingested`, never older than the last commit that changed the view.
+//! 10. **First acquires race commits**: with the writer committing, readers acquire
+//!     views cold and hot; per reader and view `ingested()` never decreases, every
+//!     snapshot is the oracle's table at its prefix, and none misses a commit that
+//!     returned before its acquire began.
+//! 11. **Pending is bounded**: over a 20 000-round churn, a view nobody reads holds
+//!     at most one pending entry per key it wrote since its last build.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dbring::fault::with_fault;
@@ -345,6 +356,8 @@ fn drop_view_releases_published_snapshots() {
         .create_view("r_by_a", ViewDef::Agca(VIEWS[0].1))
         .unwrap();
     let handle = ring.reader();
+    // Subscribe the view, so that commits publish it rather than defer.
+    handle.snapshot(id).unwrap();
 
     let batch: Vec<Update> = (0..8)
         .map(|i| Update::insert("R", vec![Value::int(i % 4), Value::int(1 + i % 2)]))
@@ -372,9 +385,9 @@ fn drop_view_releases_published_snapshots() {
     // Recreating a view after the drop serves fresh snapshots again.
     ring.create_view("r_by_a", ViewDef::Agca(VIEWS[0].1))
         .unwrap();
+    assert!(handle.snapshot_named("r_by_a").is_ok());
     ring.apply_batch(&batch).unwrap();
     assert!(ring.snapshot_footprint() > 0);
-    assert!(handle.snapshot_named("r_by_a").is_ok());
 }
 
 /// `count` inserts (or deletes) of `R(a, 1)` for `a` in `range`, so `r_by_a` gains
@@ -466,6 +479,8 @@ fn publication_cost_follows_the_batch_not_the_view() {
             ring.apply_batch(chunk).unwrap();
         }
         let handle = ring.reader();
+        // Subscribe the view, so that the batch below is built at its commit.
+        handle.snapshot_named("r_by_a").unwrap();
         let loaded = ring.snapshot_publish_stats();
         assert_eq!(
             loaded.commits, 1,
@@ -588,4 +603,299 @@ fn failed_batches_publish_nothing_and_leak_no_changes() {
     let next = handle.snapshot_named("r_by_a").unwrap();
     assert_eq!(next.table(), ring.view(victim).unwrap().table());
     assert!(ring.snapshot_publish_stats().blocks_shared > after.blocks_shared);
+}
+
+/// The replay oracle: every view's table after each committed prefix, by
+/// `updates_ingested` count.
+type Oracle = HashMap<u64, Tables>;
+
+fn oracle_table<'a>(
+    oracle: &'a Oracle,
+    ingested: u64,
+    name: &str,
+) -> &'a BTreeMap<Vec<Value>, Number> {
+    let tables = oracle
+        .get(&ingested)
+        .unwrap_or_else(|| panic!("ingested={ingested} is not a committed prefix"));
+    &tables.iter().find(|(n, _)| n == name).expect("a view").1
+}
+
+/// Drives property 9 for one configuration. `lazy` is read only where `picks`
+/// says (bit `v` of a batch's pick acquires view `v` after that batch; views in
+/// `cold` only at the end); `eager` has every view acquired from the start, so
+/// it publishes every commit as it lands. Every snapshot `lazy` hands out must
+/// equal the replay oracle at its `ingested()`, be no older than the last commit
+/// that changed the view, and be the very snapshot `eager` serves: same rows,
+/// same epoch, same `ingested`.
+fn check_deferred_acquires(
+    backend: StorageBackend,
+    updates: &[Update],
+    batch_size: usize,
+    picks: &[u8],
+    cold: u8,
+) -> Result<(), TestCaseError> {
+    let mut lazy = build_ring(backend);
+    let mut eager = build_ring(backend);
+    let handle = lazy.reader();
+    let eager_handle = eager.reader();
+    for (name, _) in VIEWS {
+        eager_handle.snapshot_named(name).unwrap();
+    }
+    let mut oracle = Oracle::new();
+    let mut previous = reference_tables(&eager);
+    oracle.insert(0, previous.clone());
+    // Per view: `updates_ingested` after the last commit that changed its table.
+    let mut changed_at: HashMap<String, u64> = HashMap::new();
+
+    let check = |lazy: &Ring,
+                 v: usize,
+                 oracle: &Oracle,
+                 changed_at: &HashMap<String, u64>|
+     -> Result<(), TestCaseError> {
+        let name = VIEWS[v].0;
+        // Both acquire paths: the ring's own and the detached handle.
+        let snapshot = if v % 2 == 0 {
+            lazy.snapshot_named(name).unwrap()
+        } else {
+            handle.snapshot_named(name).unwrap()
+        };
+        prop_assert_eq!(
+            &snapshot.table(),
+            oracle_table(oracle, snapshot.ingested(), name),
+            "{} at ingested={}",
+            name,
+            snapshot.ingested()
+        );
+        let floor = changed_at.get(name).copied().unwrap_or(0);
+        prop_assert!(
+            snapshot.ingested() >= floor,
+            "{} acquired at ingested={} misses the commit at {}",
+            name,
+            snapshot.ingested(),
+            floor
+        );
+        let published = eager_handle.snapshot_named(name).unwrap();
+        prop_assert_eq!(
+            (snapshot.epoch(), snapshot.ingested()),
+            (published.epoch(), published.ingested())
+        );
+        prop_assert!(snapshot.iter().eq(published.iter()));
+        Ok(())
+    };
+
+    for (i, chunk) in updates.chunks(batch_size).enumerate() {
+        lazy.apply_batch(chunk).unwrap();
+        eager.apply_batch(chunk).unwrap();
+        let ingested = eager.updates_ingested();
+        prop_assert_eq!(lazy.updates_ingested(), ingested);
+        let tables = reference_tables(&eager);
+        for ((name, table), (_, before)) in tables.iter().zip(&previous) {
+            if table != before {
+                changed_at.insert(name.clone(), ingested);
+            }
+        }
+        if let Some(known) = oracle.get(&ingested) {
+            prop_assert_eq!(known, &tables, "two prefixes of one length differ");
+        }
+        oracle.insert(ingested, tables.clone());
+        previous = tables;
+        let pick = picks[i % picks.len()] & !cold;
+        for v in (0..VIEWS.len()).filter(|v| pick & (1 << v) != 0) {
+            check(&lazy, v, &oracle, &changed_at)?;
+        }
+    }
+    for v in 0..VIEWS.len() {
+        check(&lazy, v, &oracle, &changed_at)?;
+    }
+    // Each view was built on acquire at most once: from then on it was subscribed.
+    prop_assert!(lazy.snapshot_publish_stats().pulled <= VIEWS.len() as u64);
+    prop_assert_eq!(lazy.snapshot_pending_entries(), 0);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Property 9: deferred publication is never observable. Views acquired at
+    /// random points (and some only at the end) return exactly what a ring that
+    /// publishes every commit would have served.
+    #[test]
+    fn skipped_epochs_are_never_observable(
+        updates in prop::collection::vec(arb_update(), 1..48),
+        batch_size in 1usize..8,
+        picks in prop::collection::vec(any::<u8>(), 1..8),
+        cold in 0u8..16,
+    ) {
+        for backend in StorageBackend::ALL {
+            check_deferred_acquires(backend, &updates, batch_size, &picks, cold)?;
+        }
+    }
+}
+
+/// Property 10: first acquires race commits. One reader per view, the hot view's
+/// from the start and each cold view's from a later commit, acquire while the
+/// writer commits; per reader `ingested()` never decreases, every snapshot is the
+/// oracle's table at its prefix, and none is older than the last commit that
+/// changed the view before the acquire began.
+#[test]
+fn first_acquires_racing_commits_never_serve_a_stale_or_torn_view() {
+    const BATCH: usize = 8;
+    const STREAM: usize = 480;
+    let stream = synthetic_stream(STREAM);
+    let mut reference = build_ring(StorageBackend::Hash);
+    let mut oracle = Oracle::new();
+    oracle.insert(0, reference_tables(&reference));
+    // Per view, per committed prefix: the prefix at which the view last changed.
+    let mut floors: Vec<HashMap<u64, u64>> = vec![HashMap::from([(0, 0)]); VIEWS.len()];
+    let mut last = vec![0u64; VIEWS.len()];
+    for chunk in stream.chunks(BATCH) {
+        let before = reference_tables(&reference);
+        reference.apply_batch(chunk).unwrap();
+        let ingested = reference.updates_ingested();
+        let tables = reference_tables(&reference);
+        for (v, floor) in floors.iter_mut().enumerate() {
+            if tables[v] != before[v] {
+                last[v] = ingested;
+            }
+            floor.insert(ingested, last[v]);
+        }
+        oracle.insert(ingested, tables);
+    }
+    let oracle = Arc::new(oracle);
+    let floors = Arc::new(floors);
+    let commits = (STREAM / BATCH) as u64;
+
+    for round in 0..6u64 {
+        let mut live = build_ring(StorageBackend::Hash);
+        let handle = live.reader();
+        // `updates_ingested` after the latest commit whose `apply_batch` returned,
+        // and how many commits that was.
+        let committed = Arc::new(AtomicU64::new(0));
+        let progress = Arc::new(AtomicU64::new(0));
+        let done = Arc::new(AtomicBool::new(false));
+        let readers: Vec<_> = (0..VIEWS.len())
+            .map(|v| {
+                let (handle, oracle, floors) =
+                    (handle.clone(), Arc::clone(&oracle), Arc::clone(&floors));
+                let (committed, progress, done) = (
+                    Arc::clone(&committed),
+                    Arc::clone(&progress),
+                    Arc::clone(&done),
+                );
+                let start = if v == 0 {
+                    0
+                } else {
+                    (round * 7 + v as u64 * 13) % commits
+                };
+                std::thread::spawn(move || {
+                    let name = VIEWS[v].0;
+                    while progress.load(Ordering::SeqCst) < start && !done.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    let mut seen = 0u64;
+                    let mut acquires = 0usize;
+                    loop {
+                        let finished = done.load(Ordering::SeqCst);
+                        let floor = floors[v][&committed.load(Ordering::SeqCst)];
+                        let snapshot = handle.snapshot_named(name).unwrap();
+                        let ingested = snapshot.ingested();
+                        assert!(
+                            ingested >= seen,
+                            "{name}: ingested went {seen} -> {ingested}"
+                        );
+                        assert!(
+                            ingested >= floor,
+                            "{name}: {ingested} misses the commit at {floor}"
+                        );
+                        assert_eq!(&snapshot.table(), oracle_table(&oracle, ingested, name));
+                        seen = ingested;
+                        acquires += 1;
+                        if finished {
+                            return acquires;
+                        }
+                    }
+                })
+            })
+            .collect();
+        for chunk in stream.chunks(BATCH) {
+            live.apply_batch(chunk).unwrap();
+            committed.store(live.updates_ingested(), Ordering::SeqCst);
+            progress.fetch_add(1, Ordering::SeqCst);
+        }
+        done.store(true, Ordering::SeqCst);
+        for reader in readers {
+            assert!(reader.join().unwrap() > 0);
+        }
+        let last = live.updates_ingested();
+        for (name, _) in VIEWS {
+            assert_eq!(
+                &handle.snapshot_named(name).unwrap().table(),
+                oracle_table(&oracle, last, name)
+            );
+        }
+    }
+}
+
+/// Property 11: a view nobody reads holds at most one pending entry per key it
+/// wrote since its snapshot was last built, and — since a group created and
+/// deleted again between two builds leaves no entry — at most its published rows
+/// plus its live rows, over 20 000 rounds of fresh keys that are inserted and
+/// deleted again. `repair_view` publishes the view whole, which discards pending;
+/// the final acquire builds the rest.
+#[test]
+fn pending_stays_within_the_keys_written_since_the_last_build() {
+    let mut ring = RingBuilder::new(catalog()).build();
+    let cold = ring
+        .create_view("r_by_a", ViewDef::Agca(VIEWS[0].1))
+        .unwrap();
+    let hot = ring
+        .create_view("s_count", ViewDef::Agca(VIEWS[2].1))
+        .unwrap();
+    let handle = ring.reader();
+    handle.snapshot(hot).unwrap();
+    let fresh = |round: i64| (100 + 4 * round)..(104 + 4 * round);
+    let mut written: std::collections::HashSet<i64> = std::collections::HashSet::new();
+    let mut peak = 0;
+    for round in 0..20_000i64 {
+        let mut batch = groups(fresh(round), true);
+        if round > 0 {
+            batch.extend(groups(fresh(round - 1), false));
+        }
+        // Three long-lived groups whose values keep changing.
+        batch.extend(groups(0..3, true));
+        if round % 7 == 0 {
+            batch.push(Update::insert("S", vec![Value::int(round % 3)]));
+        }
+        for update in &batch {
+            if update.relation == "R" {
+                written.insert(update.values[0].as_int().unwrap());
+            }
+        }
+        ring.apply_batch(&batch).unwrap();
+        handle.snapshot(hot).unwrap();
+        let pending = ring.snapshot_pending_entries();
+        let live = ring.view(cold).unwrap().total_entries();
+        assert!(pending <= written.len(), "round {round}: {pending} pending");
+        assert!(
+            pending <= ring.snapshot_footprint() + live,
+            "round {round}: {pending} pending"
+        );
+        peak = peak.max(pending);
+        if round % 1000 == 500 {
+            ring.repair_view(cold).unwrap();
+            assert_eq!(ring.snapshot_pending_entries(), 0);
+            written.clear();
+        }
+    }
+    // The three long-lived groups, the four fresh ones alive, and the deletions of
+    // the four that were alive when the view was last built: fresh groups deleted
+    // again before a build stay out of pending.
+    assert!(peak <= 11, "{peak} pending at the peak");
+    let stats = ring.snapshot_publish_stats();
+    assert_eq!(stats.pulled, 0);
+    assert!(stats.deferred >= 20_000);
+    let snapshot = handle.snapshot(cold).unwrap();
+    assert_eq!(snapshot.table(), ring.view(cold).unwrap().table());
+    assert_eq!(ring.snapshot_publish_stats().pulled, 1);
+    assert_eq!(ring.snapshot_pending_entries(), 0);
 }
