@@ -1,5 +1,5 @@
 //! Criterion bench: per-tuple `apply_all` against chunked `apply_batch` (DeltaBatch
-//! normalization included) at several batch sizes, on both storage backends.
+//! normalization included) at several batch sizes.
 //!
 //! Every measurement applies the *same* number of stream updates per iteration (one
 //! chunk of `batch_size`), so the per-tuple and batch ids at one size are directly
@@ -11,17 +11,14 @@
 //! (append `-- batch` or `-- per_tuple` to smoke one side only, as CI does).
 
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
-use dbring::{
-    compile, BatchNormalizer, Executor, HashViewStorage, OrderedViewStorage, TriggerProgram,
-    ViewStorage,
-};
+use dbring::{compile, BatchNormalizer, Executor, TriggerProgram};
 use dbring_workloads::{customers_by_nation, sales_revenue_int, WorkloadConfig};
 use std::hint::black_box;
 
-/// One backend's measurements at one batch size: identical chunk scheme on both paths.
-fn bench_backend<S: ViewStorage>(
+/// The measurements at one batch size: identical chunk scheme on both paths. Ids keep
+/// the `hash` segment they were recorded under.
+fn bench_size(
     group: &mut BenchmarkGroup<'_>,
-    backend: &str,
     case: &str,
     batch_size: usize,
     program: &TriggerProgram,
@@ -29,9 +26,9 @@ fn bench_backend<S: ViewStorage>(
 ) {
     let chunks: Vec<&[dbring::Update]> = workload.stream.chunks(batch_size).collect();
     group.bench_function(
-        BenchmarkId::new(format!("{case}/{backend}/per_tuple"), batch_size),
+        BenchmarkId::new(format!("{case}/hash/per_tuple"), batch_size),
         |b| {
-            let mut exec = Executor::<S>::with_backend(program.clone());
+            let mut exec = Executor::new(program.clone());
             exec.apply_all(&workload.initial).unwrap();
             let mut i = 0usize;
             b.iter(|| {
@@ -42,9 +39,9 @@ fn bench_backend<S: ViewStorage>(
         },
     );
     group.bench_function(
-        BenchmarkId::new(format!("{case}/{backend}/batch"), batch_size),
+        BenchmarkId::new(format!("{case}/hash/batch"), batch_size),
         |b| {
-            let mut exec = Executor::<S>::with_backend(program.clone());
+            let mut exec = Executor::new(program.clone());
             exec.apply_all(&workload.initial).unwrap();
             // The production batch path: interned fixed-width normalization with
             // scratch persisting across iterations, as in `Ring::apply_batch`.
@@ -90,12 +87,7 @@ fn bench_batch_crossover(c: &mut Criterion) {
     ] {
         let program = compile(&workload.catalog, &workload.query).unwrap();
         for batch_size in [8usize, 64, 256] {
-            bench_backend::<HashViewStorage>(
-                &mut group, "hash", case, batch_size, &program, workload,
-            );
-            bench_backend::<OrderedViewStorage>(
-                &mut group, "ordered", case, batch_size, &program, workload,
-            );
+            bench_size(&mut group, case, batch_size, &program, workload);
         }
     }
 

@@ -16,26 +16,18 @@
 //! Run with: `cargo run --release -p dbring-bench --bin exp_intern`
 //! (add `-- --quick` for the CI parity smoke; the wall-clock gate only runs full)
 
-use dbring::{HashViewStorage, OrderedViewStorage};
 use dbring_bench::{fmt_ns, header, intern_point, write_bench_json, BenchRow, InternPoint};
 use dbring_workloads::{customers_by_nation, sales_revenue_int, Workload, WorkloadConfig};
 
-fn sweep<S: dbring::ViewStorage>(
-    backend: &str,
-    workload: &Workload,
-    sizes: &[usize],
-) -> Vec<InternPoint> {
-    let points: Vec<InternPoint> = sizes
-        .iter()
-        .map(|&k| intern_point::<S>(workload, k))
-        .collect();
+fn sweep(workload: &Workload, sizes: &[usize]) -> Vec<InternPoint> {
+    let points: Vec<InternPoint> = sizes.iter().map(|&k| intern_point(workload, k)).collect();
     println!(
-        "[{backend}] {:>6} | {:>12} | {:>12} | {:>12} | {:>8} | {:>10} | {:>9}",
+        "{:>6} | {:>12} | {:>12} | {:>12} | {:>8} | {:>10} | {:>9}",
         "batch", "per-tuple/upd", "classic/upd", "interned/upd", "vs pt", "vs classic", "b ops/upd"
     );
     for p in &points {
         println!(
-            "[{backend}] {:>6} | {:>12} | {:>12} | {:>12} | {:>7.2}x | {:>9.2}x | {:>9.1}",
+            "{:>6} | {:>12} | {:>12} | {:>12} | {:>7.2}x | {:>9.2}x | {:>9.1}",
             p.batch_size,
             fmt_ns(p.per_tuple_ns),
             fmt_ns(p.classic_ns),
@@ -48,22 +40,23 @@ fn sweep<S: dbring::ViewStorage>(
     points
 }
 
-fn collect_rows(case: &str, backend: &str, points: &[InternPoint], rows: &mut Vec<BenchRow>) {
+/// Series names keep the `hash` segment of the recorded BENCH_exp_intern.json rows.
+fn collect_rows(case: &str, points: &[InternPoint], rows: &mut Vec<BenchRow>) {
     for p in points {
         rows.push(BenchRow {
-            series: format!("{case}/{backend}/per_tuple"),
+            series: format!("{case}/hash/per_tuple"),
             batch_size: p.batch_size,
             ns_per_update: p.per_tuple_ns,
             ops_per_update: p.per_tuple_ops,
         });
         rows.push(BenchRow {
-            series: format!("{case}/{backend}/classic"),
+            series: format!("{case}/hash/classic"),
             batch_size: p.batch_size,
             ns_per_update: p.classic_ns,
             ops_per_update: p.batch_ops,
         });
         rows.push(BenchRow {
-            series: format!("{case}/{backend}/interned"),
+            series: format!("{case}/hash/interned"),
             batch_size: p.batch_size,
             ns_per_update: p.interned_ns,
             ops_per_update: p.batch_ops,
@@ -96,44 +89,34 @@ fn main() {
 
     header("E14: interned fixed-width keys vs classic normalization (E10 hot-key row)");
     let workload = hot_key_revenue(quick);
-    let mut hash_points = sweep::<HashViewStorage>("hash", &workload, sizes);
-    let mut ordered_points = sweep::<OrderedViewStorage>("ordered", &workload, sizes);
+    let mut points = sweep(&workload, sizes);
 
     if !quick {
         // The recorded gate: the hot-key degree-1 row flips to a wall-clock win.
         // Wall-clock gates are noisy, so re-measure (fresh workload each attempt,
         // like exp_ring) before declaring a regression.
         for attempt in 0..3 {
-            let hash_best = hash_points
+            let best = points
                 .iter()
                 .map(InternPoint::speedup_vs_per_tuple)
                 .fold(f64::MIN, f64::max);
-            let ordered_best = ordered_points
-                .iter()
-                .map(InternPoint::speedup_vs_per_tuple)
-                .fold(f64::MIN, f64::max);
-            if hash_best > 1.0 && ordered_best > 1.0 {
+            if best > 1.0 {
                 println!(
                     "gate: hot-key row flips to a wall-clock win \
-                     (best interned speedup vs per-tuple: hash {hash_best:.2}x, \
-                     ordered {ordered_best:.2}x)"
+                     (best interned speedup vs per-tuple: {best:.2}x)"
                 );
                 break;
             }
             assert!(
                 attempt < 2,
                 "E14 gate failed after 3 attempts: interned batch path must beat \
-                 per-tuple wall-clock on the hot-key row (hash best {hash_best:.2}x, \
-                 ordered best {ordered_best:.2}x)"
+                 per-tuple wall-clock on the hot-key row (best {best:.2}x)"
             );
             println!("gate attempt {} inconclusive; re-measuring", attempt + 1);
-            let retry = hot_key_revenue(quick);
-            hash_points = sweep::<HashViewStorage>("hash", &retry, sizes);
-            ordered_points = sweep::<OrderedViewStorage>("ordered", &retry, sizes);
+            points = sweep(&hot_key_revenue(quick), sizes);
         }
     }
-    collect_rows("revenue_hot", "hash", &hash_points, &mut rows);
-    collect_rows("revenue_hot", "ordered", &ordered_points, &mut rows);
+    collect_rows("revenue_hot", &points, &mut rows);
 
     // Where interning can lose: string group keys at tiny batch sizes — every fresh
     // string pays an interner hash that the classic comparison sort never does, and a
@@ -147,8 +130,8 @@ fn main() {
         delete_fraction: 0.2,
     });
     let string_sizes: &[usize] = if quick { &[4] } else { &[1, 4, 16] };
-    let string_points = sweep::<HashViewStorage>("hash", &strings, string_sizes);
-    collect_rows("nation_strings", "hash", &string_points, &mut rows);
+    let string_points = sweep(&strings, string_sizes);
+    collect_rows("nation_strings", &string_points, &mut rows);
 
     let path = write_bench_json("exp_intern", &rows).expect("write BENCH_exp_intern.json");
     println!("\nwrote {path} ({} rows)", rows.len());

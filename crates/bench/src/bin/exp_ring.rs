@@ -20,19 +20,17 @@
 //! Run with: `cargo run --release -p dbring-bench --bin exp_ring`
 //! (add `-- --quick` for a faster, smaller sweep)
 
-use dbring::{HashViewStorage, OrderedViewStorage};
 use dbring_bench::{fmt_ns, header, ring_point, write_bench_json, BenchRow, RingPoint};
 use dbring_workloads::{sales_dashboard, MultiViewWorkload, WorkloadConfig};
 
-fn sweep<S: dbring::ViewStorage + Send + 'static>(
-    backend: &str,
+fn sweep(
     workload: &MultiViewWorkload,
     view_counts: &[usize],
     batch_sizes: &[usize],
 ) -> Vec<RingPoint> {
     let mut points = Vec::new();
     println!(
-        "[{backend}] {:>5} | {:>5} | {:>10} | {:>13} | {:>10} | {:>7} | {:>9} | {:>9}",
+        "{:>5} | {:>5} | {:>10} | {:>13} | {:>10} | {:>7} | {:>9} | {:>9}",
         "views",
         "batch",
         "ring/upd",
@@ -44,9 +42,9 @@ fn sweep<S: dbring::ViewStorage + Send + 'static>(
     );
     for &k in view_counts {
         for &batch in batch_sizes {
-            let p = ring_point::<S>(workload, k, batch);
+            let p = ring_point(workload, k, batch);
             println!(
-                "[{backend}] {:>5} | {:>5} | {:>10} | {:>13} | {:>10} | {:>6.2}x | {:>8.2}x | {:>9.1}",
+                "{:>5} | {:>5} | {:>10} | {:>13} | {:>10} | {:>6.2}x | {:>8.2}x | {:>9.1}",
                 p.views,
                 p.batch_size,
                 fmt_ns(p.ring_ns),
@@ -62,21 +60,20 @@ fn sweep<S: dbring::ViewStorage + Send + 'static>(
     points
 }
 
-/// Runs [`sweep`] under the per-backend acceptance gate: with k >= 4 views, ingesting
-/// one stream into a ring must beat k independent `apply_batch` loops at capability
-/// parity on THIS backend. Because this is a wall-clock gate (unlike the
+/// Runs [`sweep`] under the acceptance gate: with k >= 4 views, ingesting one stream
+/// into a ring must beat k independent `apply_batch` loops at capability parity.
+/// Because this is a wall-clock gate (unlike the
 /// deterministic table/ExecStats parity asserted inside every `ring_point`), a loaded
 /// runner can lose a single sample to scheduler noise — so a failed attempt is
 /// re-measured up to two times before the gate trips for real.
-fn gated_sweep<S: dbring::ViewStorage + Send + 'static>(
-    backend: &str,
+fn gated_sweep(
     workload: &MultiViewWorkload,
     view_counts: &[usize],
     batch_sizes: &[usize],
 ) -> Vec<RingPoint> {
     const ATTEMPTS: usize = 3;
     for attempt in 1..=ATTEMPTS {
-        let points = sweep::<S>(backend, workload, view_counts, batch_sizes);
+        let points = sweep(workload, view_counts, batch_sizes);
         let winning = points
             .iter()
             .filter(|p| p.views >= 4 && p.untracked_speedup() > 1.0)
@@ -86,13 +83,13 @@ fn gated_sweep<S: dbring::ViewStorage + Send + 'static>(
         }
         if attempt < ATTEMPTS {
             println!(
-                "[{backend}] no winning k >= 4 point on attempt {attempt}/{ATTEMPTS} \
+                "no winning k >= 4 point on attempt {attempt}/{ATTEMPTS} \
                  (timing noise?); re-measuring"
             );
         }
     }
     panic!(
-        "[{backend}] no k >= 4 configuration where the ring beats independent views \
+        "no k >= 4 configuration where the ring beats independent views \
          in {ATTEMPTS} attempts"
     );
 }
@@ -134,50 +131,41 @@ fn main() {
     let mut winning = 0usize;
     let mut eligible = 0usize;
     let mut rows: Vec<BenchRow> = Vec::new();
-    for (backend, points) in [
-        (
-            "hash",
-            gated_sweep::<HashViewStorage>("hash", &workload, view_counts, batch_sizes),
-        ),
-        (
-            "ordered",
-            gated_sweep::<OrderedViewStorage>("ordered", &workload, view_counts, batch_sizes),
-        ),
-    ] {
-        for p in &points {
-            if p.views >= 4 {
-                eligible += 1;
-                if p.untracked_speedup() > 1.0 {
-                    winning += 1;
-                }
-            }
-            for (series, ns) in [
-                ("ring", p.ring_ns),
-                ("ring-untracked", p.ring_untracked_ns),
-                ("independent", p.independent_ns),
-            ] {
-                rows.push(BenchRow {
-                    series: format!("{backend}/k{}/{series}", p.views),
-                    batch_size: p.batch_size,
-                    ns_per_update: ns,
-                    ops_per_update: p.ops_per_update,
-                });
+    let points = gated_sweep(&workload, view_counts, batch_sizes);
+    for p in &points {
+        if p.views >= 4 {
+            eligible += 1;
+            if p.untracked_speedup() > 1.0 {
+                winning += 1;
             }
         }
-        let best = points
-            .iter()
-            .filter(|p| p.views >= 4)
-            .max_by(|a, b| a.untracked_speedup().total_cmp(&b.untracked_speedup()));
-        if let Some(p) = best {
-            println!(
-                "[{backend}] best k >= 4 amortization: {} views, batch {} -> {:.2}x \
-                 (untracked; {:.2}x with snapshot tracking)",
-                p.views,
-                p.batch_size,
-                p.untracked_speedup(),
-                p.speedup()
-            );
+        // Series names keep the `hash` segment of the recorded BENCH_exp_ring.json rows.
+        for (series, ns) in [
+            ("ring", p.ring_ns),
+            ("ring-untracked", p.ring_untracked_ns),
+            ("independent", p.independent_ns),
+        ] {
+            rows.push(BenchRow {
+                series: format!("hash/k{}/{series}", p.views),
+                batch_size: p.batch_size,
+                ns_per_update: ns,
+                ops_per_update: p.ops_per_update,
+            });
         }
+    }
+    let best = points
+        .iter()
+        .filter(|p| p.views >= 4)
+        .max_by(|a, b| a.untracked_speedup().total_cmp(&b.untracked_speedup()));
+    if let Some(p) = best {
+        println!(
+            "best k >= 4 amortization: {} views, batch {} -> {:.2}x \
+             (untracked; {:.2}x with snapshot tracking)",
+            p.views,
+            p.batch_size,
+            p.untracked_speedup(),
+            p.speedup()
+        );
     }
     println!(
         "\nring (untracked) beats k >= 4 independent view loops in {winning} of {eligible} \

@@ -20,13 +20,13 @@
 //! commits, so this first acquire builds them.
 //!
 //! Run with: `cargo run --release -p dbring-bench --bin exp_serve`
-//! (add `-- --quick` for the CI smoke: hash backend only, fewer readers)
+//! (add `-- --quick` for the CI smoke: fewer readers, shorter runs)
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use dbring::{Ring, RingBuilder, StorageBackend, Value, ViewDef};
+use dbring::{Ring, RingBuilder, Value, ViewDef};
 use dbring_bench::{fmt_ns, header, write_bench_json, BenchRow};
 use dbring_workloads::{sales_dashboard, MultiViewWorkload, WorkloadConfig};
 
@@ -34,7 +34,6 @@ const BATCH: usize = 256;
 const READ_VIEW: &str = "revenue_by_cust";
 
 struct ServePoint {
-    backend: StorageBackend,
     readers: usize,
     reads_per_sec: f64,
     read_mean_ns: f64,
@@ -47,10 +46,8 @@ struct ServePoint {
     publish_share: f64,
 }
 
-fn build_ring(backend: StorageBackend, workload: &MultiViewWorkload) -> Ring {
-    let mut ring = RingBuilder::new(workload.catalog.clone())
-        .backend(backend)
-        .build();
+fn build_ring(workload: &MultiViewWorkload) -> Ring {
+    let mut ring = RingBuilder::new(workload.catalog.clone()).build();
     for (name, query) in &workload.views {
         ring.create_view(*name, ViewDef::Query(query.clone()))
             .expect("create view");
@@ -68,13 +65,12 @@ fn quantile(sorted: &[u64], q: f64) -> f64 {
 }
 
 fn serve_point(
-    backend: StorageBackend,
     workload: &MultiViewWorkload,
     readers: usize,
     domain: usize,
     run_ms: u64,
 ) -> ServePoint {
-    let mut ring = build_ring(backend, workload);
+    let mut ring = build_ring(workload);
     // Acquire the handle (and so enable serving) BEFORE the writer starts: from here
     // on every batch commit publishes fresh snapshots.
     let handle = ring.reader();
@@ -174,7 +170,6 @@ fn serve_point(
     let mean = samples.iter().sum::<u64>() as f64 / total_reads.max(1) as f64;
     samples.sort_unstable();
     ServePoint {
-        backend,
         readers,
         reads_per_sec: total_reads as f64 / (run_ms as f64 / 1e3),
         read_mean_ns: mean,
@@ -189,7 +184,8 @@ fn serve_point(
 }
 
 fn rows_for(p: &ServePoint) -> Vec<BenchRow> {
-    let prefix = format!("serve/{}/readers{}", p.backend.name(), p.readers);
+    // Series names keep the `hash` segment of the recorded BENCH_exp_serve.json rows.
+    let prefix = format!("serve/hash/readers{}", p.readers);
     let row = |metric: &str, ns: f64, ops: f64| BenchRow {
         series: format!("{prefix}/{metric}"),
         batch_size: BATCH,
@@ -233,11 +229,6 @@ fn main() {
     let domain = config.domain_size;
     let run_ms: u64 = if quick { 200 } else { 1_500 };
     let reader_counts: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8] };
-    let backends: &[StorageBackend] = if quick {
-        &[StorageBackend::Hash]
-    } else {
-        &[StorageBackend::Hash, StorageBackend::Ordered]
-    };
     let workload = sales_dashboard(config);
 
     header(&format!(
@@ -258,37 +249,25 @@ fn main() {
     );
 
     let mut rows = Vec::new();
-    for &backend in backends {
+    println!(
+        "\n{:>7} | {:>11} | {:>9} | {:>9} | {:>9} | {:>9} | {:>10} | {:>9} | {:>7}",
+        "readers", "reads/s", "mean", "p50", "p95", "p99", "acquire", "write/upd", "publish"
+    );
+    for &readers in reader_counts {
+        let p = serve_point(&workload, readers, domain, run_ms);
         println!(
-            "\n[{}] {:>7} | {:>11} | {:>9} | {:>9} | {:>9} | {:>9} | {:>10} | {:>9} | {:>7}",
-            backend.name(),
-            "readers",
-            "reads/s",
-            "mean",
-            "p50",
-            "p95",
-            "p99",
-            "acquire",
-            "write/upd",
-            "publish"
+            "{:>7} | {:>11.0} | {:>9} | {:>9} | {:>9} | {:>9} | {:>10} | {:>9} | {:>6.1}%",
+            p.readers,
+            p.reads_per_sec,
+            fmt_ns(p.read_mean_ns),
+            fmt_ns(p.read_p50_ns),
+            fmt_ns(p.read_p95_ns),
+            fmt_ns(p.read_p99_ns),
+            fmt_ns(p.acquire_mean_ns),
+            fmt_ns(p.write_ns_per_update),
+            p.publish_share * 100.0,
         );
-        for &readers in reader_counts {
-            let p = serve_point(backend, &workload, readers, domain, run_ms);
-            println!(
-                "[{}] {:>7} | {:>11.0} | {:>9} | {:>9} | {:>9} | {:>9} | {:>10} | {:>9} | {:>6.1}%",
-                backend.name(),
-                p.readers,
-                p.reads_per_sec,
-                fmt_ns(p.read_mean_ns),
-                fmt_ns(p.read_p50_ns),
-                fmt_ns(p.read_p95_ns),
-                fmt_ns(p.read_p99_ns),
-                fmt_ns(p.acquire_mean_ns),
-                fmt_ns(p.write_ns_per_update),
-                p.publish_share * 100.0,
-            );
-            rows.extend(rows_for(&p));
-        }
+        rows.extend(rows_for(&p));
     }
 
     match write_bench_json("exp_serve", &rows) {

@@ -9,8 +9,7 @@
 use std::time::{Duration, Instant};
 
 use dbring::{
-    compile, ClassicalIvm, Executor, HashViewStorage, InterpretedExecutor, MaintenanceStrategy,
-    NaiveReeval, OrderedViewStorage, StorageFootprint,
+    compile, ClassicalIvm, Executor, InterpretedExecutor, MaintenanceStrategy, NaiveReeval,
 };
 use dbring_workloads::Workload;
 use serde::Serialize;
@@ -283,88 +282,10 @@ pub fn lowering_point(workload: &Workload) -> LoweringPoint {
     }
 }
 
-/// One row of the storage-backend sweep: per-update cost and memory proxy of the lowered
-/// executor on the hash backend vs the ordered backend (same compiled program, same
-/// update stream — the difference is purely the [`dbring::ViewStorage`] backend under
-/// the plan's probe/enumerate/write ops).
-#[derive(Clone, Copy, Debug)]
-pub struct StoragePoint {
-    /// Initial database size (number of bulk-loaded updates).
-    pub initial_size: usize,
-    /// Mean per-update latency on the hash backend, in nanoseconds.
-    pub hash_ns: f64,
-    /// Mean per-update latency on the ordered backend, in nanoseconds.
-    pub ordered_ns: f64,
-    /// Mean arithmetic operations per update (identical on both backends by
-    /// construction — asserted here, property-tested in `dbring-runtime`).
-    pub ops_per_update: f64,
-    /// Entry/index-entry counts of the hash-backed view hierarchy after the stream.
-    pub hash_footprint: StorageFootprint,
-    /// Entry/index-entry counts of the ordered-backed view hierarchy after the stream.
-    pub ordered_footprint: StorageFootprint,
-}
-
-impl StoragePoint {
-    /// Ordered time over hash time (> 1 means the hash backend is faster).
-    pub fn ordered_over_hash(&self) -> f64 {
-        if self.hash_ns > 0.0 {
-            self.ordered_ns / self.hash_ns
-        } else {
-            f64::NAN
-        }
-    }
-}
-
-/// Runs one workload through the lowered executor on both storage backends and reports
-/// per-update cost plus the memory proxy (the shared setup of `exp_storage` and the
-/// `storage_backends` bench). Asserts that the two backends perform identical ring work
-/// and reach identical output tables.
-pub fn storage_point(workload: &Workload) -> StoragePoint {
-    let program = compile(&workload.catalog, &workload.query).expect("workload compiles");
-    let streamed = workload.stream.len().max(1) as f64;
-
-    let mut hash = Executor::<HashViewStorage>::with_backend(program.clone());
-    hash.apply_all(&workload.initial)
-        .expect("bulk load succeeds");
-    hash.reset_stats();
-    let started = Instant::now();
-    hash.apply_all(&workload.stream)
-        .expect("hash backend applies stream");
-    let hash_ns = started.elapsed().as_nanos() as f64 / streamed;
-    let hash_stats = hash.stats();
-
-    let mut ordered = Executor::<OrderedViewStorage>::with_backend(program);
-    ordered
-        .apply_all(&workload.initial)
-        .expect("bulk load succeeds");
-    ordered.reset_stats();
-    let started = Instant::now();
-    ordered
-        .apply_all(&workload.stream)
-        .expect("ordered backend applies stream");
-    let ordered_ns = started.elapsed().as_nanos() as f64 / streamed;
-
-    assert_eq!(
-        hash_stats,
-        ordered.stats(),
-        "storage backends must perform identical ring work"
-    );
-    assert_eq!(hash.output_table(), ordered.output_table());
-
-    StoragePoint {
-        initial_size: workload.initial.len(),
-        hash_ns,
-        ordered_ns,
-        ops_per_update: hash_stats.arithmetic_ops() as f64 / streamed,
-        hash_footprint: hash.storage_footprint(),
-        ordered_footprint: ordered.storage_footprint(),
-    }
-}
-
 /// One row of the batch-crossover sweep: per-update cost of the per-tuple path against
-/// the batch path at one batch size, on one storage backend (same compiled program,
-/// same update stream — the difference is purely `apply_all` vs `apply_batch`, with
-/// the batch figure *including* `DeltaBatch` normalization).
+/// the batch path at one batch size (same compiled program, same update stream — the
+/// difference is purely `apply_all` vs `apply_batch`, with the batch figure
+/// *including* `DeltaBatch` normalization).
 #[derive(Clone, Copy, Debug)]
 pub struct BatchPoint {
     /// Number of stream updates per batch.
@@ -394,18 +315,18 @@ impl BatchPoint {
 }
 
 /// Runs one workload's stream through per-tuple `apply_all` and through `apply_batch`
-/// in chunks of `batch_size`, on the storage backend named by the type parameter (the
-/// shared setup of `exp_batch` and the `batch_crossover` bench). Asserts that both
+/// in chunks of `batch_size` (the shared setup of `exp_batch` and the
+/// `batch_crossover` bench). Asserts that both
 /// paths reach identical output tables and view hierarchies — so pass an
 /// integer-valued workload (e.g. `sales_revenue_int`, not `sales_revenue`): float
 /// aggregates may legitimately differ by rounding, since the batch path reorders the
 /// accumulation.
-pub fn batch_point<S: dbring::ViewStorage>(workload: &Workload, batch_size: usize) -> BatchPoint {
+pub fn batch_point(workload: &Workload, batch_size: usize) -> BatchPoint {
     use dbring::BatchNormalizer;
     let program = compile(&workload.catalog, &workload.query).expect("workload compiles");
     let streamed = workload.stream.len().max(1) as f64;
 
-    let mut per_tuple = Executor::<S>::with_backend(program.clone());
+    let mut per_tuple = Executor::new(program.clone());
     per_tuple
         .apply_all(&workload.initial)
         .expect("bulk load succeeds");
@@ -416,7 +337,7 @@ pub fn batch_point<S: dbring::ViewStorage>(workload: &Workload, batch_size: usiz
         .expect("per-tuple path applies stream");
     let per_tuple_ns = started.elapsed().as_nanos() as f64 / streamed;
 
-    let mut batched = Executor::<S>::with_backend(program);
+    let mut batched = Executor::new(program);
     batched
         .apply_all(&workload.initial)
         .expect("bulk load succeeds");
@@ -454,7 +375,7 @@ pub fn batch_point<S: dbring::ViewStorage>(workload: &Workload, batch_size: usiz
 /// One row of the interning experiment: per-update cost of three ingest paths over the
 /// same stream — per-tuple `apply_all`, chunked `apply_batch` fed by the *classic*
 /// `DeltaBatch::from_updates` comparison sort, and chunked `apply_batch` fed by the
-/// *interned* fixed-width [`BatchNormalizer`](dbring::BatchNormalizer) — on one storage backend. Both batch
+/// *interned* fixed-width [`BatchNormalizer`](dbring::BatchNormalizer). Both batch
 /// figures include their normalization cost; parity (equal tables, bit-identical
 /// `ExecStats` between the two batch paths) is asserted on every run.
 #[derive(Clone, Copy, Debug)]
@@ -497,18 +418,18 @@ impl InternPoint {
 }
 
 /// Runs one workload's stream through per-tuple `apply_all`, the classic
-/// `DeltaBatch::from_updates` batch path, and the interned [`BatchNormalizer`](dbring::BatchNormalizer) batch
-/// path, in chunks of `batch_size`, on the storage backend named by the type parameter
+/// `DeltaBatch::from_updates` batch path, and the interned
+/// [`BatchNormalizer`](dbring::BatchNormalizer) batch path, in chunks of `batch_size`
 /// (the setup of `exp_intern`). Asserts on every run that the two batch paths reach
 /// identical tables AND bit-identical `ExecStats`, and that both match the per-tuple
 /// table — so pass an integer-valued workload.
-pub fn intern_point<S: dbring::ViewStorage>(workload: &Workload, batch_size: usize) -> InternPoint {
+pub fn intern_point(workload: &Workload, batch_size: usize) -> InternPoint {
     use dbring::{BatchNormalizer, DeltaBatch};
     let program = compile(&workload.catalog, &workload.query).expect("workload compiles");
     let streamed = workload.stream.len().max(1) as f64;
     let chunk_size = batch_size.max(1);
 
-    let mut per_tuple = Executor::<S>::with_backend(program.clone());
+    let mut per_tuple = Executor::new(program.clone());
     per_tuple
         .apply_all(&workload.initial)
         .expect("bulk load succeeds");
@@ -519,7 +440,7 @@ pub fn intern_point<S: dbring::ViewStorage>(workload: &Workload, batch_size: usi
         .expect("per-tuple path applies stream");
     let per_tuple_ns = started.elapsed().as_nanos() as f64 / streamed;
 
-    let mut classic = Executor::<S>::with_backend(program.clone());
+    let mut classic = Executor::new(program.clone());
     classic
         .apply_all(&workload.initial)
         .expect("bulk load succeeds");
@@ -533,7 +454,7 @@ pub fn intern_point<S: dbring::ViewStorage>(workload: &Workload, batch_size: usi
     }
     let classic_ns = started.elapsed().as_nanos() as f64 / streamed;
 
-    let mut interned = Executor::<S>::with_backend(program);
+    let mut interned = Executor::new(program);
     interned
         .apply_all(&workload.initial)
         .expect("bulk load succeeds");
@@ -579,7 +500,7 @@ pub fn intern_point<S: dbring::ViewStorage>(workload: &Workload, batch_size: usi
 /// One row of the multi-view amortization sweep: total per-update cost of ingesting
 /// one stream into a `Ring` of `k` views against `k` independent
 /// `Executor::apply_batch` loops, each with its own normalizer, over the same stream
-/// (same compiled programs, same storage backend, same chunking — the differences are
+/// (same compiled programs, same chunking — the differences are
 /// one shared `DeltaBatch` normalization per chunk instead of `k`, routed dispatch,
 /// and — for the tracked ring — base-snapshot maintenance, which is what buys late
 /// view registration).
@@ -626,19 +547,12 @@ impl RingPoint {
 /// Runs the first `views` queries of a [`MultiViewWorkload`](dbring_workloads::MultiViewWorkload) three ways — a default
 /// ring, a ring without base tracking, and `k` independent `Executor`s, each
 /// normalizing every chunk itself — ingesting the same stream in chunks of
-/// `batch_size` on the storage backend named by the type parameter (the shared setup
-/// of `exp_ring`). Asserts, per view, that all three reach
+/// `batch_size` (the shared setup of `exp_ring`). Asserts, per view, that all three reach
 /// identical tables *and* identical `ExecStats` — the ring's routed shared-batch
 /// dispatch must change where normalization happens, never the ring work performed.
 /// Pass an integer-valued workload (e.g. [`dbring_workloads::sales_dashboard`]) so
 /// table equality is exact.
-///
-/// `S` must be one of the **in-tree** backends: the ring sides are configured through
-/// `S::BACKEND` (the enum name), while the independent baseline is typed — for a
-/// custom backend whose `BACKEND` merely names its closest in-tree relative, the
-/// three paths would silently run different storage and the timing comparison would
-/// be meaningless.
-pub fn ring_point<S: dbring::ViewStorage + Send + 'static>(
+pub fn ring_point(
     workload: &dbring_workloads::MultiViewWorkload,
     views: usize,
     batch_size: usize,
@@ -654,7 +568,7 @@ pub fn ring_point<S: dbring::ViewStorage + Send + 'static>(
     let chunk = batch_size.max(1);
 
     let build_ring = |tracked: bool| {
-        let builder = RingBuilder::new(workload.catalog.clone()).backend(S::BACKEND);
+        let builder = RingBuilder::new(workload.catalog.clone());
         let builder = if tracked {
             builder
         } else {
@@ -695,14 +609,11 @@ pub fn ring_point<S: dbring::ViewStorage + Send + 'static>(
 
     // Each independent executor gets its own normalizer, so the ring's only
     // advantages are the shared normalization and routing.
-    let mut independent: Vec<(Executor<S>, dbring::BatchNormalizer)> = defs
+    let mut independent: Vec<(Executor, dbring::BatchNormalizer)> = defs
         .iter()
         .map(|(_, query)| {
             let program = compile(&workload.catalog, query).expect("dashboard views compile");
-            (
-                Executor::<S>::with_backend(program),
-                dbring::BatchNormalizer::new(),
-            )
+            (Executor::new(program), dbring::BatchNormalizer::new())
         })
         .collect();
     for (exec, normalizer) in &mut independent {
@@ -777,7 +688,7 @@ pub fn header(title: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbring_workloads::{customers_by_nation, self_join_count, WorkloadConfig};
+    use dbring_workloads::{self_join_count, WorkloadConfig};
 
     #[test]
     fn sweep_point_produces_sane_numbers() {
@@ -815,28 +726,6 @@ mod tests {
     }
 
     #[test]
-    fn storage_point_produces_sane_numbers() {
-        let workload = customers_by_nation(WorkloadConfig {
-            seed: 3,
-            initial_size: 80,
-            stream_length: 80,
-            domain_size: 8,
-            delete_fraction: 0.2,
-        });
-        let point = storage_point(&workload);
-        assert_eq!(point.initial_size, 80);
-        assert!(point.hash_ns > 0.0);
-        assert!(point.ordered_ns > 0.0);
-        assert!(point.ops_per_update > 0.0);
-        assert!(point.ordered_over_hash() > 0.0);
-        assert_eq!(
-            point.hash_footprint.entries,
-            point.ordered_footprint.entries
-        );
-        assert!(point.ordered_footprint.index_entries <= point.hash_footprint.index_entries);
-    }
-
-    #[test]
     fn batch_point_produces_sane_numbers_on_both_backends() {
         use dbring_workloads::sales_revenue_int;
         let workload = sales_revenue_int(WorkloadConfig {
@@ -846,20 +735,16 @@ mod tests {
             domain_size: 8,
             delete_fraction: 0.2,
         });
-        for point in [
-            batch_point::<dbring::HashViewStorage>(&workload, 32),
-            batch_point::<dbring::OrderedViewStorage>(&workload, 32),
-        ] {
-            assert_eq!(point.batch_size, 32);
-            assert!(point.per_tuple_ns > 0.0);
-            assert!(point.batch_ns > 0.0);
-            assert!(point.speedup() > 0.0);
-            assert!(point.per_tuple_ops > 0.0);
-            // Revenue per customer is degree-1: the batch path strictly saves ring work
-            // whenever consolidation or weighted firing collapses anything (and never
-            // does more).
-            assert!(point.batch_ops <= point.per_tuple_ops);
-        }
+        let point = batch_point(&workload, 32);
+        assert_eq!(point.batch_size, 32);
+        assert!(point.per_tuple_ns > 0.0);
+        assert!(point.batch_ns > 0.0);
+        assert!(point.speedup() > 0.0);
+        assert!(point.per_tuple_ops > 0.0);
+        // Revenue per customer is degree-1: the batch path strictly saves ring work
+        // whenever consolidation or weighted firing collapses anything (and never
+        // does more).
+        assert!(point.batch_ops <= point.per_tuple_ops);
     }
 
     #[test]
@@ -872,21 +757,17 @@ mod tests {
             domain_size: 8,
             delete_fraction: 0.2,
         });
-        for point in [
-            ring_point::<dbring::HashViewStorage>(&workload, 4, 32),
-            ring_point::<dbring::OrderedViewStorage>(&workload, 4, 32),
-        ] {
-            assert_eq!(point.views, 4);
-            assert_eq!(point.batch_size, 32);
-            assert!(point.ring_ns > 0.0);
-            assert!(point.ring_untracked_ns > 0.0);
-            assert!(point.independent_ns > 0.0);
-            assert!(point.ops_per_update > 0.0);
-            assert!(point.speedup() > 0.0);
-            assert!(point.untracked_speedup() > 0.0);
-        }
+        let point = ring_point(&workload, 4, 32);
+        assert_eq!(point.views, 4);
+        assert_eq!(point.batch_size, 32);
+        assert!(point.ring_ns > 0.0);
+        assert!(point.ring_untracked_ns > 0.0);
+        assert!(point.independent_ns > 0.0);
+        assert!(point.ops_per_update > 0.0);
+        assert!(point.speedup() > 0.0);
+        assert!(point.untracked_speedup() > 0.0);
         // The view count clamps to the workload's view list.
-        let tiny = ring_point::<dbring::HashViewStorage>(&workload, 99, 32);
+        let tiny = ring_point(&workload, 99, 32);
         assert_eq!(tiny.views, workload.views.len());
     }
 
@@ -906,7 +787,7 @@ mod tests {
             domain_size: 8,
             delete_fraction: 0.2,
         });
-        let point = intern_point::<dbring::HashViewStorage>(&workload, 32);
+        let point = intern_point(&workload, 32);
         assert_eq!(point.batch_size, 32);
         assert!(point.per_tuple_ns > 0.0);
         assert!(point.classic_ns > 0.0);
@@ -914,8 +795,6 @@ mod tests {
         assert!(point.per_tuple_ops >= point.batch_ops);
         assert!(point.speedup_vs_per_tuple() > 0.0);
         assert!(point.speedup_vs_classic() > 0.0);
-        let ordered = intern_point::<dbring::OrderedViewStorage>(&workload, 32);
-        assert_eq!(ordered.batch_ops, point.batch_ops);
     }
 
     #[test]

@@ -111,12 +111,13 @@ pub use dbring_relations::{
     Tuple, Update, Value,
 };
 pub use dbring_runtime::fault;
+#[doc(hidden)]
+pub use dbring_runtime::StorageBackend;
 pub use dbring_runtime::{
     boxed_engine, try_boxed_engine, ChangeSet, Changes, ClassicalIvm, EngineRegistry, ExecStats,
     Executor, FaultOp, FaultPlan, FaultStorage, HashViewStorage, InterpretedExecutor,
-    MaintenanceStrategy, NaiveReeval, OrderedViewStorage, PublishStats, RuntimeError,
-    SnapshotStore, StagedBatch, StorageBackend, StorageFootprint, ViewEngine, ViewSnapshot,
-    ViewStorage,
+    MaintenanceStrategy, NaiveReeval, PublishStats, RuntimeError, SnapshotStore, StagedBatch,
+    StorageFootprint, ViewEngine, ViewSnapshot, ViewStorage,
 };
 
 mod ring;
@@ -395,38 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn ordered_backend_views_agree_with_the_default() {
-        let text = "q[c] := Sum(C(c, n) * C(c2, n))";
-        let build = |backend| {
-            let mut ring = RingBuilder::new(customer_catalog())
-                .backend(backend)
-                .build();
-            let id = ring.create_view("q", ViewDef::Agca(text)).unwrap();
-            (ring, id)
-        };
-        let (mut hash, h) = build(StorageBackend::Hash);
-        let (mut ordered, o) = build(StorageBackend::Ordered);
-        for i in 0..24 {
-            let u = customer(i, &["FR", "DE", "IT"]);
-            hash.apply(&u).unwrap();
-            ordered.apply(&u).unwrap();
-        }
-        let (hash, ordered) = (hash.view(h).unwrap(), ordered.view(o).unwrap());
-        assert_eq!(hash.table(), ordered.table());
-        assert_eq!(hash.stats(), ordered.stats());
-        assert_eq!(
-            hash.storage_footprint().entries,
-            ordered.storage_footprint().entries
-        );
-        // The ordered backend serves prefix patterns from its primary sort order, so it
-        // never carries more index entries than the hash backend.
-        assert!(
-            ordered.storage_footprint().index_entries <= hash.storage_footprint().index_entries
-        );
-        assert_eq!(ordered.engine_name(), "recursive-ivm@ordered");
-    }
-
-    #[test]
     fn apply_batch_matches_apply_all_and_apply_all_reports_the_failing_index() {
         let catalog = customer_catalog();
         let text = "q[c] := Sum(C(c, n) * C(c2, n))";
@@ -487,21 +456,19 @@ mod tests {
         assert_eq!(ring.view(id).unwrap().stats().updates, 0);
     }
 
-    /// Regression (review finding): a ring must host a genuinely typed `Executor<S>`
-    /// for *any* `ViewStorage` implementation — including ones the `StorageBackend`
-    /// enum cannot name — not silently substitute a built-in backend.
-    /// `Ring::create_view_with` is the way to host an out-of-enum backend.
+    /// Regression: a ring must host a genuinely typed `Executor<S>` for *any*
+    /// `ViewStorage` implementation, not silently substitute the built-in storage.
+    /// `Ring::create_view_with` is the way to host one.
     #[test]
     fn the_facade_honors_custom_storage_backends() {
         use dbring_algebra::Number as N;
 
-        /// A delegating wrapper around the hash backend: a distinct *type* the enum
-        /// has no value for, standing in for an out-of-tree backend.
+        /// A delegating wrapper around the hash storage: a distinct *type*, standing
+        /// in for an out-of-tree storage.
         #[derive(Clone, Debug)]
         struct CustomStorage(HashViewStorage);
 
         impl ViewStorage for CustomStorage {
-            const BACKEND: StorageBackend = StorageBackend::Hash; // closest name
             fn new(key_arity: usize) -> Self {
                 CustomStorage(HashViewStorage::new(key_arity))
             }
@@ -519,6 +486,9 @@ mod tests {
             }
             fn add_ref(&mut self, key: &[Value], delta: N) -> N {
                 self.0.add_ref(key, delta)
+            }
+            fn restore(&mut self, key: &[Value], value: N) {
+                self.0.restore(key, value)
             }
             fn register_index(&mut self, positions: Vec<usize>) {
                 self.0.register_index(positions)
@@ -549,7 +519,7 @@ mod tests {
             ring.view(id).unwrap().value(&[Value::int(1)]),
             Number::Int(1)
         );
-        // A repair rebuilds the view on the same typed backend.
+        // A repair rebuilds the view on the same typed storage.
         ring.repair_view(id).unwrap();
         assert_eq!(
             ring.view(id).unwrap().value(&[Value::int(1)]),

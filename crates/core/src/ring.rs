@@ -50,17 +50,15 @@ use dbring_relations::{
     BaseFootprint, BatchNormalizer, Database, DeltaBatch, Interner, Snapshot, Update, Value,
 };
 use dbring_runtime::{
-    boxed_engine, ChangeSet, EngineRegistry, ExecStats, Executor, PublishStats, RuntimeError,
-    SnapshotAccess, SnapshotStore, StorageBackend, StorageFootprint, ViewEngine, ViewSnapshot,
-    ViewStorage,
+    try_boxed_engine, ChangeSet, EngineRegistry, ExecStats, Executor, PublishStats, RuntimeError,
+    SnapshotAccess, SnapshotStore, StorageFootprint, ViewEngine, ViewSnapshot, ViewStorage,
 };
 
 use crate::{Catalog, Error};
 
 /// How a view's engine is (re)built from its compiled program — kept per view so
 /// [`Ring::repair_view`] can rebuild exactly the kind of engine the view was created
-/// with, including typed custom-backend executors the [`StorageBackend`] enum cannot
-/// name.
+/// with, including executors on a typed storage ([`Ring::create_view_with`]).
 type EngineFactory = Arc<dyn Fn(TriggerProgram) -> Box<dyn ViewEngine> + Send + Sync>;
 
 /// The stable identity of a standing view inside one [`Ring`].
@@ -92,26 +90,22 @@ pub enum ViewDef<'a> {
     Query(Query),
 }
 
-/// Builds a [`Ring`]: catalog plus engine configuration, all chosen **by value** — no
-/// turbofish, so the backend (and any future strategy choice) can come from a config
-/// file or CLI flag. There is no thread setting: the built ring ingests on whichever
-/// thread calls it (see [`Ring::apply_batch`]).
+/// Builds a [`Ring`]: the catalog (or a loaded database) plus whether the base
+/// relations are tracked. There is no thread setting: the built ring ingests on
+/// whichever thread calls it (see [`Ring::apply_batch`]).
 ///
 /// ```
-/// use dbring::{Catalog, RingBuilder, StorageBackend};
+/// use dbring::{Catalog, RingBuilder};
 ///
 /// let mut catalog = Catalog::new();
 /// catalog.declare("Sales", &["cust", "price", "qty"]).unwrap();
-/// let ring = RingBuilder::new(catalog)
-///     .backend(StorageBackend::Ordered)
-///     .build();
+/// let ring = RingBuilder::new(catalog).build();
 /// assert!(ring.is_empty());
 /// ```
 #[derive(Clone, Debug)]
 pub struct RingBuilder {
     catalog: Database,
     snapshot: Snapshot,
-    backend: StorageBackend,
     track_base: bool,
 }
 
@@ -123,7 +117,6 @@ impl RingBuilder {
         RingBuilder {
             catalog: catalog.schema_only(),
             snapshot: Snapshot::new(),
-            backend: StorageBackend::Hash,
             track_base: true,
         }
     }
@@ -135,16 +128,8 @@ impl RingBuilder {
         RingBuilder {
             snapshot: Snapshot::from_database(&db),
             catalog: db.schema_only(),
-            backend: StorageBackend::Hash,
             track_base: true,
         }
-    }
-
-    /// Selects the storage backend every view's materialized maps live in (default:
-    /// [`StorageBackend::Hash`]).
-    pub fn backend(mut self, backend: StorageBackend) -> Self {
-        self.backend = backend;
-        self
     }
 
     /// Accepted and ignored: ingest always runs on the calling thread (see
@@ -180,7 +165,6 @@ impl RingBuilder {
         Ring {
             catalog: self.catalog,
             snapshot: self.snapshot,
-            backend: self.backend,
             track_base: self.track_base,
             ingested: 0,
             registry: EngineRegistry::new(),
@@ -250,7 +234,6 @@ pub struct Ring {
     /// per tuple; the schema-carrying [`Database`] form is materialized only per
     /// backfill.
     snapshot: Snapshot,
-    backend: StorageBackend,
     track_base: bool,
     /// Single-tuple updates ingested so far (batch weights included).
     ingested: u64,
@@ -285,7 +268,6 @@ impl Clone for Ring {
         let clone = Ring {
             catalog: self.catalog.clone(),
             snapshot: self.snapshot.clone(),
-            backend: self.backend,
             track_base: self.track_base,
             ingested: self.ingested,
             registry: self.registry.clone(),
@@ -330,11 +312,6 @@ impl Ring {
     /// [`Ring::base_snapshot`]).
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
-    }
-
-    /// The storage backend the ring's views run on.
-    pub fn backend(&self) -> StorageBackend {
-        self.backend
     }
 
     /// Number of live views.
@@ -382,10 +359,11 @@ impl Ring {
     /// The definition is parsed (for [`ViewDef::Sql`] / [`ViewDef::Agca`]), validated
     /// against the catalog — a query over an undeclared relation is rejected here
     /// with [`Error::UnknownRelation`](crate::Error::UnknownRelation), not at compile
-    /// time — compiled to a trigger program, and hosted on the ring's backend. If
-    /// updates have already been ingested (or the ring started from a loaded
-    /// database), the new view is backfilled from the base snapshot, so its result is
-    /// identical to having watched the stream from the start.
+    /// time — compiled to a trigger program, and hosted on
+    /// [`HashViewStorage`](dbring_runtime::HashViewStorage). If updates have already
+    /// been ingested (or the ring started from a loaded database), the new view is
+    /// backfilled from the base snapshot, so its result is identical to having watched
+    /// the stream from the start.
     ///
     /// Names must be unique among *live* views ([`Error::DuplicateView`](crate::Error::DuplicateView)
     /// otherwise); dropping a view frees its name.
@@ -394,16 +372,18 @@ impl Ring {
         name: impl Into<String>,
         def: ViewDef<'_>,
     ) -> Result<ViewId, Error> {
-        let backend = self.backend;
-        self.create_view_hosted(name, def, move |program| boxed_engine(program, backend))
+        // Not `create_view_with::<HashViewStorage>`: that would monomorphize the
+        // executor in this crate, where the storage's non-`#[inline]` methods cannot
+        // be inlined into it; `try_boxed_engine` instantiates it next to them.
+        self.create_view_hosted(name, def, |program| {
+            try_boxed_engine(program).expect("compiled trigger programs always lower")
+        })
     }
 
     /// [`Ring::create_view`] with the view's materialized maps on an explicitly
-    /// *typed* storage backend instead of the ring's configured one — any
-    /// `Send + 'static` [`ViewStorage`] implementation works, including ones the
-    /// [`StorageBackend`] enum cannot name (the fault-injection chaos tests host
-    /// `FaultStorage`-backed views this way). [`Ring::repair_view`] rebuilds the view
-    /// on the same typed backend.
+    /// *typed* storage — any `Send + 'static` [`ViewStorage`] implementation works
+    /// (the fault-injection chaos tests host `FaultStorage`-backed views this way).
+    /// [`Ring::repair_view`] rebuilds the view on the same typed storage.
     pub fn create_view_with<S: ViewStorage + Send + 'static>(
         &mut self,
         name: impl Into<String>,
@@ -586,7 +566,7 @@ impl Ring {
     }
 
     /// Rebuilds one view from the base snapshot: the stored query is recompiled, a
-    /// fresh engine of the same kind (same typed backend for
+    /// fresh engine of the same kind (same typed storage for
     /// [`Ring::create_view_with`] views) is initialized from the snapshot via the
     /// same backfill path late-created views use, and it replaces the old engine,
     /// clearing any quarantine. Because a failed batch lands *nowhere* — neither in
@@ -1089,7 +1069,7 @@ macro_rules! view_read_api {
             generate_nc0c(self.engine.program())
         }
 
-        /// The engine's registry name (executor family `@` backend).
+        /// The engine's registry name (the executor family).
         pub fn engine_name(&self) -> &'static str {
             self.engine.engine_name()
         }
@@ -1117,7 +1097,7 @@ macro_rules! view_read_api {
         }
 
         /// The storage-level memory proxy of this view's hierarchy: entry and
-        /// secondary-index-entry counts (comparable across storage backends).
+        /// secondary-index-entry counts.
         pub fn storage_footprint(&self) -> StorageFootprint {
             self.engine.storage_footprint()
         }
@@ -1868,9 +1848,7 @@ mod tests {
 
     #[test]
     fn view_handles_expose_program_and_metadata() {
-        let mut ring = RingBuilder::new(sales_catalog())
-            .backend(StorageBackend::Ordered)
-            .build();
+        let mut ring = RingBuilder::new(sales_catalog()).build();
         let id = ring
             .create_view(
                 "revenue",
@@ -1881,7 +1859,7 @@ mod tests {
         let view = ring.view(id).unwrap();
         assert_eq!(view.id(), id);
         assert_eq!(view.name(), "revenue");
-        assert_eq!(view.engine_name(), "recursive-ivm@ordered");
+        assert_eq!(view.engine_name(), "recursive-ivm");
         assert_eq!(view.query().group_by.len(), 1);
         assert!(view.program().describe().contains("on +Sales"));
         assert!(view.nc0c_source().contains("void on_insert_Sales"));
@@ -1894,6 +1872,5 @@ mod tests {
         view.reset_stats();
         assert!(format!("{view:?}").contains("revenue"));
         assert_eq!(ring.view(id).unwrap().stats().updates, 0);
-        assert_eq!(ring.backend(), StorageBackend::Ordered);
     }
 }

@@ -6,8 +6,7 @@
 //! of identical tuples are consolidated *before* any trigger fires (so a `+R(t)` / `-R(t)`
 //! pair inside the batch cancels to nothing), zero-multiplicity updates are dropped, and
 //! the surviving net deltas are grouped by `(relation, sign)` with each group's keys in
-//! ascending order. The sorted order is what lets ordered storage backends apply a group
-//! with one sequential merge pass, and what keeps batch application deterministic
+//! ascending order. The sorted order is what keeps batch application deterministic
 //! regardless of the arrival order of the input updates.
 //!
 //! The batch *borrows* the updates it normalizes: construction sorts a vector of

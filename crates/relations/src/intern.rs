@@ -13,7 +13,7 @@
 //! involved. [`KeyPool::sorted_groups`] therefore compares raw words first and falls back to the
 //! interner's resolved strings only when two `Str`-tagged words differ — the common
 //! integer-keyed case never touches a string, and string-keyed batches still come out in
-//! exact `Value` order (which the ordered storage backend's merge pass relies on).
+//! exact `Value` order (the order `DeltaBatch` groups promise).
 //!
 //! [`KeyPool`] is the reusable flat arena the hot path sorts: encoded keys live in one
 //! `Vec<IVal>` at a fixed stride, and sorting permutes a row-index vector instead of the

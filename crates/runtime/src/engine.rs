@@ -1,19 +1,19 @@
-//! The object-safe engine interface a hosted view runs behind, and the by-value
-//! engine factory.
+//! The object-safe engine interface a hosted view runs behind, and the engine
+//! factory.
 //!
 //! A ring-of-views engine (the `dbring::Ring` facade) hosts *many* standing views
 //! over one update stream. The views are heterogeneous — different compiled programs,
-//! different storage backends — so the host cannot be generic over one concrete
-//! executor type. [`ViewEngine`] is the object-safe contract that makes a compiled,
-//! runnable view a *value*: everything the host needs to drive maintenance
+//! and on occasion a typed storage (`Ring::create_view_with::<S>`) — so the host
+//! cannot be generic over one concrete executor type. [`ViewEngine`] is the
+//! object-safe contract that makes a compiled, runnable view a *value*: everything
+//! the host needs to drive maintenance
 //! (staged per-update and batched application, initialization from a snapshot) and
 //! serve reads (point lookups, tables, work counters, footprints, the program itself)
 //! — behind `Box<dyn ViewEngine>`, cloneable and inspectable. The lowered
 //! [`Executor`] over any [`ViewStorage`] is its implementation.
 //!
-//! [`boxed_engine`] / [`try_boxed_engine`] are the by-value factory: pick a
-//! [`StorageBackend`] with an enum value instead of a turbofish and get back a boxed
-//! lowered executor.
+//! [`boxed_engine`] / [`try_boxed_engine`] build a boxed lowered executor on
+//! [`HashViewStorage`](crate::storage::HashViewStorage).
 //!
 //! The difference from [`MaintenanceStrategy`](crate::strategy::MaintenanceStrategy):
 //! a strategy is the *measurement* interface the experiments compare recursive IVM
@@ -33,21 +33,18 @@ use dbring_relations::{Database, DeltaBatch, Update, Value};
 
 use crate::executor::{ExecStats, Executor, RuntimeError, StagedBatch};
 use crate::snapshot::ChangeSet;
-use crate::storage::{
-    HashViewStorage, OrderedViewStorage, StorageBackend, StorageFootprint, ViewStorage,
-};
+use crate::storage::{StorageFootprint, ViewStorage};
 
 /// The object-safe interface of one compiled, runnable view: what an engine host (a
 /// ring of views, an experiment harness) needs to drive maintenance and serve reads,
-/// independent of the concrete executor and storage backend behind it.
+/// independent of the concrete executor and storage behind it.
 ///
-/// Implemented by the lowered [`Executor`] over every storage backend; obtain boxed
-/// instances from [`boxed_engine`] (backend by value). `Box<dyn ViewEngine>` is
-/// `Clone`, so hosts composed of boxed engines stay cheaply cloneable for experiments
-/// that fork a loaded state.
+/// Implemented by the lowered [`Executor`] over every [`ViewStorage`]; obtain boxed
+/// instances from [`boxed_engine`]. `Box<dyn ViewEngine>` is `Clone`, so hosts
+/// composed of boxed engines stay cheaply cloneable for experiments that fork a
+/// loaded state.
 pub trait ViewEngine: std::fmt::Debug + Send {
-    /// The engine's name (`"recursive-ivm"`, `"recursive-ivm@ordered"`): the executor
-    /// family, suffixed with `@<backend>` off the default backend.
+    /// The engine's name: the executor family, `"recursive-ivm"`.
     fn engine_name(&self) -> &'static str;
 
     /// The compiled trigger program this engine runs (inspectable, NC0C-generatable).
@@ -118,8 +115,7 @@ pub trait ViewEngine: std::fmt::Debug + Send {
     /// Total entries across the whole view hierarchy.
     fn total_entries(&self) -> usize;
 
-    /// Entry/index-entry counts of the whole view hierarchy (the cross-backend
-    /// memory proxy).
+    /// Entry/index-entry counts of the whole view hierarchy (the memory proxy).
     fn storage_footprint(&self) -> StorageFootprint;
 
     /// Clones the engine behind the object interface (`Box<dyn ViewEngine>: Clone`
@@ -135,10 +131,7 @@ impl Clone for Box<dyn ViewEngine> {
 
 impl<S: ViewStorage + Send + 'static> ViewEngine for Executor<S> {
     fn engine_name(&self) -> &'static str {
-        match S::BACKEND {
-            StorageBackend::Hash => "recursive-ivm",
-            StorageBackend::Ordered => "recursive-ivm@ordered",
-        }
+        "recursive-ivm"
     }
 
     fn program(&self) -> &TriggerProgram {
@@ -203,28 +196,31 @@ impl<S: ViewStorage + Send + 'static> ViewEngine for Executor<S> {
     }
 }
 
-/// Builds a boxed lowered-executor engine on the given storage backend — backend
-/// chosen **by value**, no turbofish. This is the constructor engine hosts use.
+/// A storage selector with one value. [`boxed_engine`] ignores it; it is kept only so
+/// callers of the two-argument `boxed_engine` keep compiling.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StorageBackend {
+    /// [`HashViewStorage`](crate::storage::HashViewStorage), the one storage.
+    Hash,
+}
+
+/// Builds a boxed lowered-executor engine on
+/// [`HashViewStorage`](crate::storage::HashViewStorage). This is the constructor
+/// engine hosts use. The second argument is ignored (see
+/// [`StorageBackend`]).
 ///
 /// # Panics
 /// Panics if the program does not lower (impossible for programs produced by
 /// [`dbring_compiler::compile`](dbring_compiler::compile()), which validates); use [`try_boxed_engine`] for
 /// hand-built programs that may not.
-pub fn boxed_engine(program: TriggerProgram, backend: StorageBackend) -> Box<dyn ViewEngine> {
-    try_boxed_engine(program, backend).expect("compiled trigger programs always lower")
+pub fn boxed_engine(program: TriggerProgram, _backend: StorageBackend) -> Box<dyn ViewEngine> {
+    try_boxed_engine(program).expect("compiled trigger programs always lower")
 }
 
 /// Fallible [`boxed_engine`]: surfaces lowering problems as a [`LowerError`].
-pub fn try_boxed_engine(
-    program: TriggerProgram,
-    backend: StorageBackend,
-) -> Result<Box<dyn ViewEngine>, LowerError> {
-    Ok(match backend {
-        StorageBackend::Hash => Box::new(Executor::<HashViewStorage>::try_with_backend(program)?),
-        StorageBackend::Ordered => {
-            Box::new(Executor::<OrderedViewStorage>::try_with_backend(program)?)
-        }
-    })
+pub fn try_boxed_engine(program: TriggerProgram) -> Result<Box<dyn ViewEngine>, LowerError> {
+    Ok(Box::new(Executor::try_new(program)?))
 }
 
 #[cfg(test)]
@@ -249,27 +245,26 @@ mod tests {
 
     #[test]
     fn boxed_engines_run_and_report_on_every_backend() {
-        for backend in StorageBackend::ALL {
-            let mut engine = boxed_engine(sum_program(), backend);
-            insert(engine.as_mut(), 3);
-            let updates = [
-                Update::insert("R", vec![Value::int(4)]),
-                Update::insert("R", vec![Value::int(4)]),
-                Update::delete("R", vec![Value::int(3)]),
-            ];
-            let staged = engine
-                .stage_batch(&DeltaBatch::from_updates(&updates))
-                .unwrap();
-            engine.commit_staged(staged);
-            assert_eq!(engine.output_value(&[]), Number::Int(2), "{backend}");
-            assert_eq!(engine.output_table().len(), 1);
-            assert!(engine.stats().updates >= 3);
-            assert!(engine.total_entries() > 0);
-            assert!(engine.storage_footprint().entries > 0);
-            assert!(engine.program().triggers.len() >= 2);
-            engine.reset_stats();
-            assert_eq!(engine.stats(), ExecStats::default());
-        }
+        let mut engine = boxed_engine(sum_program(), StorageBackend::Hash);
+        assert_eq!(engine.engine_name(), "recursive-ivm");
+        insert(engine.as_mut(), 3);
+        let updates = [
+            Update::insert("R", vec![Value::int(4)]),
+            Update::insert("R", vec![Value::int(4)]),
+            Update::delete("R", vec![Value::int(3)]),
+        ];
+        let staged = engine
+            .stage_batch(&DeltaBatch::from_updates(&updates))
+            .unwrap();
+        engine.commit_staged(staged);
+        assert_eq!(engine.output_value(&[]), Number::Int(2));
+        assert_eq!(engine.output_table().len(), 1);
+        assert!(engine.stats().updates >= 3);
+        assert!(engine.total_entries() > 0);
+        assert!(engine.storage_footprint().entries > 0);
+        assert!(engine.program().triggers.len() >= 2);
+        engine.reset_stats();
+        assert_eq!(engine.stats(), ExecStats::default());
     }
 
     #[test]
@@ -288,7 +283,7 @@ mod tests {
         db.declare("R", &["A"]).unwrap();
         db.insert("R", vec![Value::int(1)]).unwrap();
         db.insert("R", vec![Value::int(2)]).unwrap();
-        let mut engine = boxed_engine(sum_program(), StorageBackend::Ordered);
+        let mut engine = boxed_engine(sum_program(), StorageBackend::Hash);
         engine.initialize_from(&db).unwrap();
         assert_eq!(engine.output_value(&[]), Number::Int(2));
     }
@@ -314,7 +309,7 @@ mod tests {
     fn try_boxed_engine_surfaces_lowering_errors() {
         let mut program = sum_program();
         program.triggers[0].statements[0].target = 99;
-        assert!(try_boxed_engine(program, StorageBackend::Hash).is_err());
-        assert!(try_boxed_engine(sum_program(), StorageBackend::Ordered).is_ok());
+        assert!(try_boxed_engine(program).is_err());
+        assert!(try_boxed_engine(sum_program()).is_ok());
     }
 }

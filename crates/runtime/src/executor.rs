@@ -16,10 +16,11 @@
 //! refcount bump. What does allocate is growth — a view's next row chunk or slot array,
 //! a scratch buffer's or the undo log's first warm-up — never the steady state.
 //!
-//! The executor is generic over the [`ViewStorage`] backend holding its materialized
-//! views, defaulting to [`HashViewStorage`]; `Executor::<OrderedViewStorage>::with_backend`
-//! runs the same plans over ordered storage. The plan's Probe/Enumerate ops call the
-//! trait's monomorphized methods, so backend dispatch costs nothing at runtime.
+//! The executor is generic over the [`ViewStorage`] holding its materialized views,
+//! defaulting to [`HashViewStorage`]; naming another type
+//! (`Executor::<FaultStorage<HashViewStorage>>::with_backend`) runs the same plans over
+//! a decorating storage. The plan's Probe/Enumerate ops call the trait's monomorphized
+//! methods, so the indirection costs nothing at runtime.
 //!
 //! A statement without loop variables costs a constant number of arithmetic operations;
 //! a statement with loop variables costs a constant number of operations *per affected
@@ -343,7 +344,7 @@ pub(crate) fn rollback_maps<S: ViewStorage>(maps: &mut [S], undo: &UndoLog) {
 }
 
 /// The recursive-IVM runtime for one compiled trigger program, generic over the
-/// [`ViewStorage`] backend its materialized views live in (default: the hash backend).
+/// [`ViewStorage`] its materialized views live in (default: [`HashViewStorage`]).
 #[derive(Clone, Debug)]
 pub struct Executor<S: ViewStorage = HashViewStorage> {
     program: TriggerProgram,
@@ -360,9 +361,9 @@ pub struct Executor<S: ViewStorage = HashViewStorage> {
 }
 
 impl Executor<HashViewStorage> {
-    /// Creates an executor with empty views on the default hash backend (correct when
+    /// Creates an executor with empty views on [`HashViewStorage`] (correct when
     /// starting from the empty database; otherwise call [`Executor::initialize_from`]).
-    /// For another backend, name it: `Executor::<OrderedViewStorage>::with_backend`.
+    /// For another storage type, name it: `Executor::<S>::with_backend`.
     ///
     /// The program is lowered to its [`ExecPlan`] here, and the slice-index patterns the
     /// plan's enumerations need are registered on the view storage.
@@ -384,8 +385,8 @@ impl Executor<HashViewStorage> {
 }
 
 impl<S: ViewStorage> Executor<S> {
-    /// Creates an executor with empty views on the backend named by the type parameter,
-    /// e.g. `Executor::<OrderedViewStorage>::with_backend(program)`.
+    /// Creates an executor with empty views on the storage named by the type parameter,
+    /// e.g. `Executor::<FaultStorage<HashViewStorage>>::with_backend(program)`.
     ///
     /// # Panics
     /// Panics if the program does not lower; use [`Executor::try_with_backend`] for
@@ -394,7 +395,7 @@ impl<S: ViewStorage> Executor<S> {
         Self::try_with_backend(program).expect("compiled trigger programs always lower")
     }
 
-    /// Fallible construction on an explicit backend: surfaces lowering problems
+    /// Fallible construction on an explicit storage type: surfaces lowering problems
     /// (structural invalidity, read-before-bind) as a [`LowerError`] instead of
     /// panicking.
     pub fn try_with_backend(program: TriggerProgram) -> Result<Self, LowerError> {
@@ -471,7 +472,7 @@ impl<S: ViewStorage> Executor<S> {
     }
 
     /// The aggregate memory proxy of the whole view hierarchy: entries plus the
-    /// secondary-index structure the backend maintains next to them.
+    /// secondary-index structure the storage maintains next to them.
     pub fn storage_footprint(&self) -> StorageFootprint {
         self.maps
             .iter()
@@ -609,7 +610,7 @@ impl<S: ViewStorage> Executor<S> {
     ///   ([`PlanTrigger::weighted_firing`]), one firing per *distinct* tuple with the
     ///   writes scaled by the tuple's consolidated weight — writes are buffered, sorted,
     ///   consolidated and handed to [`ViewStorage::apply_sorted`] in one sequential pass
-    ///   per map (on ordered backends, a merge);
+    ///   per map;
     /// * for self-join-style triggers that read their own targets, a unit-replay
     ///   fallback preserving the exact per-tuple semantics.
     ///

@@ -1,6 +1,6 @@
 //! Fault injection for chaos-testing the staged ingest protocol.
 //!
-//! [`FaultStorage`] wraps any [`ViewStorage`] backend and delegates every operation
+//! [`FaultStorage`] wraps any [`ViewStorage`] and delegates every operation
 //! verbatim — except that a globally *armed* [`FaultPlan`] makes the Nth occurrence
 //! of a chosen operation kind panic mid-write. That is exactly the failure the
 //! stage/commit protocol has to survive: a view engine dying half-way through a
@@ -34,7 +34,7 @@ use dbring_algebra::Number;
 use dbring_relations::Value;
 use std::sync::Mutex;
 
-use crate::storage::{StorageBackend, StorageFootprint, ViewStorage};
+use crate::storage::{StorageFootprint, ViewStorage};
 
 /// The operation kinds a [`FaultPlan`] can target.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -127,15 +127,12 @@ fn trip(op: FaultOp) {
 }
 
 /// A [`ViewStorage`] decorator that panics at a planned operation — the chaos
-/// backend behind the fault property tests. Wraps any backend; with no plan armed
+/// storage behind the fault property tests. Wraps any storage; with no plan armed
 /// it is a zero-behavior-change passthrough.
 #[derive(Clone, Debug)]
 pub struct FaultStorage<S: ViewStorage>(pub S);
 
 impl<S: ViewStorage> ViewStorage for FaultStorage<S> {
-    /// Purely a name (see [`ViewStorage::BACKEND`]): reports the wrapped backend.
-    const BACKEND: StorageBackend = S::BACKEND;
-
     fn new(key_arity: usize) -> Self {
         FaultStorage(S::new(key_arity))
     }
@@ -164,7 +161,7 @@ impl<S: ViewStorage> ViewStorage for FaultStorage<S> {
     }
 
     fn apply_sorted(&mut self, deltas: &[(&[Value], Number)], log: impl FnMut(&[Value], Number)) {
-        // One ApplySorted trip per flush, then the wrapped backend's combined
+        // One ApplySorted trip per flush, then the wrapped storage's combined
         // capture-and-land.
         trip(FaultOp::ApplySorted);
         self.0.apply_sorted(deltas, log);

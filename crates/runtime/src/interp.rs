@@ -22,34 +22,23 @@ use dbring_delta::Sign;
 use crate::executor::{ExecStats, RuntimeError};
 use crate::storage::{HashViewStorage, ViewStorage};
 
-/// The name-resolving reference executor for one compiled trigger program, generic over
-/// the [`ViewStorage`] backend like the lowered [`Executor`](crate::executor::Executor)
-/// (default: the hash backend).
+/// The name-resolving reference executor for one compiled trigger program, on
+/// [`HashViewStorage`] like the lowered [`Executor`](crate::executor::Executor).
 #[derive(Clone, Debug)]
-pub struct InterpretedExecutor<S: ViewStorage = HashViewStorage> {
+pub struct InterpretedExecutor {
     program: TriggerProgram,
-    maps: Vec<S>,
+    maps: Vec<HashViewStorage>,
     stats: ExecStats,
 }
 
-impl InterpretedExecutor<HashViewStorage> {
-    /// Creates an interpreter with empty views on the default hash backend (correct when
-    /// starting from the empty database; otherwise call
-    /// [`InterpretedExecutor::initialize_from`]). For another backend, name it:
-    /// `InterpretedExecutor::<OrderedViewStorage>::with_backend`.
+impl InterpretedExecutor {
+    /// Creates an interpreter with empty views (correct when starting from the empty
+    /// database; otherwise call [`InterpretedExecutor::initialize_from`]).
     pub fn new(program: TriggerProgram) -> Self {
-        Self::with_backend(program)
-    }
-}
-
-impl<S: ViewStorage> InterpretedExecutor<S> {
-    /// Creates an interpreter with empty views on the backend named by the type
-    /// parameter, e.g. `InterpretedExecutor::<OrderedViewStorage>::with_backend(p)`.
-    pub fn with_backend(program: TriggerProgram) -> Self {
-        let mut maps: Vec<S> = program
+        let mut maps: Vec<HashViewStorage> = program
             .maps
             .iter()
-            .map(|m| S::new(m.key_vars.len()))
+            .map(|m| HashViewStorage::new(m.key_vars.len()))
             .collect();
         // Register the slice indexes each statement will need: for every lookup, the key
         // positions that are bound (by parameters or earlier lookups) at that point.
@@ -95,12 +84,12 @@ impl<S: ViewStorage> InterpretedExecutor<S> {
     }
 
     /// The storage of one materialized view.
-    pub fn map(&self, id: usize) -> &S {
+    pub fn map(&self, id: usize) -> &HashViewStorage {
         &self.maps[id]
     }
 
     /// The output view's storage.
-    pub fn output(&self) -> &S {
+    pub fn output(&self) -> &HashViewStorage {
         &self.maps[self.program.output]
     }
 
@@ -116,16 +105,16 @@ impl<S: ViewStorage> InterpretedExecutor<S> {
 
     /// Total number of entries across all views.
     pub fn total_entries(&self) -> usize {
-        self.maps.iter().map(S::len).sum()
+        self.maps.iter().map(HashViewStorage::len).sum()
     }
 
     /// The aggregate memory proxy of the whole view hierarchy: entries plus the
-    /// secondary-index structure the backend maintains next to them (identical
+    /// secondary-index structure the storage maintains next to them (identical
     /// accounting to the lowered [`Executor`](crate::executor::Executor)).
     pub fn storage_footprint(&self) -> crate::storage::StorageFootprint {
         self.maps
             .iter()
-            .map(S::footprint)
+            .map(HashViewStorage::footprint)
             .fold(Default::default(), crate::storage::StorageFootprint::merge)
     }
 
@@ -253,7 +242,7 @@ impl<S: ViewStorage> InterpretedExecutor<S> {
     /// (`scale` is 1 for single-tuple firings, the consolidated weight for the batch
     /// path's weighted firings).
     fn execute_statement(
-        maps: &mut [S],
+        maps: &mut [HashViewStorage],
         stats: &mut ExecStats,
         stmt: &Statement,
         base_env: &HashMap<String, Value>,
@@ -291,7 +280,7 @@ impl<S: ViewStorage> InterpretedExecutor<S> {
                             stats.multiplications += 1;
                             next.push((env, acc.mul(&value)));
                         } else {
-                            // Enumerate matches through the backend's visitor API (no
+                            // Enumerate matches through the storage's visitor API (no
                             // materialized match list; see `ViewStorage::for_each_slice`).
                             storage.for_each_slice(
                                 &bound_positions,

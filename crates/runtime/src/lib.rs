@@ -16,18 +16,14 @@
 //!    program; [`Executor::new`](executor::Executor::new) lowers internally, so most
 //!    callers never touch the plan directly.
 //!
-//! ## Pluggable view storage
+//! ## View storage
 //!
-//! Both executors are generic over the [`ViewStorage`] backend
-//! holding their materialized views — the paper's guarantee only needs point probes,
-//! ring accumulation with zero-pruning, and partial-key enumeration, so backends with
-//! different physical trade-offs plug in under the unchanged execution layer:
-//! [`HashViewStorage`] (the default: a flat row table with row-id
-//! slice lists, O(1) probes) and [`OrderedViewStorage`]
-//! (`BTreeMap` + sorted range scans, O(log n) probes but prefix enumerations need no
-//! secondary index at all). Select at compile time by naming the type
-//! (`Executor::<OrderedViewStorage>::with_backend`) or by value through
-//! [`StorageBackend`] and [`boxed_engine`].
+//! Materialized views live in [`HashViewStorage`]: a flat row table with row-id slice
+//! lists, O(1) probes. The paper's guarantee only needs point probes, ring
+//! accumulation with zero-pruning, and partial-key enumeration, and the
+//! [`ViewStorage`] trait names exactly those; the lowered executor is generic over it
+//! so that decorating storages (the fault-injecting [`FaultStorage`]) run under the
+//! unchanged execution layer.
 //!
 //! ## One executor, one hosting interface, one measurement interface
 //!
@@ -75,13 +71,11 @@ pub mod storage;
 pub mod strategy;
 
 pub use baseline::{ClassicalIvm, NaiveReeval};
-pub use engine::{boxed_engine, try_boxed_engine, ViewEngine};
+pub use engine::{boxed_engine, try_boxed_engine, StorageBackend, ViewEngine};
 pub use executor::{ExecStats, Executor, RuntimeError, StagedBatch};
 pub use fault::{FaultOp, FaultPlan, FaultStorage};
 pub use interp::InterpretedExecutor;
 pub use registry::EngineRegistry;
 pub use snapshot::{ChangeSet, Changes, PublishStats, SnapshotAccess, SnapshotStore, ViewSnapshot};
-pub use storage::{
-    HashViewStorage, OrderedViewStorage, StorageBackend, StorageFootprint, ViewStorage,
-};
+pub use storage::{HashViewStorage, StorageFootprint, ViewStorage};
 pub use strategy::MaintenanceStrategy;

@@ -365,8 +365,7 @@ impl EngineRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::boxed_engine;
-    use crate::storage::StorageBackend;
+    use crate::engine::try_boxed_engine;
     use dbring_agca::parser::parse_query;
     use dbring_algebra::Number;
     use dbring_compiler::compile;
@@ -381,7 +380,7 @@ mod tests {
 
     fn engine_for(text: &str) -> Box<dyn ViewEngine> {
         let program = compile(&catalog(), &parse_query(text).unwrap()).unwrap();
-        boxed_engine(program, StorageBackend::Hash)
+        try_boxed_engine(program).unwrap()
     }
 
     #[test]
@@ -471,7 +470,7 @@ mod tests {
         db.declare("T", &["C"]).unwrap();
         let engine = |text: &str| {
             let program = compile(&db, &parse_query(text).unwrap()).unwrap();
-            boxed_engine(program, StorageBackend::Hash)
+            try_boxed_engine(program).unwrap()
         };
         let mut registry = EngineRegistry::new();
         let ok = registry.register(engine("ok := Sum(R(x))"));

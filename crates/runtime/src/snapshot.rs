@@ -440,7 +440,7 @@ impl ViewSnapshot {
     /// Builds a snapshot by copying a whole output table: `export` is handed a
     /// visitor and calls it once per `(key, value)` group, each key `arity` values
     /// long and unique. Groups may arrive in any order; arriving in ascending key
-    /// order (an ordered backend, a `BTreeMap`) saves the sort.
+    /// order (a `BTreeMap`) saves the sort.
     pub fn from_export(
         name: Arc<str>,
         epoch: u64,

@@ -1,4 +1,4 @@
-//! The hash backend: one flat row table per map, with row-id lists for slices.
+//! The hash storage: one flat row table per map, with row-id lists for slices.
 //!
 //! Trigger statements probe a view by fully bound key, accumulate ring deltas into it
 //! and — for loop variables — enumerate the entries matching a *partially* bound key,
@@ -19,7 +19,7 @@
 //!   list's head. Enumeration is one group probe and a list walk handing out
 //!   `&[Value]` straight from the arena; maintenance is a constant number of word
 //!   writes, without allocation. Every further pattern costs eight bytes per row and
-//!   a group table — the trade-off the ordered backend inverts.
+//!   a group table.
 
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hasher};
@@ -350,8 +350,6 @@ impl HashViewStorage {
 }
 
 impl ViewStorage for HashViewStorage {
-    const BACKEND: super::StorageBackend = super::StorageBackend::Hash;
-
     fn new(key_arity: usize) -> Self {
         Self::with_seed(key_arity, random_seed())
     }

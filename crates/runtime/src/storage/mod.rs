@@ -1,26 +1,19 @@
-//! Pluggable view storage: the [`ViewStorage`] trait and its backends.
+//! View storage: the [`ViewStorage`] trait and its one implementation,
+//! [`HashViewStorage`].
 //!
 //! The paper's constant-ops-per-update guarantee (Theorem 7.1) asks very little of the
 //! structure holding a materialized view: point probes by fully bound key, accumulation
 //! of ring deltas with zero-pruning, and enumeration of the entries matching a
-//! *partially* bound key in time proportional to the number of matches. Anything
-//! offering those operations can sit under the executor — which is exactly what
-//! [`ViewStorage`] captures, so that backends with different physical trade-offs can be
-//! swapped in and compared without touching the execution layer:
-//!
-//! * [`HashViewStorage`] — one flat row table per map: keys and values in fixed-size
-//!   chunks, an open-addressing slot array of `(row id, hash)` under a seeded
-//!   multiply-rotate hash, and per registered key-position pattern a doubly linked
-//!   list of row ids per slice. O(1) probes and writes without touching the allocator,
-//!   enumeration by walking a list; the default.
-//! * [`OrderedViewStorage`] — a `BTreeMap` keyed on the full tuple. O(log n) probes and
-//!   writes, but partial-key enumeration over *prefix* patterns needs no secondary
-//!   structure at all (a sorted range scan), and non-prefix patterns are served by
-//!   ordered permuted-key indexes whose range scans keep matching entries physically
-//!   adjacent — the index shape that sort-merge-style batched maintenance and
-//!   leapfrog-triejoin-style multiway joins build on. What it still buys over the flat
-//!   table: entries in key order, a one-pass merge for large sorted runs, and prefix
-//!   slices nobody registered.
+//! *partially* bound key in time proportional to the number of matches. [`ViewStorage`]
+//! captures exactly those operations, so the execution layer never depends on how a
+//! map is laid out. [`HashViewStorage`] implements them with one flat row table per
+//! map: keys and values in fixed-size chunks, an open-addressing slot array of
+//! `(row id, hash)` under a seeded multiply-rotate hash, and per registered key-position
+//! pattern a doubly linked list of row ids per slice. Probes and writes are O(1) without
+//! touching the allocator; enumeration walks a list. The trait stays a seam for
+//! decorating storages: [`FaultStorage`](crate::fault::FaultStorage) injects panics for
+//! the chaos tests, and a host can put a typed storage under a view with
+//! `Ring::create_view_with::<S>`.
 //!
 //! **One flush.** Batched writes land through a single method,
 //! [`ViewStorage::apply_sorted`], which also reports every key's pre-image as it
@@ -28,22 +21,20 @@
 //! pre-images are its undo log. Rollback goes back through
 //! [`ViewStorage::restore`].
 //!
-//! **Enumeration order.** On both backends the order in which `for_each` and
-//! `for_each_slice` visit entries is a function of the operations applied, not of the
-//! process or of a hash seed: the ordered backend visits in key order; the hash backend
-//! visits rows in row-id order (a new key takes the most recently freed row, else the
-//! next fresh one) and a slice newest-first, and a `restore` onto a key that stays
-//! present changes neither. Float aggregates folded over an enumeration are therefore
-//! reproducible run to run, and an aborted batch leaves the order of the keys that
-//! survive it untouched.
+//! **Enumeration order.** The order in which `for_each` and `for_each_slice` visit
+//! entries is a function of the operations applied, not of the process or of a hash
+//! seed: rows are visited in row-id order (a new key takes the most recently freed row,
+//! else the next fresh one) and a slice newest-first, and a `restore` onto a key that
+//! stays present changes neither. Float aggregates folded over an enumeration are
+//! therefore reproducible run to run, and an aborted batch leaves the order of the keys
+//! that survive it untouched.
 //!
 //! Both executors ([`Executor`](crate::executor::Executor) and the reference
-//! [`InterpretedExecutor`](crate::interp::InterpretedExecutor)) are generic over the
-//! backend with `HashViewStorage` as the default: name a type to pick one
-//! (`Executor::<S>::with_backend`). [`StorageBackend`] names the in-tree backends as
-//! values, for by-value selection (`RingBuilder::backend`,
-//! [`boxed_engine`](crate::engine::boxed_engine)), and [`StorageFootprint`] is the
-//! common memory proxy the `exp_storage` experiment compares.
+//! [`InterpretedExecutor`](crate::interp::InterpretedExecutor)) run on
+//! `HashViewStorage`; the lowered executor is generic over the storage type so that a
+//! decorating storage can be named
+//! (`Executor::<FaultStorage<HashViewStorage>>::with_backend`).
+//! [`StorageFootprint`] is the memory proxy every view reports.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -52,11 +43,9 @@ use dbring_algebra::{Number, Ring, Semiring};
 use dbring_relations::Value;
 
 mod hash;
-mod ordered;
 
 pub use hash::HashViewStorage;
 pub(crate) use hash::{hash_values, random_seed, salted};
-pub use ordered::OrderedViewStorage;
 
 /// The storage contract a materialized view must satisfy for the executors to run
 /// trigger programs over it.
@@ -64,20 +53,11 @@ pub use ordered::OrderedViewStorage;
 /// All keys of one map share a fixed arity; values live in the [`Number`] ring and
 /// entries whose value reaches zero are pruned (a map never stores explicit zeros, so
 /// `len` is the number of non-zero groups). Enumeration callbacks receive the full key
-/// in *original position order* regardless of how the backend physically arranges it.
+/// in *original position order*.
 ///
 /// The trait is deliberately generic (not object-safe): the executors monomorphize over
-/// the backend, so going through the trait costs nothing on the hot path.
+/// the storage, so going through the trait costs nothing on the hot path.
 pub trait ViewStorage: Clone + fmt::Debug {
-    /// The [`StorageBackend`] value naming this backend, so code that is generic over
-    /// the backend type can reach the by-value constructors (boxed engines, engine
-    /// names, `RingBuilder::backend`) without a parallel name parameter. Purely a
-    /// *name*: typed construction (`Executor::<S>::with_backend`,
-    /// `Ring::create_view_with::<S>`) always builds `S` itself and never routes
-    /// through this value, so a backend outside the enum should name whichever
-    /// in-tree backend it most resembles.
-    const BACKEND: StorageBackend;
-
     /// Creates an empty map whose keys have the given arity.
     fn new(key_arity: usize) -> Self;
 
@@ -96,7 +76,8 @@ pub trait ViewStorage: Clone + fmt::Debug {
     fn get(&self, key: &[Value]) -> Number;
 
     /// Adds `delta` to the value under `key`, maintaining indexes and pruning zeros.
-    /// The key is consumed (backends may reuse the allocation on first insertion).
+    /// The key is consumed (an implementation may reuse the allocation on first
+    /// insertion).
     ///
     /// # Panics
     /// Panics if the key arity does not match.
@@ -121,20 +102,17 @@ pub trait ViewStorage: Clone + fmt::Debug {
     /// capture-and-land step: the executor feeds the pre-images straight into its
     /// undo log, and on rollback restores them via [`restore`](ViewStorage::restore).
     /// The keys are borrowed (they point into the executor's reusable write
-    /// buffers), so a backend clones only what it actually inserts.
+    /// buffers), so an implementation clones only what it actually inserts.
     ///
     /// Every delta key is reported exactly once, **including** zero-delta keys (a
     /// spurious log entry restores a value to itself — harmless — while a missing one
     /// would leak a write). Keys in a run are unique, so the report order is
-    /// backend-defined, and a key is reported no later than right after its own write.
-    /// Zero deltas land nothing, and index maintenance and zero-pruning behave exactly
-    /// as [`add_ref`](ViewStorage::add_ref).
+    /// implementation-defined, and a key is reported no later than right after its
+    /// own write. Zero deltas land nothing, and index maintenance and zero-pruning
+    /// behave exactly as [`add_ref`](ViewStorage::add_ref).
     ///
-    /// The default is a per-key `add_ref` loop reporting what each write returns —
-    /// one probe per key, the right thing for hash backends, where sortedness buys
-    /// nothing. The ordered backend overrides it with a sequential merge pass that
-    /// captures the pre-images as it goes, so a large run costs O(n + k) instead of
-    /// O(k log n).
+    /// The default is a per-key `add_ref` loop reporting what each write returns:
+    /// one probe per key, since a hash table gains nothing from the keys' order.
     fn apply_sorted(
         &mut self,
         deltas: &[(&[Value], Number)],
@@ -160,22 +138,10 @@ pub trait ViewStorage: Clone + fmt::Debug {
     /// (zero ⇔ absent), **byte-identically** — the rollback primitive behind
     /// staged batch execution. Unlike [`set`](ViewStorage::set), which lands an
     /// arithmetic delta and therefore cannot reproduce a float bit pattern
-    /// exactly (`0.1 + (0.4 - 0.3 - 0.1)` need not be `0.1`), `restore` first
-    /// cancels the current entry with its own negation (`x + (-x)` is exactly
-    /// zero in the [`Number`] ring, so the entry is pruned with full index
-    /// maintenance) and then, if `value` is non-zero, inserts it verbatim via the
-    /// absent-key path of [`add_ref`](ViewStorage::add_ref). The default works on
-    /// any backend; the hash backend overrides it with an in-place overwrite (one
-    /// probe, and a key that stays present keeps its place in every enumeration).
-    fn restore(&mut self, key: &[Value], value: Number) {
-        let current = self.get(key);
-        if !current.is_zero() {
-            self.add_ref(key, current.neg());
-        }
-        if !value.is_zero() {
-            self.add_ref(key, value);
-        }
-    }
+    /// exactly (`0.1 + (0.4 - 0.3 - 0.1)` need not be `0.1`), `restore` writes
+    /// `value` verbatim, pruning the entry (with full index maintenance) when it is
+    /// zero.
+    fn restore(&mut self, key: &[Value], value: Number);
 
     /// Registers a slice index over the given key positions (deduplicated; degenerate
     /// patterns covering no or all positions are ignored). Entries already present are
@@ -189,12 +155,9 @@ pub trait ViewStorage: Clone + fmt::Debug {
     /// Visits every entry whose key matches `values` at the given positions, without
     /// materializing the matches. Positions must be sorted and distinct.
     ///
-    /// With a registered index for the pattern (or, for ordered backends, a pattern the
-    /// physical layout already serves) the cost is proportional to the number of
-    /// matches — a list hop each on the hash backend, at most an O(log n) probe of the
-    /// primary structure each on the ordered one — never to the size of the map;
-    /// otherwise the backend falls back to a full scan. An empty pattern visits every
-    /// entry.
+    /// With a registered index for the pattern the cost is proportional to the number
+    /// of matches (a list hop each), never to the size of the map; otherwise the
+    /// storage falls back to a full scan. An empty pattern visits every entry.
     fn for_each_slice(
         &self,
         positions: &[usize],
@@ -203,9 +166,9 @@ pub trait ViewStorage: Clone + fmt::Debug {
     );
 
     /// The index-free fallback for [`for_each_slice`]: visits matching entries by
-    /// scanning every entry and filtering on the bound positions. Backends call this
-    /// when no physical structure serves the pattern, so the match semantics live in
-    /// exactly one place.
+    /// scanning every entry and filtering on the bound positions. The storage calls
+    /// this when no registered index serves the pattern, so the match semantics live
+    /// in exactly one place.
     ///
     /// [`for_each_slice`]: ViewStorage::for_each_slice
     fn for_each_slice_scan(
@@ -238,46 +201,15 @@ pub trait ViewStorage: Clone + fmt::Debug {
     }
 }
 
-/// The in-tree storage backends a view can run on, as values for by-value selection
-/// (`RingBuilder::backend`, [`boxed_engine`](crate::engine::boxed_engine)).
-/// Compile-time selection just names the backend type directly.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum StorageBackend {
-    /// [`HashViewStorage`]: flat row table + row-id slice lists (the default).
-    Hash,
-    /// [`OrderedViewStorage`]: `BTreeMap` + sorted range scans / permuted-key indexes.
-    Ordered,
-}
-
-impl StorageBackend {
-    /// Every backend, default first.
-    pub const ALL: [StorageBackend; 2] = [StorageBackend::Hash, StorageBackend::Ordered];
-
-    /// The backend's short name ("hash", "ordered") as used in engine names
-    /// (`recursive-ivm@ordered`) and experiment output.
-    pub fn name(self) -> &'static str {
-        match self {
-            StorageBackend::Hash => "hash",
-            StorageBackend::Ordered => "ordered",
-        }
-    }
-}
-
-impl fmt::Display for StorageBackend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// A backend-independent memory proxy: how many entries a map (or a whole view
-/// hierarchy) holds, and how much secondary-index structure sits next to them. Wall
-/// clock varies per machine; these counts are exact and comparable across backends.
+/// A memory proxy: how many entries a map (or a whole view hierarchy) holds, and how
+/// much secondary-index structure sits next to them. Wall clock varies per machine;
+/// these counts are exact.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StorageFootprint {
     /// Non-zero entries in the primary structure.
     pub entries: usize,
     /// Secondary index structures maintained (one per registered non-degenerate
-    /// pattern the backend cannot serve from its physical layout).
+    /// pattern).
     pub indexes: usize,
     /// Total entries across all secondary index structures.
     pub index_entries: usize,
@@ -294,7 +226,7 @@ impl StorageFootprint {
     }
 }
 
-/// Test helper: materializes a slice enumeration as an owned vector, so backend tests
+/// Test helper: materializes a slice enumeration as an owned vector, so storage tests
 /// can assert on match sets without closure plumbing.
 #[cfg(test)]
 pub(crate) fn slice_entries<S: ViewStorage>(
@@ -313,17 +245,6 @@ mod tests {
 
     fn key(vals: &[i64]) -> Vec<Value> {
         vals.iter().map(|&v| Value::int(v)).collect()
-    }
-
-    #[test]
-    fn backend_names_round_trip() {
-        for backend in StorageBackend::ALL {
-            assert_eq!(backend.to_string(), backend.name());
-            let named = StorageBackend::ALL
-                .iter()
-                .find(|b| b.name() == backend.name());
-            assert_eq!(named, Some(&backend), "names are distinct");
-        }
     }
 
     #[test]
@@ -347,11 +268,12 @@ mod tests {
 
     /// Two identically seeded maps (64 entries, an index on column 1) and a sorted,
     /// deduplicated delta run mixing zero-sum prunes, accumulations, brand-new keys
-    /// and zero deltas. Scale 1 keeps the run below the ordered backend's merge
-    /// threshold (point path); scale 12 crosses it (merge path).
-    fn batch_fixture<S: ViewStorage>(batch_scale: usize) -> (S, S, Vec<(Vec<Value>, Number)>) {
-        let mut a = S::new(2);
-        let mut b = S::new(2);
+    /// and zero deltas; `batch_scale` sizes the run against the map.
+    fn batch_fixture(
+        batch_scale: usize,
+    ) -> (HashViewStorage, HashViewStorage, Vec<(Vec<Value>, Number)>) {
+        let mut a = HashViewStorage::new(2);
+        let mut b = HashViewStorage::new(2);
         for m in [&mut a, &mut b] {
             m.register_index(vec![1]);
             for i in 0..64i64 {
@@ -372,7 +294,7 @@ mod tests {
 
     /// Same tables, same pruning, same index maintenance: slices on column 1 still
     /// see every entry.
-    fn assert_same_contents<S: ViewStorage>(a: &S, b: &S, label: &str) {
+    fn assert_same_contents(a: &HashViewStorage, b: &HashViewStorage, label: &str) {
         assert_eq!(a.to_table(), b.to_table(), "{label}");
         assert_eq!(a.len(), b.len(), "{label}");
         assert_eq!(a.footprint(), b.footprint(), "{label}");
@@ -385,70 +307,60 @@ mod tests {
         }
     }
 
-    /// `apply_sorted` must be indistinguishable from the equivalent `add_ref` loop on
-    /// every backend — same tables, same pruning, same index maintenance — for batches
-    /// small (point path) and large (the ordered backend's merge path) relative to the
-    /// map, including zero deltas, zero-sum pruning and brand-new keys.
+    /// `apply_sorted` must be indistinguishable from the equivalent `add_ref` loop —
+    /// same tables, same pruning, same index maintenance — for batches small and large
+    /// relative to the map, including zero deltas, zero-sum pruning and brand-new keys.
+    /// (The name predates the removal of the second backend.)
     #[test]
     fn apply_sorted_matches_the_add_ref_loop_on_both_backends() {
-        fn check<S: ViewStorage>() {
-            for batch_scale in [1usize, 12] {
-                let (mut batched, mut looped, deltas) = batch_fixture::<S>(batch_scale);
-                let refs: Vec<(&[Value], Number)> =
-                    deltas.iter().map(|(k, d)| (k.as_slice(), *d)).collect();
-                batched.apply_sorted(&refs, |_, _| {});
-                for (k, d) in &deltas {
-                    looped.add_ref(k, *d);
-                }
-                let label = format!("{:?} scale={batch_scale}", S::BACKEND);
-                assert_same_contents(&batched, &looped, &label);
+        for batch_scale in [1usize, 12] {
+            let (mut batched, mut looped, deltas) = batch_fixture(batch_scale);
+            let refs: Vec<(&[Value], Number)> =
+                deltas.iter().map(|(k, d)| (k.as_slice(), *d)).collect();
+            batched.apply_sorted(&refs, |_, _| {});
+            for (k, d) in &deltas {
+                looped.add_ref(k, *d);
             }
+            assert_same_contents(&batched, &looped, &format!("scale={batch_scale}"));
         }
-        check::<HashViewStorage>();
-        check::<OrderedViewStorage>();
     }
 
     /// The pre-image log of `apply_sorted` (formerly the separate
     /// `apply_sorted_logged`) must report exactly the pre-images a probe loop before
     /// the batch would have seen — one log call per delta key, zero for absent keys —
-    /// while landing what the unobserved batch lands, on every backend and on both
-    /// sides of the ordered backend's point/merge threshold. This is the invariant
-    /// the staged-ingest undo log is built on.
+    /// while landing what the unobserved batch lands. This is the invariant the
+    /// staged-ingest undo log is built on.
     #[test]
     fn apply_sorted_logged_matches_a_probe_loop_plus_apply_sorted() {
-        fn check<S: ViewStorage>() {
-            for batch_scale in [1usize, 12] {
-                let (mut logged, mut probed, deltas) = batch_fixture::<S>(batch_scale);
-                let refs: Vec<(&[Value], Number)> =
-                    deltas.iter().map(|(k, d)| (k.as_slice(), *d)).collect();
-                let mut expected: Vec<(Vec<Value>, Number)> = refs
-                    .iter()
-                    .map(|(k, _)| (k.to_vec(), probed.get(k)))
-                    .collect();
-                probed.apply_sorted(&refs, |_, _| {});
-                let mut captured: Vec<(Vec<Value>, Number)> = Vec::new();
-                logged.apply_sorted(&refs, |k, pre| captured.push((k.to_vec(), pre)));
-                // Log order is backend-defined; contents are not.
-                captured.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                expected.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                let label = format!("{:?} scale={batch_scale}", S::BACKEND);
-                assert_eq!(captured, expected, "pre-image log diverged ({label})");
-                assert_same_contents(&logged, &probed, &label);
-            }
+        for batch_scale in [1usize, 12] {
+            let (mut logged, mut probed, deltas) = batch_fixture(batch_scale);
+            let refs: Vec<(&[Value], Number)> =
+                deltas.iter().map(|(k, d)| (k.as_slice(), *d)).collect();
+            let mut expected: Vec<(Vec<Value>, Number)> = refs
+                .iter()
+                .map(|(k, _)| (k.to_vec(), probed.get(k)))
+                .collect();
+            probed.apply_sorted(&refs, |_, _| {});
+            let mut captured: Vec<(Vec<Value>, Number)> = Vec::new();
+            logged.apply_sorted(&refs, |k, pre| captured.push((k.to_vec(), pre)));
+            // Log order is implementation-defined; contents are not.
+            captured.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            expected.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            let label = format!("scale={batch_scale}");
+            assert_eq!(captured, expected, "pre-image log diverged ({label})");
+            assert_same_contents(&logged, &probed, &label);
         }
-        check::<HashViewStorage>();
-        check::<OrderedViewStorage>();
     }
 
-    /// Regression (shared across backends): registering an index *after* entries exist —
-    /// including permuted-key (non-prefix) patterns, and after zero-sum removals — must
-    /// serve exactly the matches a scan over the live entries finds. The hash backend
-    /// had this bug (fixed in an earlier change); this pins both backends to the same
-    /// contract so the ordered backend cannot regress to it either.
+    /// Regression: registering an index *after* entries exist — including non-prefix
+    /// patterns, and after zero-sum removals — must serve exactly the matches a scan
+    /// over the live entries finds. (The name predates the removal of the second
+    /// backend; `storage::hash`'s `late_index_registration_backfills_existing_entries`
+    /// checks the same on a different fixture.)
     #[test]
     fn late_index_registration_backfill_parity_across_backends() {
-        fn scan_matches<S: ViewStorage>(
-            m: &S,
+        fn scan_matches(
+            m: &HashViewStorage,
             positions: &[usize],
             values: &[Value],
         ) -> Vec<(Vec<Value>, Number)> {
@@ -457,95 +369,84 @@ mod tests {
             out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
             out
         }
-        fn check<S: ViewStorage>() {
-            let mut m = S::new(3);
-            for (a, b, c, v) in [
-                (1, 10, 7, 2),
-                (1, 11, 7, 3),
-                (2, 10, 8, 4),
-                (2, 12, 7, 5),
-                (3, 10, 7, 6),
-            ] {
-                m.add(key(&[a, b, c]), Number::Int(v));
-            }
-            // Zero-sum removals *before* registration: the index must not resurrect them.
-            m.add(key(&[1, 11, 7]), Number::Int(-3));
-            m.add(key(&[2, 10, 8]), Number::Int(-4));
-            // Late registration of permuted (non-prefix) patterns over existing entries.
-            m.register_index(vec![2]);
-            m.register_index(vec![1, 2]);
-            for (positions, values) in [
-                (vec![2], key(&[7])),
-                (vec![2], key(&[8])),
-                (vec![1, 2], key(&[10, 7])),
-                (vec![1, 2], key(&[11, 7])),
-            ] {
-                let mut indexed = slice_entries(&m, &positions, &values);
-                indexed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                assert_eq!(
-                    indexed,
-                    scan_matches(&m, &positions, &values),
-                    "backfilled index diverged from a scan on pattern {positions:?}"
-                );
-            }
-            // Registered indexes keep tracking writes and zero-sum removals afterwards.
-            m.add(key(&[4, 13, 7]), Number::Int(9));
-            m.add(key(&[1, 10, 7]), Number::Int(-2));
-            for (positions, values) in [(vec![2], key(&[7])), (vec![1, 2], key(&[13, 7]))] {
-                let mut indexed = slice_entries(&m, &positions, &values);
-                indexed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                assert_eq!(indexed, scan_matches(&m, &positions, &values));
-            }
+        let mut m = HashViewStorage::new(3);
+        for (a, b, c, v) in [
+            (1, 10, 7, 2),
+            (1, 11, 7, 3),
+            (2, 10, 8, 4),
+            (2, 12, 7, 5),
+            (3, 10, 7, 6),
+        ] {
+            m.add(key(&[a, b, c]), Number::Int(v));
         }
-        check::<HashViewStorage>();
-        check::<OrderedViewStorage>();
+        // Zero-sum removals *before* registration: the index must not resurrect them.
+        m.add(key(&[1, 11, 7]), Number::Int(-3));
+        m.add(key(&[2, 10, 8]), Number::Int(-4));
+        // Late registration of non-prefix patterns over existing entries.
+        m.register_index(vec![2]);
+        m.register_index(vec![1, 2]);
+        for (positions, values) in [
+            (vec![2], key(&[7])),
+            (vec![2], key(&[8])),
+            (vec![1, 2], key(&[10, 7])),
+            (vec![1, 2], key(&[11, 7])),
+        ] {
+            let mut indexed = slice_entries(&m, &positions, &values);
+            indexed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            assert_eq!(
+                indexed,
+                scan_matches(&m, &positions, &values),
+                "backfilled index diverged from a scan on pattern {positions:?}"
+            );
+        }
+        // Registered indexes keep tracking writes and zero-sum removals afterwards.
+        m.add(key(&[4, 13, 7]), Number::Int(9));
+        m.add(key(&[1, 10, 7]), Number::Int(-2));
+        for (positions, values) in [(vec![2], key(&[7])), (vec![1, 2], key(&[13, 7]))] {
+            let mut indexed = slice_entries(&m, &positions, &values);
+            indexed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            assert_eq!(indexed, scan_matches(&m, &positions, &values));
+        }
     }
 
-    /// `restore` must reproduce a previously-observed entry state bit-exactly on
-    /// both backends: floats come back with their original bit pattern (where a
-    /// `set` of the arithmetic difference would not), zero restores prune, and
-    /// index maintenance tracks every transition.
+    /// `restore` must reproduce a previously-observed entry state bit-exactly: floats
+    /// come back with their original bit pattern (where a `set` of the arithmetic
+    /// difference would not), zero restores prune, and index maintenance tracks every
+    /// transition. (The name predates the removal of the second backend.)
     #[test]
     fn restore_is_bit_exact_on_both_backends() {
-        fn check<S: ViewStorage>() {
-            let mut m = S::new(1);
-            m.register_index(vec![0]);
-            // 0.1 + 0.2 is famously not 0.3; capture the pre-image and restore it.
-            m.add(key(&[1]), Number::Float(0.1));
-            let before = m.get(&key(&[1]));
-            m.add(key(&[1]), Number::Float(0.2));
-            m.restore(&key(&[1]), before);
-            assert_eq!(m.get(&key(&[1])).as_f64().to_bits(), 0.1f64.to_bits());
-            // Restoring zero prunes the entry (and its index postings).
-            m.restore(&key(&[1]), Number::Int(0));
-            assert_eq!(m.len(), 0);
-            assert!(slice_entries(&m, &[0], &key(&[1])).is_empty());
-            // Restoring a non-zero value onto an absent key inserts it verbatim.
-            m.restore(&key(&[2]), Number::Float(0.3));
-            assert_eq!(m.get(&key(&[2])).as_f64().to_bits(), 0.3f64.to_bits());
-            assert_eq!(slice_entries(&m, &[0], &key(&[2])).len(), 1);
-        }
-        check::<HashViewStorage>();
-        check::<OrderedViewStorage>();
+        let mut m = HashViewStorage::new(1);
+        m.register_index(vec![0]);
+        // 0.1 + 0.2 is famously not 0.3; capture the pre-image and restore it.
+        m.add(key(&[1]), Number::Float(0.1));
+        let before = m.get(&key(&[1]));
+        m.add(key(&[1]), Number::Float(0.2));
+        m.restore(&key(&[1]), before);
+        assert_eq!(m.get(&key(&[1])).as_f64().to_bits(), 0.1f64.to_bits());
+        // Restoring zero prunes the entry (and its index postings).
+        m.restore(&key(&[1]), Number::Int(0));
+        assert_eq!(m.len(), 0);
+        assert!(slice_entries(&m, &[0], &key(&[1])).is_empty());
+        // Restoring a non-zero value onto an absent key inserts it verbatim.
+        m.restore(&key(&[2]), Number::Float(0.3));
+        assert_eq!(m.get(&key(&[2])).as_f64().to_bits(), 0.3f64.to_bits());
+        assert_eq!(slice_entries(&m, &[0], &key(&[2])).len(), 1);
     }
 
-    /// The trait's provided `set` and `to_table` behave identically on both backends.
+    /// The trait's provided `set` and `to_table`. (The name predates the removal of
+    /// the second backend.)
     #[test]
     fn provided_methods_work_on_both_backends() {
-        fn check<S: ViewStorage>() {
-            let mut m = S::new(2);
-            m.set(key(&[1, 2]), Number::Int(5));
-            m.set(key(&[1, 3]), Number::Int(7));
-            m.set(key(&[1, 2]), Number::Int(2));
-            assert_eq!(m.get(&key(&[1, 2])), Number::Int(2));
-            m.set(key(&[1, 3]), Number::Int(0));
-            assert_eq!(m.len(), 1);
-            assert!(!m.is_empty());
-            let table = m.to_table();
-            assert_eq!(table.len(), 1);
-            assert_eq!(table[&key(&[1, 2])], Number::Int(2));
-        }
-        check::<HashViewStorage>();
-        check::<OrderedViewStorage>();
+        let mut m = HashViewStorage::new(2);
+        m.set(key(&[1, 2]), Number::Int(5));
+        m.set(key(&[1, 3]), Number::Int(7));
+        m.set(key(&[1, 2]), Number::Int(2));
+        assert_eq!(m.get(&key(&[1, 2])), Number::Int(2));
+        m.set(key(&[1, 3]), Number::Int(0));
+        assert_eq!(m.len(), 1);
+        assert!(!m.is_empty());
+        let table = m.to_table();
+        assert_eq!(table.len(), 1);
+        assert_eq!(table[&key(&[1, 2])], Number::Int(2));
     }
 }

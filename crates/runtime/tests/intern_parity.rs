@@ -1,21 +1,20 @@
 //! Parity of the interned fixed-width ingest path with the classic `Vec<Value>` path,
 //! at the executor level: feeding a [`BatchNormalizer`]-built batch must produce the
 //! same tables AND bit-identical [`ExecStats`] as feeding the reference
-//! [`DeltaBatch::from_updates`] batch — across hash/ordered backends and lowered and
-//! interpreted executors. The lowered executor's `apply_batch` is `stage_batch` plus
+//! [`DeltaBatch::from_updates`] batch — on both the lowered and the interpreted
+//! executor. The lowered executor's `apply_batch` is `stage_batch` plus
 //! `commit_staged`, so the staged (`apply_sorted` with its pre-image log) flush is the
 //! one under test.
 //!
 //! The traces are string-heavy on purpose: group keys are strings whose interner ids
 //! are assigned in non-lexicographic order, so a flush that sorted by id instead of by
-//! `Value` order would corrupt the ordered backend's merge and fail here.
+//! `Value` order would break `apply_sorted`'s strictly-ascending precondition (checked
+//! by a debug assertion) and fail here.
 
 use dbring_agca::parser::parse_query;
 use dbring_compiler::{compile, TriggerProgram};
 use dbring_relations::{BatchNormalizer, Database, DeltaBatch, Update, Value};
-use dbring_runtime::{
-    Executor, HashViewStorage, InterpretedExecutor, OrderedViewStorage, ViewStorage,
-};
+use dbring_runtime::{Executor, InterpretedExecutor};
 use proptest::prelude::*;
 
 /// Lexicographic traps: ids get assigned in arrival order, which these strings make
@@ -58,15 +57,15 @@ fn arb_update() -> impl Strategy<Value = Update> {
     ]
 }
 
-/// Runs the full matrix for one backend: every executor consumes the same chunked
-/// trace, some through the interned normalizer, some through the classic constructor,
-/// and all pairs must agree exactly.
-fn check_backend<S: ViewStorage>(program: &TriggerProgram, trace: &[Update], chunk: usize) {
-    let mut interned = Executor::<S>::with_backend(program.clone());
-    let mut classic = Executor::<S>::with_backend(program.clone());
-    let mut interp_interned = InterpretedExecutor::<S>::with_backend(program.clone());
-    let mut interp_classic = InterpretedExecutor::<S>::with_backend(program.clone());
-    let mut per_tuple = Executor::<S>::with_backend(program.clone());
+/// Runs the full matrix: every executor consumes the same chunked trace, some through
+/// the interned normalizer, some through the classic constructor, and all pairs must
+/// agree exactly.
+fn check_matrix(program: &TriggerProgram, trace: &[Update], chunk: usize) {
+    let mut interned = Executor::new(program.clone());
+    let mut classic = Executor::new(program.clone());
+    let mut interp_interned = InterpretedExecutor::new(program.clone());
+    let mut interp_classic = InterpretedExecutor::new(program.clone());
+    let mut per_tuple = Executor::new(program.clone());
     let mut normalizer = BatchNormalizer::new();
     for c in trace.chunks(chunk.max(1)) {
         let interned_batch = normalizer.normalize(c);
@@ -101,8 +100,7 @@ proptest! {
         chunk in 1usize..24,
     ) {
         for program in corpus() {
-            check_backend::<HashViewStorage>(&program, &trace, chunk);
-            check_backend::<OrderedViewStorage>(&program, &trace, chunk);
+            check_matrix(&program, &trace, chunk);
         }
     }
 }

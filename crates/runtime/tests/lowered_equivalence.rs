@@ -8,7 +8,7 @@
 //! the paper's Theorem 7.1 bounds) is a test failure, not a benchmarking footnote.
 //! The batch paths are held to the same standard: chunked traces, each chunk
 //! normalized once, must give both executors identical tables and identical batched
-//! `ExecStats` (weighted firing included) on both storage backends.
+//! `ExecStats` (weighted firing included).
 
 use dbring_agca::ast::Query;
 use dbring_agca::eval::eval_all_groups;
@@ -16,9 +16,7 @@ use dbring_agca::parser::parse_query;
 use dbring_algebra::{Number, Semiring};
 use dbring_compiler::compile;
 use dbring_relations::{BatchNormalizer, Database, Update, Value};
-use dbring_runtime::{
-    ExecStats, Executor, HashViewStorage, InterpretedExecutor, OrderedViewStorage, ViewStorage,
-};
+use dbring_runtime::{ExecStats, Executor, InterpretedExecutor};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -61,16 +59,16 @@ fn arb_update() -> impl Strategy<Value = Update> {
 }
 
 /// Replays `trace` in chunks of `chunk` updates, each chunk normalized once and applied
-/// through both executors' batch paths on backend `S`; asserts identical tables,
-/// view-hierarchy sizes and exact work counters, and returns the lowered output table.
-fn batched_parity<S: ViewStorage>(
+/// through both executors' batch paths; asserts identical tables, view-hierarchy sizes
+/// and exact work counters, and returns the lowered output table.
+fn batched_parity(
     query: &Query,
     trace: &[Update],
     chunk: usize,
 ) -> Result<BTreeMap<Vec<Value>, Number>, TestCaseError> {
     let program = compile(&catalog(), query).unwrap();
-    let mut lowered = Executor::<S>::with_backend(program.clone());
-    let mut interpreted = InterpretedExecutor::<S>::with_backend(program);
+    let mut lowered = Executor::new(program.clone());
+    let mut interpreted = InterpretedExecutor::new(program);
     let mut normalizer = BatchNormalizer::new();
     for piece in trace.chunks(chunk) {
         let batch = normalizer.normalize(piece);
@@ -131,12 +129,10 @@ proptest! {
                 "work counters diverged on query {}",
                 &query.name
             );
-            // (c) The batch paths, chunked, on both backends: exact parity with the
-            // interpreter, and the same final state as per-update ingest.
-            let hash = batched_parity::<HashViewStorage>(&query, &trace, chunk)?;
-            let ordered = batched_parity::<OrderedViewStorage>(&query, &trace, chunk)?;
-            prop_assert_eq!(&hash, &lowered.output_table());
-            prop_assert_eq!(&ordered, &lowered.output_table());
+            // (c) The batch paths, chunked: exact parity with the interpreter, and the
+            // same final state as per-update ingest.
+            let batched = batched_parity(&query, &trace, chunk)?;
+            prop_assert_eq!(&batched, &lowered.output_table());
         }
     }
 }

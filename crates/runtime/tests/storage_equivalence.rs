@@ -1,17 +1,16 @@
-//! Equivalence of the hash- and ordered-backed executors, mirroring
-//! `lowered_equivalence.rs` one layer down.
+//! The executors and the [`ViewStorage`] contract, on [`HashViewStorage`].
 //!
-//! The [`ViewStorage`] contract promises that a backend only changes *where* entries
-//! physically live, never *which* entries a probe or partial-key enumeration sees. If
-//! that holds, both executors must produce identical output tables, identical view
-//! hierarchies, and — because [`ExecStats`] counts one operation per visited entry —
-//! *exactly* equal work counters on every backend, for random mixed-multiplicity traces.
-//! A backend whose index misses an entry (the `register_index` backfill regression) or
-//! whose range scan over- or under-shoots fails these tests, not just a benchmark.
+//! The contract promises that storage only changes *where* entries physically live,
+//! never *which* entries a probe or partial-key enumeration sees. The executor tests
+//! check that the lowered and interpreted executors agree with each other and with the
+//! reference evaluator on random mixed-multiplicity traces, per update and batched;
+//! because [`ExecStats`](dbring_runtime::ExecStats) counts one operation per visited
+//! entry, an index that misses an entry (the `register_index` backfill regression)
+//! shows up as diverging counters, not just in a benchmark.
 //!
 //! Below the executors, the model-based suite at the end of this file pins the
 //! [`ViewStorage`] contract itself: random operation streams over every trait method,
-//! checked against a `BTreeMap` model after every step, on both backends.
+//! checked against a `BTreeMap` model after every step.
 
 use dbring_agca::ast::Query;
 use dbring_agca::eval::eval_all_groups;
@@ -19,9 +18,7 @@ use dbring_agca::parser::parse_query;
 use dbring_algebra::{Number, Ring, Semiring};
 use dbring_compiler::compile;
 use dbring_relations::{Database, DeltaBatch, Update, Value};
-use dbring_runtime::{
-    ExecStats, Executor, HashViewStorage, InterpretedExecutor, OrderedViewStorage, ViewStorage,
-};
+use dbring_runtime::{Executor, HashViewStorage, InterpretedExecutor, ViewStorage};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -72,6 +69,9 @@ fn nonzero(table: BTreeMap<Vec<Value>, Number>) -> BTreeMap<Vec<Value>, Number> 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
+    /// Per-update maintenance on both executors against from-scratch evaluation, with
+    /// exact work-counter parity. (The name predates the removal of the second
+    /// backend.)
     #[test]
     fn hash_and_ordered_backends_agree_on_both_executors(
         trace in prop::collection::vec(arb_update(), 1..50),
@@ -79,52 +79,35 @@ proptest! {
         let catalog = catalog();
         for query in corpus() {
             let program = compile(&catalog, &query).unwrap();
-            let mut lowered_hash = Executor::<HashViewStorage>::with_backend(program.clone());
-            let mut lowered_ordered = Executor::<OrderedViewStorage>::with_backend(program.clone());
-            let mut interp_hash = InterpretedExecutor::<HashViewStorage>::with_backend(program.clone());
-            let mut interp_ordered = InterpretedExecutor::<OrderedViewStorage>::with_backend(program);
+            let mut lowered = Executor::new(program.clone());
+            let mut interp = InterpretedExecutor::new(program);
             let mut db = catalog.clone();
             for update in &trace {
-                lowered_hash.apply(update).unwrap();
-                lowered_ordered.apply(update).unwrap();
-                interp_hash.apply(update).unwrap();
-                interp_ordered.apply(update).unwrap();
+                lowered.apply(update).unwrap();
+                interp.apply(update).unwrap();
                 db.apply(update).unwrap();
             }
             // (a) Final-state correctness against from-scratch evaluation.
             let reference = nonzero(eval_all_groups(&query, &db).unwrap());
             prop_assert_eq!(
-                nonzero(lowered_ordered.output_table()),
+                nonzero(lowered.output_table()),
                 reference,
-                "ordered backend diverged from the reference evaluator on {}",
+                "lowered executor diverged from the reference evaluator on {}",
                 &query.name
             );
-            // (b) Backend equivalence on the lowered executor: tables, hierarchy size,
-            // and exactly equal work counters.
-            prop_assert_eq!(lowered_hash.output_table(), lowered_ordered.output_table());
-            prop_assert_eq!(lowered_hash.total_entries(), lowered_ordered.total_entries());
+            // (b) Executor equivalence: tables, hierarchy size, exactly equal work
+            // counters and entry counts.
+            prop_assert_eq!(lowered.output_table(), interp.output_table());
+            prop_assert_eq!(lowered.total_entries(), interp.total_entries());
             prop_assert_eq!(
-                lowered_hash.stats(),
-                lowered_ordered.stats(),
-                "lowered work counters diverged across backends on {}",
+                lowered.stats(),
+                interp.stats(),
+                "work counters diverged across executors on {}",
                 &query.name
             );
-            // (c) Backend equivalence on the interpreted executor.
-            prop_assert_eq!(interp_hash.output_table(), interp_ordered.output_table());
-            prop_assert_eq!(interp_hash.total_entries(), interp_ordered.total_entries());
             prop_assert_eq!(
-                interp_hash.stats(),
-                interp_ordered.stats(),
-                "interpreted work counters diverged across backends on {}",
-                &query.name
-            );
-            // (d) Cross-executor parity holds on the ordered backend too (the lowered ×
-            // hash pairing is covered by `lowered_equivalence.rs`).
-            prop_assert_eq!(lowered_ordered.stats(), interp_ordered.stats());
-            // Entry counts agree across backends even though index layouts differ.
-            prop_assert_eq!(
-                lowered_hash.storage_footprint().entries,
-                lowered_ordered.storage_footprint().entries
+                lowered.storage_footprint().entries,
+                interp.storage_footprint().entries
             );
         }
     }
@@ -147,162 +130,40 @@ fn permute(mut trace: Vec<Update>, mut seed: u64) -> Vec<Update> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The tentpole's correctness bar: `apply_batch` over *any* chunking of *any*
-    /// permutation of a mixed-multiplicity trace ends in exactly the tables the
-    /// per-tuple `apply_all` reaches, on every backend × executor combination. (The
-    /// maintained views depend only on the net delta, which permutation, chunking and
-    /// in-batch consolidation all preserve.)
+    /// `apply_batch` over *any* chunking of *any* permutation of a mixed-multiplicity
+    /// trace ends in exactly the tables the per-tuple `apply_all` reaches, on both
+    /// executors. (The maintained views depend only on the net delta, which
+    /// permutation, chunking and in-batch consolidation all preserve.)
     #[test]
     fn apply_batch_matches_per_tuple_apply_all_across_backends_and_executors(
         trace in prop::collection::vec(arb_update(), 1..60),
         chunk in 1usize..9,
         perm_seed in 0u64..u64::MAX,
     ) {
-        type Table = BTreeMap<Vec<Value>, Number>;
-        fn batch_tables<S: ViewStorage>(
-            program: &dbring_compiler::TriggerProgram,
-            chunks: &[&[Update]],
-        ) -> (Table, Table, usize, usize) {
-            let mut lowered = Executor::<S>::with_backend(program.clone());
-            let mut interp = InterpretedExecutor::<S>::with_backend(program.clone());
-            for chunk in chunks {
-                let batch = DeltaBatch::from_updates(*chunk);
-                lowered.apply_batch(&batch).unwrap();
-                interp.apply_batch(&batch).unwrap();
-            }
-            // The two batch paths also account their work identically.
-            assert_eq!(lowered.stats(), interp.stats());
-            (
-                lowered.output_table(),
-                interp.output_table(),
-                lowered.total_entries(),
-                interp.total_entries(),
-            )
-        }
         let catalog = catalog();
         let permuted = permute(trace.clone(), perm_seed);
-        let chunks: Vec<&[Update]> = permuted.chunks(chunk).collect();
         for query in corpus() {
             let program = compile(&catalog, &query).unwrap();
             let mut reference = Executor::new(program.clone());
             reference.apply_all(&trace).unwrap();
             let expected = reference.output_table();
             let expected_entries = reference.total_entries();
-            let (lh, ih, leh, ieh) = batch_tables::<HashViewStorage>(&program, &chunks);
-            let (lo, io, leo, ieo) = batch_tables::<OrderedViewStorage>(&program, &chunks);
-            prop_assert_eq!(&lh, &expected, "lowered/hash diverged on {}", &query.name);
-            prop_assert_eq!(&ih, &expected, "interp/hash diverged on {}", &query.name);
-            prop_assert_eq!(&lo, &expected, "lowered/ordered diverged on {}", &query.name);
-            prop_assert_eq!(&io, &expected, "interp/ordered diverged on {}", &query.name);
+            let mut lowered = Executor::new(program.clone());
+            let mut interp = InterpretedExecutor::new(program);
+            for piece in permuted.chunks(chunk) {
+                let batch = DeltaBatch::from_updates(piece);
+                lowered.apply_batch(&batch).unwrap();
+                interp.apply_batch(&batch).unwrap();
+            }
+            // The two batch paths also account their work identically.
+            prop_assert_eq!(lowered.stats(), interp.stats());
+            prop_assert_eq!(&lowered.output_table(), &expected, "lowered diverged on {}", &query.name);
+            prop_assert_eq!(&interp.output_table(), &expected, "interp diverged on {}", &query.name);
             // The whole view hierarchy (not just the output map) converged too.
-            prop_assert_eq!(leh, expected_entries);
-            prop_assert_eq!(ieh, expected_entries);
-            prop_assert_eq!(leo, expected_entries);
-            prop_assert_eq!(ieo, expected_entries);
+            prop_assert_eq!(lowered.total_entries(), expected_entries);
+            prop_assert_eq!(interp.total_entries(), expected_entries);
         }
     }
-}
-
-/// Deterministic parity over the synthetic workload streams (larger and more structured
-/// than the proptest traces: indexed enumerations, three-way joins, deletes, floats).
-#[test]
-fn exec_stats_agree_across_backends_on_workload_streams() {
-    use dbring_workloads::{customers_by_nation, orders_lineitems, rst_sum_join, WorkloadConfig};
-    let config = WorkloadConfig {
-        seed: 23,
-        initial_size: 120,
-        stream_length: 200,
-        domain_size: 12,
-        delete_fraction: 0.3,
-    };
-    for workload in [
-        customers_by_nation(config),
-        rst_sum_join(config),
-        orders_lineitems(config),
-    ] {
-        let program = compile(&workload.catalog, &workload.query).unwrap();
-        let mut hash = Executor::<HashViewStorage>::with_backend(program.clone());
-        let mut ordered = Executor::<OrderedViewStorage>::with_backend(program);
-        for update in workload.initial.iter().chain(&workload.stream) {
-            hash.apply(update).unwrap();
-            ordered.apply(update).unwrap();
-        }
-        assert_eq!(
-            hash.stats(),
-            ordered.stats(),
-            "stats diverged on workload {}",
-            workload.name
-        );
-        assert_ne!(
-            hash.stats(),
-            ExecStats::default(),
-            "workload {} did no work",
-            workload.name
-        );
-        assert_eq!(
-            hash.output_table(),
-            ordered.output_table(),
-            "tables diverged on workload {}",
-            workload.name
-        );
-        let (hfp, ofp) = (hash.storage_footprint(), ordered.storage_footprint());
-        assert_eq!(hfp.entries, ofp.entries, "{}", workload.name);
-        assert!(
-            ofp.index_entries <= hfp.index_entries,
-            "ordered backend should never carry more index entries ({} vs {}) on {}",
-            ofp.index_entries,
-            hfp.index_entries,
-            workload.name
-        );
-    }
-}
-
-/// The ordered backend preserves the constant-work guarantee: per-update arithmetic ops
-/// for a loop-free trigger program stay bounded as the maps grow.
-#[test]
-fn constant_work_per_update_holds_on_the_ordered_backend() {
-    let catalog = catalog();
-    let q = parse_query("q2 := Sum(R(x) * R(y) * (x = y))").unwrap();
-    let mut exec = Executor::<OrderedViewStorage>::with_backend(compile(&catalog, &q).unwrap());
-    let mut worst = 0u64;
-    for i in 0..2_000i64 {
-        let before = exec.stats().arithmetic_ops();
-        exec.apply(&Update::insert("R", vec![Value::int(i % 7)]))
-            .unwrap();
-        worst = worst.max(exec.stats().arithmetic_ops() - before);
-    }
-    assert!(worst <= 12, "per-update ops grew to {worst}");
-    assert!(exec.total_entries() > 7);
-}
-
-/// Initialization from a non-empty database works identically on both backends.
-#[test]
-fn initialization_matches_streaming_on_the_ordered_backend() {
-    let catalog = catalog();
-    let query = parse_query("q1[c] := Sum(C(c, n) * C(c2, n))").unwrap();
-    let program = compile(&catalog, &query).unwrap();
-    let updates: Vec<Update> = (0..30)
-        .map(|i| {
-            Update::insert(
-                "C",
-                vec![
-                    Value::int(i),
-                    Value::str(["FR", "DE", "IT"][(i % 3) as usize]),
-                ],
-            )
-        })
-        .collect();
-    let mut db = catalog.clone();
-    db.apply_all(&updates).unwrap();
-    let mut streamed = Executor::<OrderedViewStorage>::with_backend(program.clone());
-    streamed.apply_all(&updates).unwrap();
-    let mut initialized = Executor::<OrderedViewStorage>::with_backend(program);
-    initialized.initialize_from(&db).unwrap();
-    assert_eq!(streamed.output_table(), initialized.output_table());
-    let more = Update::insert("C", vec![Value::int(100), Value::str("FR")]);
-    streamed.apply(&more).unwrap();
-    initialized.apply(&more).unwrap();
-    assert_eq!(streamed.output_table(), initialized.output_table());
 }
 
 // ---------------------------------------------------------------------------------
@@ -398,8 +259,8 @@ fn model_add(model: &mut Model, key: &[Value], delta: Number) -> Number {
 /// footprint identities, `get` on the probe keys, and — for every registered pattern,
 /// one unregistered one and the empty one — the slice of each probe key, which must
 /// also equal what the index-free scan finds.
-fn verify<S: ViewStorage>(
-    storage: &S,
+fn verify(
+    storage: &HashViewStorage,
     model: &Model,
     patterns: &[Vec<usize>],
     probes: &[Vec<Value>],
@@ -437,17 +298,17 @@ fn verify<S: ViewStorage>(
 
 /// One random operation stream over every `ViewStorage` method, verified against the
 /// model after every step; a clone taken mid-stream must stay what it was.
-fn run_model<S: ViewStorage>(seed: u64, arity: usize, steps: usize) {
+fn run_model(seed: u64, arity: usize, steps: usize) {
     let mut rng = Rng(seed | 1);
     let numbers = number_pool();
     // Three values per position: few enough keys that streams revisit, prune and
     // re-insert them, enough that every slice list gets long.
     let pool = value_pool();
     let domain: Vec<Value> = (0..3).map(|_| rng.pick(&pool)).collect();
-    let mut storage = S::new(arity);
+    let mut storage = HashViewStorage::new(arity);
     let mut model = Model::new();
     let mut patterns: Vec<Vec<usize>> = Vec::new();
-    let mut frozen: Option<(S, Model, Vec<Vec<usize>>)> = None;
+    let mut frozen: Option<(HashViewStorage, Model, Vec<Vec<usize>>)> = None;
     for _ in 0..steps {
         let key = |rng: &mut Rng| -> Vec<Value> { (0..arity).map(|_| rng.pick(&domain)).collect() };
         let mut probes = vec![key(&mut rng), key(&mut rng)];
@@ -550,41 +411,36 @@ proptest! {
         arity in 0usize..5,
         steps in 40usize..160,
     ) {
-        run_model::<HashViewStorage>(seed, arity, steps);
-        run_model::<OrderedViewStorage>(seed, arity, steps);
+        run_model(seed, arity, steps);
     }
 }
 
 /// Rows leave a slice at its head, from its middle, at its tail and as its last
-/// member — on a list that is four word writes, on a permuted index a set removal —
-/// and the slice stays exactly the members left, in every removal order.
+/// member — four word writes on the row-id list — and the slice stays exactly the
+/// members left, in every removal order.
 #[test]
 fn slice_members_leave_at_head_middle_tail_and_last() {
-    fn check<S: ViewStorage>() {
-        let key = |a: i64| vec![Value::int(a), Value::str("group"), Value::int(a % 2)];
-        let orders: [[i64; 4]; 4] = [[0, 1, 2, 3], [3, 2, 1, 0], [1, 2, 0, 3], [2, 0, 3, 1]];
-        for order in orders {
-            let mut storage = S::new(3);
-            storage.register_index(vec![1]);
-            storage.register_index(vec![1, 2]);
-            let mut model = Model::new();
-            for a in 0..4 {
-                storage.add(key(a), Number::Int(a + 1));
-                model.insert(key(a), Number::Int(a + 1));
-            }
-            let patterns = [vec![1], vec![1, 2]];
-            for a in order {
-                verify(&storage, &model, &patterns, &[key(a), key(9)]);
-                assert_eq!(
-                    storage.add_ref(&key(a), Number::Int(-a - 1)),
-                    Number::Int(a + 1)
-                );
-                model.remove(&key(a));
-                verify(&storage, &model, &patterns, &[key(a), key(9)]);
-            }
-            assert!(storage.is_empty());
+    let key = |a: i64| vec![Value::int(a), Value::str("group"), Value::int(a % 2)];
+    let orders: [[i64; 4]; 4] = [[0, 1, 2, 3], [3, 2, 1, 0], [1, 2, 0, 3], [2, 0, 3, 1]];
+    for order in orders {
+        let mut storage = HashViewStorage::new(3);
+        storage.register_index(vec![1]);
+        storage.register_index(vec![1, 2]);
+        let mut model = Model::new();
+        for a in 0..4 {
+            storage.add(key(a), Number::Int(a + 1));
+            model.insert(key(a), Number::Int(a + 1));
         }
+        let patterns = [vec![1], vec![1, 2]];
+        for a in order {
+            verify(&storage, &model, &patterns, &[key(a), key(9)]);
+            assert_eq!(
+                storage.add_ref(&key(a), Number::Int(-a - 1)),
+                Number::Int(a + 1)
+            );
+            model.remove(&key(a));
+            verify(&storage, &model, &patterns, &[key(a), key(9)]);
+        }
+        assert!(storage.is_empty());
     }
-    check::<HashViewStorage>();
-    check::<OrderedViewStorage>();
 }

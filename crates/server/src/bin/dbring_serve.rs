@@ -1,7 +1,7 @@
 //! `dbring-serve`: the line-protocol serving front end as a standalone binary.
 //!
 //! ```text
-//! dbring-serve [--port N] [--backend hash|ordered] [--batch N] [--self-test]
+//! dbring-serve [--port N] [--batch N] [--self-test]
 //! ```
 //!
 //! Binds 127.0.0.1 (port 0 lets the OS pick), prints `LISTENING <port>` once ready,
@@ -13,7 +13,6 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
 
-use dbring::StorageBackend;
 use dbring_server::{Server, ServerConfig};
 
 fn main() -> ExitCode {
@@ -30,11 +29,6 @@ fn main() -> ExitCode {
             "--batch" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(n) => config.batch_max = n,
                 None => return usage("--batch needs a number"),
-            },
-            "--backend" => match args.next().as_deref() {
-                Some("hash") => config.backend = StorageBackend::Hash,
-                Some("ordered") => config.backend = StorageBackend::Ordered,
-                _ => return usage("--backend is hash or ordered"),
             },
             "--self-test" => self_test = true,
             other => return usage(&format!("unknown argument {other}")),
@@ -73,7 +67,7 @@ fn main() -> ExitCode {
 
 fn usage(message: &str) -> ExitCode {
     eprintln!("{message}");
-    eprintln!("usage: dbring-serve [--port N] [--backend hash|ordered] [--batch N] [--self-test]");
+    eprintln!("usage: dbring-serve [--port N] [--batch N] [--self-test]");
     ExitCode::FAILURE
 }
 

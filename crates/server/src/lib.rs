@@ -89,9 +89,7 @@ use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
-use dbring::{
-    Catalog, Number, Ring, RingBuilder, RingHandle, StorageBackend, Update, Value, ViewDef,
-};
+use dbring::{Catalog, Number, Ring, RingBuilder, RingHandle, Update, Value, ViewDef};
 
 /// The longest request line the server reads, newline excluded.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
@@ -105,12 +103,10 @@ const QUEUE_BOUND: usize = 64;
 /// while further requests are already buffered.
 const REPLY_FLUSH_BYTES: usize = 64 * 1024;
 
-/// Server-wide configuration: the storage backend new tenant rings are built on and
-/// the batch size that forces a commit even without a quiescent point.
+/// Server-wide configuration: the batch size that forces a commit even without a
+/// quiescent point.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// Storage backend for every tenant ring ([`StorageBackend::Hash`] by default).
-    pub backend: StorageBackend,
     /// Commit the pending batch once it holds this many updates, even if more
     /// requests are queued. Writers that keep the queue non-empty (pipelining
     /// clients, or several connections) grow a batch up to this size; this bounds
@@ -120,10 +116,7 @@ pub struct ServerConfig {
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        ServerConfig {
-            backend: StorageBackend::Hash,
-            batch_max: 256,
-        }
+        ServerConfig { batch_max: 256 }
     }
 }
 
@@ -607,7 +600,7 @@ fn tenant_loop(rx: Receiver<Request>, shared: &OnceLock<TenantShared>, config: S
             Err(TryRecvError::Disconnected) => break,
         };
         let stop = matches!(request.command, Command::Stop);
-        let reply = handle_command(request.command, &mut core, &mut batch, shared, &config);
+        let reply = handle_command(request.command, &mut core, &mut batch, shared);
         if let Some(sender) = request.reply {
             let _ = sender.send(reply);
         }
@@ -626,7 +619,6 @@ fn handle_command(
     core: &mut Core,
     batch: &mut Batch,
     shared: &OnceLock<TenantShared>,
-    config: &ServerConfig,
 ) -> Result<String, String> {
     match command {
         Command::Declare { relation, columns } => match core {
@@ -642,7 +634,7 @@ fn handle_command(
             }
         },
         Command::CreateView { name, sql } => {
-            let ring = ensure_serving(core, shared, config);
+            let ring = ensure_serving(core, shared);
             batch.commit(ring);
             let id = ring
                 .create_view(&name, ViewDef::Sql(&sql))
@@ -659,7 +651,7 @@ fn handle_command(
             Ok(format!("dropped {name}"))
         }
         Command::Serve => {
-            ensure_serving(core, shared, config);
+            ensure_serving(core, shared);
             Ok("serving".to_string())
         }
         Command::Ingest { update } => {
@@ -701,15 +693,9 @@ fn handle_command(
 
 /// Builds the tenant's ring on its first view or update, freezing the catalog and
 /// publishing the read handle and the catalog to connection threads.
-fn ensure_serving<'a>(
-    core: &'a mut Core,
-    shared: &OnceLock<TenantShared>,
-    config: &ServerConfig,
-) -> &'a mut Ring {
+fn ensure_serving<'a>(core: &'a mut Core, shared: &OnceLock<TenantShared>) -> &'a mut Ring {
     if let Core::Building(catalog) = core {
-        let ring = RingBuilder::new(std::mem::take(catalog))
-            .backend(config.backend)
-            .build();
+        let ring = RingBuilder::new(std::mem::take(catalog)).build();
         // Only this transition sets it, and a tenant makes it once.
         let _ = shared.set(TenantShared {
             reader: ring.reader(),

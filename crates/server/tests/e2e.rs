@@ -7,7 +7,6 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use dbring::StorageBackend;
 use dbring_server::{Server, ServerConfig, MAX_LINE_BYTES};
 
 /// A reply not read in this long fails the test instead of hanging it.
@@ -168,10 +167,7 @@ fn tenants_are_isolated_rings() {
 fn reads_come_from_published_snapshots() {
     // batch_max 1000 ≫ the test's updates: nothing commits until the queue drains
     // or an explicit FLUSH, so this exercises the quiescent-point publication.
-    let config = ServerConfig {
-        backend: StorageBackend::Ordered,
-        batch_max: 1000,
-    };
+    let config = ServerConfig { batch_max: 1000 };
     let (addr, handle) = start(config);
     let mut c = Client::connect(addr);
 
@@ -367,21 +363,7 @@ fn serve_by_k(c: &mut Client) {
 
 /// `TABLE t by_k` as a map, zero groups left out.
 fn by_k_table(c: &mut Client) -> BTreeMap<i64, i64> {
-    let lines = c.send_multi("TABLE t by_k");
-    assert!(lines.last().unwrap().starts_with("END "), "{lines:?}");
-    let mut table = BTreeMap::new();
-    for row in &lines[..lines.len() - 1] {
-        let fields: Vec<i64> = row
-            .strip_prefix("ROW ")
-            .unwrap_or_else(|| panic!("not a row: {row:?}"))
-            .split_whitespace()
-            .map(|f| f.parse().expect("integer field"))
-            .collect();
-        if fields[1] != 0 {
-            table.insert(fields[0], fields[1]);
-        }
-    }
-    table
+    by_k_snapshot(c).0
 }
 
 /// One `key=value` field of a `STATS` reply.
@@ -547,5 +529,129 @@ fn a_line_that_is_not_utf8_closes_only_its_connection() {
     assert_eq!(other.send("PING"), "OK pong");
 
     drop(other);
+    shutdown(addr, handle);
+}
+
+/// Parses a `TABLE t by_k` reply into its rows (zero groups left out) and the
+/// `ingested=` count of the snapshot it was read from.
+fn by_k_snapshot(c: &mut Client) -> (BTreeMap<i64, i64>, u64) {
+    let lines = c.send_multi("TABLE t by_k");
+    let end = lines.last().unwrap();
+    assert!(end.starts_with("END "), "{lines:?}");
+    let mut table = BTreeMap::new();
+    for row in &lines[..lines.len() - 1] {
+        let fields: Vec<i64> = row
+            .strip_prefix("ROW ")
+            .unwrap_or_else(|| panic!("not a row: {row:?}"))
+            .split_whitespace()
+            .map(|f| f.parse().expect("integer field"))
+            .collect();
+        if fields[1] != 0 {
+            table.insert(fields[0], fields[1]);
+        }
+    }
+    (table, stat(end, "ingested"))
+}
+
+#[test]
+fn a_client_that_dies_mid_pipeline_leaves_a_committed_prefix() {
+    const LINES: i64 = 4_000;
+    const DEADLINE: Duration = Duration::from_secs(10);
+    let (addr, handle) = start(ServerConfig::default());
+    let mut observer = Client::connect(addr);
+    serve_by_k(&mut observer);
+
+    // Inserts only, each with its own value: the `ingested=` count of a snapshot then
+    // names exactly one prefix of the stream.
+    let line = |i: i64| format!("INSERT t R {} {}\n", i % 7, i + 1);
+    let replay = |n: u64| {
+        let mut table: BTreeMap<i64, i64> = BTreeMap::new();
+        for i in 0..n as i64 {
+            *table.entry(i % 7).or_default() += i + 1;
+        }
+        table
+    };
+    let payload: String = (0..LINES).map(line).collect();
+    let mut dying = Client::connect(addr);
+    // The client never reads, so if the server ever blocked on its replies this write
+    // could not finish; the timeout bounds it, and a partial write is still a prefix.
+    dying
+        .out
+        .set_write_timeout(Some(REPLY_TIMEOUT))
+        .expect("write timeout");
+    let _ = dying.out.write_all(payload.as_bytes());
+    // Close only once the server has committed part of the stream, so the close
+    // lands mid-pipeline rather than before the first line.
+    let started = Instant::now();
+    while observer.send("FLUSH t") == "OK ingested=0" {
+        assert!(
+            started.elapsed() < DEADLINE,
+            "no update of the pipeline landed"
+        );
+    }
+    drop(dying);
+
+    let started = Instant::now();
+    assert_eq!(observer.send("PING"), "OK pong");
+    let flushed = observer.send("FLUSH t");
+    assert!(flushed.starts_with("OK ingested="), "{flushed}");
+    assert!(
+        started.elapsed() < DEADLINE,
+        "PING + FLUSH took {:?}",
+        started.elapsed()
+    );
+    let (table, first) = by_k_snapshot(&mut observer);
+    assert!(0 < first && first <= LINES as u64, "ingested={first}");
+    assert_eq!(
+        table,
+        replay(first),
+        "the view is not a prefix of the stream"
+    );
+
+    // New connections are still accepted, and whatever else of the dead client's
+    // stream landed since extends the same prefix.
+    let mut fresh = Client::connect(addr);
+    assert_eq!(fresh.send("PING"), "OK pong");
+    assert!(fresh.send("FLUSH t").starts_with("OK ingested="));
+    let (table, later) = by_k_snapshot(&mut fresh);
+    assert!(
+        first <= later && later <= LINES as u64,
+        "{first} then {later}"
+    );
+    assert_eq!(
+        table,
+        replay(later),
+        "the view is not a prefix of the stream"
+    );
+
+    drop((observer, fresh));
+    shutdown(addr, handle);
+}
+
+#[test]
+fn a_client_stalled_mid_line_blocks_no_other_connection() {
+    let (addr, handle) = start(ServerConfig::default());
+    let mut other = Client::connect(addr);
+    serve_by_k(&mut other);
+    let mut stalled = Client::connect(addr);
+    // A full round trip first, so the stalled connection's handler is running.
+    assert_eq!(stalled.send("PING"), "OK pong");
+    stalled
+        .out
+        .write_all(b"INSERT t R 1 5")
+        .expect("half a line");
+
+    // The same tenant keeps serving the other connection meanwhile.
+    assert_eq!(other.send("INSERT t R 2 7"), "OK queued");
+    assert_eq!(other.send("FLUSH t"), "OK ingested=1");
+    assert_eq!(other.send("GET t by_k 2"), "VALUE 7");
+    assert_eq!(other.send("GET t by_k 1"), "VALUE 0");
+
+    // Completing the line queues the update like any other.
+    assert_eq!(stalled.send(""), "OK queued");
+    assert_eq!(other.send("FLUSH t"), "OK ingested=2");
+    assert_eq!(other.send("GET t by_k 1"), "VALUE 5");
+
+    drop((other, stalled));
     shutdown(addr, handle);
 }

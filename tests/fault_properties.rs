@@ -12,16 +12,13 @@
 //!    the batch while a sibling accepts it. The rejection must roll every view back
 //!    bit-exactly, poison nothing, and leave the ring equivalent to one that never
 //!    saw the failing batch.
-//!
-//! Both properties run on both storage backends.
 
 use std::collections::BTreeMap;
 
 use dbring::fault::with_fault;
 use dbring::{
-    Catalog, Error, ExecStats, FaultOp, FaultPlan, FaultStorage, HashViewStorage, Number,
-    OrderedViewStorage, Ring, RingBuilder, RuntimeError, StorageBackend, Update, Value, ViewDef,
-    ViewStorage,
+    Catalog, Error, ExecStats, FaultOp, FaultPlan, FaultStorage, HashViewStorage, Number, Ring,
+    RingBuilder, RuntimeError, Update, Value, ViewDef,
 };
 use proptest::prelude::*;
 
@@ -64,19 +61,20 @@ fn arb_update() -> impl Strategy<Value = Update> {
 
 const OPS: [FaultOp; 3] = [FaultOp::Probe, FaultOp::Add, FaultOp::ApplySorted];
 
-/// A ring whose every view lives on the fault-injection wrapper around `S`.
-fn faulted_ring<S: ViewStorage + Send + 'static>() -> Ring {
+/// A ring whose every view lives on the fault-injection wrapper around the hash
+/// storage.
+fn faulted_ring() -> Ring {
     let mut ring = RingBuilder::new(catalog()).build();
     for (name, text) in VIEWS {
-        ring.create_view_with::<FaultStorage<S>>(*name, ViewDef::Agca(text))
+        ring.create_view_with::<FaultStorage<HashViewStorage>>(*name, ViewDef::Agca(text))
             .unwrap();
     }
     ring
 }
 
-/// A plain ring on `backend` hosting the same views — the fault-free reference.
-fn reference_ring(backend: StorageBackend) -> Ring {
-    let mut ring = RingBuilder::new(catalog()).backend(backend).build();
+/// A plain ring hosting the same views — the fault-free reference.
+fn reference_ring() -> Ring {
+    let mut ring = RingBuilder::new(catalog()).build();
     for (name, text) in VIEWS {
         ring.create_view(*name, ViewDef::Agca(text)).unwrap();
     }
@@ -98,17 +96,15 @@ fn tables(ring: &Ring) -> Vec<(String, BTreeMap<Vec<Value>, Number>)> {
         .collect()
 }
 
-/// Drives one injected-panic scenario and checks the full contract; generic over the
-/// wrapped backend so hash and ordered share the harness.
-fn check_panic_atomicity<S: ViewStorage + Send + 'static>(
-    backend: StorageBackend,
+/// Drives one injected-panic scenario and checks the full contract.
+fn check_panic_atomicity(
     prefix: &[Update],
     batch: &[Update],
     suffix: &[Update],
     plan: FaultPlan,
 ) -> Result<(), TestCaseError> {
-    let mut ring = faulted_ring::<S>();
-    let mut reference = reference_ring(backend);
+    let mut ring = faulted_ring();
+    let mut reference = reference_ring();
     if !prefix.is_empty() {
         ring.apply_batch(prefix).unwrap();
         reference.apply_batch(prefix).unwrap();
@@ -177,7 +173,6 @@ fn check_panic_atomicity<S: ViewStorage + Send + 'static>(
 /// column is rejected at evaluation time — after `r_selfjoin` and friends may
 /// already have staged the batch successfully.
 fn check_value_error_atomicity(
-    backend: StorageBackend,
     prefix: &[Update],
     mut batch: Vec<Update>,
     poison_at: usize,
@@ -187,11 +182,8 @@ fn check_value_error_atomicity(
     let at = poison_at % (batch.len() + 1);
     batch.insert(at, poison);
 
-    let mut ring = RingBuilder::new(catalog()).backend(backend).build();
-    for (name, text) in VIEWS {
-        ring.create_view(*name, ViewDef::Agca(text)).unwrap();
-    }
-    let mut reference = reference_ring(backend);
+    let mut ring = reference_ring();
+    let mut reference = reference_ring();
     if !prefix.is_empty() {
         ring.apply_batch(prefix).unwrap();
         reference.apply_batch(prefix).unwrap();
@@ -223,8 +215,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Injected storage panics at random operations: failed batches land nowhere,
-    /// panicked views quarantine and repair to the replay-from-scratch state, on
-    /// both backends.
+    /// panicked views quarantine and repair to the replay-from-scratch state.
     #[test]
     fn injected_panics_leave_failed_batches_unlanded(
         prefix in prop::collection::vec(arb_update(), 0..24),
@@ -234,12 +225,7 @@ proptest! {
         at in 0usize..12,
     ) {
         let plan = FaultPlan::new(OPS[op_idx], at);
-        check_panic_atomicity::<HashViewStorage>(
-            StorageBackend::Hash, &prefix, &batch, &suffix, plan,
-        )?;
-        check_panic_atomicity::<OrderedViewStorage>(
-            StorageBackend::Ordered, &prefix, &batch, &suffix, plan,
-        )?;
+        check_panic_atomicity(&prefix, &batch, &suffix, plan)?;
     }
 
     /// A malformed tuple at a random batch position: the rejecting view drags the
@@ -252,8 +238,6 @@ proptest! {
         poison_at in 0usize..16,
         suffix in prop::collection::vec(arb_update(), 1..12),
     ) {
-        for backend in [StorageBackend::Hash, StorageBackend::Ordered] {
-            check_value_error_atomicity(backend, &prefix, batch.clone(), poison_at, &suffix)?;
-        }
+        check_value_error_atomicity(&prefix, batch, poison_at, &suffix)?;
     }
 }

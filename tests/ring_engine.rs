@@ -7,8 +7,7 @@ use std::thread::ThreadId;
 
 use dbring::{
     compile, parse_query, BatchNormalizer, Catalog, Error, Executor, HashViewStorage, Number, Ring,
-    RingBuilder, RuntimeError, StorageBackend, StorageFootprint, Update, Value, ViewDef,
-    ViewStorage,
+    RingBuilder, RuntimeError, StorageFootprint, Update, Value, ViewDef, ViewStorage,
 };
 
 fn shop_catalog() -> Catalog {
@@ -90,37 +89,35 @@ fn routed_ingest_matches_independent_views_exactly() {
         })
         .collect();
 
-    for backend in [StorageBackend::Hash, StorageBackend::Ordered] {
-        let mut ring = RingBuilder::new(catalog.clone()).backend(backend).build();
-        let ids: Vec<_> = defs
-            .iter()
-            .map(|(name, text)| ring.create_view(*name, ViewDef::Agca(text)).unwrap())
-            .collect();
-        // Half per update, half batched: both ingest paths route identically.
-        let (first, second) = updates.split_at(updates.len() / 2);
-        ring.apply_all(first).unwrap();
-        for chunk in second.chunks(8) {
-            ring.apply_batch(chunk).unwrap();
-        }
-
-        for (&id, (_, text)) in ids.iter().zip(defs) {
-            let (mut exec, mut normalizer) = solo(&catalog, text);
-            exec.apply_all(first).unwrap();
-            for chunk in second.chunks(8) {
-                exec.apply_batch(&normalizer.normalize(chunk)).unwrap();
-            }
-            let hosted = ring.view(id).unwrap();
-            assert_eq!(hosted.table(), exec.output_table(), "{}", hosted.name());
-            // Routed dispatch == per-view apply, operation for operation.
-            assert_eq!(hosted.stats(), exec.stats(), "{}", hosted.name());
-        }
-        // Routing is visible: the refunds view saw only the Returns updates.
-        let returns_seen = updates.iter().filter(|u| u.relation == "Returns").count() as u64;
-        assert_eq!(
-            ring.view_named("refunds").unwrap().stats().updates,
-            returns_seen
-        );
+    let mut ring = RingBuilder::new(catalog.clone()).build();
+    let ids: Vec<_> = defs
+        .iter()
+        .map(|(name, text)| ring.create_view(*name, ViewDef::Agca(text)).unwrap())
+        .collect();
+    // Half per update, half batched: both ingest paths route identically.
+    let (first, second) = updates.split_at(updates.len() / 2);
+    ring.apply_all(first).unwrap();
+    for chunk in second.chunks(8) {
+        ring.apply_batch(chunk).unwrap();
     }
+
+    for (&id, (_, text)) in ids.iter().zip(defs) {
+        let (mut exec, mut normalizer) = solo(&catalog, text);
+        exec.apply_all(first).unwrap();
+        for chunk in second.chunks(8) {
+            exec.apply_batch(&normalizer.normalize(chunk)).unwrap();
+        }
+        let hosted = ring.view(id).unwrap();
+        assert_eq!(hosted.table(), exec.output_table(), "{}", hosted.name());
+        // Routed dispatch == per-view apply, operation for operation.
+        assert_eq!(hosted.stats(), exec.stats(), "{}", hosted.name());
+    }
+    // Routing is visible: the refunds view saw only the Returns updates.
+    let returns_seen = updates.iter().filter(|u| u.relation == "Returns").count() as u64;
+    assert_eq!(
+        ring.view_named("refunds").unwrap().stats().updates,
+        returns_seen
+    );
 }
 
 /// Late registration: a view created after N updates equals one that watched the whole
@@ -251,9 +248,7 @@ fn view_lifecycle_and_identity() {
 /// Read handles expose the compiled artifacts and per-view accounting.
 #[test]
 fn view_handles_expose_programs_footprints_and_stats() {
-    let mut ring = RingBuilder::new(shop_catalog())
-        .backend(StorageBackend::Ordered)
-        .build();
+    let mut ring = RingBuilder::new(shop_catalog()).build();
     let id = ring
         .create_view(
             "revenue",
@@ -263,7 +258,7 @@ fn view_handles_expose_programs_footprints_and_stats() {
     ring.apply_all(&[sale(1, 100, 1), sale(2, 200, 2)]).unwrap();
     let view = ring.view(id).unwrap();
     assert_eq!(view.name(), "revenue");
-    assert_eq!(view.engine_name(), "recursive-ivm@ordered");
+    assert_eq!(view.engine_name(), "recursive-ivm");
     assert!(view.program().describe().contains("on +Sales"));
     assert!(view.nc0c_source().contains("void on_insert_Sales"));
     assert_eq!(view.query().group_by.len(), 1);
@@ -411,13 +406,11 @@ fn record_writer() {
 }
 
 /// A [`ViewStorage`] decorator that records which thread performs each write call
-/// and otherwise delegates to the hash backend.
+/// and otherwise delegates to the hash storage.
 #[derive(Clone, Debug)]
 struct ThreadRecordingStorage(HashViewStorage);
 
 impl ViewStorage for ThreadRecordingStorage {
-    const BACKEND: StorageBackend = StorageBackend::Hash;
-
     fn new(key_arity: usize) -> Self {
         ThreadRecordingStorage(HashViewStorage::new(key_arity))
     }

@@ -1,10 +1,9 @@
 //! Property tests for the snapshot read path: a published [`ViewSnapshot`] is always
 //! a *batch-consistent prefix* of the update stream, and once acquired it never
-//! changes — no matter the storage backend or a concurrently running writer.
+//! changes — not even under a concurrently running writer.
 //!
 //! 1. **Prefix equivalence**: after every committed batch, each view's snapshot table
-//!    equals the table of a plain reference ring that replayed exactly that prefix —
-//!    on both the hash and the ordered backend.
+//!    equals the table of a plain reference ring that replayed exactly that prefix.
 //! 2. **Immutability**: snapshots held across later batches still compare equal to
 //!    the prefix table they were acquired at.
 //! 3. **No torn reads**: with a real writer thread committing batches while reader
@@ -44,7 +43,7 @@ use std::sync::Arc;
 use dbring::fault::with_fault;
 use dbring::{
     Catalog, Error, FaultOp, FaultPlan, FaultStorage, HashViewStorage, Number, Ring, RingBuilder,
-    StorageBackend, Update, Value, ViewDef, ViewSnapshot,
+    Update, Value, ViewDef, ViewSnapshot,
 };
 use proptest::prelude::*;
 
@@ -85,8 +84,8 @@ fn arb_update() -> impl Strategy<Value = Update> {
     ]
 }
 
-fn build_ring(backend: StorageBackend) -> Ring {
-    let mut ring = RingBuilder::new(catalog()).backend(backend).build();
+fn build_ring() -> Ring {
+    let mut ring = RingBuilder::new(catalog()).build();
     for (name, text) in VIEWS {
         ring.create_view(*name, ViewDef::Agca(text)).unwrap();
     }
@@ -110,13 +109,9 @@ fn snapshot_tables(ring: &Ring) -> Vec<(String, ViewSnapshot)> {
 
 /// Drives properties 1 and 2 for one configuration: batch-by-batch prefix
 /// equivalence, plus immutability of every snapshot acquired along the way.
-fn check_prefix_equivalence(
-    backend: StorageBackend,
-    updates: &[Update],
-    batch_size: usize,
-) -> Result<(), TestCaseError> {
-    let mut live = build_ring(backend);
-    let mut reference = build_ring(backend);
+fn check_prefix_equivalence(updates: &[Update], batch_size: usize) -> Result<(), TestCaseError> {
+    let mut live = build_ring();
+    let mut reference = build_ring();
     let _handle = live.reader(); // serving mode on: every commit publishes
 
     // (snapshot, the prefix table it must keep answering with)
@@ -137,9 +132,8 @@ fn check_prefix_equivalence(
             let exported = scratch.snapshot_named(&name).unwrap();
             prop_assert!(
                 snapshot.iter().eq(exported.iter()),
-                "published {} != from-scratch export (backend {:?})",
-                name,
-                backend
+                "published {} != from-scratch export",
+                name
             );
             prop_assert_eq!(snapshot.len(), exported.len());
             prop_assert_eq!(snapshot.len(), want.len());
@@ -151,9 +145,8 @@ fn check_prefix_equivalence(
             prop_assert_eq!(
                 &snapshot.table(),
                 want,
-                "snapshot of {} diverged from the replayed prefix (backend {:?})",
-                name,
-                backend
+                "snapshot of {} diverged from the replayed prefix",
+                name
             );
             // Views untouched by the batch keep their (still-current) older
             // publication, so `ingested` may lag but never lead.
@@ -192,9 +185,7 @@ proptest! {
         updates in prop::collection::vec(arb_update(), 1..32),
         batch_size in 1usize..8,
     ) {
-        for backend in StorageBackend::ALL {
-            check_prefix_equivalence(backend, &updates, batch_size)?;
-        }
+        check_prefix_equivalence(&updates, batch_size)?;
     }
 }
 
@@ -230,7 +221,7 @@ fn concurrent_readers_see_only_committed_prefixes() {
     // Oracle: expected r_by_a table per committed-prefix `updates_ingested` count.
     // The counter advances by normalized batch weight, so it is read off the
     // reference ring rather than recomputed from raw chunk lengths.
-    let mut reference = build_ring(StorageBackend::Hash);
+    let mut reference = build_ring();
     let mut oracle: HashMap<u64, BTreeMap<Vec<Value>, Number>> = HashMap::new();
     oracle.insert(0, reference.view_named("r_by_a").unwrap().table());
     for chunk in stream.chunks(BATCH) {
@@ -243,7 +234,7 @@ fn concurrent_readers_see_only_committed_prefixes() {
     let final_ingested = reference.updates_ingested();
     let oracle = Arc::new(oracle);
 
-    let mut live = build_ring(StorageBackend::Hash);
+    let mut live = build_ring();
     let handle = live.reader();
     let done = Arc::new(AtomicBool::new(false));
 
@@ -417,50 +408,48 @@ fn a_view_grows_and_shrinks_through_incremental_publication_only() {
     const BATCH: i64 = 10;
     // Spread each batch's keys over the whole key range.
     let scattered = |i: i64| (i * 7919) % GROUPS;
-    for backend in [StorageBackend::Hash, StorageBackend::Ordered] {
-        let mut ring = RingBuilder::new(catalog()).backend(backend).build();
-        let id = ring
-            .create_view("r_by_a", ViewDef::Agca(VIEWS[0].1))
-            .unwrap();
-        let handle = ring.reader();
-        let mut held = Vec::new();
-        for grow in [true, false] {
-            for batch in 0..GROUPS / BATCH {
-                let updates: Vec<Update> = (batch * BATCH..(batch + 1) * BATCH)
-                    .flat_map(|i| groups(scattered(i)..scattered(i) + 1, grow))
-                    .collect();
-                let before = ring.snapshot_publish_stats();
-                ring.apply_batch(&updates).unwrap();
-                let snapshot = handle.snapshot(id).unwrap();
-                let view = ring.view(id).unwrap();
-                // (`r_by_a` compiles to its output map alone.)
-                assert_eq!(snapshot.len(), view.total_entries());
-                for update in &updates {
-                    let key = &update.values[..1];
-                    assert_eq!(snapshot.value(key), view.value(key));
-                    assert_eq!(snapshot.prefix_scan(key).count(), grow as usize);
-                }
-                if snapshot.len() >= GROUPS as usize / 2 {
-                    let shared = ring.snapshot_publish_stats().blocks_shared;
-                    assert!(shared > before.blocks_shared, "commit {batch} re-exported");
-                }
-                if batch % 10 == 0 {
-                    let table = view.table();
-                    assert!(snapshot
-                        .iter()
-                        .map(|(k, v)| (k.to_vec(), v))
-                        .eq(table.clone()));
-                    held.push((snapshot, table));
-                }
+    let mut ring = RingBuilder::new(catalog()).build();
+    let id = ring
+        .create_view("r_by_a", ViewDef::Agca(VIEWS[0].1))
+        .unwrap();
+    let handle = ring.reader();
+    let mut held = Vec::new();
+    for grow in [true, false] {
+        for batch in 0..GROUPS / BATCH {
+            let updates: Vec<Update> = (batch * BATCH..(batch + 1) * BATCH)
+                .flat_map(|i| groups(scattered(i)..scattered(i) + 1, grow))
+                .collect();
+            let before = ring.snapshot_publish_stats();
+            ring.apply_batch(&updates).unwrap();
+            let snapshot = handle.snapshot(id).unwrap();
+            let view = ring.view(id).unwrap();
+            // (`r_by_a` compiles to its output map alone.)
+            assert_eq!(snapshot.len(), view.total_entries());
+            for update in &updates {
+                let key = &update.values[..1];
+                assert_eq!(snapshot.value(key), view.value(key));
+                assert_eq!(snapshot.prefix_scan(key).count(), grow as usize);
             }
-            let expected = if grow { GROUPS as usize } else { 0 };
-            assert_eq!(handle.snapshot(id).unwrap().len(), expected);
-            assert_eq!(handle.snapshot(id).unwrap().iter().count(), expected);
+            if snapshot.len() >= GROUPS as usize / 2 {
+                let shared = ring.snapshot_publish_stats().blocks_shared;
+                assert!(shared > before.blocks_shared, "commit {batch} re-exported");
+            }
+            if batch % 10 == 0 {
+                let table = view.table();
+                assert!(snapshot
+                    .iter()
+                    .map(|(k, v)| (k.to_vec(), v))
+                    .eq(table.clone()));
+                held.push((snapshot, table));
+            }
         }
-        // Snapshots held across the whole run never moved.
-        for (snapshot, table) in &held {
-            assert_eq!(&snapshot.table(), table);
-        }
+        let expected = if grow { GROUPS as usize } else { 0 };
+        assert_eq!(handle.snapshot(id).unwrap().len(), expected);
+        assert_eq!(handle.snapshot(id).unwrap().iter().count(), expected);
+    }
+    // Snapshots held across the whole run never moved.
+    for (snapshot, table) in &held {
+        assert_eq!(&snapshot.table(), table);
     }
 }
 
@@ -628,14 +617,13 @@ fn oracle_table<'a>(
 /// that changed the view, and be the very snapshot `eager` serves: same rows,
 /// same epoch, same `ingested`.
 fn check_deferred_acquires(
-    backend: StorageBackend,
     updates: &[Update],
     batch_size: usize,
     picks: &[u8],
     cold: u8,
 ) -> Result<(), TestCaseError> {
-    let mut lazy = build_ring(backend);
-    let mut eager = build_ring(backend);
+    let mut lazy = build_ring();
+    let mut eager = build_ring();
     let handle = lazy.reader();
     let eager_handle = eager.reader();
     for (name, _) in VIEWS {
@@ -726,9 +714,7 @@ proptest! {
         picks in prop::collection::vec(any::<u8>(), 1..8),
         cold in 0u8..16,
     ) {
-        for backend in StorageBackend::ALL {
-            check_deferred_acquires(backend, &updates, batch_size, &picks, cold)?;
-        }
+        check_deferred_acquires(&updates, batch_size, &picks, cold)?;
     }
 }
 
@@ -742,7 +728,7 @@ fn first_acquires_racing_commits_never_serve_a_stale_or_torn_view() {
     const BATCH: usize = 8;
     const STREAM: usize = 480;
     let stream = synthetic_stream(STREAM);
-    let mut reference = build_ring(StorageBackend::Hash);
+    let mut reference = build_ring();
     let mut oracle = Oracle::new();
     oracle.insert(0, reference_tables(&reference));
     // Per view, per committed prefix: the prefix at which the view last changed.
@@ -766,7 +752,7 @@ fn first_acquires_racing_commits_never_serve_a_stale_or_torn_view() {
     let commits = (STREAM / BATCH) as u64;
 
     for round in 0..6u64 {
-        let mut live = build_ring(StorageBackend::Hash);
+        let mut live = build_ring();
         let handle = live.reader();
         // `updates_ingested` after the latest commit whose `apply_batch` returned,
         // and how many commits that was.
