@@ -4,11 +4,12 @@
 //! Every measurement applies the *same* number of stream updates per iteration (one
 //! chunk of `batch_size`), so the per-tuple and batch ids at one size are directly
 //! comparable; `per_tuple` at size k is the apply_all baseline over the same chunk.
-//! Reference numbers and the measured crossover batch sizes live in `EXPERIMENTS.md`
-//! (regenerate with `exp_batch`).
+//! Reference numbers and the measured crossover batch sizes live in `EXPERIMENTS.md`.
 //!
 //! Run with: `cargo bench -p dbring-bench --bench batch_crossover`
-//! (append `-- batch` or `-- per_tuple` to smoke one side only, as CI does).
+//! (append `-- hash/batch` or `-- hash/per_tuple` to run one side only; CI smokes
+//! `-- hash/batch`). The filter is a substring of the id, and every id starts with
+//! `batch_crossover/`, so a bare `-- batch` runs both sides.
 
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
 use dbring::{compile, BatchNormalizer, Executor, TriggerProgram};

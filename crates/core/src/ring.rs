@@ -701,8 +701,8 @@ impl Ring {
     /// Cumulative wall-clock nanoseconds the ingest path has spent publishing
     /// snapshots — the *writer-side* cost of the read path (zero until serving
     /// starts), deferring included. Builds on a view's first acquire run on the
-    /// reader's thread and are not in it. `exp_serve` reports this per batch as the
-    /// snapshot-publish cost.
+    /// reader's thread and are not in it. The end-to-end benchmark reads it for its
+    /// `runtime.publish_*` metrics.
     pub fn snapshot_publish_ns(&self) -> u64 {
         self.snapshots.publish_ns()
     }

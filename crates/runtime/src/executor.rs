@@ -1275,20 +1275,36 @@ mod tests {
 
     #[test]
     fn apply_batch_matches_apply_all_on_a_unit_replay_program() {
-        // The customers self-join reads the maps its triggers write, so the batch path
-        // must unit-replay — and with no in-batch cancellation, do *identical* work.
-        let updates: Vec<Update> = (0..30)
+        // Self-joins read the maps their triggers write, so the batch path must
+        // unit-replay — and with no in-batch cancellation, do *identical* work, in one
+        // batch or in many.
+        let nations: Vec<Update> = (0..30)
             .map(|i| insert(i, ["FR", "DE", "IT"][(i % 3) as usize]))
             .collect();
-        let mut per_tuple = Executor::new(customers_program());
-        per_tuple.apply_all(&updates).unwrap();
-        let mut batched = Executor::new(customers_program());
-        batched
-            .apply_batch(&DeltaBatch::from_updates(&updates))
-            .unwrap();
-        assert_eq!(per_tuple.output_table(), batched.output_table());
-        assert_eq!(per_tuple.total_entries(), batched.total_entries());
-        assert_eq!(per_tuple.stats(), batched.stats());
+        let mut catalog = Database::new();
+        catalog.declare("R", &["A"]).unwrap();
+        let self_join = parse_query("q := Sum(R(x) * R(y) * (x = y))").unwrap();
+        let distinct: Vec<Update> = (0..64)
+            .map(|i| Update::insert("R", vec![Value::int(i)]))
+            .collect();
+        for (program, updates) in [
+            (customers_program(), nations),
+            (compile(&catalog, &self_join).unwrap(), distinct),
+        ] {
+            for chunk in [updates.len(), 8] {
+                let mut per_tuple = Executor::new(program.clone());
+                per_tuple.apply_all(&updates).unwrap();
+                let mut batched = Executor::new(program.clone());
+                for piece in updates.chunks(chunk) {
+                    batched
+                        .apply_batch(&DeltaBatch::from_updates(piece))
+                        .unwrap();
+                }
+                assert_eq!(per_tuple.output_table(), batched.output_table());
+                assert_eq!(per_tuple.total_entries(), batched.total_entries());
+                assert_eq!(per_tuple.stats(), batched.stats());
+            }
+        }
     }
 
     #[test]

@@ -60,12 +60,12 @@ fn arb_update() -> impl Strategy<Value = Update> {
 
 /// Replays `trace` in chunks of `chunk` updates, each chunk normalized once and applied
 /// through both executors' batch paths; asserts identical tables, view-hierarchy sizes
-/// and exact work counters, and returns the lowered output table.
+/// and exact work counters, and returns the lowered executor.
 fn batched_parity(
     query: &Query,
     trace: &[Update],
     chunk: usize,
-) -> Result<BTreeMap<Vec<Value>, Number>, TestCaseError> {
+) -> Result<Executor, TestCaseError> {
     let program = compile(&catalog(), query).unwrap();
     let mut lowered = Executor::new(program.clone());
     let mut interpreted = InterpretedExecutor::new(program);
@@ -84,7 +84,7 @@ fn batched_parity(
         &query.name,
         chunk
     );
-    Ok(lowered.output_table())
+    Ok(lowered)
 }
 
 /// Drops zero-valued groups (the executor prunes them; the evaluator may report them).
@@ -129,10 +129,15 @@ proptest! {
                 "work counters diverged on query {}",
                 &query.name
             );
+            prop_assert_eq!(
+                lowered.storage_footprint().entries,
+                interpreted.storage_footprint().entries
+            );
             // (c) The batch paths, chunked: exact parity with the interpreter, and the
-            // same final state as per-update ingest.
+            // same final state as per-update ingest, down to the view hierarchy.
             let batched = batched_parity(&query, &trace, chunk)?;
-            prop_assert_eq!(&batched, &lowered.output_table());
+            prop_assert_eq!(batched.output_table(), lowered.output_table());
+            prop_assert_eq!(batched.total_entries(), lowered.total_entries());
         }
     }
 }

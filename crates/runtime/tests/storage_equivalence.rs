@@ -1,19 +1,21 @@
 //! The executors and the [`ViewStorage`] contract, on [`HashViewStorage`].
 //!
 //! The contract promises that storage only changes *where* entries physically live,
-//! never *which* entries a probe or partial-key enumeration sees. The executor tests
-//! check that the lowered and interpreted executors agree with each other and with the
-//! reference evaluator on random mixed-multiplicity traces, per update and batched;
-//! because [`ExecStats`](dbring_runtime::ExecStats) counts one operation per visited
-//! entry, an index that misses an entry (the `register_index` backfill regression)
-//! shows up as diverging counters, not just in a benchmark.
+//! never *which* entries a probe or partial-key enumeration sees. The executor test
+//! checks that `apply_batch`, over any chunking of any permutation of a random
+//! mixed-multiplicity trace, reaches the tables and view-hierarchy sizes of per-tuple
+//! `apply_all` on the lowered and the interpreted executor, with identical work
+//! counters on the two batch paths; because [`ExecStats`](dbring_runtime::ExecStats)
+//! counts one operation per visited entry, an index that misses an entry (the
+//! `register_index` backfill regression) shows up as diverging counters, not just in
+//! a benchmark. Per-update agreement of the two executors with each other and with
+//! the reference evaluator is checked in `lowered_equivalence.rs`.
 //!
 //! Below the executors, the model-based suite at the end of this file pins the
 //! [`ViewStorage`] contract itself: random operation streams over every trait method,
 //! checked against a `BTreeMap` model after every step.
 
 use dbring_agca::ast::Query;
-use dbring_agca::eval::eval_all_groups;
 use dbring_agca::parser::parse_query;
 use dbring_algebra::{Number, Ring, Semiring};
 use dbring_compiler::compile;
@@ -59,58 +61,6 @@ fn arb_update() -> impl Strategy<Value = Update> {
             multiplicity: if m == 0 { -1 } else { m },
         }),
     ]
-}
-
-/// Drops zero-valued groups (the executors prune them; the evaluator may report them).
-fn nonzero(table: BTreeMap<Vec<Value>, Number>) -> BTreeMap<Vec<Value>, Number> {
-    table.into_iter().filter(|(_, v)| !v.is_zero()).collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Per-update maintenance on both executors against from-scratch evaluation, with
-    /// exact work-counter parity. (The name predates the removal of the second
-    /// backend.)
-    #[test]
-    fn hash_and_ordered_backends_agree_on_both_executors(
-        trace in prop::collection::vec(arb_update(), 1..50),
-    ) {
-        let catalog = catalog();
-        for query in corpus() {
-            let program = compile(&catalog, &query).unwrap();
-            let mut lowered = Executor::new(program.clone());
-            let mut interp = InterpretedExecutor::new(program);
-            let mut db = catalog.clone();
-            for update in &trace {
-                lowered.apply(update).unwrap();
-                interp.apply(update).unwrap();
-                db.apply(update).unwrap();
-            }
-            // (a) Final-state correctness against from-scratch evaluation.
-            let reference = nonzero(eval_all_groups(&query, &db).unwrap());
-            prop_assert_eq!(
-                nonzero(lowered.output_table()),
-                reference,
-                "lowered executor diverged from the reference evaluator on {}",
-                &query.name
-            );
-            // (b) Executor equivalence: tables, hierarchy size, exactly equal work
-            // counters and entry counts.
-            prop_assert_eq!(lowered.output_table(), interp.output_table());
-            prop_assert_eq!(lowered.total_entries(), interp.total_entries());
-            prop_assert_eq!(
-                lowered.stats(),
-                interp.stats(),
-                "work counters diverged across executors on {}",
-                &query.name
-            );
-            prop_assert_eq!(
-                lowered.storage_footprint().entries,
-                interp.storage_footprint().entries
-            );
-        }
-    }
 }
 
 /// A deterministic Fisher–Yates permutation of a trace, driven by a cheap LCG so the

@@ -388,38 +388,19 @@ pub fn orders_lineitems(config: WorkloadConfig) -> Workload {
 }
 
 /// A multi-view experiment input: one schema and one update stream shared by several
-/// standing queries — the operating regime of a `Ring` engine (and of the `exp_ring`
-/// amortization experiment: one ingest path maintaining `k` views vs `k` independent
-/// single-view loops).
+/// standing queries — the operating regime of a `Ring` engine.
 #[derive(Clone, Debug)]
 pub struct MultiViewWorkload {
     /// A short identifier ("sales-dashboard").
     pub name: &'static str,
     /// The shared schema (relation names and column lists, no contents).
     pub catalog: Database,
-    /// The standing queries, as `(view name, query)` pairs. Experiments that sweep
-    /// the view count take prefixes of this list, so it is ordered from the most to
-    /// the least central view.
+    /// The standing queries, as `(view name, query)` pairs.
     pub views: Vec<(&'static str, Query)>,
     /// Updates that build the initial database.
     pub initial: Vec<Update>,
     /// The measured update stream (applied after the initial load).
     pub stream: Vec<Update>,
-}
-
-impl MultiViewWorkload {
-    /// The initial database obtained by applying the bulk-load updates to the catalog.
-    pub fn initial_database(&self) -> Database {
-        let mut db = self.catalog.clone();
-        db.apply_all(&self.initial)
-            .expect("generated updates are well-formed");
-        db
-    }
-
-    /// Total number of updates (bulk load + stream).
-    pub fn total_updates(&self) -> usize {
-        self.initial.len() + self.stream.len()
-    }
 }
 
 /// A retail dashboard: six integer-valued standing aggregates over a sales stream with
@@ -603,8 +584,9 @@ mod tests {
         let returns = w.stream.iter().filter(|u| u.relation == "Returns").count();
         assert!(returns > 0);
         assert!(returns < w.stream.len() / 4);
-        assert!(w.initial_database().total_support() > 0);
-        assert_eq!(w.total_updates(), w.initial.len() + w.stream.len());
+        let mut db = w.catalog.clone();
+        db.apply_all(&w.initial).unwrap();
+        assert!(db.total_support() > 0);
         // Determinism per seed.
         assert_eq!(sales_dashboard(WorkloadConfig::small(11)).stream, w.stream);
     }

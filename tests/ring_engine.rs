@@ -69,7 +69,8 @@ fn sql_agca_and_parsed_view_defs_agree() {
 }
 
 /// One stream, many views, routed dispatch: views only pay for relations they read,
-/// and the ring agrees with independently maintained views on tables *and* work.
+/// and the ring agrees with independently maintained views on tables *and* work,
+/// with base tracking on and off.
 #[test]
 fn routed_ingest_matches_independent_views_exactly() {
     let catalog = shop_catalog();
@@ -89,35 +90,40 @@ fn routed_ingest_matches_independent_views_exactly() {
         })
         .collect();
 
-    let mut ring = RingBuilder::new(catalog.clone()).build();
-    let ids: Vec<_> = defs
-        .iter()
-        .map(|(name, text)| ring.create_view(*name, ViewDef::Agca(text)).unwrap())
-        .collect();
     // Half per update, half batched: both ingest paths route identically.
     let (first, second) = updates.split_at(updates.len() / 2);
-    ring.apply_all(first).unwrap();
-    for chunk in second.chunks(8) {
-        ring.apply_batch(chunk).unwrap();
-    }
-
-    for (&id, (_, text)) in ids.iter().zip(defs) {
-        let (mut exec, mut normalizer) = solo(&catalog, text);
-        exec.apply_all(first).unwrap();
-        for chunk in second.chunks(8) {
-            exec.apply_batch(&normalizer.normalize(chunk)).unwrap();
-        }
-        let hosted = ring.view(id).unwrap();
-        assert_eq!(hosted.table(), exec.output_table(), "{}", hosted.name());
-        // Routed dispatch == per-view apply, operation for operation.
-        assert_eq!(hosted.stats(), exec.stats(), "{}", hosted.name());
-    }
-    // Routing is visible: the refunds view saw only the Returns updates.
     let returns_seen = updates.iter().filter(|u| u.relation == "Returns").count() as u64;
-    assert_eq!(
-        ring.view_named("refunds").unwrap().stats().updates,
-        returns_seen
-    );
+    for builder in [
+        RingBuilder::new(catalog.clone()),
+        RingBuilder::new(catalog.clone()).without_base_tracking(),
+    ] {
+        let mut ring = builder.build();
+        let ids: Vec<_> = defs
+            .iter()
+            .map(|(name, text)| ring.create_view(*name, ViewDef::Agca(text)).unwrap())
+            .collect();
+        ring.apply_all(first).unwrap();
+        for chunk in second.chunks(8) {
+            ring.apply_batch(chunk).unwrap();
+        }
+
+        for (&id, (_, text)) in ids.iter().zip(defs) {
+            let (mut exec, mut normalizer) = solo(&catalog, text);
+            exec.apply_all(first).unwrap();
+            for chunk in second.chunks(8) {
+                exec.apply_batch(&normalizer.normalize(chunk)).unwrap();
+            }
+            let hosted = ring.view(id).unwrap();
+            assert_eq!(hosted.table(), exec.output_table(), "{}", hosted.name());
+            // Routed dispatch == per-view apply, operation for operation.
+            assert_eq!(hosted.stats(), exec.stats(), "{}", hosted.name());
+        }
+        // Routing is visible: the refunds view saw only the Returns updates.
+        assert_eq!(
+            ring.view_named("refunds").unwrap().stats().updates,
+            returns_seen
+        );
+    }
 }
 
 /// Late registration: a view created after N updates equals one that watched the whole
