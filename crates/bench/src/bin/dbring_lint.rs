@@ -41,7 +41,7 @@ fn workload_targets() -> Vec<Target> {
             query: w.query,
         })
         .collect();
-    let dashboard = sales_dashboard(config);
+    let dashboard = sales_dashboard();
     for (view, query) in dashboard.views {
         targets.push(Target {
             label: format!("workload/{}/{view}", dashboard.name),

@@ -71,6 +71,40 @@ impl Value {
         }
     }
 
+    /// A 64-bit code that orders like the value (the derived `Ord`):
+    /// `a.order_code() < b.order_code()` implies `a < b`, and `a <= b` implies
+    /// `a.order_code() <= b.order_code()`. Equal codes decide nothing, so a search
+    /// over codes compares values only where two codes tie.
+    ///
+    /// The top two bits are the variant, in declaration order. The low 62 bits hold
+    /// an order-preserving prefix of the payload: an `Int` clamped to
+    /// `-2⁶¹..2⁶¹` (exact inside it), a `Float`'s `total_cmp` bit transform without
+    /// its two lowest bits, a `Str`'s first 8 bytes (big-endian, zero-padded)
+    /// without the two lowest bits of the eighth, and a `Bool` as 0 or 1.
+    pub fn order_code(&self) -> u64 {
+        const HALF: i64 = 1 << 61;
+        let (variant, payload) = match self {
+            Value::Int(i) => (0, ((*i).clamp(-HALF, HALF - 1) + HALF) as u64),
+            Value::Float(f) => {
+                let bits = f.get().to_bits();
+                let ordered = if bits >> 63 == 1 {
+                    !bits
+                } else {
+                    bits | 1 << 63
+                };
+                (1, ordered >> 2)
+            }
+            Value::Str(s) => {
+                let mut head = [0u8; 8];
+                let n = s.len().min(8);
+                head[..n].copy_from_slice(&s.as_bytes()[..n]);
+                (2, u64::from_be_bytes(head) >> 2)
+            }
+            Value::Bool(b) => (3, u64::from(*b)),
+        };
+        variant << 62 | payload
+    }
+
     /// A short name for the value's type, used in error messages.
     pub fn type_name(&self) -> &'static str {
         match self {
@@ -239,6 +273,170 @@ mod tests {
         // strings (the inter-variant order is the enum declaration order).
         let ints: Vec<_> = values.iter().filter_map(Value::as_int).collect();
         assert_eq!(ints, vec![-1, 2]);
+    }
+
+    /// Values built to collide in [`Value::order_code`]: every variant, ints at and
+    /// beyond the clamp, floats apart only in the two bits the code drops, the
+    /// special floats, and strings that share their first 8 bytes or differ only in
+    /// padding or beyond ASCII.
+    fn adversarial() -> Vec<Value> {
+        let half = 1i64 << 61;
+        let mut values: Vec<Value> = [
+            i64::MIN,
+            i64::MIN + 1,
+            -half - 1,
+            -half,
+            -half + 1,
+            -1,
+            0,
+            1,
+            half - 2,
+            half - 1,
+            half,
+            half + 7,
+            i64::MAX - 1,
+            i64::MAX,
+        ]
+        .into_iter()
+        .map(Value::int)
+        .collect();
+        let one = 1.0f64.to_bits();
+        values.extend(
+            [
+                f64::NEG_INFINITY,
+                f64::MIN,
+                -1.0,
+                f64::from_bits(one + 1),
+                f64::from_bits(one + 2),
+                f64::from_bits(one + 3),
+                f64::from_bits(one + 4),
+                -f64::MIN_POSITIVE,
+                -f64::from_bits(1),
+                -0.0,
+                0.0,
+                f64::from_bits(1),
+                f64::from_bits(3),
+                f64::MIN_POSITIVE,
+                1.0,
+                f64::MAX,
+                f64::INFINITY,
+                f64::NAN,
+                -f64::NAN,
+            ]
+            .into_iter()
+            .map(Value::float),
+        );
+        values.extend(
+            [
+                "",
+                "\0",
+                "a",
+                "a\0",
+                "a\0\0",
+                "customer",
+                "customer\0",
+                "customer_0001",
+                "customer_0002",
+                "customer_0010",
+                "customes",
+                "customeq",
+                "abcdefg\u{7f}",
+                "abcdefg\u{80}",
+                "abcdefgh",
+                "abcdefgi",
+                "é",
+                "éa",
+                "日本語",
+                "日本語のキー",
+                "\u{10ffff}",
+            ]
+            .into_iter()
+            .map(Value::str),
+        );
+        values.extend([Value::Bool(false), Value::Bool(true)]);
+        values
+    }
+
+    /// The two implications the code promises, for one pair.
+    fn assert_code_orders_like_value(a: &Value, b: &Value) {
+        let (ca, cb) = (a.order_code(), b.order_code());
+        if a <= b {
+            assert!(ca <= cb, "{a:?} <= {b:?} but codes {ca:#x} > {cb:#x}");
+        }
+        if ca < cb {
+            assert!(a < b, "codes {ca:#x} < {cb:#x} but {a:?} >= {b:?}");
+        }
+    }
+
+    #[test]
+    fn order_codes_order_like_values_on_colliding_pairs() {
+        let values = adversarial();
+        for a in &values {
+            for b in &values {
+                assert_code_orders_like_value(a, b);
+            }
+        }
+        // The collisions the code admits really happen, and nothing else does.
+        let code = |v: Value| v.order_code();
+        assert_eq!(code(Value::int(i64::MAX)), code(Value::int(1 << 61)));
+        assert_eq!(code(Value::int(i64::MIN)), code(Value::int(-(1 << 61))));
+        assert_ne!(
+            code(Value::int((1 << 61) - 1)),
+            code(Value::int((1 << 61) - 2))
+        );
+        assert_eq!(code(Value::str("a")), code(Value::str("a\0")));
+        assert_eq!(
+            code(Value::str("customer_0001")),
+            code(Value::str("customer_0002"))
+        );
+        assert_eq!(code(Value::float(-0.0)), code(Value::float(0.0)));
+        let one = 1.0f64.to_bits();
+        assert_eq!(
+            code(Value::float(f64::from_bits(one))),
+            code(Value::float(f64::from_bits(one + 3)))
+        );
+        assert!(code(Value::int(i64::MAX)) < code(Value::float(f64::NEG_INFINITY)));
+        assert!(code(Value::float(f64::NAN)) < code(Value::str("")));
+        assert!(code(Value::str("\u{10ffff}")) < code(Value::Bool(false)));
+        assert!(code(Value::Bool(false)) < code(Value::Bool(true)));
+    }
+
+    /// Pool values, random ints and float bit patterns, floats a few ulps from a
+    /// pool float, and strings over an alphabet of NUL, ASCII and multi-byte chars,
+    /// half of them behind a shared 9-byte prefix.
+    fn any_value() -> impl proptest::strategy::Strategy<Value = Value> {
+        use proptest::prelude::*;
+        const CHARS: [char; 8] = ['\0', 'a', 'b', '_', '\u{7f}', 'é', '日', '\u{10ffff}'];
+        let pool = adversarial();
+        let floats: Vec<f64> = pool
+            .iter()
+            .filter_map(|v| match v {
+                Value::Float(f) => Some(f.get()),
+                _ => None,
+            })
+            .collect();
+        let text = prop::collection::vec(0..CHARS.len(), 0..12)
+            .prop_map(|ix| ix.into_iter().map(|i| CHARS[i]).collect::<String>());
+        prop_oneof![
+            (0..pool.len()).prop_map(move |i| pool[i].clone()),
+            any::<i64>().prop_map(Value::int),
+            any::<u64>().prop_map(|bits| Value::float(f64::from_bits(bits))),
+            (0..floats.len(), 0u64..8).prop_map(move |(i, ulps)| Value::float(f64::from_bits(
+                floats[i].to_bits() ^ ulps
+            ))),
+            (text, any::<bool>()).prop_map(|(s, shared)| {
+                Value::str(if shared { format!("customer_{s}") } else { s })
+            }),
+            any::<bool>().prop_map(Value::Bool),
+        ]
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn order_codes_order_like_values(a in any_value(), b in any_value()) {
+            assert_code_orders_like_value(&a, &b);
+            assert_code_orders_like_value(&b, &a);
+        }
     }
 
     #[test]

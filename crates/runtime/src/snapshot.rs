@@ -10,7 +10,9 @@
 //!   rows. Cloning is an `Arc` clone (O(1)); every read — point lookups, prefix
 //!   scans, full iteration — runs lock-free against the shared immutable data, so any
 //!   number of threads can read one snapshot concurrently while the writer keeps
-//!   ingesting.
+//!   ingesting. Every row and every block boundary carries a 64-bit order code of its
+//!   key ([`Value::order_code`] of the first value), so searches compare `u64`s and
+//!   touch key values only where two codes tie, and to confirm a hit.
 //! * [`SnapshotStore`] — the per-view publication slots. A writer *publishes* at a
 //!   quiescent point (a batch-commit boundary); readers *acquire* the current
 //!   snapshot. Acquire is O(1): one shared-lock on the slot table plus one per-slot
@@ -75,18 +77,53 @@ fn row_key(keys: &[Value], arity: usize, row: usize) -> &[Value] {
     &keys[row * arity..(row + 1) * arity]
 }
 
-/// The first row in `lo..hi` of a flat key array (`arity` values per row) whose key
-/// fails `pred`, for a `pred` that holds on a prefix of the rows.
-fn partition_rows(
-    keys: &[Value],
-    arity: usize,
-    mut lo: usize,
-    mut hi: usize,
-    pred: impl Fn(&[Value]) -> bool,
-) -> usize {
+/// A key's order code: its first value's [`Value::order_code`], 0 for the empty key.
+/// Keys compare as `(code, key)` pairs do, so a search decides on codes wherever they
+/// differ and compares values only where two codes tie.
+fn key_code(key: &[Value]) -> u64 {
+    key.first().map_or(0, Value::order_code)
+}
+
+/// Whether the row `(code, key)` sorts before the row `(other_code, other)`.
+fn precedes(code: u64, key: &[Value], other_code: u64, other: &[Value]) -> bool {
+    code < other_code || (code == other_code && key < other)
+}
+
+/// Rows a search looks ahead for the end of a run of equal codes before it
+/// searches for it.
+const TIE_SCAN: usize = 4;
+
+/// The first index of `codes` (ascending) whose row is not `below` the target coded
+/// `code`, for a `below` that holds on a prefix of the rows and agrees with the
+/// codes: every row coded under `code` is below and no row coded over it is. So
+/// `below` is asked only inside the run of rows coded `code`, by binary search, and
+/// a long run (a view keyed `(region, cust)` with few regions) costs O(log n)
+/// comparisons, not O(n). Codes rarely collide, so the run's end is looked for in
+/// the next [`TIE_SCAN`] rows before it is searched for; where they do (strings
+/// sharing their first 8 bytes), the run often reaches an end of the array, which
+/// needs no search.
+fn search(codes: &[u64], code: u64, below: impl Fn(usize) -> bool) -> usize {
+    let start = if codes.first() == Some(&code) {
+        0
+    } else {
+        codes.partition_point(|&c| c < code)
+    };
+    let end = if codes.last() == Some(&code) {
+        codes.len()
+    } else {
+        let ahead = &codes[start..codes.len().min(start + TIE_SCAN)];
+        match ahead.iter().position(|&c| c != code) {
+            Some(run) => start + run,
+            None => {
+                let rest = start + ahead.len();
+                rest + codes[rest..].partition_point(|&c| c == code)
+            }
+        }
+    };
+    let (mut lo, mut hi) = (start, end);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if pred(row_key(keys, arity, mid)) {
+        if below(mid) {
             lo = mid + 1;
         } else {
             hi = mid;
@@ -95,12 +132,13 @@ fn partition_rows(
     lo
 }
 
-/// Fills `order` with the row numbers `0..rows` of a flat key array, sorted by key.
-fn sort_rows(keys: &[Value], arity: usize, rows: usize, order: &mut Vec<u32>) {
-    let key = |row: &u32| row_key(keys, arity, *row as usize);
+/// Fills `order` with `(code, row)` for the rows `0..rows` of a flat key array,
+/// sorted by key: by code, and by values only where codes tie.
+fn sort_rows(keys: &[Value], arity: usize, rows: usize, order: &mut Vec<(u64, u32)>) {
+    let key = |row: u32| row_key(keys, arity, row as usize);
     order.clear();
-    order.extend(0..rows as u32);
-    order.sort_unstable_by(|a, b| key(a).cmp(key(b)));
+    order.extend((0..rows as u32).map(|row| (key_code(key(row)), row)));
+    order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| key(a.1).cmp(key(b.1))));
 }
 
 /// Appends clones of `values`. A push loop on purpose: `Value` is not `Copy`, and
@@ -114,15 +152,25 @@ fn append(to: &mut Vec<Value>, values: &[Value]) {
 }
 
 /// A run of rows under construction, sorted ascending by unique key. Keys are stored
-/// flat — `arity` values per row, values beside them — so a run is two allocations
-/// however many rows it holds.
+/// flat — `arity` values per row, each row's code and value beside them — so a run
+/// is three allocations however many rows it holds.
 #[derive(Debug, Default)]
 struct Rows {
     keys: Vec<Value>,
+    codes: Vec<u64>,
     vals: Vec<Number>,
 }
 
 impl Rows {
+    /// An empty run with room for exactly `rows` rows of `arity` values.
+    fn with_capacity(rows: usize, arity: usize) -> Self {
+        Rows {
+            keys: Vec::with_capacity(rows * arity),
+            codes: Vec::with_capacity(rows),
+            vals: Vec::with_capacity(rows),
+        }
+    }
+
     fn len(&self) -> usize {
         self.vals.len()
     }
@@ -131,26 +179,36 @@ impl Rows {
         row_key(&self.keys, arity, row)
     }
 
-    fn push(&mut self, key: &[Value], val: Number) {
+    /// Appends `key`, coded `code`, with `val`.
+    fn push(&mut self, code: u64, key: &[Value], val: Number) {
         append(&mut self.keys, key);
+        self.codes.push(code);
         self.vals.push(val);
     }
 
     fn extend_from(&mut self, block: &Block, rows: Range<usize>, arity: usize) {
         append(
             &mut self.keys,
-            &block.keys[rows.start * arity..rows.end * arity],
+            &block.keys.values[rows.start * arity..rows.end * arity],
         );
+        self.codes.extend_from_slice(&block.codes()[rows.clone()]);
         self.vals.extend_from_slice(&block.vals[rows]);
     }
 }
 
+/// A block's keys: the flat key array and each row's [`key_code`].
+#[derive(Default)]
+struct BlockKeys {
+    values: Box<[Value]>,
+    codes: Box<[u64]>,
+}
+
 /// One immutable snapshot block: a sealed run of rows, shared between epochs as an
-/// `Arc<Block>`. The keys have a shared allocation of their own, so that a commit
-/// which only changes the values of groups already in the block — the common case —
-/// builds its successor from the same key array and a fresh value array.
+/// `Arc<Block>`. The keys and their codes have a shared allocation of their own, so
+/// that a commit which only changes the values of groups already in the block — the
+/// common case — builds its successor from the same keys and a fresh value array.
 struct Block {
-    keys: Arc<[Value]>,
+    keys: Arc<BlockKeys>,
     vals: Vec<Number>,
 }
 
@@ -160,7 +218,18 @@ impl Block {
     }
 
     fn key(&self, row: usize, arity: usize) -> &[Value] {
-        row_key(&self.keys, arity, row)
+        row_key(&self.keys.values, arity, row)
+    }
+
+    fn codes(&self) -> &[u64] {
+        &self.keys.codes
+    }
+
+    /// The first row in `from..` whose key is not below `key` (coded `code`).
+    fn lower_bound(&self, from: usize, code: u64, key: &[Value], arity: usize) -> usize {
+        from + search(&self.codes()[from..], code, |r| {
+            self.key(from + r, arity) < key
+        })
     }
 }
 
@@ -172,8 +241,8 @@ pub struct ChangeSet {
     arity: usize,
     rows: usize,
     keys: Vec<Value>,
-    /// Row numbers in ascending key order, one per distinct key.
-    order: Vec<u32>,
+    /// `(code, row number)` in ascending key order, one per distinct key.
+    order: Vec<(u64, u32)>,
 }
 
 impl ChangeSet {
@@ -203,13 +272,9 @@ impl ChangeSet {
     fn sort_dedup(&mut self) {
         let (keys, arity) = (&self.keys, self.arity);
         sort_rows(keys, arity, self.rows, &mut self.order);
-        let key = |row: &mut u32| row_key(keys, arity, *row as usize);
-        self.order.dedup_by(|a, b| key(a) == key(b));
-    }
-
-    /// The `i`-th distinct key in ascending order (after [`ChangeSet::sort_dedup`]).
-    fn sorted_key(&self, i: usize) -> &[Value] {
-        row_key(&self.keys, self.arity, self.order[i] as usize)
+        let key = |row: u32| row_key(keys, arity, row as usize);
+        self.order
+            .dedup_by(|a, b| a.0 == b.0 && key(a.1) == key(b.1));
     }
 
     /// The reported keys with the values `current` gives them now, as a sorted
@@ -217,9 +282,9 @@ impl ChangeSet {
     pub fn resolve(&mut self, mut current: impl FnMut(&[Value]) -> Number) -> Changes {
         self.sort_dedup();
         let mut changes = Changes::new(self.arity);
-        for i in 0..self.order.len() {
-            let key = self.sorted_key(i);
-            changes.push(key, current(key));
+        for &(code, row) in &self.order {
+            let key = row_key(&self.keys, self.arity, row as usize);
+            changes.push(code, key, current(key));
         }
         changes
     }
@@ -242,11 +307,13 @@ impl Changes {
         }
     }
 
-    /// Appends `key`'s new value. Keys must arrive in strictly ascending order.
-    fn push(&mut self, key: &[Value], value: Number) {
+    /// Appends `key`'s new value; `code` is its [`key_code`]. Keys must arrive in
+    /// strictly ascending order.
+    fn push(&mut self, code: u64, key: &[Value], value: Number) {
         debug_assert_eq!(key.len(), self.arity);
+        debug_assert_eq!(code, key_code(key));
         debug_assert!(self.is_empty() || self.key(self.len() - 1) < key);
-        self.rows.push(key, value);
+        self.rows.push(code, key, value);
     }
 
     /// Number of changed keys.
@@ -261,6 +328,10 @@ impl Changes {
 
     fn key(&self, i: usize) -> &[Value] {
         self.rows.key(i, self.arity)
+    }
+
+    fn code(&self, i: usize) -> u64 {
+        self.rows.codes[i]
     }
 
     fn value(&self, i: usize) -> Number {
@@ -308,9 +379,11 @@ struct SnapshotInner {
     arity: usize,
     /// Rows across all blocks.
     len: usize,
-    /// The first key of every block, flat (`arity` values per block) and strictly
-    /// ascending: a lookup binary-searches this one contiguous array, then one block.
-    fences: Vec<Value>,
+    /// The code of every block's first key, ascending: a lookup searches this one
+    /// contiguous array, then one block. Where a fence code ties with the key's,
+    /// the block's own first key decides. Successors in which no block boundary
+    /// moved share it.
+    fences: Arc<[u64]>,
     /// The table, sorted ascending by group key (unique keys, no zeros), in blocks
     /// that successive epochs share wherever a commit left them untouched.
     blocks: Vec<Arc<Block>>,
@@ -324,15 +397,27 @@ fn prefix_cmp(key: &[Value], prefix: &[Value]) -> Ordering {
 }
 
 impl SnapshotInner {
-    /// The `(block, row)` of the first row whose key fails `pred`, for a `pred` that
-    /// holds on a prefix of the table; `(blocks.len(), 0)` when it holds everywhere.
-    fn position(&self, pred: impl Fn(&[Value]) -> bool) -> (usize, usize) {
-        let before = partition_rows(&self.fences, self.arity, 0, self.blocks.len(), &pred);
+    /// The block owning `key` (coded `code`): the last one whose first key is not
+    /// above it, or 0 — the first block also owns everything below its first key
+    /// (an empty table has no block 0).
+    fn owner(&self, code: u64, key: &[Value]) -> usize {
+        search(&self.fences, code, |b| {
+            self.blocks[b].key(0, self.arity) <= key
+        })
+        .saturating_sub(1)
+    }
+
+    /// The `(block, row)` of the first row that is not `below`, for a `below` that
+    /// holds on a prefix of the table and agrees with the codes around `code` (see
+    /// [`search`]); `(blocks.len(), 0)` when it holds everywhere.
+    fn position(&self, code: u64, below: impl Fn(&[Value]) -> bool) -> (usize, usize) {
+        let arity = self.arity;
+        let before = search(&self.fences, code, |b| below(self.blocks[b].key(0, arity)));
         if before == 0 {
             return (0, 0);
         }
         let block = &self.blocks[before - 1];
-        let row = partition_rows(&block.keys, self.arity, 1, block.len(), &pred);
+        let row = search(block.codes(), code, |r| below(block.key(r, arity)));
         if row == block.len() {
             (before, 0)
         } else {
@@ -358,13 +443,36 @@ impl SnapshotInner {
 }
 
 /// The block list of a snapshot under construction.
-struct Directory {
+struct Directory<'a> {
     arity: usize,
-    fences: Vec<Value>,
+    /// The predecessor's fences, for as long as every block pushed so far sits at
+    /// its predecessor's index with its predecessor's first key; `fences` is empty
+    /// meanwhile. `None` once a boundary moved, and for a snapshot built from
+    /// scratch.
+    kept: Option<&'a Arc<[u64]>>,
+    fences: Vec<u64>,
     blocks: Vec<Arc<Block>>,
 }
 
-impl Directory {
+impl<'a> Directory<'a> {
+    fn new(arity: usize, kept: Option<&'a Arc<[u64]>>, blocks: usize) -> Self {
+        Directory {
+            arity,
+            kept,
+            fences: Vec::new(),
+            blocks: Vec::with_capacity(blocks),
+        }
+    }
+
+    /// Notes that a block boundary moved: from here on the fences are built, from
+    /// the predecessor's fences of the blocks kept so far.
+    fn moved(&mut self) {
+        if let Some(kept) = self.kept.take() {
+            self.fences.reserve(kept.len() + 1);
+            self.fences.extend_from_slice(&kept[..self.blocks.len()]);
+        }
+    }
+
     /// Moves `rows` out into new blocks — one, or evenly sized pieces of about
     /// [`BLOCK_TARGET`] rows when they exceed the block limit — leaving `rows` empty
     /// (with its capacity, for the next run).
@@ -373,17 +481,23 @@ impl Directory {
         if n == 0 {
             return;
         }
+        debug_assert!(rows.codes.windows(2).all(|w| w[0] <= w[1]));
+        self.moved();
         let pieces = if n <= BLOCK_MAX {
             1
         } else {
             n.div_ceil(BLOCK_TARGET)
         };
         let mut keys = rows.keys.drain(..);
+        let mut codes = rows.codes.drain(..);
         let mut vals = rows.vals.drain(..);
         for piece in 0..pieces {
             let take = (piece + 1) * n / pieces - piece * n / pieces;
             self.push(Block {
-                keys: keys.by_ref().take(take * self.arity).collect(),
+                keys: Arc::new(BlockKeys {
+                    values: keys.by_ref().take(take * self.arity).collect(),
+                    codes: codes.by_ref().take(take).collect(),
+                }),
                 vals: vals.by_ref().take(take).collect(),
             });
         }
@@ -391,8 +505,19 @@ impl Directory {
         stats.entries_copied += n as u64;
     }
 
+    /// Appends `block`. Its fence is recorded once a boundary moved; before that,
+    /// `block` is a rebuild of the predecessor's block at this index on its key array.
     fn push(&mut self, block: Block) {
-        append(&mut self.fences, block.key(0, self.arity));
+        let codes = block.codes();
+        debug_assert!((0..block.len()).all(|r| codes[r] == key_code(block.key(r, self.arity))));
+        debug_assert!(codes.windows(2).all(|w| w[0] <= w[1]));
+        debug_assert!(self
+            .blocks
+            .last()
+            .is_none_or(|last| last.codes()[last.len() - 1] <= codes[0]));
+        if self.kept.is_none() {
+            self.fences.push(codes[0]);
+        }
         self.blocks.push(Arc::new(block));
     }
 
@@ -412,12 +537,24 @@ impl Directory {
             self.seal(pending, stats);
             range.start += 1;
         }
-        append(
-            &mut self.fences,
-            &prev.fences[range.start * self.arity..range.end * self.arity],
-        );
+        if self.kept.is_none() {
+            self.fences.extend_from_slice(&prev.fences[range.clone()]);
+        }
         self.blocks.extend_from_slice(&prev.blocks[range.clone()]);
         stats.blocks_shared += range.len() as u64;
+    }
+
+    /// The finished fences and blocks: the predecessor's fence array itself if no
+    /// boundary moved.
+    fn finish(self) -> (Arc<[u64]>, Vec<Arc<Block>>) {
+        let fences = match self.kept {
+            Some(kept) => {
+                debug_assert_eq!(kept.len(), self.blocks.len());
+                Arc::clone(kept)
+            }
+            None => Arc::from(self.fences),
+        };
+        (fences, self.blocks)
     }
 }
 
@@ -431,7 +568,7 @@ impl ViewSnapshot {
                 ingested,
                 arity,
                 len: 0,
-                fences: Vec::new(),
+                fences: Arc::from([]),
                 blocks: Vec::new(),
             }),
         }
@@ -453,27 +590,28 @@ impl ViewSnapshot {
         let mut sorted = true;
         export(&mut |key, val| {
             debug_assert_eq!(key.len(), arity);
-            let n = rows.len();
-            sorted = sorted && (n == 0 || rows.key(n - 1, arity) < key);
-            rows.push(key, val);
+            let (n, code) = (rows.len(), key_code(key));
+            sorted = sorted
+                && (n == 0 || precedes(rows.codes[n - 1], rows.key(n - 1, arity), code, key));
+            rows.push(code, key, val);
         });
         if !sorted {
             let mut order = Vec::new();
             sort_rows(&rows.keys, arity, rows.len(), &mut order);
-            let mut in_order = Rows::default();
-            for row in order {
-                in_order.push(rows.key(row as usize, arity), rows.vals[row as usize]);
+            // Sized exactly: the sorted copy of a whole table is the largest
+            // transient a snapshot build allocates.
+            let mut in_order = Rows::with_capacity(rows.len(), arity);
+            for (code, row) in order {
+                let row = row as usize;
+                in_order.push(code, rows.key(row, arity), rows.vals[row]);
             }
             rows = in_order;
         }
         debug_assert!((1..rows.len()).all(|r| rows.key(r - 1, arity) < rows.key(r, arity)));
         let len = rows.len();
-        let mut directory = Directory {
-            arity,
-            fences: Vec::new(),
-            blocks: Vec::new(),
-        };
+        let mut directory = Directory::new(arity, None, 0);
         directory.seal(&mut rows, stats);
+        let (fences, blocks) = directory.finish();
         ViewSnapshot {
             inner: Arc::new(SnapshotInner {
                 name,
@@ -481,8 +619,8 @@ impl ViewSnapshot {
                 ingested,
                 arity,
                 len,
-                fences: directory.fences,
-                blocks: directory.blocks,
+                fences,
+                blocks,
             }),
         }
     }
@@ -508,11 +646,7 @@ impl ViewSnapshot {
         let blocks = prev.blocks.len();
         debug_assert!(changes.is_empty() || changes.arity == arity);
         let distinct = changes.len();
-        let mut directory = Directory {
-            arity,
-            fences: Vec::with_capacity(prev.fences.len() + arity),
-            blocks: Vec::with_capacity(blocks + 1),
-        };
+        let mut directory = Directory::new(arity, Some(&prev.fences), blocks + 1);
         let mut len = prev.len;
         // Rebuilt rows not yet sealed into a block.
         let mut pending = Rows::default();
@@ -520,23 +654,22 @@ impl ViewSnapshot {
         // old block holds it.
         let mut spots: Vec<(usize, bool)> = Vec::new();
         let empty = Block {
-            keys: Arc::from(Vec::new()),
+            keys: Arc::default(),
             vals: Vec::new(),
         };
         // The first predecessor block not yet carried over or rebuilt.
         let mut next = 0;
         let mut c = 0;
         while c < distinct {
-            // The block owning this key: the last one whose fence is not above it
-            // (the first block also owns everything below its fence).
-            let key = changes.key(c);
-            let b = partition_rows(&prev.fences, arity, 0, blocks, |f| f <= key).saturating_sub(1);
+            let b = prev.owner(changes.code(c), changes.key(c));
             directory.share(prev, next..b, &mut pending, stats);
-            // Every changed key below the next fence belongs to the same block.
+            // Every changed key below the next block's first key belongs to this one.
             let mut end = c + 1;
             if b + 1 < blocks {
-                let fence = row_key(&prev.fences, arity, b + 1);
-                while end < distinct && changes.key(end) < fence {
+                let (fence_code, fence) = (prev.fences[b + 1], prev.blocks[b + 1].key(0, arity));
+                while end < distinct
+                    && precedes(changes.code(end), changes.key(end), fence_code, fence)
+                {
                     end += 1;
                 }
             } else {
@@ -547,9 +680,9 @@ impl ViewSnapshot {
             let mut row = 0;
             let mut same_keys = pending.len() == 0;
             for i in c..end {
-                let key = changes.key(i);
-                let at = partition_rows(&old.keys, arity, row, old.len(), |k| k < key);
-                let held = at < old.len() && old.key(at, arity) == key;
+                let (code, key) = (changes.code(i), changes.key(i));
+                let at = old.lower_bound(row, code, key, arity);
+                let held = at < old.len() && old.codes()[at] == code && old.key(at, arity) == key;
                 let live = !changes.value(i).is_zero();
                 same_keys &= held && live;
                 len += usize::from(live);
@@ -571,13 +704,14 @@ impl ViewSnapshot {
                 });
             } else {
                 // Merge the old block's rows with the changed keys' current values.
+                directory.moved();
                 let mut row = 0;
                 for (i, &(at, held)) in (c..end).zip(&spots) {
                     pending.extend_from(old, row..at, arity);
                     row = at + usize::from(held);
                     let value = changes.value(i);
                     if !value.is_zero() {
-                        pending.push(changes.key(i), value);
+                        pending.push(changes.code(i), changes.key(i), value);
                     }
                 }
                 pending.extend_from(old, row..old.len(), arity);
@@ -590,6 +724,7 @@ impl ViewSnapshot {
         }
         directory.share(prev, next..blocks, &mut pending, stats);
         directory.seal(&mut pending, stats);
+        let (fences, blocks) = directory.finish();
         ViewSnapshot {
             inner: Arc::new(SnapshotInner {
                 name: Arc::clone(&prev.name),
@@ -597,8 +732,8 @@ impl ViewSnapshot {
                 ingested,
                 arity,
                 len,
-                fences: directory.fences,
-                blocks: directory.blocks,
+                fences,
+                blocks,
             }),
         }
     }
@@ -644,14 +779,16 @@ impl ViewSnapshot {
     }
 
     /// Point lookup: the value stored under `key`, if the group is present. One
-    /// binary search over the fence keys, one inside the block they select.
+    /// search over the blocks' fence codes, one over the codes of the block they
+    /// select; key values are compared only where a code ties with the key's, and a
+    /// hit is confirmed by comparing the whole key.
     pub fn get(&self, key: &[Value]) -> Option<Number> {
         let inner = &*self.inner;
-        let arity = inner.arity;
-        let before = partition_rows(&inner.fences, arity, 0, inner.blocks.len(), |f| f <= key);
-        let block = inner.blocks.get(before.checked_sub(1)?)?;
-        let row = partition_rows(&block.keys, arity, 0, block.len(), |k| k < key);
-        (row < block.len() && block.key(row, arity) == key).then(|| block.vals[row])
+        let code = key_code(key);
+        let block = inner.blocks.get(inner.owner(code, key))?;
+        let row = block.lower_bound(0, code, key, inner.arity);
+        (row < block.len() && block.codes()[row] == code && block.key(row, inner.arity) == key)
+            .then(|| block.vals[row])
     }
 
     /// Point lookup with the ring's absent-means-zero convention (the snapshot
@@ -667,18 +804,22 @@ impl ViewSnapshot {
     }
 
     /// Prefix scan: every group whose key begins with `prefix`, in ascending key
-    /// order, located by binary search (no full-table walk).
+    /// order, located by search (no full-table walk).
     pub fn prefix_scan<'a>(
         &'a self,
         prefix: &[Value],
     ) -> impl Iterator<Item = (&'a [Value], Number)> {
-        let start = self
-            .inner
-            .position(|k| prefix_cmp(k, prefix) == Ordering::Less);
-        let end = self
-            .inner
-            .position(|k| prefix_cmp(k, prefix) != Ordering::Greater);
-        self.inner.rows_between(start, end)
+        let inner = &*self.inner;
+        let (start, end) = if prefix.is_empty() {
+            ((0, 0), (inner.blocks.len(), 0))
+        } else {
+            let code = key_code(prefix);
+            (
+                inner.position(code, |k| prefix_cmp(k, prefix) == Ordering::Less),
+                inner.position(code, |k| prefix_cmp(k, prefix) != Ordering::Greater),
+            )
+        };
+        inner.rows_between(start, end)
     }
 
     /// The snapshot as an owned `BTreeMap` — an explicit O(n) export for tests and
@@ -703,18 +844,26 @@ impl ViewSnapshot {
         )
     }
 
-    /// Panics unless the block invariants hold: fences are the blocks' first keys
-    /// and strictly ascending with every row, blocks are non-empty and within the
-    /// limit, only the final block is below the minimum, `len` counts the rows.
+    /// Whether the two snapshots hold the same fence array.
+    #[cfg(test)]
+    fn shares_fences(&self, other: &ViewSnapshot) -> bool {
+        Arc::ptr_eq(&self.inner.fences, &other.inner.fences)
+    }
+
+    /// Panics unless the block invariants hold: keys ascend strictly across all
+    /// rows, every stored code is its key's code, fences are the blocks' first codes,
+    /// blocks are non-empty and within the limit, only the final block is below the
+    /// minimum, `len` counts the rows.
     #[cfg(test)]
     fn check_blocks(&self) {
         let inner = &*self.inner;
         let arity = inner.arity;
-        assert_eq!(inner.fences.len(), inner.blocks.len() * arity);
+        assert_eq!(inner.fences.len(), inner.blocks.len());
         let mut rows = 0;
         let mut last: Option<&[Value]> = None;
         for (b, block) in inner.blocks.iter().enumerate() {
-            assert_eq!(block.keys.len(), block.len() * arity);
+            assert_eq!(block.keys.values.len(), block.len() * arity);
+            assert_eq!(block.codes().len(), block.len());
             assert!(block.len() > 0 && block.len() <= BLOCK_MAX, "block {b}");
             assert!(
                 block.len() >= BLOCK_MIN || b + 1 == inner.blocks.len(),
@@ -722,9 +871,10 @@ impl ViewSnapshot {
                 inner.blocks.len(),
                 block.len()
             );
-            assert_eq!(row_key(&inner.fences, arity, b), block.key(0, arity));
+            assert_eq!(inner.fences[b], block.codes()[0], "fence {b}");
             for row in 0..block.len() {
                 let key = block.key(row, arity);
+                assert_eq!(block.codes()[row], key_code(key), "code of {key:?}");
                 assert!(last.is_none_or(|l| l < key), "keys must ascend strictly");
                 assert!(!block.vals[row].is_zero());
                 last = Some(key);
@@ -861,8 +1011,8 @@ impl Pending {
         let mut order = Vec::new();
         sort_rows(&self.keys, self.arity, self.len(), &mut order);
         let mut changes = Changes::new(self.arity);
-        for entry in order {
-            changes.push(self.key(entry as usize), self.vals[entry as usize]);
+        for (code, entry) in order {
+            changes.push(code, self.key(entry as usize), self.vals[entry as usize]);
         }
         changes
     }
@@ -1500,6 +1650,141 @@ mod tests {
         assert_eq!(held.table(), table);
     }
 
+    /// A successor that rebuilt blocks only on their own key arrays moved no block
+    /// boundary, so it holds its predecessor's fence array itself; one that adds or
+    /// removes a key builds its own. The counts are those of any rebuild.
+    #[test]
+    fn fences_are_shared_while_no_block_boundary_moves() {
+        let mut model: Table = (0..1000).map(|i| (key(&[i]), Number::Int(1))).collect();
+        let base = export(&model, 1, false);
+        let blocks = base.inner.blocks.len() as u64;
+        let mut stats = PublishStats::default();
+        let values = step(
+            &mut model,
+            &base,
+            &[(key(&[3]), 2), (key(&[500]), 5)],
+            &mut stats,
+        );
+        assert!(values.shares_fences(&base));
+        assert_eq!((stats.blocks_rebuilt, stats.blocks_shared), (2, blocks - 2));
+        let idle = step(&mut model, &values, &[], &mut stats);
+        assert!(idle.shares_fences(&base));
+        for changes in [vec![(key(&[1000]), 1)], vec![(key(&[3]), 0)]] {
+            let mut stats = PublishStats::default();
+            let moved = step(&mut model.clone(), &values, &changes, &mut stats);
+            assert!(!moved.shares_fences(&values), "{changes:?}");
+            assert_eq!(stats.blocks_rebuilt, 1);
+        }
+    }
+
+    /// The search asks about rows only inside the run of the target's code, by
+    /// binary search, so one code shared by 100 000 rows costs O(log n) comparisons
+    /// and a code held by one row costs one.
+    #[test]
+    fn a_long_run_of_one_code_is_searched_in_logarithmic_comparisons() {
+        let asked = &std::cell::Cell::new(0);
+        let count = |target: usize| {
+            move |row: usize| {
+                asked.set(asked.get() + 1);
+                row < target
+            }
+        };
+        let inner: Vec<u64> = [vec![1; 10], vec![5; 100_000], vec![9; 10]].concat();
+        let whole = vec![5; 100_000];
+        let suffix: Vec<u64> = [vec![1; 10], vec![5; 100_000]].concat();
+        for codes in [&inner, &whole, &suffix] {
+            let run = codes.iter().position(|&c| c == 5).unwrap_or(0);
+            for target in [0, 1, 4, 5, 6, 500, 99_999, 100_000] {
+                asked.set(0);
+                assert_eq!(search(codes, 5, count(run + target)), run + target);
+                assert!(asked.get() <= 17, "{} rows asked", asked.get());
+            }
+        }
+        asked.set(0);
+        let unique: Vec<u64> = (0..1000).collect();
+        assert_eq!((search(&unique, 700, count(700)), asked.get()), (700, 1));
+        assert_eq!(search(&inner, 0, |_| unreachable!()), 0);
+        assert_eq!(search(&inner, 3, |_| unreachable!()), 10);
+        assert_eq!(search(&inner, 10, |_| unreachable!()), inner.len());
+        assert_eq!(search(&[], 10, |_| unreachable!()), 0);
+    }
+
+    /// First key values built to collide in their codes: strings that share their
+    /// first 8 bytes or differ only in padding, ints at and beyond the clamp, and
+    /// floats apart only in the bits the code drops. The first `PRESENT` occur in
+    /// tables; the rest tie with one of them and are absent.
+    fn colliding() -> Vec<Value> {
+        let one = 1.0f64.to_bits();
+        let mut values: Vec<Value> = ["customer", "customer\0", "customer_0001", "customer_0002"]
+            .into_iter()
+            .map(Value::str)
+            .collect();
+        values.extend([i64::MIN, -(1 << 61), 1 << 61, i64::MAX].map(Value::int));
+        values.extend([one, one + 1, one + 2].map(|bits| Value::float(f64::from_bits(bits))));
+        values.push(Value::Bool(true));
+        values.extend([
+            Value::str("customer_0003"),
+            Value::str("customer\0\0"),
+            Value::int(i64::MAX - 1),
+            Value::int(i64::MIN + 1),
+            Value::float(f64::from_bits(one + 3)),
+        ]);
+        values
+    }
+    const PRESENT: usize = 12;
+
+    /// Checks every read of `s` against `model`: `get` and a whole-key prefix scan of
+    /// each probe, and a one-column prefix scan of each value in `firsts`.
+    fn assert_reads_match(
+        s: &ViewSnapshot,
+        model: &Table,
+        firsts: &[Value],
+        probes: &[Vec<Value>],
+    ) {
+        let owned = |(k, v): (&[Value], Number)| (k.to_vec(), v);
+        for key in probes {
+            assert_eq!(s.get(key), model.get(key).copied(), "get {key:?}");
+            let want = model.get_key_value(key).map(|(k, v)| (k.clone(), *v));
+            assert!(s.prefix_scan(key).map(owned).eq(want), "scan {key:?}");
+        }
+        for first in firsts {
+            let want = model
+                .iter()
+                .filter(|(k, _)| k[0] == *first)
+                .map(|(k, v)| (k.clone(), *v));
+            let got = s.prefix_scan(std::slice::from_ref(first)).map(owned);
+            assert!(got.eq(want), "scan {first:?}");
+        }
+    }
+
+    /// One string code shared by 1 000 one-column keys: every fence ties, and every
+    /// lookup, scan and successor falls back to comparing the strings.
+    #[test]
+    fn keys_sharing_one_code_read_and_publish_like_a_btreemap() {
+        let name = |i: i64| vec![Value::str(format!("customer_{i:04}"))];
+        let mut model: Table = (0..1000)
+            .filter(|i| i % 3 != 0)
+            .map(|i| (name(i), Number::Int(i + 1)))
+            .collect();
+        let base = export(&model, 1, false);
+        assert!(base.inner.fences.windows(2).all(|f| f[0] == f[1]));
+        let probes: Vec<_> = (-1..=1000)
+            .map(name)
+            .chain([vec![Value::str("customer")], vec![Value::str("customer_")]])
+            .collect();
+        assert_reads_match(&base, &model, &[Value::str("customer_0001")], &probes);
+        let mut stats = PublishStats::default();
+        let mut s = base;
+        for round in 0..6 {
+            let changes: Vec<_> = (0..1000)
+                .filter(|i| i % 7 == round)
+                .map(|i| (name(i), (i + round) % 3))
+                .collect();
+            s = step(&mut model, &s, &changes, &mut stats);
+            assert_reads_match(&s, &model, &[], &probes);
+        }
+    }
+
     /// The complexity claim in counts: a three-key change rebuilds at most three
     /// blocks, shares every other one at its old address, and copies the same number
     /// of rows into a 10 240-group view as into a 40 960-group one (multiples of the
@@ -1569,6 +1854,43 @@ mod tests {
             }
             for (snapshot, table) in &held {
                 prop_assert_eq!(&snapshot.table(), table);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Two-column keys whose first values collide in their codes, each present
+        /// one spanning five blocks so that runs of tied fences cross block
+        /// boundaries: every `get` and prefix scan answers like a `BTreeMap`, through
+        /// chained successors.
+        #[test]
+        fn colliding_codes_read_and_publish_like_a_btreemap(
+            batches in prop::collection::vec(
+                prop::collection::vec((0..PRESENT, 0i64..330, 0i64..3), 0..60),
+                1..8,
+            ),
+        ) {
+            let firsts = colliding();
+            let at = |f: usize, i: i64| vec![firsts[f].clone(), Value::int(i)];
+            let mut model: Table = (0..PRESENT)
+                .flat_map(|f| (0..320).map(move |i| (f, i)))
+                .map(|(f, i)| (at(f, i), Number::Int(i + 1)))
+                .collect();
+            let mut s = export(&model, 2, true);
+            s.check_blocks();
+            prop_assert!(s.inner.blocks.len() >= 4 * PRESENT);
+            let mut stats = PublishStats::default();
+            for batch in &batches {
+                let changes: Vec<_> = batch.iter().map(|&(f, i, v)| (at(f, i), v)).collect();
+                s = step(&mut model, &s, &changes, &mut stats);
+                let probes: Vec<_> = batch
+                    .iter()
+                    .flat_map(|&(f, i, _)| [at(f, i), at(f, -1), at(f, 330)])
+                    .chain((PRESENT..firsts.len()).map(|f| at(f, 5)))
+                    .collect();
+                assert_reads_match(&s, &model, &firsts, &probes);
             }
         }
     }

@@ -305,6 +305,76 @@ fn an_unread_view_defers_until_its_first_read() {
     shutdown(addr, handle);
 }
 
+/// Keys that share their first 8 bytes tie in the snapshots' order codes, so every
+/// `GET` and `SCAN` here is decided by comparing the strings themselves — across
+/// block boundaries, since each view spans several blocks.
+#[test]
+fn string_keys_sharing_their_first_bytes_read_back_exactly() {
+    let (addr, handle) = start(ServerConfig::default());
+    let mut c = Client::connect(addr);
+
+    c.send("DECLARE t Sales cust item qty");
+    assert_eq!(
+        c.send("VIEW t by_cust SELECT cust, SUM(qty) AS q FROM Sales GROUP BY cust"),
+        "OK created by_cust as view#0"
+    );
+    assert_eq!(
+        c.send("VIEW t by_item SELECT cust, item, SUM(qty) AS q FROM Sales GROUP BY cust, item"),
+        "OK created by_item as view#1"
+    );
+    const CUSTOMERS: i64 = 300;
+    let items = |i: i64| i % 3 + 1;
+    let mut inserted = 0;
+    for i in 1..=CUSTOMERS {
+        for item in 0..items(i) {
+            let line = format!("INSERT t Sales customer_{i:04} item_{item} {i}");
+            assert_eq!(c.send(&line), "OK queued");
+            inserted += 1;
+        }
+    }
+    assert_eq!(c.send("FLUSH t"), format!("OK ingested={inserted}"));
+
+    for i in 1..=CUSTOMERS {
+        let value = i * items(i);
+        assert_eq!(
+            c.send(&format!("GET t by_cust customer_{i:04}")),
+            format!("VALUE {value}")
+        );
+        assert_eq!(
+            c.send(&format!("GET t by_item customer_{i:04} item_0")),
+            format!("VALUE {i}")
+        );
+    }
+    for absent in [
+        "customer_0000",
+        "customer_0301",
+        "customer_",
+        "customer",
+        "customes",
+    ] {
+        assert_eq!(c.send(&format!("GET t by_cust {absent}")), "VALUE 0");
+        assert_eq!(c.send(&format!("GET t by_item {absent} item_0")), "VALUE 0");
+    }
+    assert_eq!(c.send("GET t by_item customer_0003 item_1"), "VALUE 0");
+
+    for i in [1, 2, 3, 64, 65, 128, 150, 299, 300] {
+        let scan = c.send_multi(&format!("SCAN t by_item customer_{i:04}"));
+        let want: Vec<String> = (0..items(i))
+            .map(|item| format!("ROW \"customer_{i:04}\" \"item_{item}\" {i}"))
+            .collect();
+        assert_eq!(scan[..scan.len() - 1], want[..], "customer {i}");
+        assert!(
+            scan[scan.len() - 1].starts_with(&format!("END rows={} ", want.len())),
+            "{scan:?}"
+        );
+    }
+    let scan = c.send_multi("SCAN t by_item customer_0301");
+    assert!(scan[0].starts_with("END rows=0 "), "{scan:?}");
+
+    drop(c);
+    shutdown(addr, handle);
+}
+
 #[test]
 fn drop_view_releases_and_later_reads_error() {
     let (addr, handle) = start(ServerConfig::default());

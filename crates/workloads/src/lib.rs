@@ -387,8 +387,8 @@ pub fn orders_lineitems(config: WorkloadConfig) -> Workload {
     }
 }
 
-/// A multi-view experiment input: one schema and one update stream shared by several
-/// standing queries — the operating regime of a `Ring` engine.
+/// A multi-view query set: one schema shared by several standing queries — the
+/// operating regime of a `Ring` engine.
 #[derive(Clone, Debug)]
 pub struct MultiViewWorkload {
     /// A short identifier ("sales-dashboard").
@@ -397,23 +397,17 @@ pub struct MultiViewWorkload {
     pub catalog: Database,
     /// The standing queries, as `(view name, query)` pairs.
     pub views: Vec<(&'static str, Query)>,
-    /// Updates that build the initial database.
-    pub initial: Vec<Update>,
-    /// The measured update stream (applied after the initial load).
-    pub stream: Vec<Update>,
 }
 
-/// A retail dashboard: six integer-valued standing aggregates over a sales stream with
-/// occasional returns — the canonical many-views-one-stream workload.
+/// A retail dashboard: six integer-valued standing aggregates over sales and
+/// returns — the canonical many-views-one-stream query set.
 ///
-/// Schema: `Sales(cust, cents, qty)` and `Returns(cust, cents, qty)`; roughly one
-/// update in eight is a return. Four views read `Sales`, two read `Returns`, so routed
-/// dispatch has real work to skip in both directions. All aggregates stay in `ℤ`
-/// (prices in whole cents), so results are *bit*-comparable across execution paths
-/// that accumulate in different orders — exactly like [`sales_revenue_int`]. The
-/// narrow price/qty menu makes tuple repeats common, which is what batch
-/// consolidation and weighted firing collapse.
-pub fn sales_dashboard(config: WorkloadConfig) -> MultiViewWorkload {
+/// Schema: `Sales(cust, cents, qty)` and `Returns(cust, cents, qty)`. Four views read
+/// `Sales`, two read `Returns`, so routed dispatch has real work to skip in both
+/// directions. All aggregates stay in `ℤ` (prices in whole cents), so results are
+/// *bit*-comparable across execution paths that accumulate in different orders —
+/// exactly like [`sales_revenue_int`].
+pub fn sales_dashboard() -> MultiViewWorkload {
     let mut catalog = Database::new();
     catalog.declare("Sales", &["cust", "cents", "qty"]).unwrap();
     catalog
@@ -461,27 +455,10 @@ pub fn sales_dashboard(config: WorkloadConfig) -> MultiViewWorkload {
             parse_sql("SELECT SUM(1) AS returns FROM Returns", &catalog).unwrap(),
         ),
     ];
-    let make = |seed: u64, count: usize, cfg: &WorkloadConfig| {
-        let mut b = StreamBuilder::new(seed, cfg.delete_fraction);
-        let customers = cfg.domain_size.max(1) as i64;
-        for i in 0..count {
-            let cust = b.rng().gen_range(0..customers);
-            let cents = 100 * b.rng().gen_range(1..25i64);
-            let qty = b.rng().gen_range(1..5i64);
-            let relation = if i % 8 == 7 { "Returns" } else { "Sales" };
-            b.push(Update::insert(
-                relation,
-                vec![Value::int(cust), Value::int(cents), Value::int(qty)],
-            ));
-        }
-        b.finish()
-    };
     MultiViewWorkload {
         name: "sales-dashboard",
         catalog,
         views,
-        initial: make(config.seed, config.initial_size, &config),
-        stream: make(config.seed.wrapping_add(1), config.stream_length, &config),
     }
 }
 
@@ -572,7 +549,7 @@ mod tests {
 
     #[test]
     fn sales_dashboard_views_compile_against_its_catalog() {
-        let w = sales_dashboard(WorkloadConfig::small(11));
+        let w = sales_dashboard();
         assert_eq!(w.views.len(), 6);
         let declared: BTreeSet<String> = w.catalog.relation_names().map(str::to_string).collect();
         for (name, query) in &w.views {
@@ -580,15 +557,6 @@ mod tests {
                 assert!(declared.contains(&r), "{r} undeclared (view {name})");
             }
         }
-        // Both relations appear in the stream, Sales dominating.
-        let returns = w.stream.iter().filter(|u| u.relation == "Returns").count();
-        assert!(returns > 0);
-        assert!(returns < w.stream.len() / 4);
-        let mut db = w.catalog.clone();
-        db.apply_all(&w.initial).unwrap();
-        assert!(db.total_support() > 0);
-        // Determinism per seed.
-        assert_eq!(sales_dashboard(WorkloadConfig::small(11)).stream, w.stream);
     }
 
     #[test]
