@@ -100,14 +100,10 @@ const TIE_SCAN: usize = 4;
 /// a long run (a view keyed `(region, cust)` with few regions) costs O(log n)
 /// comparisons, not O(n). Codes rarely collide, so the run's end is looked for in
 /// the next [`TIE_SCAN`] rows before it is searched for; where they do (strings
-/// sharing their first 8 bytes), the run often reaches an end of the array, which
+/// sharing their first 8 bytes), the run often reaches the array's end, which
 /// needs no search.
 fn search(codes: &[u64], code: u64, below: impl Fn(usize) -> bool) -> usize {
-    let start = if codes.first() == Some(&code) {
-        0
-    } else {
-        codes.partition_point(|&c| c < code)
-    };
+    let start = codes.partition_point(|&c| c < code);
     let end = if codes.last() == Some(&code) {
         codes.len()
     } else {
@@ -381,9 +377,8 @@ struct SnapshotInner {
     len: usize,
     /// The code of every block's first key, ascending: a lookup searches this one
     /// contiguous array, then one block. Where a fence code ties with the key's,
-    /// the block's own first key decides. Successors in which no block boundary
-    /// moved share it.
-    fences: Arc<[u64]>,
+    /// the block's own first key decides.
+    fences: Vec<u64>,
     /// The table, sorted ascending by group key (unique keys, no zeros), in blocks
     /// that successive epochs share wherever a commit left them untouched.
     blocks: Vec<Arc<Block>>,
@@ -443,33 +438,18 @@ impl SnapshotInner {
 }
 
 /// The block list of a snapshot under construction.
-struct Directory<'a> {
+struct Directory {
     arity: usize,
-    /// The predecessor's fences, for as long as every block pushed so far sits at
-    /// its predecessor's index with its predecessor's first key; `fences` is empty
-    /// meanwhile. `None` once a boundary moved, and for a snapshot built from
-    /// scratch.
-    kept: Option<&'a Arc<[u64]>>,
     fences: Vec<u64>,
     blocks: Vec<Arc<Block>>,
 }
 
-impl<'a> Directory<'a> {
-    fn new(arity: usize, kept: Option<&'a Arc<[u64]>>, blocks: usize) -> Self {
+impl Directory {
+    fn new(arity: usize, blocks: usize) -> Self {
         Directory {
             arity,
-            kept,
-            fences: Vec::new(),
+            fences: Vec::with_capacity(blocks),
             blocks: Vec::with_capacity(blocks),
-        }
-    }
-
-    /// Notes that a block boundary moved: from here on the fences are built, from
-    /// the predecessor's fences of the blocks kept so far.
-    fn moved(&mut self) {
-        if let Some(kept) = self.kept.take() {
-            self.fences.reserve(kept.len() + 1);
-            self.fences.extend_from_slice(&kept[..self.blocks.len()]);
         }
     }
 
@@ -482,7 +462,6 @@ impl<'a> Directory<'a> {
             return;
         }
         debug_assert!(rows.codes.windows(2).all(|w| w[0] <= w[1]));
-        self.moved();
         let pieces = if n <= BLOCK_MAX {
             1
         } else {
@@ -505,8 +484,6 @@ impl<'a> Directory<'a> {
         stats.entries_copied += n as u64;
     }
 
-    /// Appends `block`. Its fence is recorded once a boundary moved; before that,
-    /// `block` is a rebuild of the predecessor's block at this index on its key array.
     fn push(&mut self, block: Block) {
         let codes = block.codes();
         debug_assert!((0..block.len()).all(|r| codes[r] == key_code(block.key(r, self.arity))));
@@ -515,9 +492,7 @@ impl<'a> Directory<'a> {
             .blocks
             .last()
             .is_none_or(|last| last.codes()[last.len() - 1] <= codes[0]));
-        if self.kept.is_none() {
-            self.fences.push(codes[0]);
-        }
+        self.fences.push(codes[0]);
         self.blocks.push(Arc::new(block));
     }
 
@@ -537,24 +512,9 @@ impl<'a> Directory<'a> {
             self.seal(pending, stats);
             range.start += 1;
         }
-        if self.kept.is_none() {
-            self.fences.extend_from_slice(&prev.fences[range.clone()]);
-        }
+        self.fences.extend_from_slice(&prev.fences[range.clone()]);
         self.blocks.extend_from_slice(&prev.blocks[range.clone()]);
         stats.blocks_shared += range.len() as u64;
-    }
-
-    /// The finished fences and blocks: the predecessor's fence array itself if no
-    /// boundary moved.
-    fn finish(self) -> (Arc<[u64]>, Vec<Arc<Block>>) {
-        let fences = match self.kept {
-            Some(kept) => {
-                debug_assert_eq!(kept.len(), self.blocks.len());
-                Arc::clone(kept)
-            }
-            None => Arc::from(self.fences),
-        };
-        (fences, self.blocks)
     }
 }
 
@@ -568,7 +528,7 @@ impl ViewSnapshot {
                 ingested,
                 arity,
                 len: 0,
-                fences: Arc::from([]),
+                fences: Vec::new(),
                 blocks: Vec::new(),
             }),
         }
@@ -609,9 +569,9 @@ impl ViewSnapshot {
         }
         debug_assert!((1..rows.len()).all(|r| rows.key(r - 1, arity) < rows.key(r, arity)));
         let len = rows.len();
-        let mut directory = Directory::new(arity, None, 0);
+        let mut directory = Directory::new(arity, 0);
         directory.seal(&mut rows, stats);
-        let (fences, blocks) = directory.finish();
+        let Directory { fences, blocks, .. } = directory;
         ViewSnapshot {
             inner: Arc::new(SnapshotInner {
                 name,
@@ -646,7 +606,7 @@ impl ViewSnapshot {
         let blocks = prev.blocks.len();
         debug_assert!(changes.is_empty() || changes.arity == arity);
         let distinct = changes.len();
-        let mut directory = Directory::new(arity, Some(&prev.fences), blocks + 1);
+        let mut directory = Directory::new(arity, blocks + 1);
         let mut len = prev.len;
         // Rebuilt rows not yet sealed into a block.
         let mut pending = Rows::default();
@@ -704,7 +664,6 @@ impl ViewSnapshot {
                 });
             } else {
                 // Merge the old block's rows with the changed keys' current values.
-                directory.moved();
                 let mut row = 0;
                 for (i, &(at, held)) in (c..end).zip(&spots) {
                     pending.extend_from(old, row..at, arity);
@@ -724,7 +683,7 @@ impl ViewSnapshot {
         }
         directory.share(prev, next..blocks, &mut pending, stats);
         directory.seal(&mut pending, stats);
-        let (fences, blocks) = directory.finish();
+        let Directory { fences, blocks, .. } = directory;
         ViewSnapshot {
             inner: Arc::new(SnapshotInner {
                 name: Arc::clone(&prev.name),
@@ -842,12 +801,6 @@ impl ViewSnapshot {
             &self.inner.blocks[block].keys,
             &other.inner.blocks[block].keys,
         )
-    }
-
-    /// Whether the two snapshots hold the same fence array.
-    #[cfg(test)]
-    fn shares_fences(&self, other: &ViewSnapshot) -> bool {
-        Arc::ptr_eq(&self.inner.fences, &other.inner.fences)
     }
 
     /// Panics unless the block invariants hold: keys ascend strictly across all
@@ -1650,33 +1603,6 @@ mod tests {
         assert_eq!(held.table(), table);
     }
 
-    /// A successor that rebuilt blocks only on their own key arrays moved no block
-    /// boundary, so it holds its predecessor's fence array itself; one that adds or
-    /// removes a key builds its own. The counts are those of any rebuild.
-    #[test]
-    fn fences_are_shared_while_no_block_boundary_moves() {
-        let mut model: Table = (0..1000).map(|i| (key(&[i]), Number::Int(1))).collect();
-        let base = export(&model, 1, false);
-        let blocks = base.inner.blocks.len() as u64;
-        let mut stats = PublishStats::default();
-        let values = step(
-            &mut model,
-            &base,
-            &[(key(&[3]), 2), (key(&[500]), 5)],
-            &mut stats,
-        );
-        assert!(values.shares_fences(&base));
-        assert_eq!((stats.blocks_rebuilt, stats.blocks_shared), (2, blocks - 2));
-        let idle = step(&mut model, &values, &[], &mut stats);
-        assert!(idle.shares_fences(&base));
-        for changes in [vec![(key(&[1000]), 1)], vec![(key(&[3]), 0)]] {
-            let mut stats = PublishStats::default();
-            let moved = step(&mut model.clone(), &values, &changes, &mut stats);
-            assert!(!moved.shares_fences(&values), "{changes:?}");
-            assert_eq!(stats.blocks_rebuilt, 1);
-        }
-    }
-
     /// The search asks about rows only inside the run of the target's code, by
     /// binary search, so one code shared by 100 000 rows costs O(log n) comparisons
     /// and a code held by one row costs one.
@@ -1757,34 +1683,6 @@ mod tests {
         }
     }
 
-    /// One string code shared by 1 000 one-column keys: every fence ties, and every
-    /// lookup, scan and successor falls back to comparing the strings.
-    #[test]
-    fn keys_sharing_one_code_read_and_publish_like_a_btreemap() {
-        let name = |i: i64| vec![Value::str(format!("customer_{i:04}"))];
-        let mut model: Table = (0..1000)
-            .filter(|i| i % 3 != 0)
-            .map(|i| (name(i), Number::Int(i + 1)))
-            .collect();
-        let base = export(&model, 1, false);
-        assert!(base.inner.fences.windows(2).all(|f| f[0] == f[1]));
-        let probes: Vec<_> = (-1..=1000)
-            .map(name)
-            .chain([vec![Value::str("customer")], vec![Value::str("customer_")]])
-            .collect();
-        assert_reads_match(&base, &model, &[Value::str("customer_0001")], &probes);
-        let mut stats = PublishStats::default();
-        let mut s = base;
-        for round in 0..6 {
-            let changes: Vec<_> = (0..1000)
-                .filter(|i| i % 7 == round)
-                .map(|i| (name(i), (i + round) % 3))
-                .collect();
-            s = step(&mut model, &s, &changes, &mut stats);
-            assert_reads_match(&s, &model, &[], &probes);
-        }
-    }
-
     /// The complexity claim in counts: a three-key change rebuilds at most three
     /// blocks, shares every other one at its old address, and copies the same number
     /// of rows into a 10 240-group view as into a 40 960-group one (multiples of the
@@ -1861,10 +1759,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Two-column keys whose first values collide in their codes, each present
-        /// one spanning five blocks so that runs of tied fences cross block
-        /// boundaries: every `get` and prefix scan answers like a `BTreeMap`, through
-        /// chained successors.
+        /// Keys that collide in their codes, through chained successors: two-column
+        /// keys whose first values collide, each present one spanning five blocks so
+        /// that runs of tied fences cross block boundaries, and one-column strings
+        /// that all share one code, so that every fence ties and every search falls
+        /// back to comparing the strings. Every `get` and prefix scan answers like a
+        /// `BTreeMap`.
         #[test]
         fn colliding_codes_read_and_publish_like_a_btreemap(
             batches in prop::collection::vec(
@@ -1881,6 +1781,14 @@ mod tests {
             let mut s = export(&model, 2, true);
             s.check_blocks();
             prop_assert!(s.inner.blocks.len() >= 4 * PRESENT);
+            let name = |i: i64| vec![Value::str(format!("customer_{i:04}"))];
+            let mut tied_model: Table = (0..330)
+                .filter(|i| i % 3 != 0)
+                .map(|i| (name(i), Number::Int(i + 1)))
+                .collect();
+            let mut tied = export(&tied_model, 1, false);
+            prop_assert!(tied.inner.fences.len() >= 4);
+            prop_assert!(tied.inner.fences.windows(2).all(|f| f[0] == f[1]));
             let mut stats = PublishStats::default();
             for batch in &batches {
                 let changes: Vec<_> = batch.iter().map(|&(f, i, v)| (at(f, i), v)).collect();
@@ -1891,6 +1799,14 @@ mod tests {
                     .chain((PRESENT..firsts.len()).map(|f| at(f, 5)))
                     .collect();
                 assert_reads_match(&s, &model, &firsts, &probes);
+                let changes: Vec<_> = batch.iter().map(|&(_, i, v)| (name(i), v)).collect();
+                tied = step(&mut tied_model, &tied, &changes, &mut stats);
+                let probes: Vec<_> = batch
+                    .iter()
+                    .flat_map(|&(_, i, _)| [name(i), name(-1), name(330)])
+                    .chain(["customer", "customer_"].map(|k| vec![Value::str(k)]))
+                    .collect();
+                assert_reads_match(&tied, &tied_model, &[], &probes);
             }
         }
     }
