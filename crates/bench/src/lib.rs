@@ -9,9 +9,7 @@
 
 use std::time::{Duration, Instant};
 
-use dbring::{
-    compile, ClassicalIvm, Executor, InterpretedExecutor, MaintenanceStrategy, NaiveReeval,
-};
+use dbring::{compile, ClassicalIvm, Executor, MaintenanceStrategy, NaiveReeval};
 use dbring_workloads::Workload;
 use serde::Serialize;
 
@@ -170,78 +168,6 @@ pub fn sweep_results_json<S: AsRef<str>>(results: &[(S, Vec<SweepPoint>)]) -> St
     out
 }
 
-/// One row of the lowering sweep: per-update cost of the slot-resolved executor against
-/// the reference interpreter at a given initial database size (same compiled program,
-/// same storage layout, same update stream — the difference is purely the inner loop).
-#[derive(Clone, Copy, Debug, Serialize)]
-pub struct LoweringPoint {
-    /// Initial database size (number of bulk-loaded updates).
-    pub initial_size: usize,
-    /// Mean per-update latency of the lowered (plan-driven) executor, in nanoseconds.
-    pub lowered_ns: f64,
-    /// Mean per-update latency of the string-named interpreter, in nanoseconds.
-    pub interpreted_ns: f64,
-    /// Mean arithmetic operations per update (identical on both paths by construction —
-    /// asserted here, tested exhaustively in `dbring-runtime`).
-    pub ops_per_update: f64,
-}
-
-impl LoweringPoint {
-    /// Interpreter time over lowered time (> 1 means lowering wins).
-    pub fn speedup(&self) -> f64 {
-        if self.lowered_ns > 0.0 {
-            self.interpreted_ns / self.lowered_ns
-        } else {
-            f64::NAN
-        }
-    }
-}
-
-/// Runs one workload through the lowered executor and the reference interpreter and
-/// reports their per-update cost (the shared setup of `exp_lowering` and the
-/// `per_update_latency` bench).
-pub fn lowering_point(workload: &Workload) -> LoweringPoint {
-    let program = compile(&workload.catalog, &workload.query).expect("workload compiles");
-    let streamed = workload.stream.len().max(1) as f64;
-
-    let mut lowered = Executor::new(program.clone());
-    lowered
-        .apply_all(&workload.initial)
-        .expect("bulk load succeeds");
-    lowered.reset_stats();
-    let started = Instant::now();
-    lowered
-        .apply_all(&workload.stream)
-        .expect("lowered executor applies stream");
-    let lowered_ns = started.elapsed().as_nanos() as f64 / streamed;
-    let lowered_stats = lowered.stats();
-
-    let mut interpreted = InterpretedExecutor::new(program);
-    interpreted
-        .apply_all(&workload.initial)
-        .expect("bulk load succeeds");
-    interpreted.reset_stats();
-    let started = Instant::now();
-    interpreted
-        .apply_all(&workload.stream)
-        .expect("interpreter applies stream");
-    let interpreted_ns = started.elapsed().as_nanos() as f64 / streamed;
-
-    assert_eq!(
-        lowered_stats,
-        interpreted.stats(),
-        "lowered and interpreted paths must perform identical ring work"
-    );
-    assert_eq!(lowered.output_table(), interpreted.output_table());
-
-    LoweringPoint {
-        initial_size: workload.initial.len(),
-        lowered_ns,
-        interpreted_ns,
-        ops_per_update: lowered_stats.arithmetic_ops() as f64 / streamed,
-    }
-}
-
 /// Formats a nanosecond figure with a readable unit (`-` for NaN, i.e. "not measured").
 pub fn fmt_ns(ns: f64) -> String {
     if ns.is_nan() {
@@ -281,23 +207,6 @@ mod tests {
         assert!(point.naive_ns > 0.0);
         assert!(point.recursive_ops > 0.0);
         assert_eq!(point.naive_measured, 10);
-    }
-
-    #[test]
-    fn lowering_point_produces_sane_numbers() {
-        let workload = self_join_count(WorkloadConfig {
-            seed: 2,
-            initial_size: 80,
-            stream_length: 80,
-            domain_size: 10,
-            delete_fraction: 0.2,
-        });
-        let point = lowering_point(&workload);
-        assert_eq!(point.initial_size, 80);
-        assert!(point.lowered_ns > 0.0);
-        assert!(point.interpreted_ns > 0.0);
-        assert!(point.ops_per_update > 0.0);
-        assert!(point.speedup() > 0.0);
     }
 
     #[test]

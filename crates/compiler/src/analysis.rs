@@ -45,8 +45,6 @@ use std::fmt;
 use crate::ir::{Trigger, TriggerProgram};
 use crate::lower::ExecPlan;
 
-pub use passes::derived_weighted_firing;
-
 /// How serious a [`Diagnostic`] is. Ordered: `Info < Warning < Error`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Severity {
@@ -512,7 +510,6 @@ mod tests {
         ]);
         let trigger = &p.triggers[0];
         assert!(!trigger.supports_weighted_firing());
-        assert!(!derived_weighted_firing(trigger));
         let diags = analyze_program(&p);
         assert_eq!(codes(&diags), vec!["DB007"]);
         assert_eq!(diags[0].severity, Severity::Info);
@@ -520,7 +517,7 @@ mod tests {
         assert!(diags[0].message.contains("statement 1 writes"));
         // A conflict-free trigger emits nothing.
         let free = program(vec![stmt(1, &["@p"], vec![])]);
-        assert!(derived_weighted_firing(&free.triggers[0]));
+        assert!(free.triggers[0].supports_weighted_firing());
         assert!(analyze_program(&free).is_empty());
     }
 

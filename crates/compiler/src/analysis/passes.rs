@@ -4,10 +4,10 @@
 //!
 //! The pass functions are public so callers that want the *facts* — not rendered
 //! diagnostics — can reuse them: [`TriggerProgram::validate`](crate::ir::TriggerProgram::validate)
-//! calls [`statement_order_violations`] directly (so the IR-level entry point and the
-//! analyzer cannot drift), and the weighted-firing property tests compare
-//! [`derived_weighted_firing`] against
-//! [`Trigger::supports_weighted_firing`](crate::ir::Trigger::supports_weighted_firing).
+//! calls [`statement_order_violations`] directly, and
+//! [`Trigger::supports_weighted_firing`](crate::ir::Trigger::supports_weighted_firing)
+//! is [`weighted_firing_conflict`] finding none, so the IR-level entry points and the
+//! analyzer cannot drift.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -107,15 +107,6 @@ pub fn weighted_firing_conflict(trigger: &Trigger) -> Option<FiringConflict> {
         }
     }
     None
-}
-
-/// Whether weighted batch firing is sound for this trigger, derived from the
-/// statement-level read/write conflict graph. Agrees exactly with
-/// [`Trigger::supports_weighted_firing`](crate::ir::Trigger::supports_weighted_firing)
-/// (property-tested in `tests/analysis_properties.rs`): both are `true` iff no
-/// statement reads a map any statement writes.
-pub fn derived_weighted_firing(trigger: &Trigger) -> bool {
-    weighted_firing_conflict(trigger).is_none()
 }
 
 /// A dead `Enumerate` bind: op `op` of a lowered statement binds `slot`, and no later

@@ -194,14 +194,13 @@ impl Trigger {
     /// the views it maintains (`q += 2·cnt[x] + 1` reads `cnt`, which the same trigger
     /// bumps) and must replay unit by unit, while a degree-1 trigger's delta never
     /// consults its own targets.
+    ///
+    /// The rule is read off the analyzer's statement-level conflict graph
+    /// ([`weighted_firing_conflict`](crate::analysis::passes::weighted_firing_conflict)),
+    /// whose first conflict `DB007` reports, so the flag and the diagnostic cannot
+    /// disagree.
     pub fn supports_weighted_firing(&self) -> bool {
-        let writes: BTreeSet<MapId> = self.statements.iter().map(|s| s.target).collect();
-        self.statements.iter().all(|stmt| {
-            stmt.factors.iter().all(|factor| match factor {
-                RhsFactor::MapLookup { map, .. } => !writes.contains(map),
-                RhsFactor::Scalar(_) | RhsFactor::Guard(..) => true,
-            })
-        })
+        crate::analysis::passes::weighted_firing_conflict(self).is_none()
     }
 }
 

@@ -40,8 +40,8 @@ pub mod ir;
 pub mod lower;
 
 pub use analysis::{
-    analyze, analyze_plan, analyze_program, audit_program, derived_weighted_firing, has_errors,
-    DiagCode, Diagnostic, Severity,
+    analyze, analyze_plan, analyze_program, audit_program, has_errors, DiagCode, Diagnostic,
+    Severity,
 };
 pub use codegen::generate as generate_nc0c;
 pub use compile::{compile, CompileError};

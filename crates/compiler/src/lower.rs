@@ -525,20 +525,12 @@ fn lower_trigger(
         });
     }
 
-    let weighted_firing = trigger.supports_weighted_firing();
-    // The analyzer re-derives this from the statement-level conflict graph; the two
-    // must agree exactly (also property-tested in tests/analysis_properties.rs).
-    debug_assert_eq!(
-        weighted_firing,
-        crate::analysis::derived_weighted_firing(trigger),
-        "conflict-graph weighted firing drifted from Trigger::supports_weighted_firing"
-    );
     Ok(PlanTrigger {
         relation: trigger.relation.clone(),
         sign: trigger.sign,
         param_slots,
         frame_len: slots.len(),
-        weighted_firing,
+        weighted_firing: trigger.supports_weighted_firing(),
         statements,
     })
 }

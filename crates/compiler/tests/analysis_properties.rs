@@ -1,19 +1,18 @@
 //! Property tests for the plan auditor (`dbring_compiler::analysis`).
 //!
-//! The load-bearing property: the analyzer's statement-level read/write conflict
-//! graph must re-derive [`Trigger::supports_weighted_firing`] *exactly* — the
-//! runtime's batch path trusts that predicate, so the analyzer reporting a blocked
-//! trigger as clean (or vice versa) would make `DB007` diagnostics lie about what
-//! the executor actually does. Programs here are arbitrary hand-built IR, far
-//! outside what the compiler emits, so the agreement is structural, not an artifact
-//! of compiled shapes.
+//! Diagnostics must be a pure, deterministic function of the program, on arbitrary
+//! hand-built IR far outside what the compiler emits; and on compiled programs the
+//! audit never carries an Error, and `DB007` is reported exactly for the triggers
+//! whose plan replays unit updates (`weighted_firing == false`), the flag the
+//! runtime's batch path obeys.
 
 use dbring_agca::ast::Expr;
 use dbring_agca::parser::parse_query;
 use dbring_algebra::Number;
-use dbring_compiler::analysis::{analyze_program, derived_weighted_firing};
+use dbring_compiler::analysis::analyze_program;
 use dbring_compiler::{
-    audit_program, compile, MapDef, RhsFactor, ScalarExpr, Statement, Trigger, TriggerProgram,
+    audit_program, compile, lower, DiagCode, MapDef, RhsFactor, ScalarExpr, Statement, Trigger,
+    TriggerProgram,
 };
 use dbring_delta::Sign;
 use dbring_relations::Database;
@@ -73,18 +72,6 @@ fn program_of(triggers: Vec<Trigger>) -> TriggerProgram {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The analyzer's conflict-graph derivation and the IR's own predicate must
-    /// agree on every trigger, however adversarial.
-    #[test]
-    fn derived_weighted_firing_matches_the_ir_predicate(trigger in arb_trigger()) {
-        prop_assert_eq!(
-            derived_weighted_firing(&trigger),
-            trigger.supports_weighted_firing(),
-            "analyzer and IR disagree on {:?}",
-            trigger
-        );
-    }
-
     /// Diagnostics are a pure, deterministic function of the program: two runs give
     /// the same findings in the same order (the codes are stable identifiers CI and
     /// tests match on, so ordering jitter would be a contract break).
@@ -97,8 +84,9 @@ proptest! {
     }
 }
 
-/// On *compiled* programs the same agreement holds, the full audit is deterministic,
-/// and — the gate `lower()` relies on — no Error-severity diagnostic ever appears.
+/// On *compiled* programs `DB007` marks exactly the unit-replay triggers, the full
+/// audit is deterministic, and — the gate `lower()` relies on — no Error-severity
+/// diagnostic ever appears.
 #[test]
 fn compiled_corpus_agrees_and_audits_without_errors() {
     let mut catalog = Database::new();
@@ -116,13 +104,17 @@ fn compiled_corpus_agrees_and_audits_without_errors() {
         "q8 := Sum(C(c, n) * C(c2, n) * n)",
     ] {
         let program = compile(&catalog, &parse_query(text).unwrap()).unwrap();
-        for trigger in &program.triggers {
+        let plan = lower(&program).unwrap();
+        let diags = analyze_program(&program);
+        for trigger in &plan.triggers {
+            let on = format!("{}{}", trigger.sign, trigger.relation);
+            let blocked = diags.iter().any(|d| {
+                d.code == DiagCode::WeightedFiringBlocked && d.trigger.as_deref() == Some(&on)
+            });
             assert_eq!(
-                derived_weighted_firing(trigger),
-                trigger.supports_weighted_firing(),
+                blocked, !trigger.weighted_firing,
                 "{text}: trigger on {}{}",
-                trigger.sign,
-                trigger.relation
+                trigger.sign, trigger.relation
             );
         }
         let audit = audit_program(&program);

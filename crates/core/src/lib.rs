@@ -107,8 +107,7 @@ pub use dbring_compiler::{
 };
 pub use dbring_delta::{delta, Sign, UpdateEvent};
 pub use dbring_relations::{
-    BaseFootprint, BatchNormalizer, Database, DeltaBatch, DeltaGroup, Gmr, IVal, Interner, KeyPool,
-    Tuple, Update, Value,
+    BaseFootprint, BatchNormalizer, Database, DeltaBatch, DeltaGroup, Gmr, Tuple, Update, Value,
 };
 pub use dbring_runtime::fault;
 #[doc(hidden)]

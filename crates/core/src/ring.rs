@@ -47,7 +47,7 @@ use dbring_agca::sql::parse_sql;
 use dbring_algebra::Number;
 use dbring_compiler::{compile, generate_nc0c, Diagnostic, TriggerProgram};
 use dbring_relations::{
-    BaseFootprint, BatchNormalizer, Database, DeltaBatch, Interner, Snapshot, Update, Value,
+    BaseFootprint, BatchNormalizer, Database, DeltaBatch, Snapshot, Update, Value,
 };
 use dbring_runtime::{
     try_boxed_engine, ChangeSet, EngineRegistry, ExecStats, Executor, PublishStats, RuntimeError,
@@ -241,10 +241,8 @@ pub struct Ring {
     /// Slot-parallel view metadata (`None` = dropped, like the registry's tombstones).
     infos: Vec<Option<ViewInfo>>,
     names: BTreeMap<String, ViewId>,
-    /// Reusable interned-key batch normalizer: [`Ring::apply_batch`] consolidates on
-    /// fixed-width keys with scratch (buckets, key pool, string interner) persisting
-    /// across batches. Interner ids are stable for the ring's lifetime — view churn
-    /// ([`Ring::drop_view`], [`Ring::repair_view`]) never invalidates them.
+    /// Reusable batch normalizer: [`Ring::apply_batch`] consolidates the batch's own
+    /// keys with scratch (buckets, key pool) persisting across batches.
     normalizer: BatchNormalizer,
     /// The read-side publication slots, shared with every [`RingHandle`] the ring
     /// hands out. Slot indices parallel the registry's. Interior-mutable so the
@@ -474,9 +472,6 @@ impl Ring {
         // Release the published snapshot promptly: the slot stops serving now, and
         // the table's memory is freed as soon as the last reader handle drops.
         self.snapshots.evict(id.0);
-        // View churn must never perturb the ingest interner: ids stay dense, stable
-        // and resolvable (no dangling ids) no matter which views come and go.
-        debug_assert!(self.normalizer.interner().is_consistent());
         Ok(())
     }
 
@@ -611,9 +606,6 @@ impl Ring {
             // registry-side one: the repaired view serves again immediately.
             self.publish_slots(vec![(id.0, Publication::Whole)]);
         }
-        // A rebuild replays from the snapshot through a fresh engine; the ring-level
-        // interner is untouched, so previously returned ids stay valid.
-        debug_assert!(self.normalizer.interner().is_consistent());
         Ok(())
     }
 
@@ -796,6 +788,7 @@ impl Ring {
                         epoch,
                         self.ingested,
                         output_arity(engine),
+                        engine.output_len(),
                         |visit| engine.for_each_output(visit),
                         &mut stats,
                     ),
@@ -957,13 +950,6 @@ impl Ring {
     pub fn apply_batch(&mut self, updates: &[Update]) -> Result<(), Error> {
         let batch = self.normalizer.normalize(updates);
         self.apply_delta_batch(&batch)
-    }
-
-    /// The string interner accumulated by the batch ingest path. Ids are dense,
-    /// first-seen and stable for the ring's lifetime — dropping or repairing views
-    /// never invalidates an id, so readers may cache them.
-    pub fn interner(&self) -> &Interner {
-        self.normalizer.interner()
     }
 
     /// Applies an already-normalized delta batch (the normalization cost of
@@ -1568,6 +1554,27 @@ mod tests {
             .without_base_tracking()
             .build();
         assert_eq!(untracked.base_footprint(), None);
+    }
+
+    /// The base mirror's interner is the ring's only one, so a ring that tracks no
+    /// base holds no string however many it ingests.
+    #[test]
+    fn an_untracked_ring_keeps_no_string() {
+        let mut catalog = Catalog::new();
+        catalog.declare("S", &["cust", "price"]).unwrap();
+        let mut ring = RingBuilder::new(catalog).without_base_tracking().build();
+        ring.create_view(
+            "by_cust",
+            ViewDef::Sql("SELECT cust, SUM(price) FROM S GROUP BY cust"),
+        )
+        .unwrap();
+        let rows: Vec<Update> = (0..100)
+            .map(|i| Update::insert("S", vec![Value::str(format!("c{i}")), Value::int(i)]))
+            .collect();
+        ring.apply_batch(&rows).unwrap();
+        ring.apply(&Update::insert("S", vec![Value::str("one"), Value::int(1)]))
+            .unwrap();
+        assert_eq!(ring.snapshot.footprint(), BaseFootprint::default());
     }
 
     #[test]

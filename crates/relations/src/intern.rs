@@ -1,37 +1,25 @@
-//! Value interning and fixed-width keys for the ingest hot path.
+//! Key grouping for the ingest path, and the flat tables behind it.
 //!
-//! Batch normalization and executor write-buffer flushes spend most of their time
-//! comparing tuples, and a [`Value`] comparison walks an enum tag, then —
-//! for strings — a heap pointer. This module replaces that with a *fixed-width*
-//! representation: every value encodes to one [`IVal`], a `Copy` 128-bit word packing a
-//! variant tag and an order-preserving payload. Strings are mapped to dense `u32` ids by
-//! an [`Interner`], so equality on `IVal` is exactly equality on `Value` and comparing a
-//! key becomes a handful of branchless integer compares.
+//! Batch normalization and executor write-buffer flushes consolidate keys: equal keys
+//! collapse into one group and the distinct keys come out in ascending [`Value`]
+//! order, the order [`DeltaBatch`](crate::DeltaBatch) groups and `apply_sorted`
+//! promise. [`KeyPool`] does that on the keys where they already are — an update
+//! slice, a flat write buffer — grouping rows by the seeded [`hash_values`] with
+//! `Value` equality and sorting only the distinct keys, by
+//! [`order_code`](Value::order_code) first ([`sort_rows`]). [`BatchNormalizer`]
+//! builds on it to normalize an update slice into a `DeltaBatch` with all scratch
+//! (buckets, pool, nets) persisting across batches.
 //!
-//! The one wrinkle is *order*: interner ids are assigned in first-seen order, not
-//! lexicographic order, so an `IVal` compare is only authoritative when no strings are
-//! involved. [`KeyPool::sorted_groups`] therefore compares raw words first and falls back to the
-//! interner's resolved strings only when two `Str`-tagged words differ — the common
-//! integer-keyed case never touches a string, and string-keyed batches still come out in
-//! exact `Value` order (the order `DeltaBatch` groups promise).
-//!
-//! [`KeyPool`] is the reusable flat arena the hot path sorts: encoded keys live in one
-//! `Vec<IVal>` at a fixed stride, and sorting permutes a row-index vector instead of the
-//! keys themselves. [`BatchNormalizer`] builds on both to normalize an update slice into
-//! a [`DeltaBatch`](crate::DeltaBatch) without allocating per tuple — the scratch
-//! (buckets, encoded keys, row indices, interner) persists across batches.
-//!
-//! The crate-internal `RowTable` is the pool's persistent sibling: the same flat
-//! fixed-width rows, but kept across batches with a net multiplicity per row, deletion
-//! and a seeded hash — the storage behind [`Snapshot`](crate::Snapshot).
-//! [`IVal::decode`] is what lets it hand rows back. Its open-addressing core is
-//! [`SlotTable`], public because the runtime's view rows, slice-group tables and undo
-//! seen-set probe through the same one.
+//! [`SlotTable`] is the open-addressing core of every flat table in the workspace: the
+//! pool's groups, the runtime's view rows, slice-group tables and undo seen-set. The
+//! crate-internal `RowTable` is the base [`Snapshot`](crate::Snapshot)'s row store:
+//! rows of fixed-width `IVal` words whose strings are ids of the snapshot's
+//! reference-counted `Interner`, kept across batches with a net multiplicity each.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::value::Value;
+use crate::value::{hash_values, random_seed, sort_rows, Value};
 
 /// Tag bits of an [`IVal`], mirroring the declaration order of [`Value`] so that
 /// cross-variant comparisons agree with `Value`'s derived `Ord`.
@@ -46,20 +34,18 @@ const SIGN_BIT: u64 = 1 << 63;
 ///
 /// Equality on `IVal` coincides with equality on `Value` (given one [`Interner`]), and
 /// the derived integer order coincides with `Value`'s order *except* between two
-/// distinct strings, whose payloads are first-seen interner ids. Callers that need true
-/// `Value` order on mixed data use [`KeyPool::sorted_groups`], which performs the string
-/// fallback; callers on string-free data may compare `IVal`s directly.
+/// distinct strings, whose payloads are interner ids.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct IVal(u128);
+pub(crate) struct IVal(u128);
 
 impl IVal {
     /// Encodes a value, interning strings through `interner`.
     ///
     /// Payloads are order-preserving within each tag: integers are sign-flipped to
     /// unsigned, floats get the usual `total_cmp` bit transform on their canonical
-    /// bits, booleans are 0/1. String payloads are interner ids (dense, first-seen
-    /// order) — equal-preserving but *not* order-preserving.
-    pub fn encode(value: &Value, interner: &mut Interner) -> IVal {
+    /// bits, booleans are 0/1. String payloads are interner ids — equal-preserving but
+    /// *not* order-preserving.
+    pub(crate) fn encode(value: &Value, interner: &mut Interner) -> IVal {
         match value {
             Value::Int(i) => IVal(TAG_INT << 64 | ((*i as u64) ^ SIGN_BIT) as u128),
             Value::Float(f) => {
@@ -78,8 +64,8 @@ impl IVal {
     /// Decodes the word back into the value it was encoded from — the exact inverse of
     /// [`encode`](IVal::encode) given the same `interner`. A decoded string shares the
     /// interner's `Arc` (no bytes are copied). Panics on a string id the interner
-    /// never handed out, like [`Interner::resolve`].
-    pub fn decode(self, interner: &Interner) -> Value {
+    /// does not hold.
+    pub(crate) fn decode(self, interner: &Interner) -> Value {
         let payload = self.0 as u64;
         match self.0 >> 64 {
             TAG_INT => Value::Int((payload ^ SIGN_BIT) as i64),
@@ -91,264 +77,211 @@ impl IVal {
                 };
                 Value::float(f64::from_bits(bits))
             }
-            TAG_STR => Value::Str(Arc::clone(&interner.strings[payload as usize])),
+            TAG_STR => Value::Str(Arc::clone(interner.resolve(payload as u32))),
             _ => Value::Bool(payload != 0),
         }
     }
 
-    /// Whether this word encodes a string (its payload is an interner id).
-    #[inline]
-    pub fn is_str(self) -> bool {
-        self.0 >> 64 == TAG_STR
-    }
-
     /// The interner id, if this word encodes a string.
     #[inline]
-    pub fn str_id(self) -> Option<u32> {
-        if self.is_str() {
-            Some(self.0 as u64 as u32)
-        } else {
-            None
-        }
+    pub(crate) fn str_id(self) -> Option<u32> {
+        (self.0 >> 64 == TAG_STR).then_some(self.0 as u64 as u32)
     }
 
     /// The raw `(tag << 64) | payload` word.
     #[inline]
-    pub fn to_bits(self) -> u128 {
+    fn to_bits(self) -> u128 {
         self.0
     }
 }
 
-/// Maps strings to dense `u32` ids, first-seen order, never forgetting.
+/// Maps strings to `u32` ids and counts the references to each.
 ///
-/// Ids are stable for the interner's lifetime: `intern` returns the same id for the
-/// same string forever, and [`resolve`](Interner::resolve) inverts it. The table holds
-/// `Arc<str>`s, so interning an already-`Arc`ed string costs a hash lookup and (on first
-/// sight) two refcount bumps — no bytes are copied.
+/// [`intern`](Interner::intern) hands out an id with no references; the caller takes
+/// them with [`retain`](Interner::retain) and drops them with
+/// [`release`](Interner::release). An id whose count returns to zero leaves the map
+/// and its slot is reused by the next new string, so a stream of strings that all
+/// die again leaves the interner as it found it. The table holds `Arc<str>`s, so
+/// interning an already-`Arc`ed string copies no bytes.
 #[derive(Clone, Debug, Default)]
-pub struct Interner {
+pub(crate) struct Interner {
     ids: HashMap<Arc<str>, u32>,
-    strings: Vec<Arc<str>>,
+    /// Per id: its string (`None` while the id is free) and its reference count.
+    strings: Vec<(Option<Arc<str>>, u32)>,
+    /// Ids whose count fell to zero, reused last-freed first.
+    free: Vec<u32>,
 }
 
 impl Interner {
-    /// An empty interner.
-    pub fn new() -> Self {
-        Interner::default()
-    }
-
-    /// Interns a shared string, returning its dense id (allocating a new id on first
-    /// sight, sharing the `Arc` rather than copying the bytes).
-    pub fn intern(&mut self, s: &Arc<str>) -> u32 {
+    /// The id of `s`, assigning one (with no references) on first sight.
+    pub(crate) fn intern(&mut self, s: &Arc<str>) -> u32 {
         if let Some(&id) = self.ids.get(&**s) {
             return id;
         }
-        let id = u32::try_from(self.strings.len()).expect("interner id space exhausted");
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.strings[id as usize].0 = Some(Arc::clone(s));
+                id
+            }
+            None => {
+                let id = u32::try_from(self.strings.len()).expect("interner id space exhausted");
+                self.strings.push((Some(Arc::clone(s)), 0));
+                id
+            }
+        };
         self.ids.insert(Arc::clone(s), id);
-        self.strings.push(Arc::clone(s));
         id
     }
 
-    /// Interns a borrowed string, copying the bytes only on first sight.
-    pub fn intern_str(&mut self, s: &str) -> u32 {
-        if let Some(&id) = self.ids.get(s) {
-            return id;
+    /// The string behind a live id. Panics on a free or unknown id.
+    pub(crate) fn resolve(&self, id: u32) -> &Arc<str> {
+        self.strings[id as usize]
+            .0
+            .as_ref()
+            .expect("a live interner id")
+    }
+
+    /// Takes one reference on `id`.
+    pub(crate) fn retain(&mut self, id: u32) {
+        self.strings[id as usize].1 += 1;
+    }
+
+    /// Drops one reference on `id`; the last one frees the id.
+    pub(crate) fn release(&mut self, id: u32) {
+        let (string, refs) = &mut self.strings[id as usize];
+        *refs -= 1;
+        if *refs == 0 {
+            let string = string.take().expect("a live interner id");
+            self.ids.remove(&string);
+            self.free.push(id);
         }
-        let arc: Arc<str> = Arc::from(s);
-        self.intern(&arc)
     }
 
-    /// The id of `s`, if it has been interned.
-    pub fn get(&self, s: &str) -> Option<u32> {
-        self.ids.get(s).copied()
+    /// Number of live strings.
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len()
     }
 
-    /// The string behind an id. Panics on a dangling id — ids are never dropped, so a
-    /// dangling id is a logic error.
-    pub fn resolve(&self, id: u32) -> &str {
-        &self.strings[id as usize]
-    }
-
-    /// A [`Value::Str`] sharing the interned allocation for `s` — repeated calls with
-    /// an equal string yield values backed by one `Arc`.
-    pub fn value_str(&mut self, s: &str) -> Value {
-        let id = self.intern_str(s);
-        Value::Str(Arc::clone(&self.strings[id as usize]))
-    }
-
-    /// Number of distinct interned strings (also the next id to be assigned).
-    pub fn len(&self) -> usize {
-        self.strings.len()
-    }
-
-    /// Whether no string has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
-    }
-
-    /// Internal-consistency check for debug assertions: the forward map and the id
-    /// table must be exact inverses, with every id in range.
-    pub fn is_consistent(&self) -> bool {
-        self.ids.len() == self.strings.len()
-            && self
-                .ids
-                .iter()
-                .all(|(s, &id)| self.strings.get(id as usize).map(|t| &**t) == Some(&**s))
-    }
-}
-
-/// Compares two encoded keys in exact [`Value`] order, falling back to resolved strings
-/// only where two distinct `Str` words meet.
-fn cmp_keys(a: &[IVal], b: &[IVal], interner: &Interner) -> std::cmp::Ordering {
-    for (x, y) in a.iter().zip(b.iter()) {
-        let ord = x.cmp(y);
-        if ord != std::cmp::Ordering::Equal {
-            if let (Some(xi), Some(yi)) = (x.str_id(), y.str_id()) {
-                let sord = interner.resolve(xi).cmp(interner.resolve(yi));
-                debug_assert!(
-                    sord != std::cmp::Ordering::Equal,
-                    "distinct ids, equal strings"
-                );
-                return sord;
+    /// The interner's invariants, for debug assertions after every change: every id
+    /// is live or free, and each `touched` id is either live — referenced, and the
+    /// map leads back to it — or free with no references and no string.
+    pub(crate) fn check(&self, touched: impl IntoIterator<Item = u32>) -> Result<(), String> {
+        if self.ids.len() + self.free.len() != self.strings.len() {
+            return Err(format!(
+                "live {} + free {} != ids {}",
+                self.ids.len(),
+                self.free.len(),
+                self.strings.len()
+            ));
+        }
+        for id in touched {
+            match &self.strings[id as usize] {
+                (Some(s), refs) if *refs > 0 && self.ids.get(s) == Some(&id) => {}
+                (None, 0) => {}
+                other => return Err(format!("id {id} holds {other:?}")),
             }
-            return ord;
         }
+        Ok(())
     }
-    a.len().cmp(&b.len())
 }
 
-/// A reusable fixed-width key consolidator: the hot-path replacement for "sort all
-/// tuples, then walk equal runs".
+/// Groups rows of a borrowed key source by key and hands the distinct keys back in
+/// ascending [`Value`] order: the consolidation step of batch normalization and of
+/// every write-buffer flush.
 ///
-/// Keys are encoded into one flat `Vec<IVal>` at stride `arity` and *deduplicated on
-/// arrival* through an open-addressing scratch table (cheap multiply-rotate hashing
-/// over the fixed-width words, with full-key equality on probe, so hash quality only
-/// affects speed, never correctness). Each push returns a dense group id; only the
-/// *distinct* keys are ever sorted — on hot-key streams that is a small fraction of
-/// the tuples, which is exactly where the classic comparison sort paid the most. All
-/// storage is retained across [`begin`](KeyPool::begin) calls, so the steady state
-/// allocates nothing.
-#[derive(Clone, Debug, Default)]
+/// A row is a `u32` the caller resolves to its key (an index into an update slice, a
+/// row of a flat buffer); the pool stores no key, only each group's first row and
+/// hash. Rows are grouped by the seeded [`hash_values`] — the seed is drawn per pool,
+/// since keys arrive from clients — with `Value` equality on every probe, so the hash
+/// decides speed, never grouping. Only the *distinct* keys are sorted, which on
+/// hot-key streams is a small fraction of the rows. All storage is retained across
+/// [`clear`](KeyPool::clear) calls, so the steady state allocates nothing.
+#[derive(Clone, Debug)]
 pub struct KeyPool {
-    /// One encoded key per distinct group, stride `arity`, in first-seen order.
-    enc: Vec<IVal>,
-    /// Open-addressing table: `0` = empty, otherwise group id + 1. Power-of-two size.
-    table: Vec<u32>,
-    /// Scratch for [`sorted_groups`](KeyPool::sorted_groups).
-    order: Vec<u32>,
-    groups: u32,
-    arity: usize,
-    has_str: bool,
+    seed: u64,
+    index: SlotTable,
+    /// Per group, in first-seen order: the first row that carried its key.
+    firsts: Vec<u32>,
+    /// Per group: its key's hash, so that [`clear`](KeyPool::clear) empties only the
+    /// runs that hold groups.
+    hashes: Vec<u32>,
+    /// Scratch for [`sorted`](KeyPool::sorted): `(code, group)`.
+    order: Vec<(u64, u32)>,
 }
 
-/// Multiply-rotate hash over the fixed-width words of one encoded key.
-#[inline]
-fn hash_key(key: &[IVal]) -> u64 {
-    hash_key_seeded(0xcbf2_9ce4_8422_2325, key)
-}
-
-/// [`hash_key`] from a caller-chosen initial state.
-#[inline]
-fn hash_key_seeded(seed: u64, key: &[IVal]) -> u64 {
-    let mut h = seed;
-    for w in key {
-        // Payload and tag words hashed separately (the tag word is tiny but keeps
-        // cross-variant keys apart).
-        let bits = w.to_bits();
-        h = (h ^ bits as u64).wrapping_mul(HASH_MUL);
-        h = (h ^ (bits >> 64) as u64).rotate_left(23);
+impl Default for KeyPool {
+    fn default() -> Self {
+        KeyPool::with_seed(random_seed())
     }
-    h
 }
 
 impl KeyPool {
-    /// A new, empty pool.
+    /// A new, empty pool with a freshly drawn hash seed.
     pub fn new() -> Self {
         KeyPool::default()
     }
 
-    /// Resets the pool for a run of at most `expected` keys of width `arity`,
-    /// retaining capacity. The scratch table is sized to keep the load factor at or
-    /// below one half.
-    pub fn begin(&mut self, arity: usize, expected: usize) {
-        self.enc.clear();
-        self.groups = 0;
-        self.arity = arity;
-        self.has_str = false;
-        let want = (expected.max(8) * 2).next_power_of_two();
-        if self.table.len() < want {
-            self.table.resize(want, 0);
+    /// An empty pool with a chosen hash seed, so a test can aim keys at one probe run.
+    fn with_seed(seed: u64) -> Self {
+        KeyPool {
+            seed,
+            index: SlotTable::default(),
+            firsts: Vec::new(),
+            hashes: Vec::new(),
+            order: Vec::new(),
         }
-        self.table.fill(0);
     }
 
-    /// Encodes one key and returns its dense group id: a fresh id (the current
-    /// [`groups`](KeyPool::groups) count) on first sight, the existing id on a
-    /// repeat. `key.len()` must equal the pool's arity.
-    pub fn push_key_grouped(&mut self, key: &[Value], interner: &mut Interner) -> u32 {
-        debug_assert_eq!(key.len(), self.arity);
-        let arity = self.arity;
-        let start = self.enc.len();
-        for v in key {
-            let w = IVal::encode(v, interner);
-            self.has_str |= w.is_str();
-            self.enc.push(w);
-        }
-        let mask = (self.table.len() - 1) as u64;
-        let mut slot = (hash_key(&self.enc[start..]) & mask) as usize;
-        loop {
-            match self.table[slot] {
-                0 => {
-                    let g = self.groups;
-                    self.table[slot] = g + 1;
-                    self.groups += 1;
-                    return g;
-                }
-                occupied => {
-                    let g = (occupied - 1) as usize;
-                    if self.enc[g * arity..(g + 1) * arity] == self.enc[start..start + arity] {
-                        self.enc.truncate(start);
-                        return occupied - 1;
-                    }
-                    slot = (slot + 1) & mask as usize;
-                }
+    /// Forgets every group, retaining capacity, before the rows of another source.
+    pub fn clear(&mut self) {
+        self.index.clear_runs(self.hashes.drain(..));
+        self.firsts.clear();
+    }
+
+    /// The group of `row`, whose key is `key(row)`: a new group — numbered
+    /// [`groups`](KeyPool::groups) so far — the first time the key is seen since the
+    /// last [`clear`](KeyPool::clear), the earlier group on a repeat. `key` must
+    /// resolve every row pushed since then.
+    #[inline]
+    pub fn push<'k>(&mut self, row: u32, key: impl Fn(u32) -> &'k [Value]) -> u32 {
+        let wanted = key(row);
+        let hash = hash_values(self.seed, wanted);
+        self.index.reserve_one();
+        let firsts = &self.firsts;
+        match self
+            .index
+            .probe(hash, |g| key(firsts[g as usize]) == wanted)
+        {
+            (_, Some(group)) => group,
+            (slot, None) => {
+                let group = u32::try_from(firsts.len()).expect("group id space exhausted");
+                self.index.occupy(slot, group, hash);
+                self.firsts.push(row);
+                self.hashes.push(hash);
+                group
             }
         }
     }
 
-    /// Number of distinct keys seen since the last [`begin`](KeyPool::begin).
+    /// Number of distinct keys seen since the last [`clear`](KeyPool::clear).
     pub fn groups(&self) -> usize {
-        self.groups as usize
+        self.firsts.len()
     }
 
-    /// The distinct group ids in ascending [`Value`] order of their keys.
-    ///
-    /// String-free pools sort by raw fixed-width words; pools that saw a string use
-    /// the interner fallback, so the result is exact `Value` order, never id order.
-    pub fn sorted_groups(&mut self, interner: &Interner) -> &[u32] {
-        self.order.clear();
-        self.order.extend(0..self.groups);
-        let arity = self.arity;
-        if arity > 0 {
-            let enc = &self.enc;
-            if self.has_str {
-                self.order.sort_unstable_by(|&a, &b| {
-                    cmp_keys(
-                        &enc[a as usize * arity..(a as usize + 1) * arity],
-                        &enc[b as usize * arity..(b as usize + 1) * arity],
-                        interner,
-                    )
-                });
-            } else if arity == 1 {
-                self.order.sort_unstable_by_key(|&g| enc[g as usize]);
-            } else {
-                self.order.sort_unstable_by(|&a, &b| {
-                    enc[a as usize * arity..(a as usize + 1) * arity]
-                        .cmp(&enc[b as usize * arity..(b as usize + 1) * arity])
-                });
-            }
-        }
-        &self.order
+    /// Every group with its first row, in ascending key order ([`sort_rows`]: by
+    /// order code, comparing keys only where codes tie). `key` is the resolver the
+    /// rows were pushed with.
+    pub fn sorted<'k>(
+        &mut self,
+        key: impl Fn(u32) -> &'k [Value],
+    ) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let firsts = &self.firsts;
+        sort_rows(
+            0..firsts.len() as u32,
+            |g| key(firsts[g as usize]),
+            &mut self.order,
+        );
+        self.order.iter().map(|&(_, g)| (g, firsts[g as usize]))
     }
 }
 
@@ -661,16 +594,27 @@ impl SlotTable {
     }
 }
 
-/// The persistent sibling of [`KeyPool`]: a set of encoded rows of one arity with a
-/// net multiplicity each, kept across batches rather than reset per run.
+/// A set of encoded rows of one arity with a net multiplicity each, kept across
+/// batches: the base [`Snapshot`](crate::Snapshot)'s row store.
 ///
 /// Rows live as [`IVal`] words at stride `arity` in fixed-size chunks and a
 /// [`SlotTable`] finds them. A row whose net reaches zero leaves the slot table and
 /// its id goes on a free list, so a net-zero churn stream reaches a steady state that
 /// allocates nothing. Rows compare as raw words: membership needs equality, which
-/// [`IVal`] preserves exactly, not `Value` order. The hash is [`hash_key`] started
-/// from a caller-supplied seed, so rows that share a probe chain under one seed do
-/// not under another.
+/// [`IVal`] preserves exactly, not `Value` order. The hash ([`hash_row`]) starts from
+/// a caller-supplied seed, so rows that share a probe chain under one seed do not
+/// under another.
+/// Multiply-rotate hash over the fixed-width words of one encoded row, from `seed`.
+#[inline]
+fn hash_row(seed: u64, row: &[IVal]) -> u64 {
+    row.iter().fold(seed, |h, w| {
+        // Payload and tag words hashed separately (the tag word is tiny but keeps
+        // cross-variant rows apart).
+        let bits = w.to_bits();
+        (((h ^ bits as u64).wrapping_mul(HASH_MUL)) ^ (bits >> 64) as u64).rotate_left(23)
+    })
+}
+
 #[derive(Clone, Debug)]
 pub(crate) struct RowTable {
     arity: usize,
@@ -738,7 +682,7 @@ impl RowTable {
 
     #[inline]
     fn row_hash(&self, row: &[IVal]) -> u32 {
-        slot_hash(hash_key_seeded(self.seed, row))
+        slot_hash(hash_row(self.seed, row))
     }
 
     #[inline]
@@ -857,40 +801,30 @@ struct NormBucket {
 }
 
 /// Reusable batch normalizer: produces exactly what
-/// [`DeltaBatch::from_updates`](crate::DeltaBatch::from_updates) produces, but on
-/// interned fixed-width keys and with all scratch (relation ids, buckets, key pool,
-/// interner) persisting across batches.
+/// [`DeltaBatch::from_updates`](crate::DeltaBatch::from_updates) produces, with all
+/// scratch (relation ids, buckets, key pool, nets) persisting across batches.
 ///
 /// Per batch it performs one bucketing pass (relation names resolved once per *run* of
 /// equal names via a memo, then a persistent name→id map — not per-update string
-/// compares), then one encode-and-consolidate pass per relation through the
-/// [`KeyPool`]'s scratch hash table, so only the *distinct* keys are sorted — on
-/// hot-key streams that is a small fraction of the tuples. Buckets of non-uniform
-/// arity (malformed streams that the executors reject later) fall back to the
-/// reference comparison sort so behavior is bit-identical to the classic path.
+/// compares), then one consolidation pass per relation through the [`KeyPool`], which
+/// groups the updates' own key slices and sorts only the *distinct* keys — on hot-key
+/// streams a small fraction of the tuples. Keys of different lengths in one relation
+/// (malformed streams that the executors reject later) group and sort like any
+/// others, since slice equality and slice order cover them.
 #[derive(Clone, Debug, Default)]
 pub struct BatchNormalizer {
-    interner: Interner,
     rel_ids: HashMap<String, u32>,
     bucket_of: Vec<Option<u32>>,
     buckets: Vec<NormBucket>,
     pool: KeyPool,
     /// Per-group net multiplicity, indexed by the pool's group ids.
     nets: Vec<i64>,
-    /// Per-group representative update index (first occurrence of the key).
-    reps: Vec<u32>,
 }
 
 impl BatchNormalizer {
     /// A new normalizer with empty scratch.
     pub fn new() -> Self {
         BatchNormalizer::default()
-    }
-
-    /// The interner accumulated over every normalized batch (string ids are stable for
-    /// the normalizer's lifetime).
-    pub fn interner(&self) -> &Interner {
-        &self.interner
     }
 
     /// Normalizes `updates` into a [`DeltaBatch`](crate::DeltaBatch) borrowing only
@@ -954,56 +888,26 @@ impl BatchNormalizer {
         let mut groups = Vec::new();
         for bucket in &mut self.buckets[..active] {
             let relation: &'a str = updates[bucket.first as usize].relation.as_str();
-            let arity = updates[bucket.rows[0] as usize].values.len();
-            let uniform = bucket
-                .rows
-                .iter()
-                .all(|&r| updates[r as usize].values.len() == arity);
+            let key = |r: u32| updates[r as usize].values.as_slice();
+            // Consolidate while pushing: duplicates collapse into the group's net
+            // multiplicity on arrival, and only the distinct keys get sorted.
+            self.pool.clear();
+            self.nets.clear();
+            for &r in &bucket.rows {
+                let g = self.pool.push(r, key) as usize;
+                if g == self.nets.len() {
+                    self.nets.push(0);
+                }
+                self.nets[g] += updates[r as usize].multiplicity;
+            }
             let mut inserts: Vec<(&'a [Value], i64)> = Vec::new();
             let mut deletes: Vec<(&'a [Value], i64)> = Vec::new();
-            if uniform {
-                // Consolidate while pushing: duplicates collapse into the group's net
-                // multiplicity on arrival, and only the distinct keys get sorted.
-                self.pool.begin(arity, bucket.rows.len());
-                self.nets.clear();
-                self.reps.clear();
-                for &r in &bucket.rows {
-                    let u = &updates[r as usize];
-                    let g = self.pool.push_key_grouped(&u.values, &mut self.interner) as usize;
-                    if g == self.nets.len() {
-                        self.nets.push(0);
-                        self.reps.push(r);
-                    }
-                    self.nets[g] += u.multiplicity;
-                }
-                for &g in self.pool.sorted_groups(&self.interner) {
-                    let net = self.nets[g as usize];
-                    let values = updates[self.reps[g as usize] as usize].values.as_slice();
-                    match net.cmp(&0) {
-                        std::cmp::Ordering::Greater => inserts.push((values, net)),
-                        std::cmp::Ordering::Less => deletes.push((values, -net)),
-                        std::cmp::Ordering::Equal => {}
-                    }
-                }
-            } else {
-                // Mixed arity within one relation: malformed input the executors will
-                // reject; take the classic comparison sort so the batch is identical.
-                let mut refs: Vec<&'a crate::database::Update> =
-                    bucket.rows.iter().map(|&r| &updates[r as usize]).collect();
-                refs.sort_unstable_by(|a, b| a.values.cmp(&b.values));
-                let mut i = 0usize;
-                while i < refs.len() {
-                    let values = refs[i].values.as_slice();
-                    let mut net = 0i64;
-                    while i < refs.len() && refs[i].values == values {
-                        net += refs[i].multiplicity;
-                        i += 1;
-                    }
-                    match net.cmp(&0) {
-                        std::cmp::Ordering::Greater => inserts.push((values, net)),
-                        std::cmp::Ordering::Less => deletes.push((values, -net)),
-                        std::cmp::Ordering::Equal => {}
-                    }
+            for (g, r) in self.pool.sorted(key) {
+                let net = self.nets[g as usize];
+                match net.cmp(&0) {
+                    std::cmp::Ordering::Greater => inserts.push((key(r), net)),
+                    std::cmp::Ordering::Less => deletes.push((key(r), -net)),
+                    std::cmp::Ordering::Equal => {}
                 }
             }
             bucket.rows.clear();
@@ -1024,10 +928,11 @@ mod tests {
     use super::*;
     use crate::database::Update;
     use crate::DeltaBatch;
+    use proptest::prelude::*;
 
     #[test]
     fn ival_order_matches_value_order_without_strings() {
-        let mut interner = Interner::new();
+        let mut interner = Interner::default();
         let mut values = vec![
             Value::int(-3),
             Value::int(0),
@@ -1065,7 +970,7 @@ mod tests {
 
     #[test]
     fn decode_inverts_encode_on_every_variant_and_edge_value() {
-        let mut interner = Interner::new();
+        let mut interner = Interner::default();
         let long = "x".repeat(10_000);
         let values = [
             Value::int(0),
@@ -1103,40 +1008,68 @@ mod tests {
         }
     }
 
+    proptest! {
+        #[test]
+        fn decode_inverts_encode(
+            ints in prop::collection::vec(any::<i64>(), 0..8),
+            float_bits in prop::collection::vec(any::<u64>(), 0..8),
+            strings in prop::collection::vec(prop::collection::vec(any::<u32>(), 0..12), 0..6),
+            flag in any::<bool>(),
+        ) {
+            let mut values: Vec<Value> = ints.into_iter().map(Value::int).collect();
+            values.extend(float_bits.into_iter().map(|bits| Value::float(f64::from_bits(bits))));
+            values.extend(strings.into_iter().map(|codes| {
+                let s: String = codes.into_iter().filter_map(char::from_u32).collect();
+                Value::str(s)
+            }));
+            values.push(Value::Bool(flag));
+            let mut interner = Interner::default();
+            let words: Vec<IVal> = values.iter().map(|v| IVal::encode(v, &mut interner)).collect();
+            for (word, value) in words.iter().zip(&values) {
+                prop_assert_eq!(&word.decode(&interner), value);
+            }
+        }
+    }
+
     #[test]
     fn int_with_row_hash_aims_a_row_at_a_chosen_hash() {
         for (seed, hash, low) in [(0, 0, 0), (7, u32::MAX, 1), (0x5eed, 0xdead_beef, 42)] {
             let table = RowTable::new(1, seed);
             let key = int_with_row_hash(seed, hash, low);
-            let row = [IVal::encode(&Value::int(key), &mut Interner::new())];
+            let row = [IVal::encode(&Value::int(key), &mut Interner::default())];
             assert_eq!(table.row_hash(&row), hash);
         }
     }
 
     #[test]
-    fn interner_ids_are_dense_and_stable() {
-        let mut interner = Interner::new();
-        let a = interner.intern_str("alpha");
-        let b = interner.intern_str("beta");
-        assert_eq!((a, b), (0, 1));
-        assert_eq!(interner.intern_str("alpha"), 0);
-        assert_eq!(interner.resolve(1), "beta");
-        assert_eq!(interner.get("beta"), Some(1));
-        assert_eq!(interner.get("gamma"), None);
-        assert_eq!(interner.len(), 2);
-        assert!(interner.is_consistent());
-        // value_str shares one allocation across equal strings.
-        let v1 = interner.value_str("alpha");
-        let v2 = interner.value_str("alpha");
-        match (&v1, &v2) {
-            (Value::Str(s1), Value::Str(s2)) => assert!(Arc::ptr_eq(s1, s2)),
-            _ => unreachable!(),
-        }
+    fn an_id_leaves_with_its_last_reference_and_its_slot_is_reused() {
+        let mut interner = Interner::default();
+        let alpha: Arc<str> = Arc::from("alpha");
+        let beta: Arc<str> = Arc::from("beta");
+        let a = interner.intern(&alpha);
+        interner.retain(a);
+        interner.retain(a);
+        let b = interner.intern(&beta);
+        interner.retain(b);
+        assert_eq!(interner.intern(&Arc::from("alpha")), a);
+        assert_eq!((interner.len(), interner.check([a, b])), (2, Ok(())));
+        interner.release(a);
+        assert_eq!(&**interner.resolve(a), "alpha", "one reference is left");
+        interner.release(a);
+        assert_eq!((interner.len(), interner.check([a, b])), (1, Ok(())));
+        // The freed id serves the next new string; the live one is untouched.
+        let gamma = interner.intern(&Arc::from("gamma"));
+        interner.retain(gamma);
+        assert_eq!(gamma, a);
+        assert_eq!(&**interner.resolve(b), "beta");
+        interner.release(b);
+        interner.release(gamma);
+        assert_eq!((interner.len(), interner.check([a, b])), (0, Ok(())));
     }
 
     #[test]
     fn string_keys_sort_in_value_order_not_id_order() {
-        // Intern "zeta" first so id order disagrees with lexicographic order.
+        // Arrival order disagrees with lexicographic order.
         let mut normalizer = BatchNormalizer::new();
         let warmup = [Update::insert("T", vec![Value::str("zeta")])];
         let _ = normalizer.normalize(&warmup);
@@ -1183,9 +1116,10 @@ mod tests {
             normalizer.normalize(&updates2),
             DeltaBatch::from_updates(&updates2)
         );
-        assert!(normalizer.interner().is_consistent());
     }
 
+    /// Keys of several lengths in one relation (a stream the executors reject) group
+    /// and sort in slice order, exactly as the classic sort does.
     #[test]
     fn mixed_arity_bucket_falls_back_to_classic_sort() {
         let mut normalizer = BatchNormalizer::new();
@@ -1193,6 +1127,9 @@ mod tests {
             Update::insert("R", vec![Value::int(2), Value::int(9)]),
             Update::insert("R", vec![Value::int(1)]),
             Update::insert("R", vec![Value::int(2)]),
+            Update::insert("R", vec![]),
+            Update::insert("R", vec![Value::int(i64::MIN)]),
+            Update::delete("R", vec![Value::int(2)]),
         ];
         assert_eq!(
             normalizer.normalize(&updates),
@@ -1202,30 +1139,67 @@ mod tests {
 
     #[test]
     fn key_pool_groups_duplicates_and_sorts_distinct_keys() {
-        let mut interner = Interner::new();
         let mut pool = KeyPool::new();
-        pool.begin(2, 4);
         let keys = [
             vec![Value::int(5), Value::int(1)],
             vec![Value::int(3), Value::int(2)],
             vec![Value::int(5), Value::int(1)],
             vec![Value::int(3), Value::int(0)],
         ];
-        let groups: Vec<u32> = keys
-            .iter()
-            .map(|k| pool.push_key_grouped(k, &mut interner))
-            .collect();
+        let key = |row: u32| keys[row as usize].as_slice();
+        let groups: Vec<u32> = (0..keys.len() as u32).map(|r| pool.push(r, key)).collect();
         // Duplicates collapse onto first-seen group ids.
         assert_eq!(groups, vec![0, 1, 0, 2]);
         assert_eq!(pool.groups(), 3);
-        // Sorted output is ascending Value order of the distinct keys:
-        // (3,0) < (3,2) < (5,1).
-        assert_eq!(pool.sorted_groups(&interner), &[2, 1, 0]);
+        // Sorted output is ascending Value order of the distinct keys, each with the
+        // first row that carried it: (3,0) < (3,2) < (5,1).
+        let sorted: Vec<(u32, u32)> = pool.sorted(key).collect();
+        assert_eq!(sorted, vec![(2, 3), (1, 1), (0, 0)]);
 
-        // A reused pool forgets previous groups entirely.
-        pool.begin(1, 2);
-        assert_eq!(pool.push_key_grouped(&[Value::int(5)], &mut interner), 0);
-        assert_eq!(pool.push_key_grouped(&[Value::int(5)], &mut interner), 0);
+        // A cleared pool forgets previous groups entirely.
+        pool.clear();
+        let other = [vec![Value::int(5)], vec![Value::int(5)]];
+        let key = |row: u32| other[row as usize].as_slice();
+        assert_eq!((pool.push(0, key), pool.push(1, key)), (0, 0));
         assert_eq!(pool.groups(), 1);
+    }
+
+    /// Under a known seed, aim 2 000 distinct keys at one hash: every probe then walks
+    /// one run and only `Value` equality can tell the groups apart. Each key arrives
+    /// three times, interleaved; the groups must still be exactly the distinct keys.
+    #[test]
+    fn key_pool_groups_exactly_when_every_key_shares_one_hash() {
+        const SEED: u64 = 0x5eed_0bad_c0de;
+        const KEYS: u32 = 2_000;
+        let hash = 0xdead_beef;
+        let distinct: Vec<[Value; 1]> = (0..KEYS)
+            .map(|low| {
+                [Value::int(crate::value::int_with_value_hash(
+                    SEED, hash, low,
+                ))]
+            })
+            .collect();
+        assert!(distinct.iter().all(|k| hash_values(SEED, k) == hash));
+        let rows: Vec<&[Value]> = (0..3 * KEYS as usize)
+            .map(|i| distinct[(i * 7) % KEYS as usize].as_slice())
+            .collect();
+        let key = |row: u32| rows[row as usize];
+        let mut pool = KeyPool::with_seed(SEED);
+        for round in 0..2 {
+            pool.clear();
+            let groups: Vec<u32> = (0..rows.len() as u32).map(|r| pool.push(r, key)).collect();
+            assert_eq!(pool.groups(), KEYS as usize, "round {round}");
+            for (r, &g) in groups.iter().enumerate() {
+                assert_eq!(
+                    groups[r % KEYS as usize],
+                    g,
+                    "row {r} of one key, two groups"
+                );
+            }
+            let sorted: Vec<&[Value]> = pool.sorted(key).map(|(_, first)| key(first)).collect();
+            let mut expected: Vec<&[Value]> = distinct.iter().map(|k| k.as_slice()).collect();
+            expected.sort();
+            assert_eq!(sorted, expected);
+        }
     }
 }

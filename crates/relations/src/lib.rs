@@ -10,7 +10,8 @@
 //! The crate provides:
 //!
 //! * [`value`] — the data values of the active domain (`Adom`), hashable and orderable so
-//!   they can key sparse maps;
+//!   they can key sparse maps, with the seeded key hash ([`value::hash_values`]) and
+//!   the order-code sort ([`value::sort_rows`]) every flat table and batch uses;
 //! * [`tuple`](mod@tuple) — records as partial functions `Σ → Adom`; the natural join makes the set of
 //!   tuples (minus the inconsistent combinations) a mutilated commutative monoid, so the GMR
 //!   ring arises literally as the monoid ring `A[T]` of `dbring-algebra` (Proposition 3.3);
@@ -24,15 +25,16 @@
 //! * [`batch`] — [`DeltaBatch`]: a sequence of updates normalized
 //!   into consolidated, sorted per-(relation, sign) delta groups, the input of the
 //!   executors' batch paths;
-//! * [`intern`] — value interning and fixed-width keys: [`Interner`]
-//!   maps strings to dense ids, [`IVal`] packs any value into a `Copy`
-//!   128-bit word, [`KeyPool`] sorts flat key runs without per-tuple
-//!   allocation, and [`BatchNormalizer`] is the
-//!   scratch-reusing, interned equivalent of `DeltaBatch::from_updates`;
+//! * [`intern`] — key grouping for the ingest path: [`KeyPool`](intern::KeyPool)
+//!   groups and sorts keys where they lie (an update slice, a flat write buffer)
+//!   without copying them, [`BatchNormalizer`] is the scratch-reusing equivalent of
+//!   `DeltaBatch::from_updates` built on it, and [`SlotTable`](intern::SlotTable)
+//!   is the open-addressing core of every flat table in the workspace;
 //! * [`snapshot`] — [`Snapshot`]: a write-optimized positional
-//!   mirror of the base relations (one flat table of interned rows per relation),
-//!   maintained per update and materialized into a [`Database`] only when a
-//!   late-registered view needs a backfill source.
+//!   mirror of the base relations (one flat table of interned rows per relation,
+//!   strings reference-counted by the rows holding them), maintained per update and
+//!   materialized into a [`Database`] only when a late-registered view needs a
+//!   backfill source.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,7 +51,7 @@ pub mod value;
 pub use batch::{DeltaBatch, DeltaGroup};
 pub use database::{Database, Update};
 pub use gmr::{Gmr, GmrExt};
-pub use intern::{BatchNormalizer, IVal, Interner, KeyPool};
+pub use intern::BatchNormalizer;
 pub use pgmr::Pgmr;
 pub use snapshot::{BaseFootprint, Snapshot};
 pub use tuple::Tuple;

@@ -6,11 +6,15 @@
 //! that `Value` can implement `Eq`/`Hash` without surprising the user: `-0.0` is identified
 //! with `0.0`, and all NaNs are identified with each other.
 
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
 use dbring_algebra::Number;
 use serde::{Deserialize, Serialize};
+
+use crate::intern::{slot_hash, HASH_MUL};
 
 /// A single data value: the elements of the active domain `Adom`.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
@@ -19,11 +23,9 @@ pub enum Value {
     Int(i64),
     /// IEEE-754 double with canonicalized bit pattern (see [`OrderedF64`]).
     Float(OrderedF64),
-    /// Reference-counted UTF-8 string. *Not* globally interned: [`Value::str`] allocates
-    /// a fresh `Arc<str>` per call. The ingest hot path interns strings to dense ids via
-    /// [`Interner`](crate::intern::Interner) (whose
-    /// [`value_str`](crate::intern::Interner::value_str) also builds `Value`s that share
-    /// one allocation per distinct string).
+    /// Reference-counted UTF-8 string. *Not* interned: [`Value::str`] allocates a
+    /// fresh `Arc<str>` per call, and cloning a `Value` shares it. The ingest path
+    /// groups and sorts keys on `Value`s themselves ([`hash_values`], [`sort_rows`]).
     Str(Arc<str>),
     /// Boolean.
     Bool(bool),
@@ -114,6 +116,80 @@ impl Value {
             Value::Bool(_) => "bool",
         }
     }
+}
+
+/// A key's order code: its first value's [`Value::order_code`], 0 for the empty key.
+/// Keys compare as `(code, key)` pairs do, whatever their lengths, so a sort or a
+/// search decides on codes wherever they differ and compares values only where two
+/// codes tie.
+pub fn key_code(key: &[Value]) -> u64 {
+    key.first().map_or(0, Value::order_code)
+}
+
+/// Fills `order` with `(code, row)` for each of `rows`, sorted by the row's key
+/// `key(row)`: by [`key_code`], and by values only where two codes tie.
+pub fn sort_rows<'k>(
+    rows: impl IntoIterator<Item = u32>,
+    key: impl Fn(u32) -> &'k [Value],
+    order: &mut Vec<(u64, u32)>,
+) {
+    order.clear();
+    order.extend(rows.into_iter().map(|row| (key_code(key(row)), row)));
+    order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| key(a.1).cmp(key(b.1))));
+}
+
+/// A hash seed drawn from std's per-process random keys. Keys arrive from clients,
+/// and whoever could predict a table's hash could aim every key at one probe chain.
+pub fn random_seed() -> u64 {
+    RandomState::new().build_hasher().finish()
+}
+
+#[inline]
+fn mix(h: u64, word: u64, tag: u64) -> u64 {
+    ((h ^ word).wrapping_mul(HASH_MUL) ^ tag).rotate_left(23)
+}
+
+/// The hash state after a run of values: variant tag and payload each, strings by
+/// content (eight bytes a step, then the length).
+#[inline]
+pub fn fold_values<'a>(seed: u64, values: impl IntoIterator<Item = &'a Value>) -> u64 {
+    values.into_iter().fold(seed, |h, value| match value {
+        Value::Int(i) => mix(h, *i as u64, 0),
+        Value::Float(f) => mix(h, f.get().to_bits(), 1),
+        Value::Bool(b) => mix(h, u64::from(*b), 3),
+        Value::Str(s) => {
+            let mut words = s.as_bytes().chunks_exact(8);
+            let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("eight bytes"));
+            let h = words.by_ref().fold(h, |h, w| mix(h, word(w), 2));
+            let mut tail = [0u8; 8];
+            tail[..words.remainder().len()].copy_from_slice(words.remainder());
+            mix(mix(h, word(&tail), 2), s.len() as u64, 2)
+        }
+    })
+}
+
+/// Seeded multiply-rotate hash over a run of values, as the 32 bits a
+/// [`SlotTable`](crate::intern::SlotTable) stores. Quality only affects speed —
+/// every probe verifies by comparison.
+#[inline]
+pub fn hash_values<'a>(seed: u64, values: impl IntoIterator<Item = &'a Value>) -> u32 {
+    slot_hash(fold_values(seed, values))
+}
+
+/// Test support: the integer whose one-column key hashes to `hash` under `seed` —
+/// what a client who knew the seed would compute to aim keys at one probe chain.
+/// Inverts [`hash_values`] step by step (`low` picks among the 2³² preimages).
+#[cfg(test)]
+pub(crate) fn int_with_value_hash(seed: u64, hash: u32, low: u32) -> i64 {
+    // Newton iteration for the inverse of an odd multiplier modulo 2⁶⁴.
+    let mut inverse = HASH_MUL;
+    for _ in 0..6 {
+        inverse = inverse.wrapping_mul(2u64.wrapping_sub(HASH_MUL.wrapping_mul(inverse)));
+    }
+    let mixed = (u64::from(hash) << 32 | u64::from(low)).wrapping_mul(inverse);
+    let h = mixed ^ (mixed >> 32);
+    // `h = ((seed ^ word) * HASH_MUL ^ 0).rotate_left(23)` for an `Int` word.
+    (seed ^ h.rotate_right(23).wrapping_mul(inverse)) as i64
 }
 
 impl From<i64> for Value {

@@ -1,19 +1,19 @@
 //! Property tests: the flat interned row table behind [`Snapshot`] is observationally
 //! the reference [`Database`] — after every step of a random stream, fed per update,
-//! per normalized [`DeltaBatch`] (classic and interned normalizer) and interleaved,
+//! per normalized [`DeltaBatch`] (classic and reusable normalizer) and interleaved,
 //! `to_database` equals `Database::apply_all` on the same prefix. Streams are drawn
 //! to collide and cancel: 1–4 relations of arity 0–5, a tiny value pool mixing ints,
 //! floats (edge cases included), strings and bools, weights in −3..=3 including
 //! explicit zeros. Also here: a clone is a snapshot of its own, capacity is reused
-//! after a table empties, and `IVal::decode` inverts `IVal::encode` on random values.
+//! after a table empties, and a net-zero stream of fresh strings leaves no string
+//! behind in a `Ring`'s base mirror, fed per update and per batch.
 //!
 //! CI also runs this suite in release with `-C debug-assertions`, where the table
-//! re-checks its invariants after every mutation. (Rows aimed at one probe chain under
-//! a known seed are a unit test next to `Snapshot`: the seed is crate-private.)
+//! and the interner re-check their invariants after every mutation. (Rows aimed at
+//! one probe chain under a known seed are a unit test next to `Snapshot`: the seed
+//! is crate-private.)
 
-use dbring_relations::{
-    BatchNormalizer, Database, DeltaBatch, IVal, Interner, Snapshot, Update, Value,
-};
+use dbring_relations::{BatchNormalizer, Database, DeltaBatch, Snapshot, Update, Value};
 use proptest::prelude::*;
 
 const STRINGS: [&str; 5] = ["z", "aa", "", "zz", "数据"];
@@ -38,8 +38,8 @@ fn arb_value() -> impl Strategy<Value = Value> {
     ]
 }
 
-/// A feeding mode (0 = per update, 1 = classic batch, 2 = interned batch) and the
-/// chunk of updates fed that way.
+/// A feeding mode (0 = per update, 1 = classic batch, 2 = reusable-normalizer
+/// batch) and the chunk of updates fed that way.
 type Step = (u8, Vec<Update>);
 
 /// The arities (0–5) of a catalog of 1–4 relations, and steps over it whose rows
@@ -126,27 +126,6 @@ proptest! {
         prop_assert!(same_contents(&materialized, &prefix));
         prop_assert_eq!(clone.total_support(), prefix.total_support());
     }
-
-    #[test]
-    fn decode_inverts_encode(
-        ints in prop::collection::vec(any::<i64>(), 0..8),
-        float_bits in prop::collection::vec(any::<u64>(), 0..8),
-        strings in prop::collection::vec(prop::collection::vec(any::<u32>(), 0..12), 0..6),
-        flag in any::<bool>(),
-    ) {
-        let mut values: Vec<Value> = ints.into_iter().map(Value::int).collect();
-        values.extend(float_bits.into_iter().map(|bits| Value::float(f64::from_bits(bits))));
-        values.extend(strings.into_iter().map(|codes| {
-            let s: String = codes.into_iter().filter_map(char::from_u32).collect();
-            Value::str(s)
-        }));
-        values.push(Value::Bool(flag));
-        let mut interner = Interner::new();
-        let words: Vec<IVal> = values.iter().map(|v| IVal::encode(v, &mut interner)).collect();
-        for (word, value) in words.iter().zip(&values) {
-            prop_assert_eq!(&word.decode(&interner), value);
-        }
-    }
 }
 
 #[test]
@@ -213,4 +192,85 @@ fn regrowth_after_emptying_allocates_nothing_new() {
         snapshot.apply(&row(i));
     }
     assert_eq!(snapshot.footprint(), regrown);
+}
+
+/// Rows of fresh strings, two string columns each (one of them repeated across rows,
+/// one row holding the same string twice).
+fn string_rows(round: usize) -> Vec<Update> {
+    (0..64)
+        .map(|i| {
+            let cust = Value::str(format!("customer_{round:05}_{i:02}"));
+            let region = if i == 0 {
+                cust.clone()
+            } else {
+                Value::str(format!("region_{round}_{}", i % 4))
+            };
+            Update::insert("S", vec![cust, region, Value::int(i as i64)])
+        })
+        .collect()
+}
+
+fn inverse(rows: &[Update]) -> Vec<Update> {
+    rows.iter().map(Update::inverse).collect()
+}
+
+/// A `Ring`'s base mirror fed fresh strings by `apply_batch` (each row twice) and by
+/// `apply`, with a view maintained on top, forgets every string once the stream nets
+/// to zero; a string shared with a surviving row outlives the row that died; and a
+/// ring loaded by `RingBuilder::from_database` round-trips its strings and forgets
+/// them once they are deleted.
+#[test]
+fn a_ring_base_forgets_the_strings_a_net_zero_stream_brought() {
+    use dbring::{Catalog, RingBuilder, ViewDef};
+    let mut catalog = Catalog::new();
+    catalog.declare("S", &["cust", "region", "n"]).unwrap();
+    let mut ring = RingBuilder::new(catalog.clone()).build();
+    let view = ring
+        .create_view(
+            "by_cust",
+            ViewDef::Sql("SELECT cust, SUM(n) FROM S GROUP BY cust"),
+        )
+        .unwrap();
+    let strings = |ring: &dbring::Ring| ring.base_footprint().unwrap().strings;
+    for round in 0..40 {
+        let rows = string_rows(round);
+        if round % 2 == 0 {
+            let twice = [rows.clone(), rows.clone()].concat();
+            ring.apply_batch(&twice).unwrap();
+            assert_eq!(strings(&ring), 64 + 4);
+            ring.apply_batch(&inverse(&twice)).unwrap();
+        } else {
+            for u in &rows {
+                ring.apply(u).unwrap();
+            }
+            assert_eq!(strings(&ring), 64 + 4);
+            for u in inverse(&rows) {
+                ring.apply(&u).unwrap();
+            }
+        }
+        let footprint = ring.base_footprint().unwrap();
+        assert_eq!(
+            (footprint.tuples, footprint.strings),
+            (0, 0),
+            "round {round}"
+        );
+    }
+    assert!(ring.view(view).unwrap().table().is_empty());
+
+    let rows = string_rows(99);
+    ring.apply_batch(&rows).unwrap();
+    ring.apply(&rows[1].inverse()).unwrap();
+    assert_eq!(strings(&ring), 64 + 4 - 1, "only row 1's own string leaves");
+    let mut expected = catalog.clone();
+    expected.apply_all(&rows[..1]).unwrap();
+    expected.apply_all(&rows[2..]).unwrap();
+    assert!(same_contents(&ring.base_snapshot().unwrap(), &expected));
+
+    let mut ring = RingBuilder::from_database(expected.clone()).build();
+    assert_eq!(strings(&ring), 64 + 4 - 1);
+    assert!(same_contents(&ring.base_snapshot().unwrap(), &expected));
+    ring.apply_batch(&inverse(&rows[..1])).unwrap();
+    ring.apply_batch(&inverse(&rows[2..])).unwrap();
+    let footprint = ring.base_footprint().unwrap();
+    assert_eq!((footprint.tuples, footprint.strings), (0, 0));
 }

@@ -106,6 +106,10 @@ pub trait ViewEngine: std::fmt::Debug + Send {
     /// from storage with no intermediate table.
     fn for_each_output(&self, visit: &mut dyn FnMut(&[Value], Number));
 
+    /// Number of groups in the output table — what
+    /// [`for_each_output`](ViewEngine::for_each_output) visits.
+    fn output_len(&self) -> usize;
+
     /// Work counters accumulated so far.
     fn stats(&self) -> ExecStats;
 
@@ -173,6 +177,10 @@ impl<S: ViewStorage + Send + 'static> ViewEngine for Executor<S> {
 
     fn for_each_output(&self, visit: &mut dyn FnMut(&[Value], Number)) {
         self.output().for_each(|key, value| visit(key, value))
+    }
+
+    fn output_len(&self) -> usize {
+        self.output().len()
     }
 
     fn stats(&self) -> ExecStats {

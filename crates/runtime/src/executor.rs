@@ -33,7 +33,8 @@
 //! the only state.
 
 use dbring_algebra::{Number, Semiring};
-use dbring_relations::intern::{Interner, KeyPool, SlotTable};
+use dbring_relations::intern::{KeyPool, SlotTable};
+use dbring_relations::value::{hash_values, random_seed};
 use dbring_relations::{Database, DeltaBatch, Update, Value};
 
 use dbring_agca::ast::Query;
@@ -47,9 +48,7 @@ use dbring_delta::Sign;
 use std::collections::HashMap;
 
 use crate::snapshot::ChangeSet;
-use crate::storage::{
-    hash_values, random_seed, salted, HashViewStorage, StorageFootprint, ViewStorage,
-};
+use crate::storage::{salted, HashViewStorage, StorageFootprint, ViewStorage};
 
 /// Counters describing the work performed by the executor.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -169,19 +168,12 @@ struct Scratch {
     /// buffer was since flushed (clearing an empty buffer is free) and survives a
     /// failed batch, so leaked writes still get dropped.
     dirty: Vec<usize>,
-    /// Interner backing the flush path's fixed-width keys; grows with the distinct
-    /// strings the executor has flushed and persists across batches (ids are stable
-    /// for the executor's lifetime).
-    flush_interner: Interner,
-    /// Reusable fixed-width key pool for write-buffer consolidation: duplicates
-    /// collapse on arrival through the pool's scratch hash table and only distinct
-    /// keys get sorted, replacing the old `Vec<Value>` comparison sort. Capacity is
-    /// retained across flushes.
+    /// Reusable key pool for write-buffer consolidation: buffered rows group by key
+    /// in place, and only distinct keys get sorted. Capacity is retained across
+    /// flushes.
     flush_pool: KeyPool,
     /// Per-group accumulator sums for one flush, indexed by the pool's group ids.
     flush_sums: Vec<Number>,
-    /// Per-group representative row (first occurrence in the write buffer).
-    flush_reps: Vec<u32>,
 }
 
 /// A flat write buffer for one map: `accs.len()` buffered deltas whose keys live
@@ -754,46 +746,35 @@ impl<S: ViewStorage> Executor<S> {
                     let arity = plan.map_arities[stmt.target];
                     let Scratch {
                         write_bufs,
-                        flush_interner,
                         flush_pool,
                         flush_sums,
-                        flush_reps,
                         ..
                     } = &mut *scratch;
                     let buf = &mut write_bufs[stmt.target];
                     if buf.accs.is_empty() {
                         continue;
                     }
-                    // Consolidate on interned fixed-width keys: each buffered key is
-                    // encoded into the reusable pool, duplicates collapse onto a group
-                    // id on arrival, and the accumulators sum per group. Only the
-                    // *distinct* keys get sorted (exact `Value` order — strings fall
-                    // back through the interner), and only the non-zero groups
-                    // materialize as refs, still sorted ascending and unique as
-                    // `apply_sorted` requires.
-                    flush_pool.begin(arity, buf.accs.len());
+                    // Consolidate in place: rows of the flat buffer group by key,
+                    // the accumulators sum per group, and only the *distinct* keys get
+                    // sorted. The non-zero groups land as refs into the buffer,
+                    // ascending and unique as `apply_sorted` requires.
+                    let keys = &buf.keys;
+                    let key = |row: u32| &keys[row as usize * arity..(row as usize + 1) * arity];
+                    flush_pool.clear();
                     flush_sums.clear();
-                    flush_reps.clear();
-                    for row in 0..buf.accs.len() {
-                        let g = flush_pool.push_key_grouped(
-                            &buf.keys[row * arity..(row + 1) * arity],
-                            flush_interner,
-                        ) as usize;
+                    for (row, acc) in buf.accs.iter().enumerate() {
+                        let g = flush_pool.push(row as u32, key) as usize;
                         if g == flush_sums.len() {
-                            flush_sums.push(buf.accs[row]);
-                            flush_reps.push(row as u32);
+                            flush_sums.push(*acc);
                         } else {
-                            flush_sums[g] = flush_sums[g].add(&buf.accs[row]);
+                            flush_sums[g] = flush_sums[g].add(acc);
                         }
                     }
-                    let mut refs: Vec<(&[Value], Number)> = Vec::new();
-                    for &g in flush_pool.sorted_groups(flush_interner) {
-                        let sum = flush_sums[g as usize];
-                        if !sum.is_zero() {
-                            let f = flush_reps[g as usize] as usize;
-                            refs.push((&buf.keys[f * arity..(f + 1) * arity], sum));
-                        }
-                    }
+                    let refs: Vec<(&[Value], Number)> = flush_pool
+                        .sorted(key)
+                        .filter(|&(g, _)| !flush_sums[g as usize].is_zero())
+                        .map(|(g, first)| (key(first), flush_sums[g as usize]))
+                        .collect();
                     // Every key the flush touches is logged with its pre-image,
                     // unchecked: keys in a consolidated run are unique, and a key
                     // another flush of this batch already logged restores correctly

@@ -60,9 +60,8 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use dbring_algebra::{Number, Semiring};
 use dbring_relations::intern::SlotTable;
+use dbring_relations::value::{hash_values, key_code, random_seed, sort_rows};
 use dbring_relations::Value;
-
-use crate::storage::{hash_values, random_seed};
 
 /// Rows a snapshot block is built to hold. A block never exceeds twice this, and
 /// only a snapshot's final block may hold fewer than half of it, so rebuilding the
@@ -75,13 +74,6 @@ const BLOCK_MAX: usize = 2 * BLOCK_TARGET;
 /// Row `row` of a flat key array holding `arity` values per row.
 fn row_key(keys: &[Value], arity: usize, row: usize) -> &[Value] {
     &keys[row * arity..(row + 1) * arity]
-}
-
-/// A key's order code: its first value's [`Value::order_code`], 0 for the empty key.
-/// Keys compare as `(code, key)` pairs do, so a search decides on codes wherever they
-/// differ and compares values only where two codes tie.
-fn key_code(key: &[Value]) -> u64 {
-    key.first().map_or(0, Value::order_code)
 }
 
 /// Whether the row `(code, key)` sorts before the row `(other_code, other)`.
@@ -126,15 +118,6 @@ fn search(codes: &[u64], code: u64, below: impl Fn(usize) -> bool) -> usize {
         }
     }
     lo
-}
-
-/// Fills `order` with `(code, row)` for the rows `0..rows` of a flat key array,
-/// sorted by key: by code, and by values only where codes tie.
-fn sort_rows(keys: &[Value], arity: usize, rows: usize, order: &mut Vec<(u64, u32)>) {
-    let key = |row: u32| row_key(keys, arity, row as usize);
-    order.clear();
-    order.extend((0..rows as u32).map(|row| (key_code(key(row)), row)));
-    order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| key(a.1).cmp(key(b.1))));
 }
 
 /// Appends clones of `values`. A push loop on purpose: `Value` is not `Copy`, and
@@ -267,8 +250,8 @@ impl ChangeSet {
 
     fn sort_dedup(&mut self) {
         let (keys, arity) = (&self.keys, self.arity);
-        sort_rows(keys, arity, self.rows, &mut self.order);
         let key = |row: u32| row_key(keys, arity, row as usize);
+        sort_rows(0..self.rows as u32, key, &mut self.order);
         self.order
             .dedup_by(|a, b| a.0 == b.0 && key(a.1) == key(b.1));
     }
@@ -534,19 +517,21 @@ impl ViewSnapshot {
         }
     }
 
-    /// Builds a snapshot by copying a whole output table: `export` is handed a
-    /// visitor and calls it once per `(key, value)` group, each key `arity` values
-    /// long and unique. Groups may arrive in any order; arriving in ascending key
-    /// order (a `BTreeMap`) saves the sort.
+    /// Builds a snapshot by copying a whole output table of `len` groups: `export`
+    /// is handed a visitor and calls it once per `(key, value)` group, each key
+    /// `arity` values long and unique. Groups may arrive in any order; arriving in
+    /// ascending key order (a `BTreeMap`) saves the sort. The copy is sized by `len`
+    /// up front, so exporting a table leaves no outgrown buffers behind.
     pub fn from_export(
         name: Arc<str>,
         epoch: u64,
         ingested: u64,
         arity: usize,
+        len: usize,
         export: impl FnOnce(&mut dyn FnMut(&[Value], Number)),
         stats: &mut PublishStats,
     ) -> Self {
-        let mut rows = Rows::default();
+        let mut rows = Rows::with_capacity(len, arity);
         let mut sorted = true;
         export(&mut |key, val| {
             debug_assert_eq!(key.len(), arity);
@@ -555,9 +540,14 @@ impl ViewSnapshot {
                 && (n == 0 || precedes(rows.codes[n - 1], rows.key(n - 1, arity), code, key));
             rows.push(code, key, val);
         });
+        debug_assert_eq!(rows.len(), len, "export visited another number of groups");
         if !sorted {
             let mut order = Vec::new();
-            sort_rows(&rows.keys, arity, rows.len(), &mut order);
+            sort_rows(
+                0..rows.len() as u32,
+                |row| rows.key(row as usize, arity),
+                &mut order,
+            );
             // Sized exactly: the sorted copy of a whole table is the largest
             // transient a snapshot build allocates.
             let mut in_order = Rows::with_capacity(rows.len(), arity);
@@ -568,7 +558,6 @@ impl ViewSnapshot {
             rows = in_order;
         }
         debug_assert!((1..rows.len()).all(|r| rows.key(r - 1, arity) < rows.key(r, arity)));
-        let len = rows.len();
         let mut directory = Directory::new(arity, 0);
         directory.seal(&mut rows, stats);
         let Directory { fences, blocks, .. } = directory;
@@ -962,7 +951,11 @@ impl Pending {
     /// The pending values as a sorted change list.
     fn changes(&self) -> Changes {
         let mut order = Vec::new();
-        sort_rows(&self.keys, self.arity, self.len(), &mut order);
+        sort_rows(
+            0..self.len() as u32,
+            |entry| self.key(entry as usize),
+            &mut order,
+        );
         let mut changes = Changes::new(self.arity);
         for (code, entry) in order {
             changes.push(code, self.key(entry as usize), self.vals[entry as usize]);
@@ -1443,6 +1436,7 @@ mod tests {
             1,
             0,
             arity,
+            rows.len(),
             |visit| rows.iter().for_each(|(k, v)| visit(k, **v)),
             &mut PublishStats::default(),
         )

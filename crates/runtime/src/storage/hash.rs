@@ -10,8 +10,8 @@
 //!   its freed copies resident). A pruned row overwrites its values — strings are
 //!   released — and its id goes on a free list; a zero `Number` marks it free.
 //! * **Probes.** A [`SlotTable`] — `(row id, 32-bit hash)` slots at load ≤ ½ — finds a
-//!   row by [`hash_values`], a multiply-rotate hash seeded per storage from
-//!   [`RandomState`]: a tenant's keys arrive over a socket, and whoever could predict
+//!   row by [`hash_values`], a multiply-rotate hash seeded per storage by
+//!   [`random_seed`]: a tenant's keys arrive over a socket, and whoever could predict
 //!   the hash could aim every key at one probe chain.
 //! * **Slices.** Each registered pattern threads the rows that agree on its positions
 //!   onto a doubly linked list of row ids (`[next, prev]` per row per pattern, in the
@@ -21,13 +21,9 @@
 //!   writes, without allocation. Every further pattern costs eight bytes per row and
 //!   a group table.
 
-use std::collections::hash_map::RandomState;
-use std::hash::{BuildHasher, Hasher};
-
 use dbring_algebra::{Number, Semiring};
-use dbring_relations::intern::{
-    clone_with_capacity, locate, slot_hash, SlotTable, CHUNK_ROWS, HASH_MUL,
-};
+use dbring_relations::intern::{clone_with_capacity, locate, SlotTable, CHUNK_ROWS, HASH_MUL};
+use dbring_relations::value::{hash_values, random_seed};
 use dbring_relations::Value;
 
 use super::{StorageFootprint, ViewStorage};
@@ -35,45 +31,9 @@ use super::{StorageFootprint, ViewStorage};
 /// "No row": the end of a slice list in either direction.
 const NIL: u32 = u32::MAX;
 
-/// A hash seed drawn from std's per-process random keys.
-pub(crate) fn random_seed() -> u64 {
-    RandomState::new().build_hasher().finish()
-}
-
 /// The seed of the `ordinal`-th table hashing under one drawn seed.
 pub(crate) fn salted(seed: u64, ordinal: u64) -> u64 {
     seed ^ (ordinal + 1).wrapping_mul(HASH_MUL)
-}
-
-#[inline]
-fn mix(h: u64, word: u64, tag: u64) -> u64 {
-    ((h ^ word).wrapping_mul(HASH_MUL) ^ tag).rotate_left(23)
-}
-
-/// The hash state after a run of values: variant tag and payload each, strings by
-/// content (eight bytes a step, then the length).
-#[inline]
-fn fold_values<'a>(seed: u64, values: impl IntoIterator<Item = &'a Value>) -> u64 {
-    values.into_iter().fold(seed, |h, value| match value {
-        Value::Int(i) => mix(h, *i as u64, 0),
-        Value::Float(f) => mix(h, f.get().to_bits(), 1),
-        Value::Bool(b) => mix(h, u64::from(*b), 3),
-        Value::Str(s) => {
-            let mut words = s.as_bytes().chunks_exact(8);
-            let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("eight bytes"));
-            let h = words.by_ref().fold(h, |h, w| mix(h, word(w), 2));
-            let mut tail = [0u8; 8];
-            tail[..words.remainder().len()].copy_from_slice(words.remainder());
-            mix(mix(h, word(&tail), 2), s.len() as u64, 2)
-        }
-    })
-}
-
-/// Seeded multiply-rotate hash over a run of values, as the 32 bits a [`SlotTable`]
-/// stores. Quality only affects speed — every probe verifies by comparison.
-#[inline]
-pub(crate) fn hash_values<'a>(seed: u64, values: impl IntoIterator<Item = &'a Value>) -> u32 {
-    slot_hash(fold_values(seed, values))
 }
 
 /// One fixed-capacity run of rows: keys at stride arity, one value per row (zero marks
@@ -481,6 +441,7 @@ mod tests {
     use super::super::slice_entries;
     use super::*;
     use dbring_algebra::Ring;
+    use dbring_relations::value::fold_values;
     use std::collections::BTreeMap;
 
     fn key(vals: &[i64]) -> Vec<Value> {

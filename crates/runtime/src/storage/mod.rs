@@ -44,8 +44,8 @@ use dbring_relations::Value;
 
 mod hash;
 
+pub(crate) use hash::salted;
 pub use hash::HashViewStorage;
-pub(crate) use hash::{hash_values, random_seed, salted};
 
 /// The storage contract a materialized view must satisfy for the executors to run
 /// trigger programs over it.

@@ -1,15 +1,16 @@
-//! Parity of the interned fixed-width ingest path with the classic `Vec<Value>` path,
-//! at the executor level: feeding a [`BatchNormalizer`]-built batch must produce the
-//! same tables AND bit-identical [`ExecStats`] as feeding the reference
+//! Parity of the batch ingest path with the classic `Vec<Value>` path, at the
+//! executor level: feeding a [`BatchNormalizer`]-built batch must produce the same
+//! tables AND bit-identical [`ExecStats`] as feeding the reference
 //! [`DeltaBatch::from_updates`] batch — on both the lowered and the interpreted
 //! executor. The lowered executor's `apply_batch` is `stage_batch` plus
 //! `commit_staged`, so the staged (`apply_sorted` with its pre-image log) flush is the
 //! one under test.
 //!
-//! The traces are string-heavy on purpose: group keys are strings whose interner ids
-//! are assigned in non-lexicographic order, so a flush that sorted by id instead of by
-//! `Value` order would break `apply_sorted`'s strictly-ascending precondition (checked
-//! by a debug assertion) and fail here.
+//! The traces are string-heavy on purpose, with strings arriving in non-lexicographic
+//! order, and the flushed group keys (`by_nation`'s strings, `rs`'s customer ids)
+//! include values whose order codes tie. A flush that sorted by anything but `Value`
+//! order would break `apply_sorted`'s strictly-ascending precondition (checked by a
+//! debug assertion) and fail here.
 
 use dbring_agca::parser::parse_query;
 use dbring_compiler::{compile, TriggerProgram};
@@ -17,9 +18,33 @@ use dbring_relations::{BatchNormalizer, Database, DeltaBatch, Update, Value};
 use dbring_runtime::{Executor, InterpretedExecutor};
 use proptest::prelude::*;
 
-/// Lexicographic traps: ids get assigned in arrival order, which these strings make
-/// disagree with their sort order ("zz" will usually be seen before "a").
-const NATIONS: [&str; 6] = ["zz", "m", "aa", "z", "a", "b"];
+/// Lexicographic traps: arrival order disagrees with sort order ("zz" will usually
+/// be seen before "a"); the last three share their first 8 bytes, so their order
+/// codes tie.
+const NATIONS: [&str; 9] = [
+    "zz",
+    "m",
+    "aa",
+    "z",
+    "a",
+    "b",
+    "customer_0001",
+    "customer_0002",
+    "customer",
+];
+
+/// Customer ids: small ints, and values whose order codes tie — ints beyond ±2⁶¹,
+/// floats apart only in their two low bits, and booleans.
+fn arb_cid() -> impl Strategy<Value = Value> {
+    const HALF: i64 = 1 << 61;
+    let one = 1.0f64.to_bits();
+    prop_oneof![
+        (0i64..5).prop_map(Value::int),
+        prop_oneof![Just(-HALF - 1), Just(HALF), Just(i64::MAX)].prop_map(Value::int),
+        (0u64..4).prop_map(move |low| Value::float(f64::from_bits(one ^ low))),
+        any::<bool>().prop_map(Value::Bool),
+    ]
+}
 
 fn catalog() -> Database {
     let mut db = Database::new();
@@ -44,21 +69,21 @@ fn corpus() -> Vec<TriggerProgram> {
 
 fn arb_update() -> impl Strategy<Value = Update> {
     prop_oneof![
-        (0i64..5, 0usize..NATIONS.len(), -2i64..=2).prop_map(|(c, n, m)| Update {
+        (arb_cid(), 0usize..NATIONS.len(), -2i64..=2).prop_map(|(c, n, m)| Update {
             relation: "C".to_string(),
-            values: vec![Value::int(c), Value::str(NATIONS[n])],
+            values: vec![c, Value::str(NATIONS[n])],
             multiplicity: if m == 0 { 1 } else { m },
         }),
-        (0i64..4, -2i64..=2).prop_map(|(a, m)| Update {
+        (arb_cid(), -2i64..=2).prop_map(|(a, m)| Update {
             relation: "R".to_string(),
-            values: vec![Value::int(a)],
+            values: vec![a],
             multiplicity: if m == 0 { -1 } else { m },
         }),
     ]
 }
 
 /// Runs the full matrix: every executor consumes the same chunked trace, some through
-/// the interned normalizer, some through the classic constructor, and all pairs must
+/// the reusable normalizer, some through the classic constructor, and all pairs must
 /// agree exactly.
 fn check_matrix(program: &TriggerProgram, trace: &[Update], chunk: usize) {
     let mut interned = Executor::new(program.clone());
