@@ -480,9 +480,6 @@ mod tests {
             fn get(&self, key: &[Value]) -> N {
                 self.0.get(key)
             }
-            fn add(&mut self, key: Vec<Value>, delta: N) {
-                self.0.add(key, delta)
-            }
             fn add_ref(&mut self, key: &[Value], delta: N) -> N {
                 self.0.add_ref(key, delta)
             }

@@ -1663,7 +1663,7 @@ mod tests {
         let ingested_before = ring.updates_ingested();
 
         let failed_batch = [sale(1, 5, 1), sale(3, 7, 2)];
-        let err = with_fault(FaultPlan::new(FaultOp::ApplySorted, 0), || {
+        let err = with_fault(FaultPlan::new(FaultOp::Add, 0), || {
             ring.apply_batch(&failed_batch).unwrap_err()
         });
         match &err {
@@ -1744,7 +1744,7 @@ mod tests {
         let ret = |c: i64| Update::insert("Returns", vec![Value::int(c), Value::int(1)]);
         let reader = ring.reader();
         ring.apply_batch(&[ret(1)]).unwrap();
-        with_fault(FaultPlan::new(FaultOp::ApplySorted, 0), || {
+        with_fault(FaultPlan::new(FaultOp::Add, 0), || {
             ring.apply_batch(&[sale(1, 5, 1)]).unwrap_err()
         });
 

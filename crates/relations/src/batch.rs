@@ -6,11 +6,12 @@
 //! of identical tuples are consolidated *before* any trigger fires (so a `+R(t)` / `-R(t)`
 //! pair inside the batch cancels to nothing), zero-multiplicity updates are dropped, and
 //! the surviving net deltas are grouped by `(relation, sign)` with each group's keys in
-//! ascending order. The sorted order is what keeps batch application deterministic
-//! regardless of the arrival order of the input updates.
+//! the order of their first update. Nothing sorts them: the deltas of a Z-set commute,
+//! so their order changes no view, and a batch lands the same way whenever the same
+//! updates arrive in the same order. Only publication orders keys.
 //!
-//! The batch *borrows* the updates it normalizes: construction sorts a vector of
-//! references and scans the runs, so it performs no per-tuple clones and no tree
+//! The batch *borrows* the updates it normalizes: construction consolidates references
+//! to the updates' own tuples, so it performs no per-tuple clones and no tree
 //! maintenance — the normalization cost stays a small fraction of actually firing the
 //! triggers, which is what makes small batch sizes worthwhile at all.
 //!
@@ -25,21 +26,20 @@ use crate::database::Update;
 use crate::value::Value;
 
 /// One group of a [`DeltaBatch`]: the net deltas of one relation under one sign, keys
-/// ascending, weights strictly positive.
+/// distinct and in first-arrival order, weights strictly positive.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct DeltaGroup<'a> {
     relation: &'a str,
     is_insert: bool,
-    /// `(tuple, weight)` pairs with strictly ascending tuples and weights `>= 1`; a
-    /// weight of `w` stands for `w` identical single-tuple updates of this group's sign.
+    /// `(tuple, weight)` pairs with distinct tuples and weights `>= 1`; a weight of `w`
+    /// stands for `w` identical single-tuple updates of this group's sign.
     deltas: Vec<(&'a [Value], i64)>,
 }
 
 impl<'a> DeltaGroup<'a> {
-    /// Builds a group from already-normalized deltas (keys strictly ascending, weights
-    /// `>= 1`); crate-internal so the invariants stay with the normalizers.
+    /// Builds a group from already-normalized deltas (keys distinct, weights `>= 1`);
+    /// crate-internal so the invariants stay with the normalizers.
     pub(crate) fn new(relation: &'a str, is_insert: bool, deltas: Vec<(&'a [Value], i64)>) -> Self {
-        debug_assert!(deltas.windows(2).all(|w| w[0].0 < w[1].0));
         debug_assert!(deltas.iter().all(|(_, w)| *w >= 1));
         DeltaGroup {
             relation,
@@ -58,9 +58,10 @@ impl<'a> DeltaGroup<'a> {
         self.is_insert
     }
 
-    /// The net deltas: `(tuple, weight)` with tuples strictly ascending and every
-    /// weight `>= 1`. The sign lives on the group ([`DeltaGroup::is_insert`]), so a
-    /// weight is always the *magnitude* of the net multiplicity.
+    /// The net deltas: `(tuple, weight)` with distinct tuples, in the order of their
+    /// first update, and every weight `>= 1`. The sign lives on the group
+    /// ([`DeltaGroup::is_insert`]), so a weight is always the *magnitude* of the net
+    /// multiplicity.
     pub fn deltas(&self) -> &[(&'a [Value], i64)] {
         &self.deltas
     }
@@ -71,8 +72,8 @@ impl<'a> DeltaGroup<'a> {
     }
 }
 
-/// A batch of updates normalized into consolidated, sorted [`DeltaGroup`]s, borrowing
-/// the updates it was built from.
+/// A batch of updates normalized into consolidated [`DeltaGroup`]s, borrowing the
+/// updates it was built from.
 ///
 /// Construction ([`DeltaBatch::from_updates`]) nets out multiplicities per
 /// `(relation, tuple)`, drops tuples whose net multiplicity is zero (including explicit
@@ -85,16 +86,15 @@ pub struct DeltaBatch<'a> {
 
 impl<'a> DeltaBatch<'a> {
     /// Normalizes a sequence of updates into a batch: consolidate multiplicities of
-    /// identical `(relation, tuple)` pairs, drop zero-sum tuples, sort each group's
-    /// keys. Costs one linear bucketing pass over the updates (each distinct relation
-    /// name is resolved *once per batch* — a run-of-equal-names memo plus a name→bucket
-    /// map, never per-update string compares) plus one reference sort *per relation*
-    /// that compares tuples only — the comparator never re-compares relation names.
-    /// Nothing is cloned.
+    /// identical `(relation, tuple)` pairs in arrival order, drop zero-sum tuples.
+    /// Costs one linear bucketing pass over the updates (each distinct relation name
+    /// is resolved *once per batch* — a run-of-equal-names memo plus a name→bucket
+    /// map, never per-update string compares) plus one pass *per relation* through a
+    /// map keyed by the tuple slice. Nothing is cloned.
     ///
     /// For repeated ingest, [`BatchNormalizer`](crate::intern::BatchNormalizer)
-    /// produces the identical batch on interned fixed-width keys with scratch reused
-    /// across batches; this constructor remains the reference implementation.
+    /// produces the identical batch with scratch reused across batches; this
+    /// constructor remains the reference implementation.
     pub fn from_updates(updates: impl IntoIterator<Item = &'a Update>) -> Self {
         let mut buckets: Vec<(&'a str, Vec<&'a Update>)> = Vec::new();
         let mut bucket_of: HashMap<&'a str, usize> = HashMap::new();
@@ -120,20 +120,22 @@ impl<'a> DeltaBatch<'a> {
         }
         buckets.sort_unstable_by_key(|(relation, _)| *relation);
         let mut groups: Vec<DeltaGroup<'a>> = Vec::new();
-        for (relation, mut bucket) in buckets {
-            bucket.sort_unstable_by(|a, b| a.values.cmp(&b.values));
-            // Scan the runs of equal tuples, splitting net deltas by sign; the sort
-            // established the ascending key order both splits inherit.
+        for (relation, bucket) in buckets {
+            // Net each distinct tuple at the position of its first update, then split
+            // the nets by sign; both splits inherit the first-arrival order.
+            let mut net_of: HashMap<&'a [Value], usize> = HashMap::new();
+            let mut nets: Vec<(&'a [Value], i64)> = Vec::new();
+            for update in bucket {
+                let values = update.values.as_slice();
+                let i = *net_of.entry(values).or_insert_with(|| {
+                    nets.push((values, 0));
+                    nets.len() - 1
+                });
+                nets[i].1 += update.multiplicity;
+            }
             let mut inserts: Vec<(&'a [Value], i64)> = Vec::new();
             let mut deletes: Vec<(&'a [Value], i64)> = Vec::new();
-            let mut i = 0usize;
-            while i < bucket.len() {
-                let values = bucket[i].values.as_slice();
-                let mut net = 0i64;
-                while i < bucket.len() && bucket[i].values == values {
-                    net += bucket[i].multiplicity;
-                    i += 1;
-                }
+            for (values, net) in nets {
                 match net.cmp(&0) {
                     std::cmp::Ordering::Greater => inserts.push((values, net)),
                     std::cmp::Ordering::Less => deletes.push((values, -net)),
@@ -159,8 +161,8 @@ impl<'a> DeltaBatch<'a> {
     }
 
     /// Builds a batch from already-normalized groups (relation-ascending, insertions
-    /// before deletions per relation); crate-internal, used by the interned
-    /// fixed-width normalizer.
+    /// before deletions per relation); crate-internal, used by the
+    /// [`BatchNormalizer`](crate::intern::BatchNormalizer).
     pub(crate) fn from_groups(groups: Vec<DeltaGroup<'a>>) -> Self {
         DeltaBatch { groups }
     }
@@ -283,7 +285,7 @@ mod tests {
     }
 
     #[test]
-    fn group_keys_are_sorted_regardless_of_arrival_order() {
+    fn group_keys_keep_their_first_arrival_order() {
         let updates = [ins("R", 9), ins("R", 3), ins("R", 6), ins("R", 3)];
         let batch = DeltaBatch::from_updates(&updates);
         let keys: Vec<i64> = batch.groups()[0]
@@ -291,10 +293,23 @@ mod tests {
             .iter()
             .map(|(k, _)| k[0].as_int().unwrap())
             .collect();
-        assert_eq!(keys, vec![3, 6, 9]);
+        assert_eq!(keys, vec![9, 3, 6]);
         assert_eq!(
             batch.to_string(),
             "batch of 3 deltas (weight 4) over 1 groups"
+        );
+        // A key that nets to zero drops out; a repeated key keeps the place of its
+        // first update.
+        let updates = [
+            ins("R", 5),
+            ins("R", 2),
+            del("R", 2),
+            ins("R", 1),
+            ins("R", 5),
+        ];
+        assert_eq!(
+            DeltaBatch::from_updates(&updates).groups()[0].deltas(),
+            &[(key(5).as_slice(), 2), (key(1).as_slice(), 1)]
         );
     }
 }

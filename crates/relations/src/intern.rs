@@ -1,14 +1,14 @@
 //! Key grouping for the ingest path, and the flat tables behind it.
 //!
 //! Batch normalization and executor write-buffer flushes consolidate keys: equal keys
-//! collapse into one group and the distinct keys come out in ascending [`Value`]
-//! order, the order [`DeltaBatch`](crate::DeltaBatch) groups and `apply_sorted`
-//! promise. [`KeyPool`] does that on the keys where they already are — an update
-//! slice, a flat write buffer — grouping rows by the seeded [`hash_values`] with
-//! `Value` equality and sorting only the distinct keys, by
-//! [`order_code`](Value::order_code) first ([`sort_rows`]). [`BatchNormalizer`]
-//! builds on it to normalize an update slice into a `DeltaBatch` with all scratch
-//! (buckets, pool, nets) persisting across batches.
+//! collapse into one group, and the distinct keys come out in the order they were
+//! first seen. A batch is one delta of the ring (a Z-set): its deltas commute, so no
+//! consumer needs its keys in [`Value`] order, and only publication sorts
+//! (`dbring-runtime`'s snapshots). [`KeyPool`] groups the keys where they already
+//! are — an update slice, a flat write buffer — by the seeded [`hash_values`] with
+//! `Value` equality. [`BatchNormalizer`] builds on it to normalize an update slice
+//! into a [`DeltaBatch`](crate::DeltaBatch) with all scratch (buckets, pool, nets)
+//! persisting across batches.
 //!
 //! [`SlotTable`] is the open-addressing core of every flat table in the workspace: the
 //! pool's groups, the runtime's view rows, slice-group tables and undo seen-set. The
@@ -19,7 +19,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::value::{hash_values, random_seed, sort_rows, Value};
+use crate::value::{hash_values, random_seed, Value};
 
 /// Tag bits of an [`IVal`], mirroring the declaration order of [`Value`] so that
 /// cross-variant comparisons agree with `Value`'s derived `Ord`.
@@ -185,16 +185,16 @@ impl Interner {
     }
 }
 
-/// Groups rows of a borrowed key source by key and hands the distinct keys back in
-/// ascending [`Value`] order: the consolidation step of batch normalization and of
+/// Groups rows of a borrowed key source by key, numbering the groups in the order
+/// their keys were first seen: the consolidation step of batch normalization and of
 /// every write-buffer flush.
 ///
 /// A row is a `u32` the caller resolves to its key (an index into an update slice, a
 /// row of a flat buffer); the pool stores no key, only each group's first row and
 /// hash. Rows are grouped by the seeded [`hash_values`] — the seed is drawn per pool,
 /// since keys arrive from clients — with `Value` equality on every probe, so the hash
-/// decides speed, never grouping. Only the *distinct* keys are sorted, which on
-/// hot-key streams is a small fraction of the rows. All storage is retained across
+/// decides speed, never grouping, and the group numbers depend only on the sequence
+/// of keys pushed, whatever the seed. All storage is retained across
 /// [`clear`](KeyPool::clear) calls, so the steady state allocates nothing.
 #[derive(Clone, Debug)]
 pub struct KeyPool {
@@ -205,8 +205,6 @@ pub struct KeyPool {
     /// Per group: its key's hash, so that [`clear`](KeyPool::clear) empties only the
     /// runs that hold groups.
     hashes: Vec<u32>,
-    /// Scratch for [`sorted`](KeyPool::sorted): `(code, group)`.
-    order: Vec<(u64, u32)>,
 }
 
 impl Default for KeyPool {
@@ -228,7 +226,6 @@ impl KeyPool {
             index: SlotTable::default(),
             firsts: Vec::new(),
             hashes: Vec::new(),
-            order: Vec::new(),
         }
     }
 
@@ -238,10 +235,10 @@ impl KeyPool {
         self.firsts.clear();
     }
 
-    /// The group of `row`, whose key is `key(row)`: a new group — numbered
-    /// [`groups`](KeyPool::groups) so far — the first time the key is seen since the
-    /// last [`clear`](KeyPool::clear), the earlier group on a repeat. `key` must
-    /// resolve every row pushed since then.
+    /// The group of `row`, whose key is `key(row)`: a new group — numbered by the
+    /// groups seen so far, so `row` becomes its entry in [`firsts`](KeyPool::firsts)
+    /// — the first time the key is seen since the last [`clear`](KeyPool::clear),
+    /// the earlier group on a repeat. `key` must resolve every row pushed since then.
     #[inline]
     pub fn push<'k>(&mut self, row: u32, key: impl Fn(u32) -> &'k [Value]) -> u32 {
         let wanted = key(row);
@@ -263,25 +260,10 @@ impl KeyPool {
         }
     }
 
-    /// Number of distinct keys seen since the last [`clear`](KeyPool::clear).
-    pub fn groups(&self) -> usize {
-        self.firsts.len()
-    }
-
-    /// Every group with its first row, in ascending key order ([`sort_rows`]: by
-    /// order code, comparing keys only where codes tie). `key` is the resolver the
-    /// rows were pushed with.
-    pub fn sorted<'k>(
-        &mut self,
-        key: impl Fn(u32) -> &'k [Value],
-    ) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let firsts = &self.firsts;
-        sort_rows(
-            0..firsts.len() as u32,
-            |g| key(firsts[g as usize]),
-            &mut self.order,
-        );
-        self.order.iter().map(|&(_, g)| (g, firsts[g as usize]))
+    /// Each group's first row, indexed by group: the distinct keys in the order
+    /// they were first seen since the last [`clear`](KeyPool::clear).
+    pub fn firsts(&self) -> &[u32] {
+        &self.firsts
     }
 }
 
@@ -807,10 +789,10 @@ struct NormBucket {
 /// Per batch it performs one bucketing pass (relation names resolved once per *run* of
 /// equal names via a memo, then a persistent name→id map — not per-update string
 /// compares), then one consolidation pass per relation through the [`KeyPool`], which
-/// groups the updates' own key slices and sorts only the *distinct* keys — on hot-key
-/// streams a small fraction of the tuples. Keys of different lengths in one relation
-/// (malformed streams that the executors reject later) group and sort like any
-/// others, since slice equality and slice order cover them.
+/// groups the updates' own key slices; each group's keys come out in the order of
+/// their first update. Keys of different lengths in one relation (malformed streams
+/// that the executors reject later) group like any others, since slice equality
+/// covers them.
 #[derive(Clone, Debug, Default)]
 pub struct BatchNormalizer {
     rel_ids: HashMap<String, u32>,
@@ -890,7 +872,7 @@ impl BatchNormalizer {
             let relation: &'a str = updates[bucket.first as usize].relation.as_str();
             let key = |r: u32| updates[r as usize].values.as_slice();
             // Consolidate while pushing: duplicates collapse into the group's net
-            // multiplicity on arrival, and only the distinct keys get sorted.
+            // multiplicity on arrival, and the groups keep their first-seen order.
             self.pool.clear();
             self.nets.clear();
             for &r in &bucket.rows {
@@ -902,8 +884,7 @@ impl BatchNormalizer {
             }
             let mut inserts: Vec<(&'a [Value], i64)> = Vec::new();
             let mut deletes: Vec<(&'a [Value], i64)> = Vec::new();
-            for (g, r) in self.pool.sorted(key) {
-                let net = self.nets[g as usize];
+            for (&r, &net) in self.pool.firsts().iter().zip(&self.nets) {
                 match net.cmp(&0) {
                     std::cmp::Ordering::Greater => inserts.push((key(r), net)),
                     std::cmp::Ordering::Less => deletes.push((key(r), -net)),
@@ -1068,8 +1049,9 @@ mod tests {
     }
 
     #[test]
-    fn string_keys_sort_in_value_order_not_id_order() {
-        // Arrival order disagrees with lexicographic order.
+    fn string_keys_keep_arrival_order_not_value_order() {
+        // Arrival order disagrees with lexicographic order, and a warm-up batch has
+        // already shown the normalizer the last key first.
         let mut normalizer = BatchNormalizer::new();
         let warmup = [Update::insert("T", vec![Value::str("zeta")])];
         let _ = normalizer.normalize(&warmup);
@@ -1085,7 +1067,7 @@ mod tests {
             .iter()
             .map(|(k, _)| k[0].as_str().unwrap())
             .collect();
-        assert_eq!(keys, vec!["alpha", "mid", "zeta"]);
+        assert_eq!(keys, vec!["zeta", "alpha", "mid"]);
     }
 
     #[test]
@@ -1119,7 +1101,8 @@ mod tests {
     }
 
     /// Keys of several lengths in one relation (a stream the executors reject) group
-    /// and sort in slice order, exactly as the classic sort does.
+    /// on slice equality and keep their arrival order, exactly as the classic path
+    /// does.
     #[test]
     fn mixed_arity_bucket_falls_back_to_classic_sort() {
         let mut normalizer = BatchNormalizer::new();
@@ -1138,7 +1121,7 @@ mod tests {
     }
 
     #[test]
-    fn key_pool_groups_duplicates_and_sorts_distinct_keys() {
+    fn key_pool_groups_duplicates_in_first_seen_order() {
         let mut pool = KeyPool::new();
         let keys = [
             vec![Value::int(5), Value::int(1)],
@@ -1148,25 +1131,23 @@ mod tests {
         ];
         let key = |row: u32| keys[row as usize].as_slice();
         let groups: Vec<u32> = (0..keys.len() as u32).map(|r| pool.push(r, key)).collect();
-        // Duplicates collapse onto first-seen group ids.
+        // Duplicates collapse onto first-seen group ids, and each group keeps the
+        // first row that carried its key, whatever the keys' `Value` order.
         assert_eq!(groups, vec![0, 1, 0, 2]);
-        assert_eq!(pool.groups(), 3);
-        // Sorted output is ascending Value order of the distinct keys, each with the
-        // first row that carried it: (3,0) < (3,2) < (5,1).
-        let sorted: Vec<(u32, u32)> = pool.sorted(key).collect();
-        assert_eq!(sorted, vec![(2, 3), (1, 1), (0, 0)]);
+        assert_eq!(pool.firsts(), &[0, 1, 3]);
 
         // A cleared pool forgets previous groups entirely.
         pool.clear();
         let other = [vec![Value::int(5)], vec![Value::int(5)]];
         let key = |row: u32| other[row as usize].as_slice();
         assert_eq!((pool.push(0, key), pool.push(1, key)), (0, 0));
-        assert_eq!(pool.groups(), 1);
+        assert_eq!(pool.firsts(), &[0]);
     }
 
     /// Under a known seed, aim 2 000 distinct keys at one hash: every probe then walks
     /// one run and only `Value` equality can tell the groups apart. Each key arrives
-    /// three times, interleaved; the groups must still be exactly the distinct keys.
+    /// three times, interleaved; the groups must still be exactly the distinct keys,
+    /// numbered in the order of their first arrival.
     #[test]
     fn key_pool_groups_exactly_when_every_key_shares_one_hash() {
         const SEED: u64 = 0x5eed_0bad_c0de;
@@ -1188,7 +1169,7 @@ mod tests {
         for round in 0..2 {
             pool.clear();
             let groups: Vec<u32> = (0..rows.len() as u32).map(|r| pool.push(r, key)).collect();
-            assert_eq!(pool.groups(), KEYS as usize, "round {round}");
+            assert_eq!(pool.firsts().len(), KEYS as usize, "round {round}");
             for (r, &g) in groups.iter().enumerate() {
                 assert_eq!(
                     groups[r % KEYS as usize],
@@ -1196,10 +1177,8 @@ mod tests {
                     "row {r} of one key, two groups"
                 );
             }
-            let sorted: Vec<&[Value]> = pool.sorted(key).map(|(_, first)| key(first)).collect();
-            let mut expected: Vec<&[Value]> = distinct.iter().map(|k| k.as_slice()).collect();
-            expected.sort();
-            assert_eq!(sorted, expected);
+            // Rows `0..KEYS` carry every key once, `7·i mod KEYS` at row `i`.
+            assert_eq!(pool.firsts(), (0..KEYS).collect::<Vec<u32>>());
         }
     }
 }

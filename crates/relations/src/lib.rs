@@ -10,8 +10,9 @@
 //! The crate provides:
 //!
 //! * [`value`] — the data values of the active domain (`Adom`), hashable and orderable so
-//!   they can key sparse maps, with the seeded key hash ([`value::hash_values`]) and
-//!   the order-code sort ([`value::sort_rows`]) every flat table and batch uses;
+//!   they can key sparse maps, with the seeded key hash ([`value::hash_values`]) every
+//!   flat table uses and the order code ([`Value::order_code`]) published snapshots
+//!   search on;
 //! * [`tuple`](mod@tuple) — records as partial functions `Σ → Adom`; the natural join makes the set of
 //!   tuples (minus the inconsistent combinations) a mutilated commutative monoid, so the GMR
 //!   ring arises literally as the monoid ring `A[T]` of `dbring-algebra` (Proposition 3.3);
@@ -23,11 +24,11 @@
 //!   [`Update`]s (`±R(t⃗)`), the update streams consumed by every
 //!   maintenance strategy in the workspace;
 //! * [`batch`] — [`DeltaBatch`]: a sequence of updates normalized
-//!   into consolidated, sorted per-(relation, sign) delta groups, the input of the
-//!   executors' batch paths;
+//!   into consolidated per-(relation, sign) delta groups, keys in first-arrival order,
+//!   the input of the executors' batch paths;
 //! * [`intern`] — key grouping for the ingest path: [`KeyPool`](intern::KeyPool)
-//!   groups and sorts keys where they lie (an update slice, a flat write buffer)
-//!   without copying them, [`BatchNormalizer`] is the scratch-reusing equivalent of
+//!   groups keys where they lie (an update slice, a flat write buffer) without
+//!   copying them, in first-seen order, [`BatchNormalizer`] is the scratch-reusing equivalent of
 //!   `DeltaBatch::from_updates` built on it, and [`SlotTable`](intern::SlotTable)
 //!   is the open-addressing core of every flat table in the workspace;
 //! * [`snapshot`] — [`Snapshot`]: a write-optimized positional

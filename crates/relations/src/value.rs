@@ -5,6 +5,11 @@
 //! they must convert to the [`Number`] ring). Floats are stored with canonicalized bits so
 //! that `Value` can implement `Eq`/`Hash` without surprising the user: `-0.0` is identified
 //! with `0.0`, and all NaNs are identified with each other.
+//!
+//! Two functions of a value serve the flat tables: [`hash_values`], the seeded hash
+//! that key pools and view tables probe with (`Value` equality decides), and
+//! [`Value::order_code`], the 64-bit prefix code that published snapshots sort and
+//! search on. Batches group keys but never order them.
 
 use std::collections::hash_map::RandomState;
 use std::fmt;
@@ -25,7 +30,7 @@ pub enum Value {
     Float(OrderedF64),
     /// Reference-counted UTF-8 string. *Not* interned: [`Value::str`] allocates a
     /// fresh `Arc<str>` per call, and cloning a `Value` shares it. The ingest path
-    /// groups and sorts keys on `Value`s themselves ([`hash_values`], [`sort_rows`]).
+    /// groups keys on `Value`s themselves ([`hash_values`] and `Value` equality).
     Str(Arc<str>),
     /// Boolean.
     Bool(bool),
@@ -116,26 +121,6 @@ impl Value {
             Value::Bool(_) => "bool",
         }
     }
-}
-
-/// A key's order code: its first value's [`Value::order_code`], 0 for the empty key.
-/// Keys compare as `(code, key)` pairs do, whatever their lengths, so a sort or a
-/// search decides on codes wherever they differ and compares values only where two
-/// codes tie.
-pub fn key_code(key: &[Value]) -> u64 {
-    key.first().map_or(0, Value::order_code)
-}
-
-/// Fills `order` with `(code, row)` for each of `rows`, sorted by the row's key
-/// `key(row)`: by [`key_code`], and by values only where two codes tie.
-pub fn sort_rows<'k>(
-    rows: impl IntoIterator<Item = u32>,
-    key: impl Fn(u32) -> &'k [Value],
-    order: &mut Vec<(u64, u32)>,
-) {
-    order.clear();
-    order.extend(rows.into_iter().map(|row| (key_code(key(row)), row)));
-    order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| key(a.1).cmp(key(b.1))));
 }
 
 /// A hash seed drawn from std's per-process random keys. Keys arrive from clients,

@@ -1,10 +1,11 @@
 //! Property tests: the reusable normalizer ([`BatchNormalizer`]) produces *exactly*
-//! the [`DeltaBatch`] of the classic `Vec<Value>` comparison-sort path
-//! ([`DeltaBatch::from_updates`]) — same groups, same order, same keys, same weights —
+//! the [`DeltaBatch`] of the classic `Vec<Value>` path ([`DeltaBatch::from_updates`])
+//! — same groups, same order, same keys, same weights —
 //! on adversarial streams: string keys arriving in non-lexicographic order, float
 //! edge cases, keys whose order codes tie, zero and multi-unit multiplicities, mixed
 //! arities within one relation, and one normalizer reused across many batches (so
-//! stale scratch would be caught).
+//! stale scratch would be caught). And both list each group's keys in the order of
+//! their first update.
 
 use dbring_relations::{BatchNormalizer, DeltaBatch, Update, Value};
 use proptest::prelude::*;
@@ -67,6 +68,40 @@ proptest! {
             let interned = normalizer.normalize(updates);
             let classic = DeltaBatch::from_updates(updates);
             prop_assert_eq!(interned, classic);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Every group lists its keys in the order of their first update in the batch
+    /// (explicit `multiplicity: 0` updates fire nothing and count for no key), on
+    /// the reusable normalizer and the classic constructor alike.
+    #[test]
+    fn group_keys_come_out_in_the_order_of_their_first_update(
+        batches in prop::collection::vec(prop::collection::vec(arb_update(), 0..40), 1..6)
+    ) {
+        let mut normalizer = BatchNormalizer::new();
+        for updates in &batches {
+            for batch in [normalizer.normalize(updates), DeltaBatch::from_updates(updates)] {
+                for group in batch.groups() {
+                    let first = |key: &[Value]| {
+                        updates.iter().position(|u| {
+                            u.multiplicity != 0 && u.relation == group.relation() && u.values == key
+                        })
+                    };
+                    let firsts: Vec<Option<usize>> =
+                        group.deltas().iter().map(|(key, _)| first(key)).collect();
+                    prop_assert!(
+                        firsts.windows(2).all(|w| w[0] < w[1]) && firsts.iter().all(Option::is_some),
+                        "{} ({}): first updates at {:?}",
+                        group.relation(),
+                        if group.is_insert() { "inserts" } else { "deletes" },
+                        firsts
+                    );
+                }
+            }
         }
     }
 }

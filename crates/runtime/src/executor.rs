@@ -169,8 +169,7 @@ struct Scratch {
     /// failed batch, so leaked writes still get dropped.
     dirty: Vec<usize>,
     /// Reusable key pool for write-buffer consolidation: buffered rows group by key
-    /// in place, and only distinct keys get sorted. Capacity is retained across
-    /// flushes.
+    /// in place, in first-seen order. Capacity is retained across flushes.
     flush_pool: KeyPool,
     /// Per-group accumulator sums for one flush, indexed by the pool's group ids.
     flush_sums: Vec<Number>,
@@ -600,9 +599,9 @@ impl<S: ViewStorage> Executor<S> {
     ///   rather than per update;
     /// * for triggers whose delta is degree ≤ 1 in the updated relation
     ///   ([`PlanTrigger::weighted_firing`]), one firing per *distinct* tuple with the
-    ///   writes scaled by the tuple's consolidated weight — writes are buffered, sorted,
-    ///   consolidated and handed to [`ViewStorage::apply_sorted`] in one sequential pass
-    ///   per map;
+    ///   writes scaled by the tuple's consolidated weight — writes are buffered,
+    ///   consolidated per key, and landed with one [`ViewStorage::add_ref`] per
+    ///   distinct key, in the order the keys first reached the buffer;
     /// * for self-join-style triggers that read their own targets, a unit-replay
     ///   fallback preserving the exact per-tuple semantics.
     ///
@@ -741,7 +740,7 @@ impl<S: ViewStorage> Executor<S> {
                 }
             }
             if trigger.weighted_firing {
-                // Fire each affected map once: sort, consolidate, one pass.
+                // Flush each affected map once: consolidate, then one write per key.
                 for stmt in &trigger.statements {
                     let arity = plan.map_arities[stmt.target];
                     let Scratch {
@@ -754,10 +753,8 @@ impl<S: ViewStorage> Executor<S> {
                     if buf.accs.is_empty() {
                         continue;
                     }
-                    // Consolidate in place: rows of the flat buffer group by key,
-                    // the accumulators sum per group, and only the *distinct* keys get
-                    // sorted. The non-zero groups land as refs into the buffer,
-                    // ascending and unique as `apply_sorted` requires.
+                    // Consolidate in place: rows of the flat buffer group by key and
+                    // the accumulators sum per group, in first-seen order.
                     let keys = &buf.keys;
                     let key = |row: u32| &keys[row as usize * arity..(row as usize + 1) * arity];
                     flush_pool.clear();
@@ -770,19 +767,18 @@ impl<S: ViewStorage> Executor<S> {
                             flush_sums[g] = flush_sums[g].add(acc);
                         }
                     }
-                    let refs: Vec<(&[Value], Number)> = flush_pool
-                        .sorted(key)
-                        .filter(|&(g, _)| !flush_sums[g as usize].is_zero())
-                        .map(|(g, first)| (key(first), flush_sums[g as usize]))
-                        .collect();
-                    // Every key the flush touches is logged with its pre-image,
-                    // unchecked: keys in a consolidated run are unique, and a key
-                    // another flush of this batch already logged restores correctly
-                    // anyway (reverse order replays the true pre-image last). The
-                    // pre-images are captured inside the landing pass itself.
-                    maps[stmt.target]
-                        .apply_sorted(&refs, |key, pre| undo.push_unchecked(stmt.target, key, pre));
-                    drop(refs);
+                    // Every non-zero group lands with one write, and its pre-image
+                    // is logged unchecked: the groups of one flush are distinct
+                    // keys, and a key another flush of this batch already logged
+                    // restores correctly anyway (reverse order replays the true
+                    // pre-image last).
+                    let target = &mut maps[stmt.target];
+                    for (&first, sum) in flush_pool.firsts().iter().zip(flush_sums.iter()) {
+                        if !sum.is_zero() {
+                            let pre = target.add_ref(key(first), *sum);
+                            undo.push_unchecked(stmt.target, key(first), pre);
+                        }
+                    }
                     buf.keys.clear();
                     buf.accs.clear();
                 }
@@ -819,8 +815,9 @@ pub(crate) fn initialize_maps<S: ViewStorage>(
             expr: dbring_agca::optimize::optimize_for_evaluation(&def.definition, &bound),
         };
         let groups = eval_all_groups(&query, db)?;
+        // Initialization writes exact values: `restore` overwrites each group.
         for (key, value) in groups {
-            maps[def.id].set(key, value);
+            maps[def.id].restore(&key, value);
         }
     }
     Ok(())

@@ -21,11 +21,11 @@
 //!   in the process, which is what "the Nth probe of this ingest call" means in a
 //!   test that controls its storages. Tests must serialize armed sections —
 //!   [`with_fault`] does so with an internal lock.
-//! * **Rollback is exempt.** [`ViewStorage::restore`] (and `set`) delegate without
-//!   tripping: they are the rollback/initialization primitives, and a fault that
-//!   re-fired while the registry was aborting staged siblings would turn one
-//!   injected failure into a cascade that poisons every view, which is not the
-//!   scenario under test. A panic during abort is still *handled* (the slot is
+//! * **Rollback is exempt.** [`ViewStorage::restore`] delegates without tripping:
+//!   it is the rollback and initialization primitive, and a fault that re-fired
+//!   while the registry was aborting staged siblings would turn one injected
+//!   failure into a cascade that poisons every view, which is not the scenario
+//!   under test. A panic during abort is still *handled* (the slot is
 //!   quarantined); it is just not what this injector produces.
 //! * A plan **auto-disarms when it fires**, so one armed fault produces exactly
 //!   one panic.
@@ -43,11 +43,10 @@ pub enum FaultOp {
     /// the stage path takes its pre-images from the writes themselves
     /// ([`ViewStorage::add_ref`] returns them), so staging adds no probe ordinals.
     Probe,
-    /// Point writes ([`ViewStorage::add`] / [`ViewStorage::add_ref`]).
+    /// Delta writes ([`ViewStorage::add_ref`]), one trip per write: a per-tuple
+    /// firing trips once per key it writes, a batch flush once per consolidated key.
+    /// The trip comes before the write, so the key it fires on lands nothing.
     Add,
-    /// Consolidated batch flushes ([`ViewStorage::apply_sorted`]), one trip per
-    /// flush.
-    ApplySorted,
 }
 
 /// "Panic at the `at`-th occurrence (0-based) of operation `op`, process-wide."
@@ -150,31 +149,15 @@ impl<S: ViewStorage> ViewStorage for FaultStorage<S> {
         self.0.get(key)
     }
 
-    fn add(&mut self, key: Vec<Value>, delta: Number) {
-        trip(FaultOp::Add);
-        self.0.add(key, delta);
-    }
-
     fn add_ref(&mut self, key: &[Value], delta: Number) -> Number {
         trip(FaultOp::Add);
         self.0.add_ref(key, delta)
     }
 
-    fn apply_sorted(&mut self, deltas: &[(&[Value], Number)], log: impl FnMut(&[Value], Number)) {
-        // One ApplySorted trip per flush, then the wrapped storage's combined
-        // capture-and-land.
-        trip(FaultOp::ApplySorted);
-        self.0.apply_sorted(deltas, log);
-    }
-
-    fn set(&mut self, key: Vec<Value>, value: Number) {
-        // Initialization path: uninstrumented so backfill/repair never trips.
-        self.0.set(key, value);
-    }
-
     fn restore(&mut self, key: &[Value], value: Number) {
-        // Rollback primitive: uninstrumented so aborting staged siblings cannot
-        // re-fire the fault that triggered the abort (see module docs).
+        // Rollback and initialization primitive: uninstrumented so aborting staged
+        // siblings cannot re-fire the fault that triggered the abort (see module
+        // docs), and backfill and repair never trip.
         self.0.restore(key, value);
     }
 
@@ -218,13 +201,13 @@ mod tests {
     fn an_armed_plan_fires_once_at_the_nth_operation_and_disarms() {
         let result = with_fault(FaultPlan::new(FaultOp::Add, 2), || {
             let mut m = FaultStorage::<HashViewStorage>::new(1);
-            m.add(key(&[1]), Number::Int(1)); // op 0
-            m.add(key(&[2]), Number::Int(1)); // op 1
+            m.add_ref(&key(&[1]), Number::Int(1)); // op 0
+            m.add_ref(&key(&[2]), Number::Int(1)); // op 1
             let panicked =
-                catch_unwind(AssertUnwindSafe(|| m.add(key(&[3]), Number::Int(1)))).is_err();
+                catch_unwind(AssertUnwindSafe(|| m.add_ref(&key(&[3]), Number::Int(1)))).is_err();
             assert!(panicked, "op 2 fires the plan");
             // The plan auto-disarmed: further ops sail through.
-            m.add(key(&[4]), Number::Int(1));
+            m.add_ref(&key(&[4]), Number::Int(1));
             m.to_table().len()
         });
         // Ops 0 and 1 landed, op 2 died mid-call (before the write), op 3 landed.
@@ -232,15 +215,15 @@ mod tests {
     }
 
     #[test]
-    fn restore_and_set_never_trip() {
+    fn restore_never_trips() {
         with_fault(FaultPlan::new(FaultOp::Add, 0), || {
             let mut m = FaultStorage::<HashViewStorage>::new(1);
-            m.set(key(&[1]), Number::Int(5));
+            m.restore(&key(&[1]), Number::Int(5));
             m.restore(&key(&[1]), Number::Int(7));
             assert_eq!(m.get(&key(&[1])), Number::Int(7));
             // The armed Add plan is still live and fires on the first real add.
             let panicked =
-                catch_unwind(AssertUnwindSafe(|| m.add(key(&[2]), Number::Int(1)))).is_err();
+                catch_unwind(AssertUnwindSafe(|| m.add_ref(&key(&[2]), Number::Int(1)))).is_err();
             assert!(panicked);
         });
     }
@@ -252,19 +235,15 @@ mod tests {
         let _section = super::lock(&FAULT_SECTION);
         let mut m = FaultStorage::<HashViewStorage>::new(2);
         m.register_index(vec![1]);
-        m.add(key(&[1, 2]), Number::Int(3));
-        m.add_ref(&key(&[1, 2]), Number::Int(4));
+        assert_eq!(m.add_ref(&key(&[1, 2]), Number::Int(3)), Number::Int(0));
+        assert_eq!(m.add_ref(&key(&[1, 2]), Number::Int(4)), Number::Int(3));
         assert_eq!(m.get(&key(&[1, 2])), Number::Int(7));
         assert_eq!(m.len(), 1);
         assert_eq!(m.key_arity(), 2);
         assert_eq!(m.footprint().entries, 1);
-        let refs = [(key(&[2, 2]), Number::Int(9))];
-        let borrowed: Vec<(&[Value], Number)> =
-            refs.iter().map(|(k, d)| (k.as_slice(), *d)).collect();
-        let mut pres = Vec::new();
-        for _ in 0..2 {
-            m.apply_sorted(&borrowed, |_, pre| pres.push(pre));
-        }
+        let pres: Vec<Number> = (0..2)
+            .map(|_| m.add_ref(&key(&[2, 2]), Number::Int(9)))
+            .collect();
         assert_eq!(pres, vec![Number::Int(0), Number::Int(9)]);
         assert_eq!(m.get(&key(&[2, 2])), Number::Int(18));
         let mut seen = 0;

@@ -16,7 +16,7 @@
 //! * **Shared-batch dispatch** ([`EngineRegistry::apply_batch`]) is the amortization
 //!   seam: the caller normalizes a [`DeltaBatch`] **once** and the registry fans the
 //!   borrowed batch out to the union of the touched relations' readers. With `k` views
-//!   over one stream this does one consolidation (bucket + sort + net) where `k`
+//!   over one stream this does one consolidation (bucket + net) where `k`
 //!   independent views would each redo it.
 //! * **Ingest on the calling thread**: every engine stages, commits or aborts on the
 //!   thread that called [`EngineRegistry::apply_batch`]. A trigger does constant work
@@ -537,8 +537,9 @@ mod tests {
         let healthy_table = registry.engine(healthy).unwrap().output_table();
 
         // The batched path lands its writes through consolidated flushes, so
-        // target the first `apply_sorted` of the dispatch.
-        let err = with_fault(FaultPlan::new(FaultOp::ApplySorted, 0), || {
+        // target the first write of the victim's first flush, before any of its
+        // writes lands.
+        let err = with_fault(FaultPlan::new(FaultOp::Add, 0), || {
             registry.apply_batch(&batch).unwrap_err()
         });
         assert_eq!(err, RuntimeError::EnginePanicked { slot: victim });

@@ -60,7 +60,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use dbring_algebra::{Number, Semiring};
 use dbring_relations::intern::SlotTable;
-use dbring_relations::value::{hash_values, key_code, random_seed, sort_rows};
+use dbring_relations::value::{hash_values, random_seed};
 use dbring_relations::Value;
 
 /// Rows a snapshot block is built to hold. A block never exceeds twice this, and
@@ -70,6 +70,27 @@ use dbring_relations::Value;
 pub const BLOCK_TARGET: usize = 64;
 const BLOCK_MIN: usize = BLOCK_TARGET / 2;
 const BLOCK_MAX: usize = 2 * BLOCK_TARGET;
+
+/// A key's order code: its first value's [`Value::order_code`], 0 for the empty key.
+/// Keys compare as `(code, key)` pairs do, whatever their lengths, so a sort or a
+/// search decides on codes wherever they differ and compares values only where two
+/// codes tie.
+fn key_code(key: &[Value]) -> u64 {
+    key.first().map_or(0, Value::order_code)
+}
+
+/// Fills `order` with `(code, row)` for each of `rows`, sorted by the row's key
+/// `key(row)`: by [`key_code`], and by values only where two codes tie. Publication
+/// is the one place keys are ordered: batches land in arrival order.
+fn sort_rows<'k>(
+    rows: impl IntoIterator<Item = u32>,
+    key: impl Fn(u32) -> &'k [Value],
+    order: &mut Vec<(u64, u32)>,
+) {
+    order.clear();
+    order.extend(rows.into_iter().map(|row| (key_code(key(row)), row)));
+    order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| key(a.1).cmp(key(b.1))));
+}
 
 /// Row `row` of a flat key array holding `arity` values per row.
 fn row_key(keys: &[Value], arity: usize, row: usize) -> &[Value] {

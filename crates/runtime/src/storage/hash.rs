@@ -329,11 +329,6 @@ impl ViewStorage for HashViewStorage {
         probe.1.map_or(Number::Int(0), |id| self.value(id))
     }
 
-    /// The rows live in the arena, so the owned key buys nothing here.
-    fn add(&mut self, key: Vec<Value>, delta: Number) {
-        self.add_ref(&key, delta);
-    }
-
     /// One probe: the key is cloned into the arena only when the entry is new, and
     /// nothing is allocated unless a chunk or a slot array fills up.
     fn add_ref(&mut self, key: &[Value], delta: Number) -> Number {
@@ -460,35 +455,24 @@ mod tests {
     fn get_add_and_prune() {
         let mut m = HashViewStorage::new(2);
         assert_eq!(m.get(&key(&[1, 2])), Number::Int(0));
-        m.add(key(&[1, 2]), Number::Int(5));
-        m.add(key(&[1, 3]), Number::Int(7));
+        m.add_ref(&key(&[1, 2]), Number::Int(5));
+        m.add_ref(&key(&[1, 3]), Number::Int(7));
         assert_eq!(m.get(&key(&[1, 2])), Number::Int(5));
         assert_eq!(m.len(), 2);
-        m.add(key(&[1, 2]), Number::Int(-5));
+        m.add_ref(&key(&[1, 2]), Number::Int(-5));
         assert_eq!(m.get(&key(&[1, 2])), Number::Int(0));
         assert_eq!(m.len(), 1);
         assert!(!m.is_empty());
-        m.add(key(&[1, 3]), Number::Int(0));
+        m.add_ref(&key(&[1, 3]), Number::Int(0));
         assert_eq!(m.len(), 1);
         assert_eq!(m.key_arity(), 2);
-    }
-
-    #[test]
-    fn set_overwrites() {
-        let mut m = HashViewStorage::new(1);
-        m.set(key(&[1]), Number::Int(10));
-        assert_eq!(m.get(&key(&[1])), Number::Int(10));
-        m.set(key(&[1]), Number::Int(3));
-        assert_eq!(m.get(&key(&[1])), Number::Int(3));
-        m.set(key(&[1]), Number::Int(0));
-        assert!(m.is_empty());
     }
 
     #[test]
     #[should_panic]
     fn arity_mismatch_panics() {
         let mut m = HashViewStorage::new(2);
-        m.add(key(&[1]), Number::Int(1));
+        m.add_ref(&key(&[1]), Number::Int(1));
     }
 
     #[test]
@@ -497,8 +481,8 @@ mod tests {
         indexed.register_index(vec![0]);
         let mut scanned = HashViewStorage::new(2);
         for (a, b, v) in [(1, 10, 2), (1, 11, 3), (2, 10, 4), (2, 12, 5)] {
-            indexed.add(key(&[a, b]), Number::Int(v));
-            scanned.add(key(&[a, b]), Number::Int(v));
+            indexed.add_ref(&key(&[a, b]), Number::Int(v));
+            scanned.add_ref(&key(&[a, b]), Number::Int(v));
         }
         for store in [&indexed, &scanned] {
             let mut hits: Vec<i64> = slice(store, &[0], &key(&[1]))
@@ -519,15 +503,15 @@ mod tests {
     fn index_tracks_removals() {
         let mut m = HashViewStorage::new(2);
         m.register_index(vec![0]);
-        m.add(key(&[1, 10]), Number::Int(2));
-        m.add(key(&[1, 11]), Number::Int(3));
+        m.add_ref(&key(&[1, 10]), Number::Int(2));
+        m.add_ref(&key(&[1, 11]), Number::Int(3));
         assert_eq!(slice(&m, &[0], &key(&[1])).len(), 2);
-        m.add(key(&[1, 10]), Number::Int(-2));
+        m.add_ref(&key(&[1, 10]), Number::Int(-2));
         assert_eq!(slice(&m, &[0], &key(&[1])).len(), 1);
-        m.add(key(&[1, 11]), Number::Int(-3));
+        m.add_ref(&key(&[1, 11]), Number::Int(-3));
         assert!(slice(&m, &[0], &key(&[1])).is_empty());
         // Re-inserting after pruning works.
-        m.add(key(&[1, 10]), Number::Int(9));
+        m.add_ref(&key(&[1, 10]), Number::Int(9));
         assert_eq!(slice(&m, &[0], &key(&[1])).len(), 1);
     }
 
@@ -548,16 +532,16 @@ mod tests {
     #[test]
     fn late_index_registration_backfills_existing_entries() {
         let mut m = HashViewStorage::new(2);
-        m.add(key(&[1, 10]), Number::Int(2));
-        m.add(key(&[1, 11]), Number::Int(3));
-        m.add(key(&[2, 10]), Number::Int(4));
+        m.add_ref(&key(&[1, 10]), Number::Int(2));
+        m.add_ref(&key(&[1, 11]), Number::Int(3));
+        m.add_ref(&key(&[2, 10]), Number::Int(4));
         m.register_index(vec![0]);
         assert_eq!(slice(&m, &[0], &key(&[1])).len(), 2);
         assert_eq!(slice(&m, &[0], &key(&[2])).len(), 1);
         // The backfilled index keeps tracking later writes and prunes.
-        m.add(key(&[1, 12]), Number::Int(1));
+        m.add_ref(&key(&[1, 12]), Number::Int(1));
         assert_eq!(slice(&m, &[0], &key(&[1])).len(), 3);
-        m.add(key(&[1, 10]), Number::Int(-2));
+        m.add_ref(&key(&[1, 10]), Number::Int(-2));
         assert_eq!(slice(&m, &[0], &key(&[1])).len(), 2);
         // Re-registering the same pattern is a no-op (the live index survives).
         m.register_index(vec![0]);
@@ -566,11 +550,13 @@ mod tests {
         assert_eq!(m.footprint().index_entries, m.len());
     }
 
+    /// `add_ref` lands the running sums that `restore` writes directly, index
+    /// postings included, and returns each write's pre-image.
     #[test]
-    fn add_ref_matches_add_including_index_maintenance() {
-        let mut by_ref = HashViewStorage::new(2);
+    fn add_ref_matches_restore_of_the_running_sum_including_index_maintenance() {
+        let mut by_delta = HashViewStorage::new(2);
         let mut by_value = HashViewStorage::new(2);
-        for m in [&mut by_ref, &mut by_value] {
+        for m in [&mut by_delta, &mut by_value] {
             m.register_index(vec![0]);
         }
         let trace: &[(&[i64], i64)] = &[
@@ -582,16 +568,28 @@ mod tests {
             (&[2, 10], -4),
         ];
         for (k, d) in trace {
-            by_ref.add_ref(&key(k), Number::Int(*d));
-            by_value.add(key(k), Number::Int(*d));
+            let pre = by_value.get(&key(k));
+            by_value.restore(&key(k), Number::Int(pre.as_i64().unwrap() + d));
+            assert_eq!(by_delta.add_ref(&key(k), Number::Int(*d)), pre);
         }
-        assert_eq!(by_ref.len(), by_value.len());
-        assert_eq!(by_ref.to_table(), by_value.to_table());
-        assert_eq!(slice(&by_ref, &[0], &key(&[1])).len(), 2);
-        assert_eq!(slice(&by_ref, &[0], &key(&[2])).len(), 0);
-        // Zero deltas are ignored on both paths.
-        by_ref.add_ref(&key(&[5, 5]), Number::Int(0));
-        assert_eq!(by_ref.get(&key(&[5, 5])), Number::Int(0));
+        assert_eq!(by_delta.len(), by_value.len());
+        assert_eq!(by_delta.to_table(), by_value.to_table());
+        assert_eq!(
+            slice(&by_delta, &[0], &key(&[1])),
+            slice(&by_value, &[0], &key(&[1]))
+        );
+        assert_eq!(slice(&by_delta, &[0], &key(&[1])).len(), 2);
+        assert_eq!(slice(&by_delta, &[0], &key(&[2])).len(), 0);
+        // A zero delta lands nothing and still reports the pre-image.
+        assert_eq!(
+            by_delta.add_ref(&key(&[5, 5]), Number::Int(0)),
+            Number::Int(0)
+        );
+        assert_eq!(
+            by_delta.add_ref(&key(&[1, 11]), Number::Int(0)),
+            Number::Int(3)
+        );
+        assert_eq!(by_delta.to_table(), by_value.to_table());
     }
 
     #[test]
@@ -599,7 +597,7 @@ mod tests {
         let mut m = HashViewStorage::new(2);
         m.register_index(vec![0]);
         for (a, b, v) in [(1, 10, 2), (1, 11, 3), (2, 10, 4)] {
-            m.add(key(&[a, b]), Number::Int(v));
+            m.add_ref(&key(&[a, b]), Number::Int(v));
         }
         for (positions, values) in [
             (vec![0], key(&[1])),
@@ -628,8 +626,8 @@ mod tests {
     #[test]
     fn float_values_are_supported() {
         let mut m = HashViewStorage::new(1);
-        m.add(key(&[1]), Number::Float(2.5));
-        m.add(key(&[1]), Number::Int(1));
+        m.add_ref(&key(&[1]), Number::Float(2.5));
+        m.add_ref(&key(&[1]), Number::Int(1));
         assert_eq!(m.get(&key(&[1])), Number::Float(3.5));
     }
 
@@ -639,7 +637,7 @@ mod tests {
         m.register_index(vec![0]);
         m.register_index(vec![1]);
         for (a, b) in [(1, 10), (1, 11), (2, 10)] {
-            m.add(key(&[a, b]), Number::Int(1));
+            m.add_ref(&key(&[a, b]), Number::Int(1));
         }
         let fp = m.footprint();
         assert_eq!(fp.entries, 3);
@@ -857,10 +855,7 @@ mod tests {
         let name: std::sync::Arc<str> = std::sync::Arc::from("a string key");
         let mut m = HashViewStorage::new(2);
         m.register_index(vec![0]);
-        m.add(
-            vec![Value::Str(name.clone()), Value::int(1)],
-            Number::Int(3),
-        );
+        m.add_ref(&[Value::Str(name.clone()), Value::int(1)], Number::Int(3));
         assert_eq!(std::sync::Arc::strong_count(&name), 2);
         m.restore(&[Value::Str(name.clone()), Value::int(1)], Number::Int(0));
         assert_eq!(std::sync::Arc::strong_count(&name), 1);

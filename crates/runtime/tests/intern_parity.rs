@@ -3,19 +3,22 @@
 //! tables AND bit-identical [`ExecStats`] as feeding the reference
 //! [`DeltaBatch::from_updates`] batch — on both the lowered and the interpreted
 //! executor. The lowered executor's `apply_batch` is `stage_batch` plus
-//! `commit_staged`, so the staged (`apply_sorted` with its pre-image log) flush is the
-//! one under test.
+//! `commit_staged`, so the staged flush (one `add_ref` per consolidated key, each
+//! pre-image logged) is the one under test.
 //!
 //! The traces are string-heavy on purpose, with strings arriving in non-lexicographic
 //! order, and the flushed group keys (`by_nation`'s strings, `rs`'s customer ids)
-//! include values whose order codes tie. A flush that sorted by anything but `Value`
-//! order would break `apply_sorted`'s strictly-ascending precondition (checked by a
-//! debug assertion) and fail here.
+//! include values whose order codes tie. Nothing on the ingest path sorts keys: a
+//! batch and a flush land them in first-arrival order. The last property pins that
+//! this order is a function of the batches alone — two executors built
+//! independently, whose storages and key pools draw different hash seeds, land the
+//! same batches identically and enumerate their outputs in the same order.
 
 use dbring_agca::parser::parse_query;
+use dbring_algebra::Number;
 use dbring_compiler::{compile, TriggerProgram};
 use dbring_relations::{BatchNormalizer, Database, DeltaBatch, Update, Value};
-use dbring_runtime::{Executor, InterpretedExecutor};
+use dbring_runtime::{Executor, InterpretedExecutor, ViewStorage};
 use proptest::prelude::*;
 
 /// Lexicographic traps: arrival order disagrees with sort order ("zz" will usually
@@ -126,6 +129,41 @@ proptest! {
     ) {
         for program in corpus() {
             check_matrix(&program, &trace, chunk);
+        }
+    }
+}
+
+/// Every `(key, value)` the output visits, in visiting order.
+fn visits(executor: &Executor) -> Vec<(Vec<Value>, Number)> {
+    let mut out = Vec::new();
+    executor.output().for_each(|k, v| out.push((k.to_vec(), v)));
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Two executors and two normalizers, each drawing its own hash seeds, fed the
+    /// same chunks: the batches, the order the outputs enumerate in, the tables and
+    /// the work counters agree after every chunk.
+    #[test]
+    fn independently_built_executors_land_batches_in_the_same_order(
+        trace in prop::collection::vec(arb_update(), 1..80),
+        chunk in 1usize..24,
+    ) {
+        for program in corpus() {
+            let mut pair = [Executor::new(program.clone()), Executor::new(program.clone())];
+            let mut normalizers = [BatchNormalizer::new(), BatchNormalizer::new()];
+            for c in trace.chunks(chunk) {
+                let batches = normalizers.each_mut().map(|n| n.normalize(c));
+                prop_assert_eq!(&batches[0], &batches[1]);
+                for (executor, batch) in pair.iter_mut().zip(&batches) {
+                    executor.apply_batch(batch).unwrap();
+                }
+                prop_assert_eq!(visits(&pair[0]), visits(&pair[1]));
+            }
+            prop_assert_eq!(pair[0].output_table(), pair[1].output_table());
+            prop_assert_eq!(pair[0].stats(), pair[1].stats());
         }
     }
 }

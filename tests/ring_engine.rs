@@ -433,24 +433,9 @@ impl ViewStorage for ThreadRecordingStorage {
         self.0.get(key)
     }
 
-    fn add(&mut self, key: Vec<Value>, delta: Number) {
-        record_writer();
-        self.0.add(key, delta);
-    }
-
     fn add_ref(&mut self, key: &[Value], delta: Number) -> Number {
         record_writer();
         self.0.add_ref(key, delta)
-    }
-
-    fn apply_sorted(&mut self, deltas: &[(&[Value], Number)], log: impl FnMut(&[Value], Number)) {
-        record_writer();
-        self.0.apply_sorted(deltas, log);
-    }
-
-    fn set(&mut self, key: Vec<Value>, value: Number) {
-        record_writer();
-        self.0.set(key, value);
     }
 
     fn restore(&mut self, key: &[Value], value: Number) {

@@ -305,9 +305,7 @@ fn poisoned_views_refuse_snapshot_acquire_until_repaired() {
     // view is quarantined. (The flush is the one storage operation every batch is
     // guaranteed to perform on this trigger shape.)
     let batch = vec![Update::insert("R", vec![Value::int(2), Value::int(1)])];
-    let outcome = with_fault(FaultPlan::new(FaultOp::ApplySorted, 0), || {
-        ring.apply_batch(&batch)
-    });
+    let outcome = with_fault(FaultPlan::new(FaultOp::Add, 0), || ring.apply_batch(&batch));
     assert!(outcome.is_err(), "injected panic must fail the batch");
 
     assert!(
@@ -554,7 +552,7 @@ fn failed_batches_publish_nothing_and_leak_no_changes() {
     // victim is quarantined, nothing is published.
     let before = published(&ring);
     let sibling = handle.snapshot_named("rs_join").unwrap().table();
-    let outcome = with_fault(FaultPlan::new(FaultOp::ApplySorted, 0), || {
+    let outcome = with_fault(FaultPlan::new(FaultOp::Add, 0), || {
         ring.apply_batch(&groups(500..510, true))
     });
     assert!(outcome.is_err());
